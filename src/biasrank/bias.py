@@ -5,18 +5,27 @@ last d-1 arguments leaves an identically-zero linear form in the first;
 it is therefore an exact rational K / q^(n(d-1)) with integer K, which
 is what every engine here returns.
 
-Three independent engines compute it:
+Three engines compute it, two of them on one packed-slice kernel:
 
-* :func:`bias_fiber` counts zero fibers directly, enumerating all
-  q^(n(d-1)) fixings with shared-prefix incremental contraction.
-* :func:`bias_recursive` reduces order by averaging over fixings of the
-  last slot, bottoming out at order 2 where the bias is q^(-rank).  It
-  additionally factors disjoint coordinate blocks (bias is multiplicative
-  across them) and memoizes repeated subproblems; both accelerations are
-  value-preserving, and the engine is cross-checked against the other
-  two on every test universe.
-* :func:`bias_histogram` brute-forces the full value distribution over
-  all q^(nd) inputs and extracts the same rational from the histogram.
+* :func:`bias_fiber` counts zero fibers.  It walks the last slot in
+  reflected q-ary Gray-code order, so consecutive contractions differ by
+  one slice (one XOR of int bitsets at q = 2), recurses through the
+  trailing slots the same way, and ends every walk at the order-2 case,
+  where a matrix of rank r has q^(n-r) zero fibers.  Scalar multiples of
+  a fixing leave the same zero fibers, so one fixing per line is walked.
+* :func:`bias_recursive` shares that walk and that rank base case, and
+  additionally factors disjoint coordinate blocks (bias is
+  multiplicative across them) and memoizes repeated subproblems; both
+  accelerations are value-preserving.
+* :func:`bias_histogram` walks every fixing of the trailing slots but
+  takes no rank: it evaluates the linear form left in the first slot on
+  every vector, tallies all q^(nd) values, and extracts the same rational
+  from the histogram.
+
+Since fiber and recursive share the walk, their agreement cannot catch a
+fault in it.  The rank-free histogram, the naive zero-fiber oracle of the
+tests and the reference engine of the benchmark (``perfbench/verify.py``,
+which shares no code with this package) are the independent checks.
 
 The module also provides the additive character chi, the complex bias of
 multi-component forms, and the diagonal-tensor constant c(d, q).
@@ -31,7 +40,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .gf import PrimeField, matrix_rank
+from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
 from .tensor import MultiComponentForm, Tensor
 
 DEFAULT_BUDGET = 10 ** 8
@@ -201,32 +210,165 @@ class ValueHistogram:
 
 
 # ---------------------------------------------------------------------------
-# Sparse helpers shared by the engines
+# The packed-slice Gray walk shared by the engines
 # ---------------------------------------------------------------------------
 
-def _entries_dict(t: Tensor) -> dict[tuple[int, ...], int]:
-    return dict(t.nonzero_entries())
+# Kernels keyed by (p, n, depth), built on first use; only small spaces.
+_KERNEL_CACHE: dict[tuple[int, int, int], "_Packed"] = {}
 
 
-def _bucket_by_last(entries: dict) -> list[list[tuple[tuple[int, ...], int]]]:
-    dim = 1 + max((idx[-1] for idx in entries), default=-1)
-    buckets: list[list] = [[] for _ in range(dim)]
-    for idx, c in entries.items():
-        buckets[idx[-1]].append((idx[:-1], c))
-    return buckets
+def gray_steps(p: int, n: int) -> tuple[int, ...]:
+    """Reflected p-ary Gray code on F_p^n from the zero vector, as step codes.
+
+    Code k raises digit k by one and code n + k lowers it by one (Knuth,
+    TAOCP 4A, 7.2.1.1).  The p^n - 1 steps visit every vector exactly once,
+    and every digit stays in [0, p).
+    """
+    digits = [0] * n
+    rising = [True] * n
+    steps = []
+    for _ in range(p ** n - 1):
+        k = 0
+        while digits[k] == (p - 1 if rising[k] else 0):
+            rising[k] = not rising[k]
+            k += 1
+        if rising[k]:
+            digits[k] += 1
+            steps.append(k)
+        else:
+            digits[k] -= 1
+            steps.append(n + k)
+    return tuple(steps)
 
 
-def _contract_last(buckets, vec, p) -> dict:
-    child: dict = {}
-    for i, vi in enumerate(vec[: len(buckets)]):
-        if vi:
-            for pre, c in buckets[i]:
-                x = (child.get(pre, 0) + c * vi) % p
-                if x:
-                    child[pre] = x
-                else:
-                    child.pop(pre, None)
-    return child
+def _reverse_slots(coeffs, n: int, order: int) -> list:
+    """Row-major coefficients reordered so that the first index varies fastest."""
+    if order <= 1:
+        return list(coeffs)
+    return [c for k in range(n) for c in _reverse_slots(coeffs[k::n], n, order - 1)]
+
+
+class _Packed:
+    """Tensors over F_p^n packed into one int each, and the Gray walk on them.
+
+    Cell (i_1, ..., i_m) sits at position i_1 + i_2 n + ... + i_m n^(m-1), so
+    the slices along the last slot are contiguous bit ranges.  At p = 2 a
+    cell is one bit and a Gray step is one XOR.  At odd p a cell is a run of
+    bytes holding the unreduced sum of y_k times slice k: the Gray digits
+    y_k stay in [0, p), so a step adds or subtracts one packed slice without
+    a carry or borrow between cells, and cells are read mod p.  `depth` is
+    how many contractions deep a walk goes, which bounds the unreduced cells.
+    """
+
+    __slots__ = ("p", "n", "width", "bits", "steps", "line_steps", "powers",
+                 "column_mask", "_cell_orders")
+
+    def __init__(self, p: int, n: int, depth: int):
+        self.p, self.n = p, n
+        self.width = max(1, (((p - 1) * (n * (p - 1)) ** depth).bit_length() + 7) // 8)
+        self.bits = 1 if p == 2 else 8 * self.width
+        self.steps = gray_steps(p, n)
+        self.line_steps = [self.steps[:p ** k - 1] for k in range(n)]
+        self.powers = [p ** (n - r) for r in range(n + 1)]
+        self.column_mask = (1 << (self.bits * n)) - 1
+        self._cell_orders: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, cells: list[int]) -> int:
+        """One int from residues listed in cell-position order."""
+        if self.p == 2:
+            return int("".join(map(str, cells[::-1])) or "0", 2)
+        w = self.width
+        if w == 1:
+            return int.from_bytes(bytes(cells), "little")
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cells), "little")
+
+    def pack_tensor(self, t: Tensor) -> int:
+        """The coefficients of t, row-major, packed in cell-position order."""
+        order = self._cell_orders.get(t.order)
+        if order is None:
+            order = tuple(_reverse_slots(range(self.n ** t.order), self.n, t.order))
+            self._cell_orders[t.order] = order
+        return self.pack(list(map(t.coeffs.__getitem__, order)))
+
+    def cells(self, x: int, count: int):
+        """The first `count` cells of x, unreduced at odd p."""
+        if self.p == 2:
+            return [(x >> i) & 1 for i in range(count)]
+        w = self.width
+        raw = x.to_bytes(count * w, "little")
+        if w == 1:
+            return raw
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+
+    def residues(self, x: int, count: int) -> list[int]:
+        return [c % self.p for c in self.cells(x, count)]
+
+    def walk(self, x: int, order: int, lines: bool):
+        """T(..., y) for every y in F_p^n in Gray order, each one slice away.
+
+        With `lines`, one y per line through 0 instead: the y whose last
+        nonzero digit is 1.  Digit k set to 1, the first p^k - 1 Gray steps
+        walk the digits below k and visit those whose last nonzero digit is k.
+        """
+        shift = self.bits * self.n ** (order - 1)
+        mask = (1 << shift) - 1
+        slices = [(x >> (k * shift)) & mask for k in range(self.n)]
+        walks = zip(slices, self.line_steps) if lines else [(0, self.steps)]
+        if self.p == 2:
+            deltas = slices + slices
+            for current, steps in walks:
+                yield current
+                for step in steps:
+                    current ^= deltas[step]
+                    yield current
+        else:
+            deltas = slices + [-s for s in slices]
+            for current, steps in walks:
+                yield current
+                for step in steps:
+                    current += deltas[step]
+                    yield current
+
+    def matrix_fibers(self, x: int) -> int:
+        """p^(n - rank) zero fibers of a packed order-2 tensor."""
+        if not x:
+            return self.powers[0]
+        n = self.n
+        if self.p == 2:
+            mask = self.column_mask
+            rank = gf2_rank([(x >> (j * n)) & mask for j in range(n)])
+        else:
+            cells = self.cells(x, n * n)
+            rank = rank_mod_p(self.p, [cells[j * n:(j + 1) * n] for j in range(n)])
+        return self.powers[rank]
+
+    def zero_fibers(self, x: int, order: int) -> int:
+        """K of a packed tensor of order >= 2: the walk down to the rank case.
+
+        T(..., cy) = c T(..., y) has the zero fibers of T(..., y) for c != 0,
+        so one y per line stands for p - 1 of them; y = 0 leaves the zero
+        tensor, all of whose p^(n(order-2)) fixings are zero fibers.
+        """
+        if order == 2:
+            return self.matrix_fibers(x)
+        walked = sum(self.zero_fibers(child, order - 1)
+                     for child in self.walk(x, order, lines=True))
+        return self.p ** (self.n * (order - 2)) + (self.p - 1) * walked
+
+
+def _kernel(p: int, n: int, depth: int) -> _Packed:
+    key = (p, n, depth)
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is None:
+        kernel = _Packed(p, n, depth)
+        if p ** n <= _SPACE_CACHE_LIMIT:
+            _KERNEL_CACHE[key] = kernel
+    return kernel
+
+
+def _pack_tensor(t: Tensor, depth: int) -> tuple[_Packed, int]:
+    kernel = _kernel(t.field.p, t.dim, depth)
+    return kernel, kernel.pack_tensor(t)
 
 
 # ---------------------------------------------------------------------------
@@ -236,36 +378,34 @@ def _contract_last(buckets, vec, p) -> dict:
 def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     """Count fixings of the trailing d-1 slots that kill the linear form.
 
-    Returns K / q^(n(d-1)) with K the number of zero fibers.  Order 1 is
-    the base case: bias 1 for the zero form, 0 otherwise.
+    Returns K / q^(n(d-1)) with K the number of zero fibers.  The walk
+    fixes the trailing slots down to order 2, where a matrix of rank r
+    has q^(n-r) zero fibers.  Order 1 is the base case: bias 1 for the
+    zero form, 0 otherwise.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
     p = t.field.p
     exponent = t.dim * (t.order - 1)
     _check_budget(p ** exponent, budget, "zero-fiber enumeration")
-    space = _space(p, t.dim)
-
-    def count(entries: dict, order: int) -> int:
-        if order == 1:
-            return 0 if entries else 1
-        buckets = _bucket_by_last(entries)
-        total = 0
-        for vec in space:
-            total += count(_contract_last(buckets, vec, p), order - 1)
-        return total
-
-    k = count(_entries_dict(t), t.order)
+    n = t.dim
+    if t.order == 1:
+        k = 0 if any(t.coeffs) else 1
+    elif t.order == 2:
+        k = p ** (n - matrix_rank(t.field, [t.coeffs[i * n:(i + 1) * n] for i in range(n)]))
+    else:
+        kernel, packed = _pack_tensor(t, t.order - 2)
+        k = kernel.zero_fibers(packed, t.order)
     if t.order >= 2 and k < 1:
         raise AssertionError("multilinear bias must be positive for order >= 2")
     return BiasValue(k, exponent, p)
 
 
 # ---------------------------------------------------------------------------
-# Engine 2: order reduction with rank base case
+# Engine 2: order reduction with block factoring and a memo
 # ---------------------------------------------------------------------------
 
-def _components(entries: dict, dim: int) -> list[list[int]]:
+def _components(cells, dim: int, order: int) -> list[list[int]]:
     """Connected coordinate blocks: indices co-occurring in some entry."""
     parent = list(range(dim))
 
@@ -276,9 +416,14 @@ def _components(entries: dict, dim: int) -> list[list[int]]:
         return a
 
     seen = set()
-    for idx in entries:
-        for i in idx:
-            seen.add(i)
+    for flat, c in enumerate(cells):
+        if not c:
+            continue
+        idx = []
+        for _ in range(order):
+            idx.append(flat % dim)
+            flat //= dim
+        seen.update(idx)
         root = find(idx[0])
         for i in idx[1:]:
             parent[find(i)] = root
@@ -288,63 +433,68 @@ def _components(entries: dict, dim: int) -> list[list[int]]:
     return list(groups.values())
 
 
-def _rank_from_entries(field: PrimeField, entries: dict, dim: int) -> int:
-    rows = [[0] * dim for _ in range(dim)]
-    for (i, j), c in entries.items():
-        rows[i][j] = c
-    return matrix_rank(field, rows)
+def _block_cells(cells, dim: int, order: int, block: list[int]) -> list[int]:
+    """Cells of the sub-tensor on the coordinates of one block."""
+    positions = [0]
+    for slot in range(order):
+        weight = dim ** slot
+        positions = [q + i * weight for i in block for q in positions]
+    return [cells[q] for q in positions]
 
 
 def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     """Average bias of the order-(d-1) contractions over the last slot.
 
-    Base case d = 2: bias is q^(-rank) of the coefficient matrix; d = 1
-    matches the fiber engine.  Disjoint coordinate blocks are factored
-    (their biases multiply exactly) and repeated contractions are
-    memoized; the returned value is identical to plain recursion.  The
-    budget meters fixings actually enumerated, so sparse tensors whose
-    blocks factor stay cheap even when the dense enumeration would not.
+    The same Gray walk as the fiber engine, ending at the same base case
+    d = 2, where bias is q^(-rank); d = 1 matches the fiber engine.
+    Disjoint coordinate blocks are factored (their biases multiply
+    exactly) and repeated subproblems are memoized; the returned value is
+    identical to plain recursion.  The budget meters fixings actually
+    enumerated, so sparse tensors whose blocks factor stay cheap even
+    when the dense enumeration would not.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
-    field = t.field
-    p = field.p
+    p = t.field.p
+    exponent = t.dim * (t.order - 1)
+    if t.order == 1:
+        return BiasValue(0 if any(t.coeffs) else 1, exponent, p)
     memo: dict = {}
     steps = [0]
 
-    def rec(entries: dict, dim: int, order: int) -> int:
-        # Returns K with bias = K / p^(dim*(order-1)).
-        if order == 1:
-            return 0 if entries else 1
-        key = (dim, order, tuple(sorted(entries.items())))
+    def rec(x: int, dim: int, order: int) -> int:
+        # Returns K with bias = K / p^(dim*(order-1)); above order 2, x is
+        # reduced mod p, so equal subproblems share one memo key.
+        kernel = _kernel(p, dim, 1)
+        if order == 2:
+            return kernel.matrix_fibers(x)
+        key = (dim, order, x)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if order == 2:
-            k = p ** (dim - _rank_from_entries(field, entries, dim))
+        cells = kernel.residues(x, dim ** order)
+        comps = _components(cells, dim, order)
+        support = sum(len(c) for c in comps)
+        if len(comps) > 1 or support < dim:
+            k = p ** ((dim - support) * (order - 1))
+            for comp in comps:
+                sub = _kernel(p, len(comp), 1)
+                k *= rec(sub.pack(_block_cells(cells, dim, order, comp)), len(comp), order)
         else:
-            comps = _components(entries, dim)
-            support = sum(len(c) for c in comps)
-            if len(comps) > 1 or support < dim:
-                k = p ** ((dim - support) * (order - 1))
-                for comp in comps:
-                    remap = {old: new for new, old in enumerate(comp)}
-                    sub = {tuple(remap[i] for i in idx): c
-                           for idx, c in entries.items()
-                           if idx[0] in remap}
-                    k *= rec(sub, len(comp), order)
-            else:
-                steps[0] += p ** dim
-                _check_budget(steps[0], budget, "recursive bias")
-                buckets = _bucket_by_last(entries)
-                k = 0
-                for vec in _space(p, dim):
-                    k += rec(_contract_last(buckets, vec, p), dim, order - 1)
+            steps[0] += p ** dim
+            _check_budget(steps[0], budget, "recursive bias")
+            size = dim ** (order - 1)
+            walked = 0
+            for child in kernel.walk(x, order, lines=True):
+                if order > 3:
+                    child = kernel.pack(kernel.residues(child, size))
+                walked += rec(child, dim, order - 1)
+            k = p ** (dim * (order - 2)) + (p - 1) * walked
         memo[key] = k
         return k
 
-    k = rec(_entries_dict(t), t.dim, t.order)
-    return BiasValue(k, t.dim * (t.order - 1), p)
+    kernel, packed = _pack_tensor(t, 1)
+    return BiasValue(rec(packed, t.dim, t.order), exponent, p)
 
 
 # ---------------------------------------------------------------------------
@@ -354,41 +504,41 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistogram, BiasValue]:
     """Evaluate T on every input, tally values, and recover the bias.
 
+    The Gray walk fixes the trailing d-1 slots; the linear form c left in
+    the first slot is then evaluated on every x in the same Gray order,
+    where each step changes c(x) by one coefficient.  No rank is taken.
     Multilinearity makes the nonzero values equidistributed, so the
     character sum collapses to (N_0 * q - q^(nd)) / (q^n (q-1) q^(n(d-1)))
     and the division is exact; the engine asserts that.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
-    p = t.field.p
-    total = p ** (t.dim * t.order)
+    p, n = t.field.p, t.dim
+    total = p ** (n * t.order)
     _check_budget(total, budget, "value histogram")
-    space = _space(p, t.dim)
     counts = [0] * p
+    kernel, packed = _pack_tensor(t, t.order - 1)
 
-    def walk(entries: dict, order: int):
-        if order == 1:
-            items = [(idx[0], c) for idx, c in entries.items()]
-            if not items:
-                counts[0] += len(space)
-                return
-            for vec in space:
-                val = 0
-                for i, c in items:
-                    val += c * vec[i]
-                counts[val % p] += 1
+    def tally(x: int, order: int):
+        if order > 1:
+            for child in kernel.walk(x, order, lines=False):
+                tally(child, order - 1)
             return
-        buckets = _bucket_by_last(entries)
-        for vec in space:
-            walk(_contract_last(buckets, vec, p), order - 1)
+        form = kernel.residues(x, n)
+        deltas = form + [-c for c in form]
+        value = 0
+        counts[0] += 1
+        for step in kernel.steps:
+            value += deltas[step]
+            counts[value % p] += 1
 
-    walk(_entries_dict(t), t.order)
+    tally(packed, t.order)
     hist = ValueHistogram(p, tuple(counts), total)
     numerator = counts[0] * p - total
-    denominator = (p ** t.dim) * (p - 1)
+    denominator = (p ** n) * (p - 1)
     if numerator % denominator != 0:
         raise AssertionError("histogram numerator must divide exactly for a multilinear form")
-    return hist, BiasValue(numerator // denominator, t.dim * (t.order - 1), p)
+    return hist, BiasValue(numerator // denominator, n * (t.order - 1), p)
 
 
 def bias_all_engines(t: Tensor, budget: int = DEFAULT_BUDGET) -> dict[str, BiasValue]:

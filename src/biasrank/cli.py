@@ -56,6 +56,10 @@ _ENGINES = {
 
 _RANDOM_ONLY_LAWS = {"correlation", "restriction-monotone", "lemma-bias", "basis-invariance"}
 
+# Smallest --n and --d a law's universe needs; the others take n >= 0, d >= 1.
+_MIN_SHAPE = {"arank-le-prank": (0, 2), "independent-bound": (0, 2),
+              "restriction-monotone": (1, 1)}
+
 
 class UsageError(Exception):
     """Usage error detected past argparse; mapped to exit code 2."""
@@ -91,6 +95,20 @@ _LAW_DEFAULTS: dict[str, list[dict]] = {
         {"p": 2, "n": 3, "d": 3, "trials": 200},
     ],
 }
+
+
+def _field(p: int) -> PrimeField:
+    try:
+        return PrimeField(p)
+    except ValueError as exc:
+        raise UsageError(f"--p {p}: {exc}")
+
+
+def _check_shape(n, d: int, min_n: int = 0, min_d: int = 1) -> None:
+    if n is not None and n < min_n:
+        raise UsageError(f"--n must be at least {min_n}, got {n}")
+    if d < min_d:
+        raise UsageError(f"--d must be at least {min_d}, got {d}")
 
 
 def _load_tensor(path: str):
@@ -161,6 +179,9 @@ def cmd_arank(args) -> int:
 
 
 def cmd_constant(args) -> int:
+    _check_shape(None, args.d, min_d=2)
+    if args.q < 2:
+        raise UsageError(f"--q must be at least 2, got {args.q}")
     value = c_constant(args.d, args.q)
     bound_low = 2.0 ** (-args.d)
     bound_large = 1.0 - math.log(args.d - 1) / math.log(args.q) if args.d > 1 else 1.0
@@ -253,6 +274,8 @@ def _universes_for(law_id: str, args) -> list[dict]:
             raise UsageError("--p, --n and --d must be given together")
         if args.exhaustive and law_id in _RANDOM_ONLY_LAWS:
             raise UsageError(f"law {law_id} has no exhaustive universe")
+        _field(args.p)
+        _check_shape(args.n, args.d, *_MIN_SHAPE.get(law_id, (0, 1)))
         shape = {"p": args.p, "n": args.n, "d": args.d, "seed": args.seed}
         if args.exhaustive:
             shape["exhaustive"] = True
@@ -298,7 +321,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    field = PrimeField(args.p)
+    field = _field(args.p)
+    _check_shape(args.n, args.d)
     if args.diagonal is not None:
         try:
             diag = [int(tok) % args.p for tok in args.diagonal.split(",")]
@@ -320,7 +344,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    field = PrimeField(args.p)
+    field = _field(args.p)
+    _check_shape(args.n, args.d)
     if args.identity_max == 0 and args.n is None:
         raise UsageError("--n is required unless --identity-max is given")
     report = survey_gap(field, args.n if args.n is not None else 0, args.d,
@@ -431,7 +456,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

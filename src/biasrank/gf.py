@@ -2,10 +2,13 @@
 
 Residues are plain Python ints in [0, p).  Vectors are tuples of residues
 and matrices are tuples of row tuples; :class:`PrimeField` carries the
-modulus and all modular arithmetic.  Rank computation uses Gaussian
-elimination with a fixed pivot rule (first nonzero entry in column
-order), with a word-parallel bitset path for p = 2 that must agree
-bit-for-bit with the generic path.
+modulus and all modular arithmetic.  Reduced row echelon forms use
+Gaussian elimination with a fixed pivot rule (first nonzero entry in
+column order), with a word-parallel bitset path for p = 2 that must agree
+bit-for-bit with the generic path.  Ranks use a lighter elimination that
+skips the reduced form: :func:`gf2_rank` on rows packed as int bitsets,
+:func:`rank_mod_p` on rows of residues.  The bias kernel calls both
+directly on its packed matrices.
 """
 
 from __future__ import annotations
@@ -194,6 +197,45 @@ def _row_reduce_gf2(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Matrix, 
     return unpacked, rank, tuple(pivots)
 
 
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over F_2 of rows packed as int bitsets, by word-wide XOR.
+
+    Each nonzero row in turn becomes a pivot on its lowest set bit and is
+    XORed into every remaining row that has that bit.
+    """
+    rows = list(rows)
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            low = pivot & -pivot
+            for i, r in enumerate(rows):
+                if r & low:
+                    rows[i] = r ^ pivot
+            rank += 1
+    return rank
+
+
+def rank_mod_p(p: int, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over F_p of rows of nonnegative ints, read mod p; rank only."""
+    rows = list(rows)
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        for col, lead in enumerate(pivot):
+            if lead % p:
+                break
+        else:
+            continue
+        inv = pow(lead, p - 2, p)
+        for i, r in enumerate(rows):
+            f = r[col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 def matrix_rank(field: PrimeField, rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over F_p.  Empty matrices have rank 0."""
     rows = [tuple(r) for r in rows]
@@ -204,8 +246,8 @@ def matrix_rank(field: PrimeField, rows: Sequence[Sequence[int]]) -> int:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
     if field.p == 2:
-        return _row_reduce_gf2(rows, ncols)[1]
-    return row_reduce(field, rows)[1]
+        return gf2_rank(sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows)
+    return rank_mod_p(field.p, rows)
 
 
 def matrix_rref(field: PrimeField, rows: Sequence[Sequence[int]]) -> tuple[Matrix, int, tuple[int, ...]]:

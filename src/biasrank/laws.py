@@ -28,7 +28,14 @@ from .bias import (
     diagonal_bias_numerator,
 )
 from .gf import PrimeField, random_full_rank_basis
-from .ranks import candidate_terms, max_independent_set, rank_exact
+from .ranks import (
+    BudgetError,
+    candidate_table,
+    candidate_terms,
+    max_independent_set,
+    rank_exact,
+    search_cap,
+)
 from .rng import substream
 from .tensor import (
     Tensor,
@@ -304,9 +311,18 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     mode = "exhaustive" if exhaustive else f"random trials={trials} seed={seed}"
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
+    # One candidate table serves every search and the rank-one check.  If
+    # it is over the search cap, each search reports its own interval.
+    table = None
+    if exhaustive or trials or rank_one_check:
+        try:
+            table = candidate_table(field, dim, order, "prank",
+                                    search_cap(dim, order, budget))
+        except BudgetError:
+            pass
 
     def check(t: Tensor):
-        report = rank_exact(t, "prank", budget)
+        report = rank_exact(t, "prank", budget, table=table)
         if not report.exact:
             raise RuntimeError("universe too large for exact partition rank")
         k = bias_fiber(t, budget).numerator
@@ -329,7 +345,10 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     notes = ()
     if rank_one_check:
         ok_count = 0
-        terms = candidate_terms(field, dim, order, "prank", max_candidates=100_000)
+        if table is not None:
+            terms = table.terms
+        else:
+            terms = candidate_terms(field, dim, order, "prank", max_candidates=100_000)
         for term in terms:
             k = bias_fiber(term.tensor, budget).numerator
             ok = k * q >= q ** exponent

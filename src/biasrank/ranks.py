@@ -402,17 +402,59 @@ def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
     return terms
 
 
+@dataclass(frozen=True)
+class CandidateTable:
+    """The rank-one candidates of one shape and kind, indexed for the search.
+
+    `by_coeffs` maps a coefficient array to its term and `by_pos` lists,
+    for each flat position, the terms nonzero there.  A caller that ranks
+    many tensors of one shape builds the table once and passes it to
+    every :func:`rank_exact` call.
+    """
+
+    p: int
+    dim: int
+    order: int
+    kind: str
+    terms: tuple[RankOneTerm, ...]
+    by_coeffs: dict
+    by_pos: dict
+
+
+def candidate_table(field: PrimeField, dim: int, order: int, kind: str,
+                    max_candidates: int) -> CandidateTable:
+    """Build and index the candidates; BudgetError past `max_candidates`."""
+    terms = tuple(candidate_terms(field, dim, order, kind, max_candidates=max_candidates))
+    by_coeffs = {term.tensor.coeffs: term for term in terms}
+    by_pos: dict[int, list[RankOneTerm]] = {}
+    for term in terms:
+        for pos, c in enumerate(term.tensor.coeffs):
+            if c:
+                by_pos.setdefault(pos, []).append(term)
+    return CandidateTable(field.p, dim, order, kind, terms, by_coeffs, by_pos)
+
+
+def search_cap(dim: int, order: int, budget: int) -> int:
+    """The default candidate cap of an exact search at this shape and budget."""
+    return min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
+
+
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
-               max_candidates: int | None = None) -> RankReport:
+               max_candidates: int | None = None,
+               table: CandidateTable | None = None) -> RankReport:
     """Minimal decomposition size by iterative deepening, or an interval.
 
     The interval fallback (analytic-rank ceiling, greedy upper bound) is
     returned when the candidate space or node budget is exceeded.  The
     candidate space is capped at MAX_SEARCH_CANDIDATES unless the caller
-    opts in to a larger search explicitly.
+    opts in to a larger search explicitly.  A caller-owned `table` of the
+    same shape and kind is searched instead of building one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
+    if table is not None and (table.p, table.dim, table.order, table.kind) != (
+            t.field.p, t.dim, t.order, kind):
+        raise ValueError("candidate table is for another shape or kind")
     if t.is_zero():
         return RankReport(kind, 0, 0, True, (), "search", "search")
     if t.order == 1:
@@ -420,22 +462,15 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
         return RankReport(kind, 1, 1, True, (term,), "search", "search")
     greedy = greedy_decomposition(t, kind)
     upper = len(greedy)
-    cell_cost = max(1, t.dim ** t.order)
     if max_candidates is None:
-        max_candidates = min(budget // cell_cost, MAX_SEARCH_CANDIDATES)
+        max_candidates = search_cap(t.dim, t.order, budget)
     try:
-        candidates = candidate_terms(t.field, t.dim, t.order, kind,
-                                     max_candidates=max_candidates)
-        by_coeffs = {term.tensor.coeffs: term for term in candidates}
-        by_pos: dict[int, list[RankOneTerm]] = {}
-        for term in candidates:
-            for pos, c in enumerate(term.tensor.coeffs):
-                if c:
-                    by_pos.setdefault(pos, []).append(term)
+        if table is None:
+            table = candidate_table(t.field, t.dim, t.order, kind, max_candidates)
         nodes = [0]
-        node_limit = max(1000, budget // cell_cost)
+        node_limit = max(1000, budget // max(1, t.dim ** t.order))
         for depth in range(0, upper):
-            found = _search_depth(t.coeffs, by_coeffs, by_pos,
+            found = _search_depth(t.coeffs, table.by_coeffs, table.by_pos,
                                   t.field.p, depth, nodes, node_limit)
             if found is not None:
                 cert = tuple(found)

@@ -20,6 +20,11 @@ from .gf import PrimeField, Vector, matrix_rank
 from .rng import SplitMix64
 
 
+# Largest coefficient array the text format accepts: far above every shape
+# whose bias or rank is computable, far below what exhausts memory.
+MAX_DENSE_CELLS = 1 << 20
+
+
 class TensorFormatError(ValueError):
     """Malformed tensor text; carries the 1-based offending line number."""
 
@@ -416,6 +421,10 @@ def parse_tensor(text: str) -> Tensor:
                 raise TensorFormatError(lineno, "order must be >= 1")
             if dim < 0:
                 raise TensorFormatError(lineno, "dimension must be >= 0")
+            if dim > 1 and (order >= MAX_DENSE_CELLS.bit_length()
+                            or dim ** order > MAX_DENSE_CELLS):
+                raise TensorFormatError(
+                    lineno, f"{dim}^{order} coefficients exceed the limit of {MAX_DENSE_CELLS}")
             try:
                 field = PrimeField(p)
             except ValueError as exc:

@@ -20,6 +20,7 @@ from biasrank.bias import (
     c_constant,
     chi,
     diagonal_bias_numerator,
+    gray_steps,
 )
 from biasrank.gf import PrimeField, matrix_rank
 from biasrank.rng import substream
@@ -144,15 +145,42 @@ class TestEngineTriangle:
             values = bias_all_engines(t)
             assert values["fiber"] == values["recursive"] == values["histogram"]
 
-    def test_fiber_matches_naive_oracle(self):
+    # Fiber and recursive share the Gray walk, so only an oracle that shares
+    # nothing with them can catch a fault in it.  At (7, 2, 3) the histogram
+    # packs its cells into two bytes each.
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 2, 4), (5, 2, 2), (3, 1, 3), (3, 2, 3),
+                                       (7, 2, 3)])
+    def test_fiber_matches_naive_oracle(self, p, n, d):
+        field = PrimeField(p)
         for trial in range(15):
-            t = random_tensor(F3, 2, 3, substream(321, trial).next_u64())
-            assert bias_fiber(t).numerator == oracle_zero_fibers(t)
+            t = random_tensor(field, n, d, substream(321, trial).next_u64())
+            expected = oracle_zero_fibers(t)
+            assert bias_fiber(t).numerator == expected
+            assert bias_recursive(t).numerator == expected
+            assert bias_histogram(t)[1].numerator == expected
 
     def test_positive_for_order_two_and_up(self):
         for trial in range(20):
             t = random_tensor(F2, 3, 3, substream(11, trial).next_u64())
             assert bias_fiber(t).numerator >= 1
+
+
+class TestGrayWalk:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_steps_visit_every_vector_once(self, p, n):
+        steps = gray_steps(p, n)
+        vec = [0] * n
+        seen = [tuple(vec)]
+        for i, step in enumerate(steps, start=1):
+            digit, lower = step % n, step >= n
+            vec[digit] += -1 if lower else 1
+            assert 0 <= vec[digit] < p
+            # the first p^k - 1 steps walk only digits below k
+            assert i >= p ** digit
+            seen.append(tuple(vec))
+        assert len(seen) == p ** n
+        assert set(seen) == set(product(range(p), repeat=n))
 
 
 class TestHistogram:

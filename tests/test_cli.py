@@ -90,6 +90,12 @@ class TestBias:
         code, _, err = run(capsys, "bias", "/nonexistent/tensor.txt")
         assert code == 2
 
+    def test_oversized_header_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("2 3000 3\n")
+        code, _, err = run(capsys, "bias", str(path))
+        assert code == 2 and "line 1" in err
+
 
 class TestArank:
     def test_identity_value(self, capsys, identity_file):
@@ -260,3 +266,25 @@ class TestRoundTripMany:
             p, n, d = shapes[i % 4]
             t = random_tensor(PrimeField(p), n, d, substream(2024, i).next_u64())
             assert parse_tensor(serialize_tensor(t)) == t
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--p", "4", "--n", "2", "--d", "3"], id="gen-composite-p"),
+    pytest.param(["check", "subadditivity", "--p", "4", "--n", "2", "--d", "3"],
+                 id="check-composite-p"),
+    pytest.param(["survey", "--p", "4", "--n", "2", "--d", "3"], id="survey-composite-p"),
+    pytest.param(["constant", "--d", "1", "--q", "2"], id="constant-d1"),
+    pytest.param(["constant", "--d", "3", "--q", "1"], id="constant-q1"),
+    pytest.param(["gen", "--p", "2", "--n", "2", "--d", "0"], id="gen-d0"),
+    pytest.param(["check", "arank-le-prank", "--p", "2", "--n", "2", "--d", "1"],
+                 id="arank-le-prank-d1"),
+    pytest.param(["check", "lemma-bias", "--p", "2", "--n", "2", "--d", "0"],
+                 id="lemma-bias-d0"),
+    pytest.param(["bias", "DIRECTORY"], id="bias-directory"),
+])
+def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
+    argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

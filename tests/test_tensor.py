@@ -365,3 +365,10 @@ class TestTextFormat:
     def test_rejects_composite_modulus(self):
         with pytest.raises(TensorFormatError):
             parse_tensor("4 2 2\n")
+
+    def test_rejects_oversized_header_before_allocating(self):
+        with pytest.raises(TensorFormatError) as err:
+            parse_tensor("2 3000 3\n")
+        assert err.value.line == 1 and "exceed" in str(err.value)
+        with pytest.raises(TensorFormatError):
+            parse_tensor("2 2 100000000\n")
