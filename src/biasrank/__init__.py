@@ -18,7 +18,7 @@ from .bias import (
     chi,
     diagonal_bias_numerator,
 )
-from .gf import PrimeField, matrix_rank, matrix_rref
+from .gf import PrimeField, matrix_rank
 from .laws import (
     LAW_IDS,
     CorrelationInstance,

@@ -213,8 +213,13 @@ class ValueHistogram:
 # The packed-slice Gray walk shared by the engines
 # ---------------------------------------------------------------------------
 
-# Kernels keyed by (p, n, depth), built on first use; only small spaces.
+# Gray step tables keyed by (p, n) and packing kernels keyed by (p, n, depth),
+# both built on first use and cached only for p^n <= _SPACE_CACHE_LIMIT.  A
+# kernel holds no Gray table: one is built only when a walk needs it.
+_GRAY_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
 _KERNEL_CACHE: dict[tuple[int, int, int], "_Packed"] = {}
+# Binary digits '0'/'1' to the bytes 0/1.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def gray_steps(p: int, n: int) -> tuple[int, ...]:
@@ -241,6 +246,18 @@ def gray_steps(p: int, n: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
+def _gray(p: int, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The Gray steps of F_p^n, and for each digit k the first p^k - 1 of them."""
+    key = (p, n)
+    table = _GRAY_CACHE.get(key)
+    if table is None:
+        steps = gray_steps(p, n)
+        table = (steps, [steps[:p ** k - 1] for k in range(n)])
+        if p ** n <= _SPACE_CACHE_LIMIT:
+            _GRAY_CACHE[key] = table
+    return table
+
+
 def _reverse_slots(coeffs, n: int, order: int) -> list:
     """Row-major coefficients reordered so that the first index varies fastest."""
     if order <= 1:
@@ -260,15 +277,12 @@ class _Packed:
     how many contractions deep a walk goes, which bounds the unreduced cells.
     """
 
-    __slots__ = ("p", "n", "width", "bits", "steps", "line_steps", "powers",
-                 "column_mask", "_cell_orders")
+    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "_cell_orders")
 
     def __init__(self, p: int, n: int, depth: int):
         self.p, self.n = p, n
         self.width = max(1, (((p - 1) * (n * (p - 1)) ** depth).bit_length() + 7) // 8)
         self.bits = 1 if p == 2 else 8 * self.width
-        self.steps = gray_steps(p, n)
-        self.line_steps = [self.steps[:p ** k - 1] for k in range(n)]
         self.powers = [p ** (n - r) for r in range(n + 1)]
         self.column_mask = (1 << (self.bits * n)) - 1
         self._cell_orders: dict[int, tuple[int, ...]] = {}
@@ -293,7 +307,7 @@ class _Packed:
     def cells(self, x: int, count: int):
         """The first `count` cells of x, unreduced at odd p."""
         if self.p == 2:
-            return [(x >> i) & 1 for i in range(count)]
+            return format(x, f"0{count}b")[::-1][:count].encode().translate(_BITS)
         w = self.width
         raw = x.to_bytes(count * w, "little")
         if w == 1:
@@ -313,7 +327,8 @@ class _Packed:
         shift = self.bits * self.n ** (order - 1)
         mask = (1 << shift) - 1
         slices = [(x >> (k * shift)) & mask for k in range(self.n)]
-        walks = zip(slices, self.line_steps) if lines else [(0, self.steps)]
+        all_steps, line_steps = _gray(self.p, self.n)
+        walks = zip(slices, line_steps) if lines else [(0, all_steps)]
         if self.p == 2:
             deltas = slices + slices
             for current, steps in walks:
@@ -518,6 +533,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
     _check_budget(total, budget, "value histogram")
     counts = [0] * p
     kernel, packed = _pack_tensor(t, t.order - 1)
+    steps = _gray(p, n)[0]
 
     def tally(x: int, order: int):
         if order > 1:
@@ -528,7 +544,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
         deltas = form + [-c for c in form]
         value = 0
         counts[0] += 1
-        for step in kernel.steps:
+        for step in steps:
             value += deltas[step]
             counts[value % p] += 1
 

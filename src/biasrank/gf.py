@@ -2,13 +2,11 @@
 
 Residues are plain Python ints in [0, p).  Vectors are tuples of residues
 and matrices are tuples of row tuples; :class:`PrimeField` carries the
-modulus and all modular arithmetic.  Reduced row echelon forms use
-Gaussian elimination with a fixed pivot rule (first nonzero entry in
-column order), with a word-parallel bitset path for p = 2 that must agree
-bit-for-bit with the generic path.  Ranks use a lighter elimination that
-skips the reduced form: :func:`gf2_rank` on rows packed as int bitsets,
-:func:`rank_mod_p` on rows of residues.  The bias kernel calls both
-directly on its packed matrices.
+modulus and all modular arithmetic.  Ranks come from one Gaussian
+elimination per field kind: :func:`gf2_rank` on rows packed as int
+bitsets, by word-wide XOR, and :func:`rank_mod_p` on rows of residues
+for odd p.  :func:`matrix_rank` dispatches between them, and the bias
+kernel calls both directly on its packed matrices.
 """
 
 from __future__ import annotations
@@ -126,77 +124,6 @@ def transpose(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(zip(*rows))
 
 
-def row_reduce(field: PrimeField, rows: Sequence[Sequence[int]]) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, and pivot columns.
-
-    Pivot rule: scan columns left to right, take the first row (at or
-    below the current one) with a nonzero entry.  Deterministic, so the
-    reduced form is reproducible.
-    """
-    p = field.p
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r][col] % p != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(nrows):
-            if r != rank and work[r][col] % p != 0:
-                factor = work[r][col]
-                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return tuple(tuple(r) for r in work), rank, tuple(pivots)
-
-
-def _row_reduce_gf2(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Matrix, int, tuple[int, ...]]:
-    """GF(2) path: rows packed into ints, elimination by word-wide XOR.
-
-    Mirrors the generic pivot rule exactly (bit j = column j).
-    """
-    work = []
-    for r in rows:
-        acc = 0
-        for j, x in enumerate(r):
-            if x & 1:
-                acc |= 1 << j
-        work.append(acc)
-    nrows = len(work)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r] & bit:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        for r in range(nrows):
-            if r != rank and (work[r] & bit):
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    unpacked = tuple(tuple((w >> j) & 1 for j in range(ncols)) for w in work)
-    return unpacked, rank, tuple(pivots)
-
-
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over F_2 of rows packed as int bitsets, by word-wide XOR.
 
@@ -217,7 +144,11 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 
 def rank_mod_p(p: int, rows: Iterable[Sequence[int]]) -> int:
-    """Rank over F_p of rows of nonnegative ints, read mod p; rank only."""
+    """Rank over F_p of rows of nonnegative ints, read mod p.
+
+    Each row in turn becomes a pivot on its first entry nonzero mod p and
+    is eliminated from every remaining row; no reduced form is kept.
+    """
     rows = list(rows)
     rank = 0
     while rows:
@@ -248,16 +179,6 @@ def matrix_rank(field: PrimeField, rows: Sequence[Sequence[int]]) -> int:
     if field.p == 2:
         return gf2_rank(sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows)
     return rank_mod_p(field.p, rows)
-
-
-def matrix_rref(field: PrimeField, rows: Sequence[Sequence[int]]) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced form dispatch used by tests to compare the GF(2) fast path."""
-    rows = [tuple(r) for r in rows]
-    if not rows or not rows[0]:
-        return ((), 0, ()) if not rows else (tuple(rows), 0, ())
-    if field.p == 2:
-        return _row_reduce_gf2(rows, len(rows[0]))
-    return row_reduce(field, rows)
 
 
 def random_matrix(field: PrimeField, nrows: int, ncols: int, gen: SplitMix64) -> Matrix:

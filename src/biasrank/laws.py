@@ -50,6 +50,9 @@ from .tensor import (
     restrict,
 )
 
+# Candidate cap of arank-le-prank's rank-one check when it lists its own terms.
+RANK_ONE_CHECK_CAP = 100_000
+
 LAW_IDS = (
     "subadditivity",
     "correlation",
@@ -311,10 +314,13 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     mode = "exhaustive" if exhaustive else f"random trials={trials} seed={seed}"
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
-    # One candidate table serves every search and the rank-one check.  If
-    # it is over the search cap, each search reports its own interval.
+    # One candidate table, capped as rank_exact caps it, serves every search
+    # and the rank-one check.  Over that cap each search falls back to its
+    # certified interval, which is still exact where the analytic lower
+    # bound meets the greedy size, so the universe can pass; the rank-one
+    # check then lists its terms under its own, larger cap.
     table = None
-    if exhaustive or trials or rank_one_check:
+    if (exhaustive or trials) and order >= 2:
         try:
             table = candidate_table(field, dim, order, "prank",
                                     search_cap(dim, order, budget))
@@ -348,7 +354,8 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         if table is not None:
             terms = table.terms
         else:
-            terms = candidate_terms(field, dim, order, "prank", max_candidates=100_000)
+            terms = candidate_terms(field, dim, order, "prank",
+                                    max_candidates=RANK_ONE_CHECK_CAP)
         for term in terms:
             k = bias_fiber(term.tensor, budget).numerator
             ok = k * q >= q ** exponent

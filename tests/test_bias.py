@@ -327,3 +327,10 @@ class TestBudget:
         dense = random_tensor(F2, 4, 4, 3)
         with pytest.raises(BudgetExceededError):
             bias_recursive(dense, budget=10)
+
+    @pytest.mark.parametrize("p, dim", [(2, 40), (3, 25)])
+    def test_recursive_factors_before_any_walk_of_the_full_dimension(self, p, dim):
+        # blocks factor before any walk, so no Gray table of F_p^dim is built
+        t = identity_tensor(PrimeField(p), dim, 3)
+        value = bias_recursive(t)
+        assert value.numerator == diagonal_bias_numerator(p, dim, 3, dim)

@@ -4,10 +4,10 @@ import pytest
 
 from biasrank.gf import (
     PrimeField,
+    gf2_rank,
     matrix_rank,
-    matrix_rref,
     random_matrix,
-    row_reduce,
+    rank_mod_p,
     transpose,
     unit_vector,
 )
@@ -112,14 +112,15 @@ class TestMatrixRank:
             assert matrix_rank(field, m) == base
 
     def test_gf2_bitset_path_matches_generic(self):
-        """The packed GF(2) elimination must be bit-identical to the generic one."""
+        """The packed GF(2) rank must agree with the generic elimination."""
         field = PrimeField(2)
         gen = SplitMix64(31337)
         for _ in range(100):
             rows = random_matrix(field, 5, 7, gen)
-            fast = matrix_rref(field, rows)
-            slow = row_reduce(field, rows)
-            assert fast == slow
+            packed = [sum(x << j for j, x in enumerate(r)) for r in rows]
+            expected = rank_mod_p(2, rows)
+            assert gf2_rank(packed) == matrix_rank(field, rows) == expected
+            assert expected == oracle_rank(2, [list(r) for r in rows])
 
     def test_rank_bounded_by_shape(self):
         field = PrimeField(3)
