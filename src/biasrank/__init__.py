@@ -40,7 +40,6 @@ from .ranks import (
     greedy_decomposition,
     is_independent_set,
     max_independent_set,
-    prank_lower_bound,
     rank_bounds,
     rank_exact,
     rank_upper_greedy,

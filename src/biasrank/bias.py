@@ -45,9 +45,8 @@ from .tensor import MultiComponentForm, Tensor
 
 DEFAULT_BUDGET = 10 ** 8
 
-# Cached lists of all vectors of F_p^n, keyed by (p, n).
-_SPACE_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-_SPACE_CACHE_LIMIT = 1 << 16
+# Gray tables and packing kernels are cached only for p^n up to this size.
+_CACHE_LIMIT = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,17 +56,6 @@ class BudgetExceededError(RuntimeError):
 def _check_budget(count: int, budget: int, what: str):
     if count > budget:
         raise BudgetExceededError(f"{what} needs {count} evaluations, budget is {budget}")
-
-
-def _space(p: int, dim: int):
-    count = p ** dim
-    key = (p, dim)
-    cached = _SPACE_CACHE.get(key)
-    if cached is None:
-        cached = tuple(product(range(p), repeat=dim))
-        if count <= _SPACE_CACHE_LIMIT:
-            _SPACE_CACHE[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +202,7 @@ class ValueHistogram:
 # ---------------------------------------------------------------------------
 
 # Gray step tables keyed by (p, n) and packing kernels keyed by (p, n, depth),
-# both built on first use and cached only for p^n <= _SPACE_CACHE_LIMIT.  A
+# both built on first use and cached only for p^n <= _CACHE_LIMIT.  A
 # kernel holds no Gray table: one is built only when a walk needs it.
 _GRAY_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
 _KERNEL_CACHE: dict[tuple[int, int, int], "_Packed"] = {}
@@ -253,7 +241,7 @@ def _gray(p: int, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     if table is None:
         steps = gray_steps(p, n)
         table = (steps, [steps[:p ** k - 1] for k in range(n)])
-        if p ** n <= _SPACE_CACHE_LIMIT:
+        if p ** n <= _CACHE_LIMIT:
             _GRAY_CACHE[key] = table
     return table
 
@@ -376,7 +364,7 @@ def _kernel(p: int, n: int, depth: int) -> _Packed:
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
         kernel = _Packed(p, n, depth)
-        if p ** n <= _SPACE_CACHE_LIMIT:
+        if p ** n <= _CACHE_LIMIT:
             _KERNEL_CACHE[key] = kernel
     return kernel
 
@@ -604,7 +592,7 @@ def bias_multiform(form: MultiComponentForm, budget: int = DEFAULT_BUDGET) -> Mu
     p = form.field.p
     total = p ** (form.dim * form.order)
     _check_budget(total, budget, "multi-component enumeration")
-    space = _space(p, form.dim)
+    space = tuple(product(range(p), repeat=form.dim))
     comp_data = []
     for subset, tensor in form.components.items():
         slots = tuple(sorted(subset))

@@ -28,7 +28,6 @@ from .bias import (
 )
 from .gf import PrimeField
 from .laws import (
-    LAW_IDS,
     law_arank_le_prank,
     law_basis_invariance,
     law_correlation,
@@ -41,11 +40,13 @@ from .laws import (
 from .ranks import max_independent_set, rank_bounds, rank_exact
 from .tensor import (
     TensorFormatError,
+    dense_cells,
     diagonal_tensor,
     identity_tensor,
     parse_tensor,
     random_tensor,
     serialize_tensor,
+    universe_size,
 )
 
 _ENGINES = {
@@ -54,7 +55,15 @@ _ENGINES = {
     "histogram": lambda t, budget: bias_histogram(t, budget)[1],
 }
 
-_RANDOM_ONLY_LAWS = {"correlation", "restriction-monotone", "lemma-bias", "basis-invariance"}
+_LAWS = {
+    "subadditivity": law_subadditivity,
+    "correlation": law_correlation,
+    "arank-le-prank": law_arank_le_prank,
+    "independent-bound": law_independent_bound,
+    "restriction-monotone": law_restriction_monotone,
+    "lemma-bias": law_lemma_bias,
+    "basis-invariance": law_basis_invariance,
+}
 
 # Smallest --n and --d a law's universe needs; the others take n >= 0, d >= 1.
 _MIN_SHAPE = {"arank-le-prank": (0, 2), "independent-bound": (0, 2),
@@ -96,6 +105,9 @@ _LAW_DEFAULTS: dict[str, list[dict]] = {
     ],
 }
 
+_RANDOM_ONLY_LAWS = {law_id for law_id, shapes in _LAW_DEFAULTS.items()
+                     if not any(shape.get("exhaustive") for shape in shapes)}
+
 
 def _field(p: int) -> PrimeField:
     try:
@@ -109,6 +121,21 @@ def _check_shape(n, d: int, min_n: int = 0, min_d: int = 1) -> None:
         raise UsageError(f"--n must be at least {min_n}, got {n}")
     if d < min_d:
         raise UsageError(f"--d must be at least {min_d}, got {d}")
+    if n is not None:
+        _within_limit(dense_cells, n, d)
+
+
+def _within_limit(size, *shape) -> None:
+    """Call a size check of `tensor`; a shape over its limit is a usage error."""
+    try:
+        size(*shape)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _check_trials(trials) -> None:
+    if trials is not None and trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {trials}")
 
 
 def _load_tensor(path: str):
@@ -238,73 +265,49 @@ def cmd_maxindep(args) -> int:
     return 0
 
 
-def _run_law(law_id: str, shape: dict, budget: int):
-    field = PrimeField(shape["p"])
-    n, d = shape["n"], shape["d"]
-    exhaustive = shape.get("exhaustive", False)
-    trials = shape.get("trials", 0)
-    seed = shape.get("seed", 0)
-    if law_id == "subadditivity":
-        return law_subadditivity(field, n, d, exhaustive=exhaustive, trials=trials,
-                                 seed=seed, disjoint_trials=shape.get("disjoint_trials", 0),
-                                 budget=budget)
-    if law_id == "correlation":
-        return law_correlation(field, n, d, trials=trials, seed=seed, budget=budget)
-    active = exhaustive or trials > 0
-    if law_id == "arank-le-prank":
-        return law_arank_le_prank(field, n, d, exhaustive=exhaustive, trials=trials,
-                                  seed=seed, rank_one_check=active, budget=budget)
-    if law_id == "independent-bound":
-        return law_independent_bound(field, n, d, exhaustive=exhaustive, trials=trials,
-                                     seed=seed, diagonal_trials=20 if active else 0,
-                                     budget=budget)
-    if law_id == "restriction-monotone":
-        return law_restriction_monotone(field, n, d, trials=trials, seed=seed, budget=budget)
-    if law_id == "lemma-bias":
-        return law_lemma_bias(field, n, d, trials=trials, seed=seed, budget=budget)
-    if law_id == "basis-invariance":
-        return law_basis_invariance(field, n, d, trials=trials, seed=seed, budget=budget)
-    raise ValueError(f"unknown law {law_id!r}")
-
-
 def _universes_for(law_id: str, args) -> list[dict]:
+    """The universes of one law as keywords of its function, plus p, n and d."""
     explicit_shape = args.p is not None or args.n is not None or args.d is not None
+    if args.exhaustive and law_id in _RANDOM_ONLY_LAWS:
+        if explicit_shape or args.law != "all":
+            raise UsageError(f"law {law_id} has no exhaustive universe")
+        return []
     if explicit_shape:
         if args.p is None or args.n is None or args.d is None:
             raise UsageError("--p, --n and --d must be given together")
-        if args.exhaustive and law_id in _RANDOM_ONLY_LAWS:
-            raise UsageError(f"law {law_id} has no exhaustive universe")
         _field(args.p)
         _check_shape(args.n, args.d, *_MIN_SHAPE.get(law_id, (0, 1)))
         shape = {"p": args.p, "n": args.n, "d": args.d, "seed": args.seed}
         if args.exhaustive:
+            _within_limit(universe_size, args.p, args.n, args.d)
             shape["exhaustive"] = True
         else:
             shape["trials"] = args.trials if args.trials is not None else 1000
         return [shape]
-    shapes = [dict(shape) for shape in _LAW_DEFAULTS[law_id]]
+    shapes = [dict(shape, seed=args.seed) for shape in _LAW_DEFAULTS[law_id]]
+    if args.exhaustive:
+        return [s for s in shapes if s.get("exhaustive")]
     if args.trials is not None:
         shapes = [s for s in shapes if not s.get("exhaustive")]
         for s in shapes:
             s["trials"] = args.trials
             if "disjoint_trials" in s:
                 s["disjoint_trials"] = min(s["disjoint_trials"], args.trials)
-    if args.exhaustive:
-        shapes = [s for s in shapes if s.get("exhaustive")]
-    for s in shapes:
-        s["seed"] = args.seed
     return shapes
 
 
 def cmd_check(args) -> int:
-    laws = list(LAW_IDS) if args.law == "all" else [args.law]
-    for law_id in laws:
-        if law_id not in LAW_IDS:
-            raise UsageError(f"unknown law {law_id!r}; choose from {', '.join(LAW_IDS)}")
+    if args.law != "all" and args.law not in _LAWS:
+        raise UsageError(f"unknown law {args.law!r}; choose from {', '.join(_LAWS)}")
+    if args.exhaustive and args.trials is not None:
+        raise UsageError("--exhaustive and --trials cannot be combined")
+    _check_trials(args.trials)
+    universes = [(law_id, universe) for law_id in (_LAWS if args.law == "all" else [args.law])
+                 for universe in _universes_for(law_id, args)]
     results = []
-    for law_id in laws:
-        for shape in _universes_for(law_id, args):
-            results.append(_run_law(law_id, shape, args.budget))
+    for law_id, universe in universes:
+        p, n, d = universe.pop("p"), universe.pop("n"), universe.pop("d")
+        results.append(_LAWS[law_id](PrimeField(p), n, d, budget=args.budget, **universe))
     failed = [r for r in results if not r.holds]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], sort_keys=True))
@@ -330,6 +333,7 @@ def cmd_gen(args) -> int:
             raise UsageError(f"bad diagonal list {args.diagonal!r}")
         if args.n is not None and args.n != len(diag):
             raise UsageError("--n disagrees with the diagonal length")
+        _check_shape(len(diag), args.d)
         t = diagonal_tensor(field, args.d, diag)
     elif args.identity:
         if args.n is None:
@@ -346,8 +350,13 @@ def cmd_gen(args) -> int:
 def cmd_survey(args) -> int:
     field = _field(args.p)
     _check_shape(args.n, args.d)
-    if args.identity_max == 0 and args.n is None:
+    _check_trials(args.trials)
+    if args.identity_max:
+        _within_limit(dense_cells, args.identity_max, args.d)
+    elif args.n is None:
         raise UsageError("--n is required unless --identity-max is given")
+    elif args.exhaustive:
+        _within_limit(universe_size, args.p, args.n, args.d)
     report = survey_gap(field, args.n if args.n is not None else 0, args.d,
                         exhaustive=args.exhaustive,
                         trials=args.trials if args.trials is not None else 0,

@@ -59,17 +59,8 @@ class PrimeField:
             raise ValueError(f"{a!r} is not a residue mod {self.p}")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat's little theorem."""
@@ -98,10 +89,6 @@ def vec_add(field: PrimeField, u: Sequence[int], v: Sequence[int]) -> Vector:
         raise ValueError("vector length mismatch")
     p = field.p
     return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def zero_vector(n: int) -> Vector:
-    return (0,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:

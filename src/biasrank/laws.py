@@ -6,16 +6,17 @@ rationals are decided by cross-multiplied integers, never floats (the
 one exception is the multi-component bound at p > 2, where the complex
 bias is a double and the comparison carries an explicit slack).
 
-Violations can only come from implementation bugs; any counterexample
-witness is replayed before it is reported, and seeded runs are
-bit-reproducible.
+Every law draws its instances from :func:`_universe` and checks them
+through :func:`_drive`, phase by phase.  Violations can only come from
+implementation bugs; any counterexample witness is replayed before it is
+reported, and seeded runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .bias import (
     DEFAULT_BUDGET,
@@ -30,13 +31,14 @@ from .bias import (
 from .gf import PrimeField, random_full_rank_basis
 from .ranks import (
     BudgetError,
+    CandidateTable,
     candidate_table,
     candidate_terms,
     max_independent_set,
     rank_exact,
     search_cap,
 )
-from .rng import substream
+from .rng import SplitMix64, substream
 from .tensor import (
     Tensor,
     all_tensors,
@@ -52,6 +54,9 @@ from .tensor import (
 
 # Candidate cap of arank-le-prank's rank-one check when it lists its own terms.
 RANK_ONE_CHECK_CAP = 100_000
+
+# Seeded diagonal tensors independent-bound checks against their closed form.
+DIAGONAL_TRIALS = 20
 
 LAW_IDS = (
     "subadditivity",
@@ -113,6 +118,56 @@ class _Tracker:
                          self.checked, self.witness, self.min_slack, notes)
 
 
+def _drive(tracker: _Tracker, instances: Iterable,
+           check: Callable[[object], tuple[bool, Optional[float], Callable[[], dict]]],
+           replay: Optional[Callable[[object], bool]] = None) -> int:
+    """Record `check(instance)` = (ok, slack, witness thunk) for every instance.
+
+    A failure is replayed by `replay(instance)`, by default a second
+    `check`, before its witness is kept.  Returns how many instances held.
+    """
+    replay = replay or (lambda inst: check(inst)[0])
+    held = 0
+    for inst in instances:
+        ok, slack, witness = check(inst)
+        tracker.record(ok, slack, witness, lambda: replay(inst))
+        held += ok
+    return held
+
+
+def _draw_tensor(field: PrimeField, dim: int, order: int, gen: SplitMix64) -> Tensor:
+    return random_tensor(field, dim, order, gen.next_u64())
+
+
+def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
+              trials: int = 0, seed: int = 0,
+              draw: Optional[Callable[[SplitMix64], object]] = None) -> Iterable:
+    """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
+
+    A trial's instance is `draw(stream)`, by default the tensor seeded by
+    the stream's first word.
+    """
+    if exhaustive:
+        return all_tensors(field, dim, order)
+    draw = draw or (lambda gen: _draw_tensor(field, dim, order, gen))
+    return (draw(substream(seed, i)) for i in range(trials))
+
+
+def _prank_table(field: PrimeField, dim: int, order: int,
+                 budget: int) -> Optional[CandidateTable]:
+    """One partition-rank candidate table for every search of a universe.
+
+    It is capped as :func:`rank_exact` caps its own, so a search gives the
+    same report with or without it; None below order 2 or over the cap.
+    """
+    if order < 2:
+        return None
+    try:
+        return candidate_table(field, dim, order, "prank", search_cap(dim, order, budget))
+    except BudgetError:
+        return None
+
+
 def _tensor_witness(**tensors) -> dict:
     out = {}
     for name, t in tensors.items():
@@ -127,10 +182,6 @@ def _tensor_witness(**tensors) -> dict:
 # Subadditivity: bias(T + S) >= bias(T) * bias(S)
 # ---------------------------------------------------------------------------
 
-def _subadditive_ok(k_sum: int, k_t: int, k_s: int, q: int, exponent: int) -> bool:
-    return k_sum * q ** exponent >= k_t * k_s
-
-
 def law_subadditivity(field: PrimeField, dim: int, order: int, *,
                       exhaustive: bool = False, trials: int = 0, seed: int = 0,
                       disjoint_trials: int = 0,
@@ -144,55 +195,40 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
         universe = f"random pairs p={q} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("subadditivity", universe)
 
-    def check_pair(t: Tensor, s: Tensor, k_t: int, k_s: int):
-        k_sum = bias_fiber(t + s, budget).numerator
-        ok = _subadditive_ok(k_sum, k_t, k_s, q, exponent)
+    def fiber(t: Tensor) -> int:
+        return bias_fiber(t, budget).numerator
+
+    def pair_ok(pair, k: Callable[[Tensor], int] = fiber):
+        t, s = pair
+        k_sum, k_t, k_s = k(t + s), k(t), k(s)
+        ok = k_sum * q ** exponent >= k_t * k_s
         slack = k_sum / q ** exponent - (k_t * k_s) / q ** (2 * exponent)
-        tracker.record(
-            ok, slack,
-            lambda: _tensor_witness(t=t, s=s, k_sum=k_sum, k_t=k_t, k_s=k_s),
-            lambda: _subadditive_ok(bias_fiber(t + s, budget).numerator, k_t, k_s, q, exponent),
-        )
+        return ok, slack, lambda: _tensor_witness(t=t, s=s, k_sum=k_sum, k_t=k_t, k_s=k_s)
+
+    def direct_sum_ok(pair):
+        t, s = pair
+        ok = bias_fiber(direct_sum(t, s), budget) == bias_fiber(t, budget) * bias_fiber(s, budget)
+        return ok, None, lambda: _tensor_witness(t=t, s=s, note="direct sum not multiplicative")
+
+    def draw_pair(gen: SplitMix64):
+        return _draw_tensor(field, dim, order, gen), _draw_tensor(field, dim, order, gen)
 
     if exhaustive:
-        tensors = list(all_tensors(field, dim, order))
-        cache = {t.coeffs: bias_fiber(t, budget).numerator for t in tensors}
-        for t in tensors:
-            for s in tensors:
-                k_sum = cache[(t + s).coeffs]
-                k_t, k_s = cache[t.coeffs], cache[s.coeffs]
-                ok = _subadditive_ok(k_sum, k_t, k_s, q, exponent)
-                slack = k_sum / q ** exponent - (k_t * k_s) / q ** (2 * exponent)
-                tracker.record(
-                    ok, slack,
-                    lambda t=t, s=s, a=k_sum, b=k_t, c=k_s: _tensor_witness(
-                        t=t, s=s, k_sum=a, k_t=b, k_s=c),
-                    lambda t=t, s=s, b=k_t, c=k_s: _subadditive_ok(
-                        bias_fiber(t + s, budget).numerator, b, c, q, exponent),
-                )
+        # One bias per tensor of the cube; a failing pair is replayed from scratch.
+        cube = list(_universe(field, dim, order, exhaustive=True))
+        cache = {t.coeffs: fiber(t) for t in cube}
+        _drive(tracker, product(cube, repeat=2),
+               lambda pair: pair_ok(pair, lambda t: cache[t.coeffs]),
+               lambda pair: pair_ok(pair)[0])
     else:
-        for i in range(trials):
-            gen = substream(seed, i)
-            t = random_tensor(field, dim, order, gen.next_u64())
-            s = random_tensor(field, dim, order, gen.next_u64())
-            check_pair(t, s, bias_fiber(t, budget).numerator, bias_fiber(s, budget).numerator)
+        _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw_pair),
+               pair_ok)
 
     notes = ()
     if disjoint_trials:
-        equal = 0
-        for i in range(disjoint_trials):
-            gen = substream(seed ^ 0x5D15, i)
-            t = random_tensor(field, dim, order, gen.next_u64())
-            s = random_tensor(field, dim, order, gen.next_u64())
-            combined = bias_fiber(direct_sum(t, s), budget)
-            parts = bias_fiber(t, budget) * bias_fiber(s, budget)
-            ok = combined == parts
-            tracker.record(
-                ok, None,
-                lambda: _tensor_witness(t=t, s=s, note="direct sum not multiplicative"),
-                lambda: bias_fiber(direct_sum(t, s), budget) == parts,
-            )
-            equal += ok
+        equal = _drive(tracker, _universe(field, dim, order, trials=disjoint_trials,
+                                          seed=seed ^ 0x5D15, draw=draw_pair),
+                       direct_sum_ok)
         notes = (f"direct-sum tightness: {equal}/{disjoint_trials} exact equalities",)
     return tracker.result(notes)
 
@@ -277,21 +313,22 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
     universe = (f"random families p={field.p} n={dim} d={order} "
                 f"sizes<={max_each} trials={trials} seed={seed}")
     tracker = _Tracker("correlation", universe)
-    for i in range(trials):
-        gen = substream(seed, i)
+
+    def draw(gen: SplitMix64) -> CorrelationInstance:
         m = 1 + gen.below(max_each)
         k = 1 + gen.below(max_each)
-        t_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(m))
-        s_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(k))
-        inst = CorrelationInstance(field, dim, order, t_group, s_group)
+        t_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(m))
+        s_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(k))
+        return CorrelationInstance(field, dim, order, t_group, s_group)
+
+    def check(inst: CorrelationInstance):
         ok, slack, details = _correlation_ok(inst, budget)
-        tracker.record(
-            ok, slack,
-            lambda: dict(_tensor_witness(**{f"t{j}": t for j, t in enumerate(t_group)},
-                                         **{f"s{j}": s for j, s in enumerate(s_group)}),
-                         **details),
-            lambda: _correlation_ok(inst, budget)[0],
-        )
+        return ok, slack, lambda: dict(
+            _tensor_witness(**{f"t{j}": t for j, t in enumerate(inst.t_group)},
+                            **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
+            **details)
+
+    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
     return tracker.result()
 
 
@@ -299,33 +336,26 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
 # Analytic rank below partition rank
 # ---------------------------------------------------------------------------
 
-def _arank_le_prank_ok(k: int, q: int, exponent: int, prank: int) -> bool:
-    # bias >= q^-prank, cross-multiplied.
-    return k * q ** prank >= q ** exponent
-
-
 def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        exhaustive: bool = False, trials: int = 0, seed: int = 0,
-                       rank_one_check: bool = True,
+                       rank_one_check: Optional[bool] = None,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
-    """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q."""
+    """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
+
+    The rank-one check runs by default when the universe is nonempty.
+    """
     q = field.p
     exponent = dim * (order - 1)
     mode = "exhaustive" if exhaustive else f"random trials={trials} seed={seed}"
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
-    # One candidate table, capped as rank_exact caps it, serves every search
-    # and the rank-one check.  Over that cap each search falls back to its
-    # certified interval, which is still exact where the analytic lower
-    # bound meets the greedy size, so the universe can pass; the rank-one
-    # check then lists its terms under its own, larger cap.
-    table = None
-    if (exhaustive or trials) and order >= 2:
-        try:
-            table = candidate_table(field, dim, order, "prank",
-                                    search_cap(dim, order, budget))
-        except BudgetError:
-            pass
+    nonempty = exhaustive or trials > 0
+    # One table serves every search and the rank-one check.  Over its cap
+    # each search falls back to its certified interval, which is still
+    # exact where the analytic lower bound meets the greedy size, so the
+    # universe can pass; the rank-one check then lists its terms under its
+    # own, larger cap.
+    table = _prank_table(field, dim, order, budget) if nonempty else None
 
     def check(t: Tensor):
         report = rank_exact(t, "prank", budget, table=table)
@@ -333,39 +363,27 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
             raise RuntimeError("universe too large for exact partition rank")
         k = bias_fiber(t, budget).numerator
         prank = report.value
-        ok = _arank_le_prank_ok(k, q, exponent, prank)
+        ok = k * q ** prank >= q ** exponent  # bias >= q^-prank, cross-multiplied
         slack = prank - analytic_rank(BiasValue(k, exponent, q)).value
-        tracker.record(
-            ok, slack,
-            lambda: _tensor_witness(t=t, prank=prank, k=k),
-            lambda: _arank_le_prank_ok(bias_fiber(t, budget).numerator, q, exponent, prank),
-        )
+        return ok, slack, lambda: _tensor_witness(t=t, prank=prank, k=k)
 
-    if exhaustive:
-        for t in all_tensors(field, dim, order):
-            check(t)
-    else:
-        for i in range(trials):
-            check(random_tensor(field, dim, order, substream(seed, i).next_u64()))
+    def rank_one_ok(term):
+        ok = bias_fiber(term.tensor, budget).numerator * q >= q ** exponent
+        return ok, None, lambda: _tensor_witness(t=term.tensor, note="rank-one bias below 1/q")
 
+    _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                              seed=seed), check)
+    if rank_one_check is None:
+        rank_one_check = nonempty
     notes = ()
     if rank_one_check:
-        ok_count = 0
         if table is not None:
             terms = table.terms
         else:
             terms = candidate_terms(field, dim, order, "prank",
                                     max_candidates=RANK_ONE_CHECK_CAP)
-        for term in terms:
-            k = bias_fiber(term.tensor, budget).numerator
-            ok = k * q >= q ** exponent
-            tracker.record(
-                ok, None,
-                lambda: _tensor_witness(t=term.tensor, note="rank-one bias below 1/q"),
-                lambda: bias_fiber(term.tensor, budget).numerator * q >= q ** exponent,
-            )
-            ok_count += ok
-        notes = (f"rank-one tensors with bias >= 1/q: {ok_count}/{len(terms)}",)
+        held = _drive(tracker, terms, rank_one_ok)
+        notes = (f"rank-one tensors with bias >= 1/q: {held}/{len(terms)}",)
     return tracker.result(notes)
 
 
@@ -389,13 +407,13 @@ def _indep_ok_stated(k: int, q: int, dim: int, order: int, size: int) -> bool:
 
 def law_independent_bound(field: PrimeField, dim: int, order: int, *,
                           exhaustive: bool = False, trials: int = 0, seed: int = 0,
-                          diagonal_trials: int = 20,
                           budget: int = DEFAULT_BUDGET) -> LawResult:
     """arank >= c(d, q) |A| for the maximum independent set A, exactly.
 
-    Also validates the diagonal closed form: a diagonal tensor with s
-    nonzero entries has bias (1 - (1 - 1/q)^(d-1))^s, and the identity
-    tensor attains the bound with equality.
+    A nonempty universe also validates the diagonal closed form on
+    DIAGONAL_TRIALS seeded draws: a diagonal tensor with s nonzero entries
+    has bias (1 - (1 - 1/q)^(d-1))^s, and the identity tensor attains the
+    bound with equality.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -410,48 +428,30 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
         k = bias_fiber(t, budget).numerator
         ok = _indep_ok_exact(k, q, dim, order, size) and _indep_ok_stated(k, q, dim, order, size)
         slack = analytic_rank(BiasValue(k, exponent, q)).value - constant * size
-        tracker.record(
-            ok, slack,
-            lambda: _tensor_witness(t=t, independent_set=list(indep), k=k),
-            lambda: _indep_ok_exact(bias_fiber(t, budget).numerator, q, dim, order, size),
-        )
+        return ok, slack, lambda: _tensor_witness(t=t, independent_set=list(indep), k=k)
 
-    if exhaustive:
-        for t in all_tensors(field, dim, order):
-            check(t)
-    else:
-        for i in range(trials):
-            check(random_tensor(field, dim, order, substream(seed, i).next_u64()))
-
-    if diagonal_trials == 0 and not exhaustive and trials == 0:
-        return tracker.result()
-    # Closed form for diagonal tensors, exact, including the identity.
-    diag_ok = 0
-    diag_universe = diagonal_trials
-    for i in range(diagonal_trials):
-        gen = substream(seed ^ 0xD1A6, i)
-        diag = tuple(gen.below(q) for _ in range(dim))
+    def closed_form_ok(diag: tuple[int, ...]):
         t = diagonal_tensor(field, order, diag)
-        support = sum(1 for c in diag if c)
-        expected = diagonal_bias_numerator(q, dim, order, support)
+        expected = diagonal_bias_numerator(q, dim, order, sum(1 for c in diag if c))
         k = bias_fiber(t, budget).numerator
-        ok = k == expected
-        tracker.record(
-            ok, None,
-            lambda: _tensor_witness(t=t, k=k, expected=expected),
-            lambda: bias_fiber(t, budget).numerator == expected,
-        )
-        diag_ok += ok
-    identity = identity_tensor(field, dim, order)
-    k_id = bias_fiber(identity, budget).numerator
-    id_ok = (k_id == diagonal_bias_numerator(q, dim, order, dim)
-             and len(max_independent_set(identity)) == dim)
-    tracker.record(
-        id_ok, None,
-        lambda: _tensor_witness(t=identity, k=k_id),
-        lambda: bias_fiber(identity, budget).numerator == diagonal_bias_numerator(q, dim, order, dim),
-    )
-    notes = (f"diagonal closed form exact on {diag_ok}/{diag_universe} draws plus identity",)
+        return k == expected, None, lambda: _tensor_witness(t=t, k=k, expected=expected)
+
+    def identity_ok(t: Tensor):
+        k = bias_fiber(t, budget).numerator
+        ok = (k == diagonal_bias_numerator(q, dim, order, dim)
+              and len(max_independent_set(t)) == dim)
+        return ok, None, lambda: _tensor_witness(t=t, k=k)
+
+    _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                              seed=seed), check)
+    if not (exhaustive or trials > 0):
+        return tracker.result()
+    diag_ok = _drive(tracker, _universe(field, dim, order, trials=DIAGONAL_TRIALS,
+                                        seed=seed ^ 0xD1A6,
+                                        draw=lambda gen: tuple(gen.below(q) for _ in range(dim))),
+                     closed_form_ok)
+    _drive(tracker, [identity_tensor(field, dim, order)], identity_ok)
+    notes = (f"diagonal closed form exact on {diag_ok}/{DIAGONAL_TRIALS} draws plus identity",)
     return tracker.result(notes)
 
 
@@ -459,43 +459,35 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
 # Restriction monotonicity
 # ---------------------------------------------------------------------------
 
-def _restriction_ok(t: Tensor, basis, budget: int) -> tuple[bool, float]:
-    sub = restrict(t, basis)
-    b_t = bias_fiber(t, budget)
-    b_sub = bias_fiber(sub, budget)
-    q = t.field.p
-    ok = b_sub.numerator * q ** b_t.exponent >= b_t.numerator * q ** b_sub.exponent
-    return ok, b_sub.to_float() - b_t.to_float()
-
-
 def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
                              trials: int, seed: int = 0,
-                             coordinate_subsets: bool = True,
                              budget: int = DEFAULT_BUDGET) -> LawResult:
-    """bias does not decrease under restriction to a subspace."""
-    universe = f"random restrictions p={field.p} n={dim} d={order} trials={trials} seed={seed}"
+    """bias does not decrease under restriction to a subspace.
+
+    Each trial restricts to a random subspace; the first tenth of the
+    trials (at least one) also restrict to every coordinate subspace.
+    """
+    q = field.p
+    universe = f"random restrictions p={q} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("restriction-monotone", universe)
-    for i in range(trials):
-        gen = substream(seed, i)
-        t = random_tensor(field, dim, order, gen.next_u64())
-        k = 1 + gen.below(dim)
-        basis = random_full_rank_basis(field, dim, k, gen)
-        ok, slack = _restriction_ok(t, basis, budget)
-        tracker.record(
-            ok, slack,
-            lambda: _tensor_witness(t=t, basis=[list(v) for v in basis]),
-            lambda: _restriction_ok(t, basis, budget)[0],
-        )
-        if coordinate_subsets and i < max(1, trials // 10):
-            for size in range(1, dim + 1):
-                for subset in combinations(range(dim), size):
-                    cb = coordinate_basis(dim, subset)
-                    ok, slack = _restriction_ok(t, cb, budget)
-                    tracker.record(
-                        ok, slack,
-                        lambda: _tensor_witness(t=t, subset=list(subset)),
-                        lambda: _restriction_ok(t, cb, budget)[0],
-                    )
+
+    def draw(gen: SplitMix64):
+        t = _draw_tensor(field, dim, order, gen)
+        basis = random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
+        return t, basis, {"basis": [list(v) for v in basis]}
+
+    def check(inst):
+        t, basis, where = inst
+        b_t = bias_fiber(t, budget)
+        b_sub = bias_fiber(restrict(t, basis), budget)
+        ok = b_sub.numerator * q ** b_t.exponent >= b_t.numerator * q ** b_sub.exponent
+        return ok, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(t=t, **where)
+
+    draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw))
+    subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
+    _drive(tracker, draws, check)
+    _drive(tracker, ((t, coordinate_basis(dim, subset), {"subset": list(subset)})
+                     for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets), check)
     return tracker.result()
 
 
@@ -503,34 +495,30 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 # Multi-component bound: |bias(R)| <= bias of the full component
 # ---------------------------------------------------------------------------
 
-def _lemma_ok(form, budget: int, tol: float) -> tuple[bool, float]:
-    result = bias_multiform(form, budget)
-    top = bias_fiber(form.top(), budget)
-    if result.exact is not None:
-        ok = abs(result.exact) <= top.as_fraction()
-        slack = float(top.as_fraction() - abs(result.exact))
-    else:
-        ok = result.magnitude <= top.to_float() + tol
-        slack = top.to_float() - result.magnitude
-    return ok, slack
-
-
 def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
                    trials: int, seed: int = 0, tol: float = 1e-9,
                    budget: int = DEFAULT_BUDGET) -> LawResult:
     """|bias(sum of subset components)| <= bias of the top component."""
     universe = f"random multiforms p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("lemma-bias", universe)
-    for i in range(trials):
-        form = random_multiform(field, dim, order, substream(seed, i).next_u64())
-        ok, slack = _lemma_ok(form, budget, tol)
-        tracker.record(
-            ok, slack,
-            lambda: _tensor_witness(top=form.top(),
-                                    components={str(sorted(k)): list(v.coeffs)
-                                                for k, v in form.components.items()}),
-            lambda: _lemma_ok(form, budget, tol)[0],
-        )
+
+    def check(form):
+        result = bias_multiform(form, budget)
+        top = bias_fiber(form.top(), budget)
+        if result.exact is not None:
+            ok = abs(result.exact) <= top.as_fraction()
+            slack = float(top.as_fraction() - abs(result.exact))
+        else:
+            ok = result.magnitude <= top.to_float() + tol
+            slack = top.to_float() - result.magnitude
+        return ok, slack, lambda: _tensor_witness(
+            top=form.top(),
+            components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
+
+    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed,
+                              draw=lambda gen: random_multiform(field, dim, order,
+                                                                gen.next_u64())),
+           check)
     return tracker.result()
 
 
@@ -544,19 +532,17 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
     """Composing every slot with one invertible map preserves bias exactly."""
     universe = f"random changes of basis p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("basis-invariance", universe)
-    for i in range(trials):
-        gen = substream(seed, i)
-        t = random_tensor(field, dim, order, gen.next_u64())
-        basis = random_full_rank_basis(field, dim, dim, gen)
-        moved = restrict(t, basis)
-        b_t = bias_fiber(t, budget)
-        b_m = bias_fiber(moved, budget)
-        ok = b_t == b_m
-        tracker.record(
-            ok, None,
-            lambda: _tensor_witness(t=t, basis=[list(v) for v in basis]),
-            lambda: bias_fiber(restrict(t, basis), budget) == b_t,
-        )
+
+    def draw(gen: SplitMix64):
+        t = _draw_tensor(field, dim, order, gen)
+        return t, random_full_rank_basis(field, dim, dim, gen)
+
+    def check(inst):
+        t, basis = inst
+        ok = bias_fiber(restrict(t, basis), budget) == bias_fiber(t, budget)
+        return ok, None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
+
+    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
     return tracker.result()
 
 
@@ -594,33 +580,38 @@ class SurveyReport:
 def survey_gap(field: PrimeField, dim: int, order: int, *,
                exhaustive: bool = False, trials: int = 0, seed: int = 0,
                identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
-    """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped."""
+    """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
+
+    The exhaustive and seeded universes share one candidate table; the
+    identity family changes dimension from row to row.
+    """
+    table = None
+    if identity_max:
+        universe = f"identity tensors n=1..{identity_max} p={field.p} d={order}"
+        labelled = ((f"identity-n{n}", identity_tensor(field, n, order))
+                    for n in range(1, identity_max + 1))
+    else:
+        if exhaustive:
+            universe = f"exhaustive p={field.p} n={dim} d={order}"
+            prefix = "tensor"
+        else:
+            universe = f"random p={field.p} n={dim} d={order} trials={trials} seed={seed}"
+            prefix = "seeded"
+        labelled = ((f"{prefix}-{i}", t) for i, t in enumerate(
+            _universe(field, dim, order, exhaustive=exhaustive, trials=trials, seed=seed)))
+        if exhaustive or trials > 0:
+            table = _prank_table(field, dim, order, budget)
     rows = []
     max_ratio = None
-
-    def add(label: str, t: Tensor):
-        nonlocal max_ratio
+    for label, t in labelled:
         if t.is_zero():
-            return
+            continue
         ar = analytic_rank(bias_fiber(t, budget)).value
-        report = rank_exact(t, "prank", budget)
+        report = rank_exact(t, "prank", budget, table=table)
         ratio = None
         if report.exact and ar > 0:
             ratio = report.value / ar
             if max_ratio is None or ratio > max_ratio:
                 max_ratio = ratio
         rows.append(SurveyRow(label, ar, report.lower, report.upper, report.exact, ratio))
-
-    if identity_max:
-        universe = f"identity tensors n=1..{identity_max} p={field.p} d={order}"
-        for n in range(1, identity_max + 1):
-            add(f"identity-n{n}", identity_tensor(field, n, order))
-    elif exhaustive:
-        universe = f"exhaustive p={field.p} n={dim} d={order}"
-        for i, t in enumerate(all_tensors(field, dim, order)):
-            add(f"tensor-{i}", t)
-    else:
-        universe = f"random p={field.p} n={dim} d={order} trials={trials} seed={seed}"
-        for i in range(trials):
-            add(f"seeded-{i}", random_tensor(field, dim, order, substream(seed, i).next_u64()))
     return SurveyReport(universe, tuple(rows), max_ratio)

@@ -506,13 +506,6 @@ def rank_bounds(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankRepor
                       source, "greedy")
 
 
-def prank_lower_bound(t: Tensor, budget: int = DEFAULT_BUDGET) -> float:
-    """Analytic rank as a float: a sound lower bound on the partition rank."""
-    rank = bias_fiber(t, budget)
-    from .bias import analytic_rank
-    return analytic_rank(rank).value
-
-
 # ---------------------------------------------------------------------------
 # Independent sets
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A :class:`Tensor` is identified with its coefficient array: a flat,
 row-major tuple of n^d residues indexed by (i_1, ..., i_d).  All slots
-share one dimension n.  Order 0 (scalars) is allowed so contraction is
-closed; order 1 is an ordinary linear form.  Tensors are immutable and
-all operations are pure.
+share one dimension n.  Order 0 (scalars) is allowed as the constant
+component of a multi-component form; order 1 is an ordinary linear form.
+Tensors are immutable and all operations are pure.
 
 The module also defines :class:`MultiComponentForm` (a sum of tensors on
 slot subsets, one component per subset of [d]) and the canonical
@@ -20,9 +20,13 @@ from .gf import PrimeField, Vector, matrix_rank
 from .rng import SplitMix64
 
 
-# Largest coefficient array the text format accepts: far above every shape
-# whose bias or rank is computable, far below what exhausts memory.
+# Largest coefficient array the text format and the command line accept: far
+# above every shape whose bias or rank is computable, far below what
+# exhausts memory.
 MAX_DENSE_CELLS = 1 << 20
+
+# Largest number of tensors all_tensors enumerates.
+MAX_UNIVERSE = 1 << 20
 
 
 class TensorFormatError(ValueError):
@@ -113,7 +117,7 @@ class Tensor:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    # -- evaluation and contraction -----------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, vectors: Sequence[Sequence[int]]) -> int:
         """T(x^1, ..., x^d), summing coefficient * product over slots."""
@@ -132,39 +136,6 @@ class Tensor:
                     break
             total += term
         return total % p
-
-    def contract(self, fixed: Mapping[int, Sequence[int]]) -> "Tensor":
-        """Fix the given slots to vectors; the free slots remain, in order.
-
-        Evaluating the result on the free slots equals evaluating self on
-        the merged assignment.
-        """
-        d = self.order
-        for slot in fixed:
-            if not 0 <= slot < d:
-                raise ValueError(f"slot {slot} out of range for order {d}")
-        for v in fixed.values():
-            if len(v) != self.dim:
-                raise ValueError("vector length mismatch")
-        if not fixed:
-            return self
-        free = [s for s in range(d) if s not in fixed]
-        n = self.dim
-        p = self.field.p
-        out = [0] * (n ** len(free))
-        for idx, c in self.nonzero_entries():
-            term = c
-            for slot, vec in fixed.items():
-                term = term * vec[idx[slot]] % p
-                if term == 0:
-                    break
-            if term == 0:
-                continue
-            flat = 0
-            for s in free:
-                flat = flat * n + idx[s]
-            out[flat] = (out[flat] + term) % p
-        return Tensor(self.field, n, len(free), out)
 
     # -- algebra -------------------------------------------------------------
 
@@ -232,11 +203,32 @@ def random_tensor(field: PrimeField, dim: int, order: int, seed: int) -> Tensor:
     return Tensor(field, dim, order, (gen.below(field.p) for _ in range(dim ** order)))
 
 
-def all_tensors(field: PrimeField, dim: int, order: int, limit: int = 1 << 20):
+def dense_cells(dim: int, order: int) -> int:
+    """dim^order, the coefficients of a shape; ValueError above MAX_DENSE_CELLS.
+
+    An order too large for any dim > 1 is refused before the power is taken.
+    """
+    if dim > 1 and (order >= MAX_DENSE_CELLS.bit_length() or dim ** order > MAX_DENSE_CELLS):
+        raise ValueError(f"{dim}^{order} coefficients exceed the limit of {MAX_DENSE_CELLS}")
+    return dim ** order
+
+
+def universe_size(p: int, dim: int, order: int) -> int:
+    """p^(dim^order), the tensors of a shape; ValueError above MAX_UNIVERSE.
+
+    Since p >= 2, more cells than MAX_UNIVERSE has bits is refused before
+    the power is taken.
+    """
+    cells = dense_cells(dim, order)
+    if cells >= MAX_UNIVERSE.bit_length() or p ** cells > MAX_UNIVERSE:
+        raise ValueError(f"universe of {p}^({dim}^{order}) tensors exceeds the limit "
+                         f"of {MAX_UNIVERSE}")
+    return p ** cells
+
+
+def all_tensors(field: PrimeField, dim: int, order: int):
     """Every tensor of the given shape, in lexicographic coefficient order."""
-    count = field.p ** (dim ** order)
-    if count > limit:
-        raise ValueError(f"universe of {count} tensors exceeds limit {limit}")
+    universe_size(field.p, dim, order)
     for coeffs in product(field.elements(), repeat=dim ** order):
         yield Tensor(field, dim, order, coeffs)
 
@@ -421,11 +413,8 @@ def parse_tensor(text: str) -> Tensor:
                 raise TensorFormatError(lineno, "order must be >= 1")
             if dim < 0:
                 raise TensorFormatError(lineno, "dimension must be >= 0")
-            if dim > 1 and (order >= MAX_DENSE_CELLS.bit_length()
-                            or dim ** order > MAX_DENSE_CELLS):
-                raise TensorFormatError(
-                    lineno, f"{dim}^{order} coefficients exceed the limit of {MAX_DENSE_CELLS}")
             try:
+                dense_cells(dim, order)
                 field = PrimeField(p)
             except ValueError as exc:
                 raise TensorFormatError(lineno, str(exc))

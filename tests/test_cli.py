@@ -1,5 +1,6 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -281,6 +282,29 @@ class TestRoundTripMany:
     pytest.param(["check", "lemma-bias", "--p", "2", "--n", "2", "--d", "0"],
                  id="lemma-bias-d0"),
     pytest.param(["bias", "DIRECTORY"], id="bias-directory"),
+    pytest.param(["check", "subadditivity", "--p", "2", "--n", "3", "--d", "3", "--exhaustive"],
+                 id="check-universe-over-limit"),
+    pytest.param(["survey", "--p", "2", "--n", "3", "--d", "3", "--exhaustive"],
+                 id="survey-universe-over-limit"),
+    pytest.param(["check", "subadditivity", "--p", "2", "--n", "100", "--d", "10",
+                  "--exhaustive"], id="check-universe-power-not-computed"),
+    pytest.param(["survey", "--p", "2", "--n", "100", "--d", "10", "--exhaustive"],
+                 id="survey-universe-power-not-computed"),
+    pytest.param(["gen", "--p", "2", "--n", "3000", "--d", "3"], id="gen-oversized"),
+    pytest.param(["gen", "--p", "2", "--d", "30", "--diagonal", "1,1"],
+                 id="gen-diagonal-oversized"),
+    pytest.param(["check", "basis-invariance", "--p", "2", "--n", "3000", "--d", "3",
+                  "--trials", "1"], id="check-oversized"),
+    pytest.param(["survey", "--p", "2", "--n", "3000", "--d", "3", "--trials", "1"],
+                 id="survey-oversized"),
+    pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "3000"],
+                 id="survey-identity-oversized"),
+    pytest.param(["check", "correlation", "--exhaustive"], id="random-only-law-exhaustive"),
+    pytest.param(["check", "subadditivity", "--exhaustive", "--trials", "3"],
+                 id="law-exhaustive-with-trials"),
+    pytest.param(["check", "all", "--exhaustive", "--trials", "5"],
+                 id="all-exhaustive-with-trials"),
+    pytest.param(["check", "subadditivity", "--trials", "-1"], id="negative-trials"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
@@ -288,3 +312,26 @@ def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param("check all --seed 0",
+                 "b857cfe4b930ec7de4348a1005c2f5d5de2d4aa4d1c002614af94238cfa69879",
+                 id="check-all-seed-0"),
+    pytest.param("check all --trials 0",
+                 "05c0899d88b42405b371302ea6383564362b05ee2c0081ae9902b3f50d595bad",
+                 id="check-all-trials-0"),
+    pytest.param("check all --exhaustive",
+                 "1dcbd597cea49c2dffdc149567235486585bfddae8fe2e9d9838926a4223f24b",
+                 id="check-all-exhaustive"),
+    pytest.param("check all --trials 20 --seed 3 --format json",
+                 "ebe05bb6ce86ef4d07712a04d383112bfcd7fce446b29abbde88329c1b658e40",
+                 id="check-all-json"),
+    pytest.param("survey --p 2 --n 2 --d 3 --exhaustive",
+                 "70e2ae634505b0ececd3610c848b4d8e3b8383e3e80f899d1397b25ec3131139",
+                 id="survey-exhaustive"),
+])
+def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

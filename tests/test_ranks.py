@@ -11,7 +11,6 @@ from biasrank.ranks import (
     greedy_decomposition,
     is_independent_set,
     max_independent_set,
-    prank_lower_bound,
     rank_bounds,
     rank_exact,
     rank_upper_greedy,
@@ -185,21 +184,6 @@ class TestBoundsReport:
                 continue
             report = rank_bounds(t, "prank")
             assert report.lower <= exact <= report.upper
-
-
-class TestPrankLowerBound:
-    def test_zero_tensor(self):
-        assert prank_lower_bound(zero_tensor(F2, 2, 3)) == 0.0
-
-    def test_identity_value(self):
-        from biasrank.bias import c_constant
-        value = prank_lower_bound(identity_tensor(F2, 3, 3))
-        assert abs(value - 3 * c_constant(3, 2)) < 1e-9
-
-    def test_never_exceeds_exact_prank(self):
-        for t in all_tensors(F2, 2, 3):
-            exact = rank_exact(t, "prank").value
-            assert prank_lower_bound(t) <= exact + 1e-12
 
 
 class TestIndependentSets:

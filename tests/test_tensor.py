@@ -116,44 +116,6 @@ class TestEvaluation:
                 assert t.evaluate(left) == (a * t.evaluate(xs_u) + t.evaluate(xs_v)) % 3
 
 
-class TestContraction:
-    def test_contract_nothing_is_identity(self):
-        t = random_tensor(F2, 2, 3, 5)
-        assert t.contract({}) is t
-
-    def test_contract_everything_gives_scalar(self):
-        t = random_tensor(F3, 2, 3, 9)
-        gen = SplitMix64(10)
-        xs = [random_vector(F3, 2, gen) for _ in range(3)]
-        scalar = t.contract({0: xs[0], 1: xs[1], 2: xs[2]})
-        assert scalar.order == 0
-        assert scalar.coeffs == (t.evaluate(xs),)
-
-    def test_fix_last_slot_matches_direct_formula(self):
-        # d=3, fixing x^3 must give M[i][j] = sum_k T[i,j,k] * x3[k]
-        for trial in range(10):
-            gen = substream(55, trial)
-            t = random_tensor(F5, 3, 3, gen.next_u64())
-            x3 = random_vector(F5, 3, gen)
-            m = t.contract({2: x3})
-            for i in range(3):
-                for j in range(3):
-                    expected = sum(t.entry((i, j, k)) * x3[k] for k in range(3)) % 5
-                    assert m.entry((i, j)) == expected
-
-    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
-    def test_contract_eval_coherence(self, p, n, d):
-        field = PrimeField(p)
-        for trial in range(15):
-            gen = substream(600 + p * d, trial)
-            t = random_tensor(field, n, d, gen.next_u64())
-            xs = [random_vector(field, n, gen) for _ in range(d)]
-            for bits in range(1 << d):
-                fixed = {s: xs[s] for s in range(d) if bits >> s & 1}
-                free = [xs[s] for s in range(d) if not bits >> s & 1]
-                assert t.contract(fixed).evaluate(free) == t.evaluate(xs)
-
-
 class TestAlgebra:
     def test_add_zero(self):
         t = random_tensor(F3, 2, 3, 1)
