@@ -269,7 +269,7 @@ def _universes_for(law_id: str, args) -> list[dict]:
     """The universes of one law as keywords of its function, plus p, n and d."""
     explicit_shape = args.p is not None or args.n is not None or args.d is not None
     if args.exhaustive and law_id in _RANDOM_ONLY_LAWS:
-        if explicit_shape or args.law != "all":
+        if args.law != "all":
             raise UsageError(f"law {law_id} has no exhaustive universe")
         return []
     if explicit_shape:
@@ -351,6 +351,8 @@ def cmd_survey(args) -> int:
     field = _field(args.p)
     _check_shape(args.n, args.d)
     _check_trials(args.trials)
+    if args.identity_max < 0:
+        raise UsageError(f"--identity-max must be at least 0, got {args.identity_max}")
     if args.identity_max:
         _within_limit(dense_cells, args.identity_max, args.d)
     elif args.n is None:

@@ -6,8 +6,13 @@ projectively (first nonzero coordinate of each free factor scaled to 1,
 the remaining factor absorbs scalars) and deduplicated by coefficient
 array; at each search node the chosen candidate must be nonzero at the
 residual's first lexicographic nonzero coefficient, which is a complete
-pruning rule.  Every returned decomposition is re-summed and verified
-before it leaves this module.
+pruning rule.  A slice or partition candidate is built as the flat outer
+product of its two factor arrays, put into full cell order by one
+precomputed index gather per bipartition.  The candidate table and the
+search hold coefficient arrays only; RankOneTerm objects (and their
+tensors) are made on demand, for the terms of a certificate or when a
+caller asks for every term.  Every returned decomposition is re-summed
+and verified before it leaves this module.
 
 The search space is tiny-instance only by design; when the candidate
 space or the node budget runs out, an interval [analytic-rank ceiling,
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, arank_ceil, bias_fiber
@@ -105,41 +111,27 @@ def _outer_product(field: PrimeField, vectors: Sequence[Sequence[int]]) -> tuple
     return tuple(coeffs)
 
 
-def _merge_product(field, dim, order, slots_a, arr_a, arr_b) -> tuple[int, ...]:
-    """Coefficients of T1(x^A) * T2(x^B) as a full order-d array."""
-    p = field.p
+def _gather(dim: int, order: int, slots_a: tuple[int, ...]):
+    """Map the flat A-by-B outer product of two arrays onto full cell order.
+
+    Cell (i_1, ..., i_d) is the product of cell fa of the A-array and cell
+    fb of the B-array, where fa and fb are the row-major indices of its
+    A-slots and its B-slots, so it sits at fa * n^|B| + fb of the outer
+    product.
+    """
     slots_b = tuple(s for s in range(order) if s not in slots_a)
-    coeffs = [0] * (dim ** order)
     len_b = dim ** len(slots_b)
-    for fa, ca in enumerate(arr_a):
-        if not ca:
-            continue
-        idx_a = []
-        f = fa
-        for _ in slots_a:
-            idx_a.append(f % dim)
-            f //= dim
-        idx_a.reverse()
-        for fb in range(len_b):
-            cb = arr_b[fb]
-            if not cb:
-                continue
-            idx_b = []
-            f = fb
-            for _ in slots_b:
-                idx_b.append(f % dim)
-                f //= dim
-            idx_b.reverse()
-            idx = [0] * order
-            for s, i in zip(slots_a, idx_a):
-                idx[s] = i
-            for s, i in zip(slots_b, idx_b):
-                idx[s] = i
-            flat = 0
-            for i in idx:
-                flat = flat * dim + i
-            coeffs[flat] = (coeffs[flat] + ca * cb) % p
-    return tuple(coeffs)
+    cells = []
+    for idx in product(range(dim), repeat=order):
+        fa = fb = 0
+        for s in slots_a:
+            fa = fa * dim + idx[s]
+        for s in slots_b:
+            fb = fb * dim + idx[s]
+        cells.append(fa * len_b + fb)
+    if len(cells) == 1:  # itemgetter with one index returns the bare item
+        return lambda outer: (outer[cells[0]],)
+    return itemgetter(*cells)
 
 
 def _partition_sides(order: int, slice_only: bool):
@@ -159,30 +151,34 @@ def _partition_sides(order: int, slice_only: bool):
     return sides
 
 
-def candidate_terms(field: PrimeField, dim: int, order: int, kind: str,
-                    max_candidates: int) -> list[RankOneTerm]:
-    """All rank-one tensors of the given kind, deduplicated by array."""
+def _candidates(field: PrimeField, dim: int, order: int, kind: str,
+                max_candidates: int):
+    """Yield (coeffs, slots_a, factors) for each distinct rank-one array.
+
+    Arrays come in the order they are first produced, each with the factors
+    of the first candidate that produced it: d linear forms for `rank`, the
+    arrays of the A-side and B-side tensors for `srank`/`prank`.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     if order < 2:
         raise ValueError("candidate terms need order >= 2")
     p = field.p
-    seen: dict[tuple[int, ...], RankOneTerm] = {}
+    seen: set[tuple[int, ...]] = set()
 
     if kind == "rank":
         count = (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
         if count > max_candidates:
             raise BudgetError(f"{count} full-product candidates exceed the search budget")
-        first = list(_nonzero_vectors(field, dim))
         rest = list(_projective_vectors(field, dim))
-        for head in first:
+        for head in _nonzero_vectors(field, dim):
             for tail in product(rest, repeat=order - 1):
                 vectors = (head,) + tail
                 coeffs = _outer_product(field, vectors)
                 if coeffs not in seen:
-                    tensor = Tensor(field, dim, order, coeffs)
-                    seen[coeffs] = RankOneTerm(kind, None, vectors, tensor)
-        return sorted(seen.values(), key=lambda term: term.tensor.coeffs)
+                    seen.add(coeffs)
+                    yield coeffs, None, vectors
+        return
 
     sides = _partition_sides(order, slice_only=(kind == "srank"))
     count = 0
@@ -192,17 +188,33 @@ def candidate_terms(field: PrimeField, dim: int, order: int, kind: str,
     if count > max_candidates:
         raise BudgetError(f"{count} bipartition candidates exceed the search budget")
     for side in sides:
-        len_a, len_b = dim ** len(side), dim ** (order - len(side))
-        slots_b = tuple(s for s in range(order) if s not in side)
-        for arr_a in _projective_vectors(field, len_a):
-            for arr_b in _nonzero_vectors(field, len_b):
-                coeffs = _merge_product(field, dim, order, side, arr_a, arr_b)
+        gather = _gather(dim, order, side)
+        arrays_b = list(_nonzero_vectors(field, dim ** (order - len(side))))
+        for arr_a in _projective_vectors(field, dim ** len(side)):
+            for arr_b in arrays_b:
+                coeffs = gather([ca * cb % p for ca in arr_a for cb in arr_b])
                 if coeffs not in seen:
-                    t1 = Tensor(field, dim, len(side), arr_a)
-                    t2 = Tensor(field, dim, len(slots_b), arr_b)
-                    tensor = Tensor(field, dim, order, coeffs)
-                    seen[coeffs] = RankOneTerm(kind, side, (t1, t2), tensor)
-    return sorted(seen.values(), key=lambda term: term.tensor.coeffs)
+                    seen.add(coeffs)
+                    yield coeffs, side, (arr_a, arr_b)
+
+
+def _term(field: PrimeField, dim: int, order: int, kind: str,
+          coeffs: tuple[int, ...], slots_a, factors) -> RankOneTerm:
+    """The RankOneTerm of one candidate array and its factors."""
+    tensor = Tensor(field, dim, order, coeffs)
+    if kind == "rank":
+        return RankOneTerm(kind, None, factors, tensor)
+    arr_a, arr_b = factors
+    return RankOneTerm(kind, slots_a, (Tensor(field, dim, len(slots_a), arr_a),
+                                       Tensor(field, dim, order - len(slots_a), arr_b)),
+                       tensor)
+
+
+def candidate_terms(field: PrimeField, dim: int, order: int, kind: str,
+                    max_candidates: int) -> list[RankOneTerm]:
+    """All rank-one tensors of the given kind, deduplicated by array."""
+    found = sorted(_candidates(field, dim, order, kind, max_candidates), key=itemgetter(0))
+    return [_term(field, dim, order, kind, *candidate) for candidate in found]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +223,7 @@ def candidate_terms(field: PrimeField, dim: int, order: int, kind: str,
 
 def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
                   nodes: list[int], node_limit: int) -> Optional[list]:
-    """Depth-limited DFS: find exactly-at-most-`depth` terms summing to target."""
+    """Depth-limited DFS: at most `depth` candidate arrays summing to target."""
     failed: set = set()
 
     def dfs(residual: tuple[int, ...], remaining: int) -> Optional[list]:
@@ -223,17 +235,16 @@ def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
         if state in failed:
             return None
         if remaining == 1:
-            term = by_coeffs.get(residual)
-            return [term] if term is not None else None
+            return [residual] if residual in by_coeffs else None
         pos = next(i for i, c in enumerate(residual) if c)
-        for term in by_pos.get(pos, ()):
+        for coeffs in by_pos[pos]:
             nodes[0] += 1
             if nodes[0] > node_limit:
                 raise BudgetError("rank search exceeded its node budget")
-            new_res = tuple((a - b) % p for a, b in zip(residual, term.tensor.coeffs))
+            new_res = tuple((a - b) % p for a, b in zip(residual, coeffs))
             rest = dfs(new_res, remaining - 1)
             if rest is not None:
-                return [term] + rest
+                return [coeffs] + rest
         failed.add(state)
         return None
 
@@ -404,34 +415,44 @@ def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """The rank-one candidates of one shape and kind, indexed for the search.
+    """The rank-one candidates of one shape and kind, as coefficient arrays.
 
-    `by_coeffs` maps a coefficient array to its term and `by_pos` lists,
-    for each flat position, the terms nonzero there.  A caller that ranks
-    many tensors of one shape builds the table once and passes it to
+    `by_coeffs` maps each distinct array to the (slots_a, factors) of the
+    first candidate that produced it, and `by_pos[i]` lists, in sorted
+    order, the arrays nonzero at flat position i.  The search runs on
+    arrays alone; terms are made on demand, by :meth:`term` for the arrays
+    of a certificate and by :attr:`terms` for all of them.  A caller that
+    ranks many tensors of one shape builds the table once and passes it to
     every :func:`rank_exact` call.
     """
 
-    p: int
+    field: PrimeField
     dim: int
     order: int
     kind: str
-    terms: tuple[RankOneTerm, ...]
     by_coeffs: dict
-    by_pos: dict
+    by_pos: tuple
+
+    def term(self, coeffs: tuple[int, ...]) -> RankOneTerm:
+        """The RankOneTerm of one candidate array."""
+        return _term(self.field, self.dim, self.order, self.kind, coeffs,
+                     *self.by_coeffs[coeffs])
+
+    @property
+    def terms(self) -> tuple[RankOneTerm, ...]:
+        """Every candidate as a term, sorted by array, as candidate_terms lists them."""
+        return tuple(self.term(coeffs) for coeffs in sorted(self.by_coeffs))
 
 
 def candidate_table(field: PrimeField, dim: int, order: int, kind: str,
                     max_candidates: int) -> CandidateTable:
     """Build and index the candidates; BudgetError past `max_candidates`."""
-    terms = tuple(candidate_terms(field, dim, order, kind, max_candidates=max_candidates))
-    by_coeffs = {term.tensor.coeffs: term for term in terms}
-    by_pos: dict[int, list[RankOneTerm]] = {}
-    for term in terms:
-        for pos, c in enumerate(term.tensor.coeffs):
-            if c:
-                by_pos.setdefault(pos, []).append(term)
-    return CandidateTable(field.p, dim, order, kind, terms, by_coeffs, by_pos)
+    by_coeffs = {coeffs: (slots_a, factors) for coeffs, slots_a, factors
+                 in _candidates(field, dim, order, kind, max_candidates)}
+    arrays = sorted(by_coeffs)
+    by_pos = tuple([coeffs for coeffs in arrays if coeffs[pos]]
+                   for pos in range(dim ** order))
+    return CandidateTable(field, dim, order, kind, by_coeffs, by_pos)
 
 
 def search_cap(dim: int, order: int, budget: int) -> int:
@@ -452,7 +473,7 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
-    if table is not None and (table.p, table.dim, table.order, table.kind) != (
+    if table is not None and (table.field.p, table.dim, table.order, table.kind) != (
             t.field.p, t.dim, t.order, kind):
         raise ValueError("candidate table is for another shape or kind")
     if t.is_zero():
@@ -473,7 +494,7 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
             found = _search_depth(t.coeffs, table.by_coeffs, table.by_pos,
                                   t.field.p, depth, nodes, node_limit)
             if found is not None:
-                cert = tuple(found)
+                cert = tuple(table.term(coeffs) for coeffs in found)
                 _verify_certificate(t, cert)
                 return RankReport(kind, depth, depth, True, cert, "search", "search")
         _verify_certificate(t, greedy)

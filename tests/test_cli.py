@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,8 @@ class TestRoundTripMany:
     pytest.param(["check", "all", "--exhaustive", "--trials", "5"],
                  id="all-exhaustive-with-trials"),
     pytest.param(["check", "subadditivity", "--trials", "-1"], id="negative-trials"),
+    pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "-1"],
+                 id="survey-identity-negative"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
@@ -324,6 +330,9 @@ def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     pytest.param("check all --exhaustive",
                  "1dcbd597cea49c2dffdc149567235486585bfddae8fe2e9d9838926a4223f24b",
                  id="check-all-exhaustive"),
+    pytest.param("check all --exhaustive --p 2 --n 2 --d 3",
+                 "1dcbd597cea49c2dffdc149567235486585bfddae8fe2e9d9838926a4223f24b",
+                 id="check-all-exhaustive-explicit-shape"),
     pytest.param("check all --trials 20 --seed 3 --format json",
                  "ebe05bb6ce86ef4d07712a04d383112bfcd7fce446b29abbde88329c1b658e40",
                  id="check-all-json"),
@@ -335,3 +344,13 @@ def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "biasrank", "constant", "--d", "3", "--q", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("c(3, 2) = 0.415037499279")

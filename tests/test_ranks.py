@@ -1,5 +1,6 @@
 """Rank search, greedy bounds, and independent sets, with brute-force oracles."""
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from biasrank.bias import analytic_rank, bias_fiber
 from biasrank.gf import PrimeField, matrix_rank
 from biasrank.ranks import (
+    MAX_SEARCH_CANDIDATES,
+    candidate_table,
     candidate_terms,
     greedy_decomposition,
     is_independent_set,
@@ -27,6 +30,7 @@ from biasrank.tensor import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def oracle_max_independent_set(t):
@@ -250,6 +254,111 @@ class TestCandidates:
         partition_arrays = {t.tensor.coeffs
                             for t in candidate_terms(F3, 2, 3, "prank", max_candidates=10 ** 6)}
         assert slice_arrays <= partition_arrays
+
+
+def _reference_merge(p, dim, order, slots_a, arr_a, arr_b):
+    """T1(x^A) * T2(x^B) as a full order-d array, decoded one cell at a time."""
+    slots_b = tuple(s for s in range(order) if s not in slots_a)
+    coeffs = [0] * (dim ** order)
+    for fa, ca in enumerate(arr_a):
+        for fb, cb in enumerate(arr_b):
+            idx = [0] * order
+            f = fa
+            for s in reversed(slots_a):
+                idx[s] = f % dim
+                f //= dim
+            f = fb
+            for s in reversed(slots_b):
+                idx[s] = f % dim
+                f //= dim
+            flat = 0
+            for i in idx:
+                flat = flat * dim + i
+            coeffs[flat] = (coeffs[flat] + ca * cb) % p
+    return tuple(coeffs)
+
+
+def _reference_candidates(field, dim, order, kind):
+    """{coeffs: (slots_a, factors)} of the first candidate making each array."""
+    p = field.p
+    nonzero = [v for v in product(range(p), repeat=dim) if any(v)]
+    seen = {}
+    if kind == "rank":
+        projective = [v for v in nonzero if next(x for x in v if x) == 1]
+        for head in nonzero:
+            for tail in product(projective, repeat=order - 1):
+                vectors = (head,) + tail
+                coeffs = (1,)
+                for vec in vectors:
+                    coeffs = tuple(c * x % p for c in coeffs for x in vec)
+                seen.setdefault(coeffs, (None, vectors))
+        return seen
+    if kind == "srank":
+        sides = [(s,) for s in range(order)]
+    else:
+        sides = [side for size in range(1, order // 2 + 1)
+                 for side in combinations(range(order), size)
+                 if 2 * size < order or 0 in side]
+    for side in sides:
+        len_a, len_b = dim ** len(side), dim ** (order - len(side))
+        arrays_a = [v for v in product(range(p), repeat=len_a)
+                    if any(v) and next(x for x in v if x) == 1]
+        arrays_b = [v for v in product(range(p), repeat=len_b) if any(v)]
+        for arr_a in arrays_a:
+            for arr_b in arrays_b:
+                coeffs = _reference_merge(p, dim, order, side, arr_a, arr_b)
+                seen.setdefault(coeffs, (side, (arr_a, arr_b)))
+    return seen
+
+
+def _certificate_digest():
+    """sha256 over the arrays, slots and factors of seeded exact certificates."""
+    h = hashlib.sha256()
+    for p, n, d in ((2, 2, 3), (3, 2, 3), (2, 2, 4)):
+        field = PrimeField(p)
+        for trial in range(4):
+            t = random_tensor(field, n, d, substream(41, trial).next_u64())
+            for kind in ("rank", "srank", "prank"):
+                report = rank_exact(t, kind)
+                assert report.exact
+                for term in report.certificate:
+                    factors = [list(getattr(f, "coeffs", f)) for f in term.factors]
+                    h.update(repr((list(term.tensor.coeffs), term.slots_a,
+                                   factors)).encode())
+                h.update(b"|")
+    return h.hexdigest()
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("p,n,d", [(2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
+    def test_matches_cell_by_cell_reference(self, p, n, d, kind):
+        field = PrimeField(p)
+        reference = _reference_candidates(field, n, d, kind)
+        table = candidate_table(field, n, d, kind, max_candidates=10 ** 6)
+        # same arrays in the same first-seen order, each with the same factors
+        assert list(table.by_coeffs.items()) == list(reference.items())
+        arrays = sorted(reference)
+        assert table.by_pos == tuple([c for c in arrays if c[pos]] for pos in range(n ** d))
+        assert table.terms == tuple(candidate_terms(field, n, d, kind,
+                                                    max_candidates=10 ** 6))
+
+    def test_build_makes_no_tensors(self, monkeypatch):
+        made = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        table = candidate_table(F5, 2, 3, "prank", MAX_SEARCH_CANDIDATES)
+        assert len(table.by_coeffs) == 9504
+        assert not made
+
+    def test_certificates_are_pinned(self):
+        assert _certificate_digest() == (
+            "40b4bccf6b56bdf4bb3d287ea5c52953cb33ab5cd9ceca4c36bba85345e8f247")
 
 
 class TestRankInequalitiesOnCube:
