@@ -1,24 +1,24 @@
 """Exact bias and analytic rank of tensors over prime fields.
 
-The bias of an order-d tensor equals the probability that fixing the
-last d-1 arguments leaves an identically-zero linear form in the first;
-it is therefore an exact rational K / q^(n(d-1)) with integer K, which
-is what every engine here returns.
+The bias of an order-d tensor equals the probability that fixing d-1
+of its arguments (whichever slot is left free) leaves an identically-zero
+linear form; it is therefore an exact rational K / q^(n(d-1)) with
+integer K, which is what every engine here returns.
 
 Three engines compute it, two of them on one packed-slice kernel:
 
-* :func:`bias_fiber` counts zero fibers.  It walks the last slot in
+* :func:`bias_fiber` counts zero fibers.  It walks the leading slot in
   reflected q-ary Gray-code order, so consecutive contractions differ by
   one slice (one XOR of int bitsets at q = 2), recurses through the
-  trailing slots the same way, and ends every walk at the order-2 case,
+  following slots the same way, and ends every walk at the order-2 case,
   where a matrix of rank r has q^(n-r) zero fibers.  Scalar multiples of
   a fixing leave the same zero fibers, so one fixing per line is walked.
 * :func:`bias_recursive` shares that walk and that rank base case, and
   additionally factors disjoint coordinate blocks (bias is
   multiplicative across them) and memoizes repeated subproblems; both
   accelerations are value-preserving.
-* :func:`bias_histogram` walks every fixing of the trailing slots but
-  takes no rank: it evaluates the linear form left in the first slot on
+* :func:`bias_histogram` walks every fixing of the leading slots but
+  takes no rank: it evaluates the linear form left in the last slot on
   every vector, tallies all q^(nd) values, and extracts the same rational
   from the histogram.
 
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
 from .tensor import MultiComponentForm, Tensor
@@ -246,18 +246,12 @@ def _gray(p: int, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     return table
 
 
-def _reverse_slots(coeffs, n: int, order: int) -> list:
-    """Row-major coefficients reordered so that the first index varies fastest."""
-    if order <= 1:
-        return list(coeffs)
-    return [c for k in range(n) for c in _reverse_slots(coeffs[k::n], n, order - 1)]
-
-
 class _Packed:
     """Tensors over F_p^n packed into one int each, and the Gray walk on them.
 
-    Cell (i_1, ..., i_m) sits at position i_1 + i_2 n + ... + i_m n^(m-1), so
-    the slices along the last slot are contiguous bit ranges.  At p = 2 a
+    Cells are packed in the row-major order of `Tensor.coeffs`: cell
+    (i_1, ..., i_m) sits at position i_1 n^(m-1) + ... + i_m, so the slices
+    along the leading slot are contiguous bit ranges.  At p = 2 a
     cell is one bit and a Gray step is one XOR.  At odd p a cell is a run of
     bytes holding the unreduced sum of y_k times slice k: the Gray digits
     y_k stay in [0, p), so a step adds or subtracts one packed slice without
@@ -265,7 +259,7 @@ class _Packed:
     how many contractions deep a walk goes, which bounds the unreduced cells.
     """
 
-    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "_cell_orders")
+    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask")
 
     def __init__(self, p: int, n: int, depth: int):
         self.p, self.n = p, n
@@ -273,9 +267,8 @@ class _Packed:
         self.bits = 1 if p == 2 else 8 * self.width
         self.powers = [p ** (n - r) for r in range(n + 1)]
         self.column_mask = (1 << (self.bits * n)) - 1
-        self._cell_orders: dict[int, tuple[int, ...]] = {}
 
-    def pack(self, cells: list[int]) -> int:
+    def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
         if self.p == 2:
             return int("".join(map(str, cells[::-1])) or "0", 2)
@@ -283,14 +276,6 @@ class _Packed:
         if w == 1:
             return int.from_bytes(bytes(cells), "little")
         return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cells), "little")
-
-    def pack_tensor(self, t: Tensor) -> int:
-        """The coefficients of t, row-major, packed in cell-position order."""
-        order = self._cell_orders.get(t.order)
-        if order is None:
-            order = tuple(_reverse_slots(range(self.n ** t.order), self.n, t.order))
-            self._cell_orders[t.order] = order
-        return self.pack(list(map(t.coeffs.__getitem__, order)))
 
     def cells(self, x: int, count: int):
         """The first `count` cells of x, unreduced at odd p."""
@@ -306,7 +291,7 @@ class _Packed:
         return [c % self.p for c in self.cells(x, count)]
 
     def walk(self, x: int, order: int, lines: bool):
-        """T(..., y) for every y in F_p^n in Gray order, each one slice away.
+        """T(y, ...) for every y in F_p^n in Gray order, each one slice away.
 
         With `lines`, one y per line through 0 instead: the y whose last
         nonzero digit is 1.  Digit k set to 1, the first p^k - 1 Gray steps
@@ -348,7 +333,7 @@ class _Packed:
     def zero_fibers(self, x: int, order: int) -> int:
         """K of a packed tensor of order >= 2: the walk down to the rank case.
 
-        T(..., cy) = c T(..., y) has the zero fibers of T(..., y) for c != 0,
+        T(cy, ...) = c T(y, ...) has the zero fibers of T(y, ...) for c != 0,
         so one y per line stands for p - 1 of them; y = 0 leaves the zero
         tensor, all of whose p^(n(order-2)) fixings are zero fibers.
         """
@@ -369,20 +354,15 @@ def _kernel(p: int, n: int, depth: int) -> _Packed:
     return kernel
 
 
-def _pack_tensor(t: Tensor, depth: int) -> tuple[_Packed, int]:
-    kernel = _kernel(t.field.p, t.dim, depth)
-    return kernel, kernel.pack_tensor(t)
-
-
 # ---------------------------------------------------------------------------
 # Engine 1: zero-fiber counting
 # ---------------------------------------------------------------------------
 
 def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
-    """Count fixings of the trailing d-1 slots that kill the linear form.
+    """Count fixings of the leading d-1 slots that kill the linear form left.
 
     Returns K / q^(n(d-1)) with K the number of zero fibers.  The walk
-    fixes the trailing slots down to order 2, where a matrix of rank r
+    fixes the leading slots down to order 2, where a matrix of rank r
     has q^(n-r) zero fibers.  Order 1 is the base case: bias 1 for the
     zero form, 0 otherwise.
     """
@@ -397,8 +377,8 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     elif t.order == 2:
         k = p ** (n - matrix_rank(t.field, [t.coeffs[i * n:(i + 1) * n] for i in range(n)]))
     else:
-        kernel, packed = _pack_tensor(t, t.order - 2)
-        k = kernel.zero_fibers(packed, t.order)
+        kernel = _kernel(p, n, t.order - 2)
+        k = kernel.zero_fibers(kernel.pack(t.coeffs), t.order)
     if t.order >= 2 and k < 1:
         raise AssertionError("multilinear bias must be positive for order >= 2")
     return BiasValue(k, exponent, p)
@@ -446,7 +426,7 @@ def _block_cells(cells, dim: int, order: int, block: list[int]) -> list[int]:
 
 
 def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
-    """Average bias of the order-(d-1) contractions over the last slot.
+    """Average bias of the order-(d-1) contractions over the leading slot.
 
     The same Gray walk as the fiber engine, ending at the same base case
     d = 2, where bias is q^(-rank); d = 1 matches the fiber engine.
@@ -496,8 +476,7 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
         memo[key] = k
         return k
 
-    kernel, packed = _pack_tensor(t, 1)
-    return BiasValue(rec(packed, t.dim, t.order), exponent, p)
+    return BiasValue(rec(_kernel(p, t.dim, 1).pack(t.coeffs), t.dim, t.order), exponent, p)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +486,8 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistogram, BiasValue]:
     """Evaluate T on every input, tally values, and recover the bias.
 
-    The Gray walk fixes the trailing d-1 slots; the linear form c left in
-    the first slot is then evaluated on every x in the same Gray order,
+    The Gray walk fixes the leading d-1 slots; the linear form c left in
+    the last slot is then evaluated on every x in the same Gray order,
     where each step changes c(x) by one coefficient.  No rank is taken.
     Multilinearity makes the nonzero values equidistributed, so the
     character sum collapses to (N_0 * q - q^(nd)) / (q^n (q-1) q^(n(d-1)))
@@ -520,7 +499,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
     total = p ** (n * t.order)
     _check_budget(total, budget, "value histogram")
     counts = [0] * p
-    kernel, packed = _pack_tensor(t, t.order - 1)
+    kernel = _kernel(p, n, t.order - 1)
     steps = _gray(p, n)[0]
 
     def tally(x: int, order: int):
@@ -536,7 +515,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
             value += deltas[step]
             counts[value % p] += 1
 
-    tally(packed, t.order)
+    tally(kernel.pack(t.coeffs), t.order)
     hist = ValueHistogram(p, tuple(counts), total)
     numerator = counts[0] * p - total
     denominator = (p ** n) * (p - 1)

@@ -10,6 +10,10 @@ Every law draws its instances from :func:`_universe` and checks them
 through :func:`_drive`, phase by phase.  Violations can only come from
 implementation bugs; any counterexample witness is replayed before it is
 reported, and seeded runs are bit-reproducible.
+
+arank-le-prank and the survey search on :func:`ranks.search_table`; over
+its cap arank-le-prank, which needs exact ranks, raises BudgetExceededError
+before checking anything, and the survey reports intervals.
 """
 
 from __future__ import annotations
@@ -29,15 +33,7 @@ from .bias import (
     diagonal_bias_numerator,
 )
 from .gf import PrimeField, random_full_rank_basis
-from .ranks import (
-    BudgetError,
-    CandidateTable,
-    candidate_table,
-    candidate_terms,
-    max_independent_set,
-    rank_exact,
-    search_cap,
-)
+from .ranks import max_independent_set, rank_exact, search_table
 from .rng import SplitMix64, substream
 from .tensor import (
     Tensor,
@@ -52,11 +48,14 @@ from .tensor import (
     restrict,
 )
 
-# Candidate cap of arank-le-prank's rank-one check when it lists its own terms.
-RANK_ONE_CHECK_CAP = 100_000
-
 # Seeded diagonal tensors independent-bound checks against their closed form.
 DIAGONAL_TRIALS = 20
+
+# Largest family size on either side of a correlation instance.
+CORRELATION_MAX_EACH = 3
+
+# Float slack of lemma-bias at p > 2, where the complex bias is a double.
+LEMMA_BIAS_TOL = 1e-9
 
 LAW_IDS = (
     "subadditivity",
@@ -151,21 +150,6 @@ def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = Fal
         return all_tensors(field, dim, order)
     draw = draw or (lambda gen: _draw_tensor(field, dim, order, gen))
     return (draw(substream(seed, i)) for i in range(trials))
-
-
-def _prank_table(field: PrimeField, dim: int, order: int,
-                 budget: int) -> Optional[CandidateTable]:
-    """One partition-rank candidate table for every search of a universe.
-
-    It is capped as :func:`rank_exact` caps its own, so a search gives the
-    same report with or without it; None below order 2 or over the cap.
-    """
-    if order < 2:
-        return None
-    try:
-        return candidate_table(field, dim, order, "prank", search_cap(dim, order, budget))
-    except BudgetError:
-        return None
 
 
 def _tensor_witness(**tensors) -> dict:
@@ -307,16 +291,16 @@ def _correlation_ok(inst: CorrelationInstance, budget: int) -> tuple[bool, float
 
 
 def law_correlation(field: PrimeField, dim: int, order: int, *,
-                    trials: int, seed: int = 0, max_each: int = 3,
+                    trials: int, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> LawResult:
     """Common zeros of two tensor families are positively correlated."""
     universe = (f"random families p={field.p} n={dim} d={order} "
-                f"sizes<={max_each} trials={trials} seed={seed}")
+                f"sizes<={CORRELATION_MAX_EACH} trials={trials} seed={seed}")
     tracker = _Tracker("correlation", universe)
 
     def draw(gen: SplitMix64) -> CorrelationInstance:
-        m = 1 + gen.below(max_each)
-        k = 1 + gen.below(max_each)
+        m = 1 + gen.below(CORRELATION_MAX_EACH)
+        k = 1 + gen.below(CORRELATION_MAX_EACH)
         t_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(m))
         s_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(k))
         return CorrelationInstance(field, dim, order, t_group, s_group)
@@ -338,29 +322,30 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
 
 def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        exhaustive: bool = False, trials: int = 0, seed: int = 0,
-                       rank_one_check: Optional[bool] = None,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
     """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
 
-    The rank-one check runs by default when the universe is nonempty.
+    A nonempty universe also checks every rank-one candidate.  Its searches
+    share one :func:`search_table`; a shape over the search cap, or a
+    search that ends in an interval, raises BudgetExceededError.
     """
+    if order < 2:
+        raise ValueError("arank-le-prank needs order >= 2")
     q = field.p
     exponent = dim * (order - 1)
     mode = "exhaustive" if exhaustive else f"random trials={trials} seed={seed}"
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
     nonempty = exhaustive or trials > 0
-    # One table serves every search and the rank-one check.  Over its cap
-    # each search falls back to its certified interval, which is still
-    # exact where the analytic lower bound meets the greedy size, so the
-    # universe can pass; the rank-one check then lists its terms under its
-    # own, larger cap.
-    table = _prank_table(field, dim, order, budget) if nonempty else None
+    table = search_table(field, dim, order, "prank", budget) if nonempty else None
+    if nonempty and table is None:
+        raise BudgetExceededError(f"partition-rank candidates at p={q} n={dim} d={order} "
+                                  f"exceed the search cap at budget {budget}")
 
     def check(t: Tensor):
         report = rank_exact(t, "prank", budget, table=table)
         if not report.exact:
-            raise RuntimeError("universe too large for exact partition rank")
+            raise BudgetExceededError(f"exact partition rank search exceeded budget {budget}")
         k = bias_fiber(t, budget).numerator
         prank = report.value
         ok = k * q ** prank >= q ** exponent  # bias >= q^-prank, cross-multiplied
@@ -373,18 +358,11 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
 
     _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
                               seed=seed), check)
-    if rank_one_check is None:
-        rank_one_check = nonempty
-    notes = ()
-    if rank_one_check:
-        if table is not None:
-            terms = table.terms
-        else:
-            terms = candidate_terms(field, dim, order, "prank",
-                                    max_candidates=RANK_ONE_CHECK_CAP)
-        held = _drive(tracker, terms, rank_one_ok)
-        notes = (f"rank-one tensors with bias >= 1/q: {held}/{len(terms)}",)
-    return tracker.result(notes)
+    if not nonempty:
+        return tracker.result()
+    terms = table.terms
+    held = _drive(tracker, terms, rank_one_ok)
+    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(terms)}",))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +474,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 # ---------------------------------------------------------------------------
 
 def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
-                   trials: int, seed: int = 0, tol: float = 1e-9,
+                   trials: int, seed: int = 0,
                    budget: int = DEFAULT_BUDGET) -> LawResult:
     """|bias(sum of subset components)| <= bias of the top component."""
     universe = f"random multiforms p={field.p} n={dim} d={order} trials={trials} seed={seed}"
@@ -509,7 +487,7 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             ok = abs(result.exact) <= top.as_fraction()
             slack = float(top.as_fraction() - abs(result.exact))
         else:
-            ok = result.magnitude <= top.to_float() + tol
+            ok = result.magnitude <= top.to_float() + LEMMA_BIAS_TOL
             slack = top.to_float() - result.magnitude
         return ok, slack, lambda: _tensor_witness(
             top=form.top(),
@@ -582,8 +560,9 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
                identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
     """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
 
-    The exhaustive and seeded universes share one candidate table; the
-    identity family changes dimension from row to row.
+    The exhaustive and seeded universes share one search table; the
+    identity family changes dimension from row to row.  Over the search
+    cap a row reports its certified interval.
     """
     table = None
     if identity_max:
@@ -600,7 +579,7 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
         labelled = ((f"{prefix}-{i}", t) for i, t in enumerate(
             _universe(field, dim, order, exhaustive=exhaustive, trials=trials, seed=seed)))
         if exhaustive or trials > 0:
-            table = _prank_table(field, dim, order, budget)
+            table = search_table(field, dim, order, "prank", budget)
     rows = []
     max_ratio = None
     for label, t in labelled:

@@ -14,9 +14,12 @@ tensors) are made on demand, for the terms of a certificate or when a
 caller asks for every term.  Every returned decomposition is re-summed
 and verified before it leaves this module.
 
-The search space is tiny-instance only by design; when the candidate
-space or the node budget runs out, an interval [analytic-rank ceiling,
-greedy upper bound] is returned instead, exact only if the two meet.
+The search space is tiny-instance only by design.  This module alone
+decides how large a table may grow: :func:`search_table` builds the table
+of a shape, or gives None when its candidates exceed
+min(budget // n^d, MAX_SEARCH_CANDIDATES).  With no table, or once the
+node budget runs out, an interval [analytic-rank ceiling, greedy upper
+bound] is returned instead, exact only if the two meet.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .bias import DEFAULT_BUDGET, arank_ceil, bias_fiber
+from .bias import DEFAULT_BUDGET, BudgetExceededError, arank_ceil, bias_fiber
 from .gf import PrimeField, matrix_rank
 from .tensor import Tensor, from_entries, zero_tensor
 
@@ -129,8 +132,8 @@ def _gather(dim: int, order: int, slots_a: tuple[int, ...]):
         for s in slots_b:
             fb = fb * dim + idx[s]
         cells.append(fa * len_b + fb)
-    if len(cells) == 1:  # itemgetter with one index returns the bare item
-        return lambda outer: (outer[cells[0]],)
+    if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
+        return lambda outer: tuple(outer[c] for c in cells)
     return itemgetter(*cells)
 
 
@@ -455,76 +458,79 @@ def candidate_table(field: PrimeField, dim: int, order: int, kind: str,
     return CandidateTable(field, dim, order, kind, by_coeffs, by_pos)
 
 
-def search_cap(dim: int, order: int, budget: int) -> int:
-    """The default candidate cap of an exact search at this shape and budget."""
-    return min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
+def search_table(field: PrimeField, dim: int, order: int, kind: str,
+                 budget: int) -> CandidateTable | None:
+    """The candidate table an exact search of this shape and budget uses.
+
+    None below order 2 and when the candidates exceed
+    min(budget // n^d, MAX_SEARCH_CANDIDATES).  A caller that ranks many
+    tensors of one shape builds it once and passes it to every search.
+    """
+    if order < 2:
+        return None
+    try:
+        return candidate_table(field, dim, order, kind,
+                               min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES))
+    except BudgetError:
+        return None
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
-               max_candidates: int | None = None,
                table: CandidateTable | None = None) -> RankReport:
     """Minimal decomposition size by iterative deepening, or an interval.
 
-    The interval fallback (analytic-rank ceiling, greedy upper bound) is
-    returned when the candidate space or node budget is exceeded.  The
-    candidate space is capped at MAX_SEARCH_CANDIDATES unless the caller
-    opts in to a larger search explicitly.  A caller-owned `table` of the
-    same shape and kind is searched instead of building one.
+    The search runs on `table`, by default the :func:`search_table` of
+    the tensor's shape; with no table, or once the node budget is spent,
+    the interval of :func:`rank_bounds` is returned instead.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     if table is not None and (table.field.p, table.dim, table.order, table.kind) != (
             t.field.p, t.dim, t.order, kind):
         raise ValueError("candidate table is for another shape or kind")
-    if t.is_zero():
-        return RankReport(kind, 0, 0, True, (), "search", "search")
-    if t.order == 1:
-        term = RankOneTerm(kind, None, (t.coeffs,), t)
-        return RankReport(kind, 1, 1, True, (term,), "search", "search")
+    if t.is_zero() or t.order == 1:
+        return rank_bounds(t, kind, budget)
+    if table is None:
+        table = search_table(t.field, t.dim, t.order, kind, budget)
+    if table is None:
+        return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
-    upper = len(greedy)
-    if max_candidates is None:
-        max_candidates = search_cap(t.dim, t.order, budget)
+    nodes = [0]
+    node_limit = max(1000, budget // max(1, t.dim ** t.order))
     try:
-        if table is None:
-            table = candidate_table(t.field, t.dim, t.order, kind, max_candidates)
-        nodes = [0]
-        node_limit = max(1000, budget // max(1, t.dim ** t.order))
-        for depth in range(0, upper):
+        for depth in range(len(greedy)):
             found = _search_depth(t.coeffs, table.by_coeffs, table.by_pos,
                                   t.field.p, depth, nodes, node_limit)
             if found is not None:
                 cert = tuple(table.term(coeffs) for coeffs in found)
                 _verify_certificate(t, cert)
                 return RankReport(kind, depth, depth, True, cert, "search", "search")
-        _verify_certificate(t, greedy)
-        return RankReport(kind, upper, upper, True, greedy, "search", "greedy")
     except BudgetError:
-        # When the certified lower bound meets the greedy size, the greedy
-        # decomposition is provably minimal and the value is exact anyway.
-        lower, source = _analytic_lower(t, budget)
-        return RankReport(kind, lower, upper, lower == upper, greedy, source, "greedy")
-
-
-def _analytic_lower(t: Tensor, budget: int) -> tuple[int, str]:
-    """Certified integer lower bound; trivial 0 when bias is out of budget."""
-    from .bias import BudgetExceededError
-    try:
-        return arank_ceil(bias_fiber(t, budget)), "analytic-rank"
-    except BudgetExceededError:
-        return 0, "trivial"
+        return rank_bounds(t, kind, budget)
+    return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
 
 
 def rank_bounds(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:
-    """Certified interval without exact search: analytic lower, greedy upper."""
+    """Certified interval without exact search: analytic lower, greedy upper.
+
+    The lower bound is the analytic-rank ceiling, or a trivial 0 when the
+    bias is out of budget; when it meets the greedy size, the greedy
+    decomposition is provably minimal and the value is exact.  Zero and
+    order-1 tensors need no search and get the exact value.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     if t.is_zero():
         return RankReport(kind, 0, 0, True, (), "search", "search")
+    if t.order == 1:
+        return RankReport(kind, 1, 1, True, (RankOneTerm(kind, None, (t.coeffs,), t),),
+                          "search", "search")
     greedy = greedy_decomposition(t, kind)
-    lower, source = _analytic_lower(t, budget)
-    return RankReport(kind, lower, len(greedy), lower == len(greedy), greedy,
-                      source, "greedy")
+    try:
+        lower, source = arank_ceil(bias_fiber(t, budget)), "analytic-rank"
+    except BudgetExceededError:
+        lower, source = 0, "trivial"
+    return RankReport(kind, lower, len(greedy), lower == len(greedy), greedy, source, "greedy")
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_c08_independent_set_bound():
 
 
 def test_c09_positive_correlation():
-    result = law_correlation(F2, 2, 2, trials=1000, seed=90_009, max_each=3)
+    result = law_correlation(F2, 2, 2, trials=1000, seed=90_009)
     assert result.holds and result.checked == 1000
     _report(9, "common zeros positively correlated with exact lifted-bias bridge, 1000 families")
 
@@ -170,7 +170,7 @@ def test_c10_restriction_monotone():
 def test_c11_multiform_bound():
     exact = law_lemma_bias(F2, 2, 3, trials=500, seed=110_011)
     assert exact.holds and exact.checked == 500
-    approx = law_lemma_bias(F3, 2, 2, trials=200, seed=110_012, tol=1e-9)
+    approx = law_lemma_bias(F3, 2, 2, trials=200, seed=110_012)
     assert approx.holds and approx.checked == 200
     _report(11, "|bias(R)| <= bias of top component: exact at p=2, 1e-9 slack at p=3")
 

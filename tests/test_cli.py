@@ -320,6 +320,34 @@ def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param("check arank-le-prank --p 3 --n 3 --d 3 --trials 2", id="over-search-cap"),
+    pytest.param("check arank-le-prank --p 2 --n 2 --d 3 --trials 3 --budget 0", id="budget-0"),
+])
+def test_exact_search_refusals_exit_three(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "check arank-le-prank --p 2 --n 0 --d 3 --trials 2",
+    "check arank-le-prank --p 2 --n 0 --d 3 --exhaustive",
+    "survey --p 2 --n 0 --d 3 --trials 3",
+])
+def test_dimension_zero_universes_exit_zero(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+
+
+def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
+    path = tmp_path / "form.txt"
+    path.write_text("2 3 1\n0 1\n2 1\n")
+    exact = run(capsys, "rank", str(path))
+    assert exact[0] == 0 and "prank = 1 (exact)" in exact[1]
+    assert run(capsys, "rank", str(path), "--bounds") == exact
+
+
 @pytest.mark.parametrize("argv,digest", [
     pytest.param("check all --seed 0",
                  "b857cfe4b930ec7de4348a1005c2f5d5de2d4aa4d1c002614af94238cfa69879",
@@ -339,6 +367,12 @@ def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     pytest.param("survey --p 2 --n 2 --d 3 --exhaustive",
                  "70e2ae634505b0ececd3610c848b4d8e3b8383e3e80f899d1397b25ec3131139",
                  id="survey-exhaustive"),
+    pytest.param("survey --p 3 --n 3 --d 3 --trials 2",
+                 "53ef2a5ddb8865ba19539f5f2d84f6ebc7a415509103c38e8ae80bd817ac2034",
+                 id="survey-over-search-cap"),
+    pytest.param("check arank-le-prank --p 3 --n 2 --d 3 --trials 20 --seed 5",
+                 "f5541260446591476b8c1ccce004ed279a497177a6b1285164010a24c6ff9f16",
+                 id="arank-le-prank-p3"),
 ])
 def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

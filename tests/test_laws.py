@@ -2,7 +2,8 @@
 
 import pytest
 
-from biasrank.bias import bias_fiber
+from biasrank import laws
+from biasrank.bias import BudgetExceededError
 from biasrank.gf import PrimeField
 from biasrank.laws import (
     CorrelationInstance,
@@ -16,6 +17,7 @@ from biasrank.laws import (
     law_subadditivity,
     survey_gap,
 )
+from biasrank.ranks import rank_bounds
 from biasrank.rng import substream
 from biasrank.tensor import identity_tensor, random_tensor, zero_tensor
 
@@ -84,9 +86,22 @@ class TestArankLePrank:
         assert result.min_slack is not None and result.min_slack >= -1e-12
 
     def test_rank_one_bias_at_p3(self):
-        result = law_arank_le_prank(F3, 2, 3, trials=0, rank_one_check=True)
+        result = law_arank_le_prank(F3, 2, 3, trials=2, seed=1)
         assert result.holds
         assert "rank-one tensors with bias >= 1/q" in result.notes[0]
+
+    def test_inexact_search_is_a_budget_refusal(self, monkeypatch):
+        # the identity of the cube has prank 2 but arank ceiling 1
+        monkeypatch.setattr(laws, "rank_exact",
+                            lambda t, kind, budget, table: rank_bounds(t, kind, budget))
+        with pytest.raises(BudgetExceededError):
+            law_arank_le_prank(F2, 2, 3, exhaustive=True)
+
+    def test_over_the_search_cap_refuses_before_checking(self, monkeypatch):
+        monkeypatch.setattr(laws, "rank_exact", None)  # never reached
+        with pytest.raises(BudgetExceededError):
+            law_arank_le_prank(F3, 3, 3, trials=1)
+        assert law_arank_le_prank(F3, 3, 3, trials=0).checked == 0
 
 
 class TestIndependentBound:

@@ -17,6 +17,7 @@ from biasrank.ranks import (
     rank_bounds,
     rank_exact,
     rank_upper_greedy,
+    search_table,
 )
 from biasrank.rng import substream
 from biasrank.tensor import (
@@ -173,6 +174,32 @@ class TestGreedy:
         assert rank_upper_greedy(t, "rank") == 1
 
 
+class TestSearchTable:
+    def test_none_below_order_two_and_over_the_cap(self):
+        assert search_table(F2, 3, 1, "prank", 10 ** 8) is None
+        assert search_table(F3, 3, 3, "prank", 10 ** 8) is None  # over MAX_SEARCH_CANDIDATES
+        assert search_table(F2, 2, 3, "prank", 8 * 134) is None  # 135 candidates
+        assert len(search_table(F2, 2, 3, "prank", 8 * 135).by_coeffs) > 0
+
+    @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
+    def test_dimension_zero_table_is_empty(self, kind):
+        table = search_table(F2, 0, 3, kind, 10 ** 8)
+        assert table.by_coeffs == {} and table.by_pos == ()
+
+    @pytest.mark.parametrize("p,n,d,kind", [
+        (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
+        for kind in ("rank", "srank", "prank")] + [(3, 3, 3, "srank"), (3, 3, 3, "prank")])
+    def test_rank_exact_gives_the_same_report_with_the_table(self, p, n, d, kind):
+        field = PrimeField(p)
+        table = search_table(field, n, d, kind, 10 ** 8)
+        for trial in range(3):
+            t = random_tensor(field, n, d, substream(57, trial).next_u64())
+            report = rank_exact(t, kind)
+            assert rank_exact(t, kind, table=table) == report
+            if table is None:
+                assert report == rank_bounds(t, kind)
+
+
 class TestBoundsReport:
     def test_identity_bounds(self):
         report = rank_bounds(identity_tensor(F2, 5, 3), "prank")
@@ -188,6 +215,11 @@ class TestBoundsReport:
                 continue
             report = rank_bounds(t, "prank")
             assert report.lower <= exact <= report.upper
+
+    def test_order_one_and_zero_match_rank_exact(self):
+        for t in (Tensor(F3, 3, 1, (0, 2, 1)), zero_tensor(F3, 3, 1), zero_tensor(F2, 2, 3)):
+            for kind in ("rank", "srank", "prank"):
+                assert rank_bounds(t, kind) == rank_exact(t, kind)
 
 
 class TestIndependentSets:
