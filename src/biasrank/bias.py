@@ -22,6 +22,13 @@ Three engines compute it, two of them on one packed-slice kernel:
   every vector, tallies all q^(nd) values, and extracts the same rational
   from the histogram.
 
+Every walk ends in :meth:`_Packed.matrix_fibers`, which memoizes the order-2
+count q^(n-rank) on its cached kernel when the key space is small: for
+n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and n = 2 with q <= 7).  The
+key is the reduced matrix (the packed int at q = 2, the cells reduced mod q
+at odd q), so a memo never holds more than q^(n^2) entries however many
+distinct inputs a process sees; nothing is built before the first walk.
+
 Since fiber and recursive share the walk, their agreement cannot catch a
 fault in it.  The rank-free histogram, the naive zero-fiber oracle of the
 tests and the reference engine of the benchmark (``perfbench/verify.py``,
@@ -47,6 +54,10 @@ DEFAULT_BUDGET = 10 ** 8
 
 # Gray tables and packing kernels are cached only for p^n up to this size.
 _CACHE_LIMIT = 1 << 16
+
+# A kernel memoizes order-2 fiber counts only where n >= 2 and the p^(n^2)
+# reduced matrices, the memo's bound, are at most this many.
+_MEMO_KEYS = 1 << 12
 
 
 class BudgetExceededError(RuntimeError):
@@ -257,9 +268,13 @@ class _Packed:
     y_k stay in [0, p), so a step adds or subtracts one packed slice without
     a carry or borrow between cells, and cells are read mod p.  `depth` is
     how many contractions deep a walk goes, which bounds the unreduced cells.
+
+    `memo` maps each reduced matrix seen to its fiber count, or is None where
+    the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
+    cells wider than a byte.  `reduce` is the byte table of c -> c mod p.
     """
 
-    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask")
+    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce")
 
     def __init__(self, p: int, n: int, depth: int):
         self.p, self.n = p, n
@@ -267,6 +282,9 @@ class _Packed:
         self.bits = 1 if p == 2 else 8 * self.width
         self.powers = [p ** (n - r) for r in range(n + 1)]
         self.column_mask = (1 << (self.bits * n)) - 1
+        small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
+        self.memo = {} if small else None
+        self.reduce = bytes(c % p for c in range(256)) if small and p != 2 else None
 
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
@@ -318,9 +336,19 @@ class _Packed:
                     yield current
 
     def matrix_fibers(self, x: int) -> int:
-        """p^(n - rank) zero fibers of a packed order-2 tensor."""
+        """p^(n - rank) zero fibers of a packed order-2 tensor, memoized if on."""
         if not x:
             return self.powers[0]
+        memo = self.memo
+        if memo is None:
+            return self._matrix_fibers(x)
+        key = x if self.p == 2 else x.to_bytes(self.n * self.n, "little").translate(self.reduce)
+        fibers = memo.get(key)
+        if fibers is None:
+            fibers = memo[key] = self._matrix_fibers(x)
+        return fibers
+
+    def _matrix_fibers(self, x: int) -> int:
         n = self.n
         if self.p == 2:
             mask = self.column_mask
@@ -339,8 +367,11 @@ class _Packed:
         """
         if order == 2:
             return self.matrix_fibers(x)
-        walked = sum(self.zero_fibers(child, order - 1)
-                     for child in self.walk(x, order, lines=True))
+        lines = self.walk(x, order, lines=True)
+        if order == 3:
+            walked = sum(map(self.matrix_fibers, lines))
+        else:
+            walked = sum(self.zero_fibers(child, order - 1) for child in lines)
         return self.p ** (self.n * (order - 2)) + (self.p - 1) * walked
 
 

@@ -251,7 +251,7 @@ def cmd_rank(args) -> int:
 
 def cmd_maxindep(args) -> int:
     t = _load_tensor(args.file)
-    indep = max_independent_set(t)
+    indep = max_independent_set(t, args.budget)
     shown = "{" + ", ".join(str(i) for i in indep) + "}"
     lines = [f"independent set = {shown}", f"size = {len(indep)}"]
     bound = None

@@ -98,7 +98,7 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def random_vector(field: PrimeField, n: int, gen: SplitMix64) -> Vector:
-    return tuple(gen.below(field.p) for _ in range(n))
+    return gen.residues(field.p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ through :func:`_drive`, phase by phase.  Violations can only come from
 implementation bugs; any counterexample witness is replayed before it is
 reported, and seeded runs are bit-reproducible.
 
+Subadditivity keeps one K per distinct tensor of its universe.  Its
+exhaustive pairs are indices into the cube in `all_tensors` order: the
+index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise, so
+a pair is one index computation and three list lookups, and tensors are
+built only for a witness.
+
 arank-le-prank and the survey search on :func:`ranks.search_table`; over
 its cap arank-le-prank, which needs exact ranks, raises BudgetExceededError
 before checking anything, and the survey reports intervals.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import xor
 from typing import Callable, Iterable, Optional
 
 from .bias import (
@@ -166,28 +173,69 @@ def _tensor_witness(**tensors) -> dict:
 # Subadditivity: bias(T + S) >= bias(T) * bias(S)
 # ---------------------------------------------------------------------------
 
+def _index_sum(p: int) -> Callable[[int, int], int]:
+    """Cube index of t + s from the indices of t and s in `all_tensors` order.
+
+    The index of a tensor is its coefficient array read as base-p digits, so
+    the index of t + s is the digitwise sum mod p: i ^ j at p = 2.
+    """
+    if p == 2:
+        return xor
+
+    def digit_sum(i: int, j: int) -> int:
+        total, weight = 0, 1
+        while i or j:
+            total += (i + j) % p * weight
+            i, j, weight = i // p, j // p, weight * p
+        return total
+
+    return digit_sum
+
+
 def law_subadditivity(field: PrimeField, dim: int, order: int, *,
                       exhaustive: bool = False, trials: int = 0, seed: int = 0,
                       disjoint_trials: int = 0,
                       budget: int = DEFAULT_BUDGET) -> LawResult:
-    """bias(T+S) >= bias(T) bias(S) on pairs; exact equality on direct sums."""
+    """bias(T+S) >= bias(T) bias(S) on pairs; exact equality on direct sums.
+
+    K is computed once per distinct tensor of the universe: a list by cube
+    index for exhaustive pairs, a dict by coefficients for seeded ones.
+    Exhaustive pairs are cube indices (i, j): K(t + s) is a list lookup at
+    the index of t + s, and tensors are built only for a witness.  A
+    failing pair is replayed from scratch.
+    """
     q = field.p
     exponent = dim * (order - 1)
+    scale, scale_sq = q ** exponent, q ** (2 * exponent)
     if exhaustive:
         universe = f"exhaustive pairs p={q} n={dim} d={order}"
     else:
         universe = f"random pairs p={q} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("subadditivity", universe)
+    numerators: dict[tuple[int, ...], int] = {}
 
     def fiber(t: Tensor) -> int:
         return bias_fiber(t, budget).numerator
 
+    def known(t: Tensor) -> int:
+        k = numerators.get(t.coeffs)
+        if k is None:
+            k = numerators[t.coeffs] = fiber(t)
+        return k
+
+    def verdict(k_sum: int, k_t: int, k_s: int, pair: Callable[[], tuple]):
+        ok = k_sum * scale >= k_t * k_s
+        slack = k_sum / scale - (k_t * k_s) / scale_sq
+
+        def witness() -> dict:
+            t, s = pair()
+            return _tensor_witness(t=t, s=s, k_sum=k_sum, k_t=k_t, k_s=k_s)
+
+        return ok, slack, witness
+
     def pair_ok(pair, k: Callable[[Tensor], int] = fiber):
         t, s = pair
-        k_sum, k_t, k_s = k(t + s), k(t), k(s)
-        ok = k_sum * q ** exponent >= k_t * k_s
-        slack = k_sum / q ** exponent - (k_t * k_s) / q ** (2 * exponent)
-        return ok, slack, lambda: _tensor_witness(t=t, s=s, k_sum=k_sum, k_t=k_t, k_s=k_s)
+        return verdict(k(t + s), k(t), k(s), lambda: pair)
 
     def direct_sum_ok(pair):
         t, s = pair
@@ -198,15 +246,19 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
         return _draw_tensor(field, dim, order, gen), _draw_tensor(field, dim, order, gen)
 
     if exhaustive:
-        # One bias per tensor of the cube; a failing pair is replayed from scratch.
         cube = list(_universe(field, dim, order, exhaustive=True))
-        cache = {t.coeffs: fiber(t) for t in cube}
-        _drive(tracker, product(cube, repeat=2),
-               lambda pair: pair_ok(pair, lambda t: cache[t.coeffs]),
-               lambda pair: pair_ok(pair)[0])
+        ks = [fiber(t) for t in cube]
+        index_sum = _index_sum(q)
+
+        def index_pair_ok(ij):
+            i, j = ij
+            return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
+
+        _drive(tracker, product(range(len(cube)), repeat=2), index_pair_ok,
+               lambda ij: pair_ok((cube[ij[0]], cube[ij[1]]))[0])
     else:
         _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw_pair),
-               pair_ok)
+               lambda pair: pair_ok(pair, known), lambda pair: pair_ok(pair)[0])
 
     notes = ()
     if disjoint_trials:
@@ -401,7 +453,7 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
     constant = c_constant(order, q)
 
     def check(t: Tensor):
-        indep = max_independent_set(t)
+        indep = max_independent_set(t, budget)
         size = len(indep)
         k = bias_fiber(t, budget).numerator
         ok = _indep_ok_exact(k, q, dim, order, size) and _indep_ok_stated(k, q, dim, order, size)
@@ -417,7 +469,7 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
     def identity_ok(t: Tensor):
         k = bias_fiber(t, budget).numerator
         ok = (k == diagonal_bias_numerator(q, dim, order, dim)
-              and len(max_independent_set(t)) == dim)
+              and len(max_independent_set(t, budget)) == dim)
         return ok, None, lambda: _tensor_witness(t=t, k=k)
 
     _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
@@ -426,7 +478,7 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
         return tracker.result()
     diag_ok = _drive(tracker, _universe(field, dim, order, trials=DIAGONAL_TRIALS,
                                         seed=seed ^ 0xD1A6,
-                                        draw=lambda gen: tuple(gen.below(q) for _ in range(dim))),
+                                        draw=lambda gen: gen.residues(q, dim)),
                      closed_form_ok)
     _drive(tracker, [identity_tensor(field, dim, order)], identity_ok)
     notes = (f"diagonal closed form exact on {diag_ok}/{DIAGONAL_TRIALS} draws plus identity",)

@@ -204,12 +204,12 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
 def _term(field: PrimeField, dim: int, order: int, kind: str,
           coeffs: tuple[int, ...], slots_a, factors) -> RankOneTerm:
     """The RankOneTerm of one candidate array and its factors."""
-    tensor = Tensor(field, dim, order, coeffs)
+    tensor = Tensor._trusted(field, dim, order, coeffs)
     if kind == "rank":
         return RankOneTerm(kind, None, factors, tensor)
     arr_a, arr_b = factors
-    return RankOneTerm(kind, slots_a, (Tensor(field, dim, len(slots_a), arr_a),
-                                       Tensor(field, dim, order - len(slots_a), arr_b)),
+    return RankOneTerm(kind, slots_a, (Tensor._trusted(field, dim, len(slots_a), arr_a),
+                                       Tensor._trusted(field, dim, order - len(slots_a), arr_b)),
                        tensor)
 
 
@@ -555,26 +555,42 @@ def is_independent_set(t: Tensor, indices: Sequence[int]) -> bool:
     return True
 
 
-def _can_extend(t: Tensor, current: tuple[int, ...], new: int) -> bool:
-    """All non-constant tuples from current + {new} that use `new` vanish."""
+def _can_extend(t: Tensor, current: tuple[int, ...], new: int, charge) -> bool:
+    """All non-constant tuples from current + {new} that use `new` vanish.
+
+    `charge(count)` is told how many index tuples were examined.
+    """
     pool = current + (new,)
-    for tup in product(pool, repeat=t.order):
+    for count, tup in enumerate(product(pool, repeat=t.order), 1):
         if new not in tup:
             continue
         if all(i == tup[0] for i in tup):
             continue
         if t.entry(tup) != 0:
+            charge(count)
             return False
+    charge(len(pool) ** t.order)
     return True
 
 
-def max_independent_set(t: Tensor) -> tuple[int, ...]:
+def max_independent_set(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Maximum-cardinality independent set, lexicographically least on ties.
 
     Branch and bound over indices with a nonzero diagonal entry; adding a
     vertex checks every new non-constant tuple, so partial sets are
-    always genuinely independent.
+    always genuinely independent.  Every index tuple examined, the
+    diagonal ones included, is charged against `budget`; past it,
+    BudgetExceededError.
     """
+    spent = [0]
+
+    def charge(count: int):
+        spent[0] += count
+        if spent[0] > budget:
+            raise BudgetExceededError(f"independent-set search examined {spent[0]} index "
+                                      f"tuples, budget is {budget}")
+
+    charge(t.dim)
     candidates = [i for i in range(t.dim) if t.entry((i,) * t.order) != 0]
     best: list[tuple[int, ...]] = [()]
 
@@ -586,7 +602,7 @@ def max_independent_set(t: Tensor) -> tuple[int, ...]:
                 best[0] = current
             return
         v = candidates[pos]
-        if _can_extend(t, current, v):
+        if _can_extend(t, current, v, charge):
             dfs(pos + 1, current + (v,))
         dfs(pos + 1, current)
 

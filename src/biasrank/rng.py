@@ -29,13 +29,30 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exact via rejection sampling."""
+        return self.residues(bound, 1)[0]
+
+    def residues(self, bound: int, count: int) -> tuple[int, ...]:
+        """`count` uniform integers in [0, bound), exact via rejection sampling.
+
+        A next_u64 word at or above the largest multiple of bound that fits
+        in 64 bits is rejected.  The mix of next_u64 is inlined, so a draw
+        costs no call.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
+        state = self._state
+        out = []
+        while count > 0:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                out.append(z % bound)
+                count -= 1
+        self._state = state
+        return tuple(out)
 
 
 def substream(seed: int, index: int) -> SplitMix64:

@@ -9,6 +9,13 @@ Tensors are immutable and all operations are pure.
 The module also defines :class:`MultiComponentForm` (a sum of tensors on
 slot subsets, one component per subset of [d]) and the canonical
 line-oriented text format used by the command line tools.
+
+Coefficients are validated at the boundaries only: the public
+``Tensor(...)`` constructor, :func:`from_entries` and :func:`parse_tensor`
+reject a non-residue, a non-int and a wrong length.  Results computed from
+tensors that already hold residues (``+``, ``-``, :meth:`Tensor.scale`,
+:func:`restrict`, :func:`random_tensor`, :func:`all_tensors`) are built by
+the internal :meth:`Tensor._trusted`, which skips that check.
 """
 
 from __future__ import annotations
@@ -37,14 +44,18 @@ class TensorFormatError(ValueError):
         self.line = line
 
 
+def _check_dims(dim: int, order: int):
+    if dim < 0 or order < 0:
+        raise ValueError("dimension and order must be nonnegative")
+
+
 class Tensor:
     """Order-d multilinear form on (F_p^n)^d, stored densely."""
 
     __slots__ = ("field", "dim", "order", "coeffs", "_nonzero")
 
     def __init__(self, field: PrimeField, dim: int, order: int, coeffs: Iterable[int]):
-        if dim < 0 or order < 0:
-            raise ValueError("dimension and order must be nonnegative")
+        _check_dims(dim, order)
         coeffs = tuple(coeffs)
         if len(coeffs) != dim ** order:
             raise ValueError(
@@ -59,6 +70,22 @@ class Tensor:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_nonzero", None)
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, dim: int, order: int,
+                 coeffs: tuple[int, ...]) -> "Tensor":
+        """A tensor from a tuple of dim^order residues, with no validation.
+
+        For results the package computes from residues; everything from
+        outside goes through ``Tensor(...)``.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "field", field)
+        object.__setattr__(t, "dim", dim)
+        object.__setattr__(t, "order", order)
+        object.__setattr__(t, "coeffs", coeffs)
+        object.__setattr__(t, "_nonzero", None)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -146,19 +173,20 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
         p = self.field.p
-        return Tensor(self.field, self.dim, self.order,
-                      ((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return Tensor._trusted(self.field, self.dim, self.order,
+                               tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
         p = self.field.p
-        return Tensor(self.field, self.dim, self.order,
-                      ((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return Tensor._trusted(self.field, self.dim, self.order,
+                               tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c: int) -> "Tensor":
         c = self.field.check(c)
         p = self.field.p
-        return Tensor(self.field, self.dim, self.order, (a * c % p for a in self.coeffs))
+        return Tensor._trusted(self.field, self.dim, self.order,
+                               tuple(a * c % p for a in self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +227,9 @@ def identity_tensor(field: PrimeField, dim: int, order: int) -> Tensor:
 
 def random_tensor(field: PrimeField, dim: int, order: int, seed: int) -> Tensor:
     """Coefficients i.i.d. uniform over F_p from SplitMix64(seed)."""
+    _check_dims(dim, order)
     gen = SplitMix64(seed)
-    return Tensor(field, dim, order, (gen.below(field.p) for _ in range(dim ** order)))
+    return Tensor._trusted(field, dim, order, gen.residues(field.p, dim ** order))
 
 
 def dense_cells(dim: int, order: int) -> int:
@@ -228,9 +257,10 @@ def universe_size(p: int, dim: int, order: int) -> int:
 
 def all_tensors(field: PrimeField, dim: int, order: int):
     """Every tensor of the given shape, in lexicographic coefficient order."""
+    _check_dims(dim, order)
     universe_size(field.p, dim, order)
     for coeffs in product(field.elements(), repeat=dim ** order):
-        yield Tensor(field, dim, order, coeffs)
+        yield Tensor._trusted(field, dim, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +319,7 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
                     new[dst + t_in] = acc % p
         coeffs = new
         dims[slot] = k
-    return Tensor(t.field, k, t.order, coeffs)
+    return Tensor._trusted(t.field, k, t.order, tuple(coeffs))
 
 
 def coordinate_basis(n: int, indices: Sequence[int]) -> tuple[Vector, ...]:

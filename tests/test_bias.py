@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from biasrank import bias
 from biasrank.bias import (
     AnalyticRank,
     BiasValue,
@@ -181,6 +182,51 @@ class TestGrayWalk:
             seen.append(tuple(vec))
         assert len(seen) == p ** n
         assert set(seen) == set(product(range(p), repeat=n))
+
+
+class TestOrderTwoMemo:
+    """The memoized order-2 fiber count against a fresh rank, and its bound."""
+
+    @staticmethod
+    def expected(p, cells):
+        rows = [[c % p for c in cells[j * 2:(j + 1) * 2]] for j in range(2)]
+        return p ** (2 - matrix_rank(PrimeField(p), rows))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_reduced_matrix(self, p):
+        kernel = bias._Packed(p, 2, 1)
+        assert kernel.memo is not None
+        for cells in product(range(p), repeat=4):
+            x = kernel.pack(cells)
+            for _ in range(2):  # a miss, then a hit
+                assert kernel.matrix_fibers(x) == self.expected(p, cells)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_unreduced_cells_of_the_walk(self, p):
+        kernel = bias._Packed(p, 2, 1)
+        gen = substream(p, 0)
+        unreduced = 0
+        for _ in range(30):
+            x = kernel.pack(random_tensor(PrimeField(p), 2, 3, gen.next_u64()).coeffs)
+            for child in kernel.walk(x, 3, lines=False):
+                cells = list(kernel.cells(child, 4))
+                unreduced += max(cells) >= p
+                assert kernel.matrix_fibers(child) == self.expected(p, cells)
+        assert unreduced > 0
+
+    def test_size_stays_within_its_bound(self):
+        p = 3
+        kernel = bias._Packed(p, 2, 1)
+        top = (p - 1) * 2 * (p - 1)  # largest unreduced cell one contraction deep
+        inputs = [kernel.pack(cells) for cells in product(range(top + 1), repeat=4)]
+        assert len(inputs) > p ** 4
+        for x in inputs:
+            kernel.matrix_fibers(x)
+        assert 0 < len(kernel.memo) <= p ** 4 <= bias._MEMO_KEYS
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (11, 2)])
+    def test_off_where_the_key_space_is_large_or_trivial(self, p, n):
+        assert bias._Packed(p, n, 1).memo is None
 
 
 class TestHistogram:

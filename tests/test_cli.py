@@ -330,6 +330,18 @@ def test_exact_search_refusals_exit_three(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_maxindep_budget_is_charged(capsys, tmp_path):
+    path = tmp_path / "t263.txt"
+    path.write_text(serialize_tensor(random_tensor(PrimeField(2), 6, 3, 0)))
+    code, out, err = run(capsys, "maxindep", str(path), "--budget", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run(capsys, "maxindep", str(path))
+    assert code == 0
+    assert out == ("independent set = {0}\nsize = 1\n"
+                   "arank >= c(3, 2) * 1 = 0.415037499279\n")
+
+
 @pytest.mark.parametrize("argv", [
     "check arank-le-prank --p 2 --n 0 --d 3 --trials 2",
     "check arank-le-prank --p 2 --n 0 --d 3 --exhaustive",
@@ -373,6 +385,9 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
     pytest.param("check arank-le-prank --p 3 --n 2 --d 3 --trials 20 --seed 5",
                  "f5541260446591476b8c1ccce004ed279a497177a6b1285164010a24c6ff9f16",
                  id="arank-le-prank-p3"),
+    pytest.param("check subadditivity --p 3 --n 2 --d 2 --exhaustive",
+                 "a463d139c55b36230f55d20fb7c19a7c39ae1f4c7430fe4547ead9f069fa6558",
+                 id="subadditivity-exhaustive-p3"),
 ])
 def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -1,9 +1,11 @@
 """The law harness: every law holds on its universe, runs reproduce bit-for-bit."""
 
+from itertools import islice, product
+
 import pytest
 
 from biasrank import laws
-from biasrank.bias import BudgetExceededError
+from biasrank.bias import BiasValue, BudgetExceededError
 from biasrank.gf import PrimeField
 from biasrank.laws import (
     CorrelationInstance,
@@ -19,7 +21,7 @@ from biasrank.laws import (
 )
 from biasrank.ranks import rank_bounds
 from biasrank.rng import substream
-from biasrank.tensor import identity_tensor, random_tensor, zero_tensor
+from biasrank.tensor import Tensor, all_tensors, identity_tensor, random_tensor, zero_tensor
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -46,6 +48,44 @@ class TestSubadditivity:
         result = law_subadditivity(F2, 2, 3, trials=0, seed=9, disjoint_trials=50)
         assert result.holds
         assert "direct-sum tightness: 50/50" in result.notes[0]
+
+
+class TestSubadditivityPairsByIndex:
+    """Exhaustive pairs are cube indices; tensors are built only for a witness."""
+
+    def test_passing_exhaustive_run_adds_no_tensors(self, monkeypatch):
+        calls = []
+        add = Tensor.__add__
+        monkeypatch.setattr(Tensor, "__add__", lambda t, s: calls.append(1) or add(t, s))
+        assert law_subadditivity(F2, 2, 3, exhaustive=True).holds
+        assert calls == []
+        law_subadditivity(F3, 2, 3, trials=5)  # the counter does see seeded pairs
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("field,dim,order,target", [(F2, 2, 3, 200), (F3, 2, 2, 50)])
+    def test_witness_is_the_first_failing_pair(self, monkeypatch, field, dim, order, target):
+        cube = list(all_tensors(field, dim, order))
+        broken = cube[target].coeffs
+        real = laws.bias_fiber
+
+        def bias_fiber(t, budget=laws.DEFAULT_BUDGET):
+            value = real(t, budget)
+            return BiasValue(0, value.exponent, value.base) if t.coeffs == broken else value
+
+        monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
+        q_e = field.p ** (dim * (order - 1))
+        k = lambda t: bias_fiber(t).numerator  # noqa: E731
+        failing = list(islice(((t, s) for t, s in product(cube, repeat=2)
+                               if k(t + s) * q_e < k(t) * k(s)), 2))
+        assert len(failing) == 2 and failing[0][0] != cube[0]
+        t, s = failing[0]
+        result = law_subadditivity(field, dim, order, exhaustive=True)
+        assert not result.holds and result.checked == len(cube) ** 2
+        assert list(result.witness) == ["t", "s", "k_sum", "k_t", "k_s"]
+        shape = {"p": field.p, "n": dim, "d": order}
+        assert result.witness == {"t": dict(shape, coeffs=list(t.coeffs)),
+                                  "s": dict(shape, coeffs=list(s.coeffs)),
+                                  "k_sum": k(t + s), "k_t": k(t), "k_s": k(s)}
 
 
 class TestCorrelation:

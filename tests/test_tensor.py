@@ -75,6 +75,37 @@ class TestConstruction:
             t.dim = 3
 
 
+class TestValidationBoundary:
+    """Outside input is validated; only the package's own results skip the check."""
+
+    @pytest.mark.parametrize("coeffs", [(0, 1, 2, 0), (0, -1, 0, 0), (0, 1.0, 0, 0),
+                                        (0, "1", 0, 0), (0, 1, 0), (0, 1, 0, 0, 1)])
+    def test_public_constructor_rejects(self, coeffs):
+        with pytest.raises(ValueError):
+            Tensor(F2, 2, 2, coeffs)
+
+    @pytest.mark.parametrize("entries", [[((0, 1), 1.0)], [((0, 1), 0.5)],
+                                         [((0,), 1)], [((0, 1, 1), 1)], [((0, -1), 1)]])
+    def test_from_entries_rejects(self, entries):
+        # int values are reduced mod p (duplicates are summed), so a non-residue
+        # reaching the constructor is a non-int; a wrong length is an index arity
+        with pytest.raises(ValueError):
+            from_entries(F3, 2, 2, entries)
+
+    @pytest.mark.parametrize("text", ["2 2 2\n0 1 2\n", "2 2 2\n0 1 -1\n",
+                                      "2 2 2\n0 1 1.0\n", "2 2 2\n0 1\n", "2 2 2\n0 1 1 1\n"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(TensorFormatError):
+            parse_tensor(text)
+
+    def test_package_results_hold_residues(self):
+        t, s = random_tensor(F5, 2, 3, 1), random_tensor(F5, 2, 3, 2)
+        basis = ((1, 2), (0, 3))
+        for result in (t + s, t - s, t.scale(3), restrict(t, basis)):
+            assert all(type(c) is int and 0 <= c < 5 for c in result.coeffs)
+            assert Tensor(F5, result.dim, result.order, result.coeffs) == result
+
+
 class TestEvaluation:
     def test_identity_char2_cancellation(self):
         t = identity_tensor(F2, 2, 3)
@@ -259,6 +290,28 @@ class TestRandomTensor:
     def test_empty_dimension(self):
         t = random_tensor(F2, 0, 3, 9)
         assert t.coeffs == ()
+
+    @staticmethod
+    def oracle_draws(seed, bound, count):
+        """Rejection sampling on next_u64 words, one word at a time."""
+        gen, out = SplitMix64(seed), []
+        limit = (1 << 64) - (1 << 64) % bound
+        while len(out) < count:
+            word = gen.next_u64()
+            if word < limit:
+                out.append(word % bound)
+        return tuple(out), gen.next_u64()
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, (1 << 63) + 1])
+    def test_draws_match_the_rejection_oracle(self, bound):
+        # (1 << 63) + 1 rejects about half of all words, so the rejection path runs
+        bulk, single = SplitMix64(77), SplitMix64(77)
+        draws = bulk.residues(bound, 200)
+        assert (draws, bulk.next_u64()) == self.oracle_draws(77, bound, 200)
+        assert tuple(single.below(bound) for _ in range(200)) == draws
+
+    def test_coefficients_are_successive_residue_draws(self):
+        assert random_tensor(F5, 2, 3, 4242).coeffs == self.oracle_draws(4242, 5, 8)[0]
 
     def test_coefficients_roughly_uniform(self):
         # chi-square style sanity: 10000 draws over F_5, each class near 2000
