@@ -20,7 +20,6 @@ from .bias import (
 )
 from .gf import PrimeField, matrix_rank
 from .laws import (
-    LAW_IDS,
     CorrelationInstance,
     LawResult,
     SurveyReport,
@@ -36,13 +35,11 @@ from .laws import (
 from .ranks import (
     RankOneTerm,
     RankReport,
-    candidate_terms,
     greedy_decomposition,
     is_independent_set,
     max_independent_set,
     rank_bounds,
     rank_exact,
-    rank_upper_greedy,
 )
 from .tensor import (
     MultiComponentForm,

@@ -133,9 +133,12 @@ def _within_limit(size, *shape) -> None:
         raise UsageError(str(exc))
 
 
-def _check_trials(trials) -> None:
-    if trials is not None and trials < 0:
-        raise UsageError(f"--trials must be at least 0, got {trials}")
+def _check_trials(args) -> None:
+    """The --exhaustive and --trials rules that check and survey share."""
+    if args.exhaustive and args.trials is not None:
+        raise UsageError("--exhaustive and --trials cannot be combined")
+    if args.trials is not None and args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
 
 
 def _load_tensor(path: str):
@@ -211,7 +214,7 @@ def cmd_constant(args) -> int:
         raise UsageError(f"--q must be at least 2, got {args.q}")
     value = c_constant(args.d, args.q)
     bound_low = 2.0 ** (-args.d)
-    bound_large = 1.0 - math.log(args.d - 1) / math.log(args.q) if args.d > 1 else 1.0
+    bound_large = 1.0 - math.log(args.d - 1) / math.log(args.q)
     trivial = " (trivial)" if bound_large <= 0 else ""
     lines = [
         f"c({args.d}, {args.q}) = {value:.12f}",
@@ -299,9 +302,7 @@ def _universes_for(law_id: str, args) -> list[dict]:
 def cmd_check(args) -> int:
     if args.law != "all" and args.law not in _LAWS:
         raise UsageError(f"unknown law {args.law!r}; choose from {', '.join(_LAWS)}")
-    if args.exhaustive and args.trials is not None:
-        raise UsageError("--exhaustive and --trials cannot be combined")
-    _check_trials(args.trials)
+    _check_trials(args)
     universes = [(law_id, universe) for law_id in (_LAWS if args.law == "all" else [args.law])
                  for universe in _universes_for(law_id, args)]
     results = []
@@ -350,10 +351,13 @@ def cmd_gen(args) -> int:
 def cmd_survey(args) -> int:
     field = _field(args.p)
     _check_shape(args.n, args.d)
-    _check_trials(args.trials)
+    _check_trials(args)
     if args.identity_max < 0:
         raise UsageError(f"--identity-max must be at least 0, got {args.identity_max}")
     if args.identity_max:
+        if args.n is not None or args.exhaustive or args.trials is not None:
+            raise UsageError("--identity-max cannot be combined with --n, --exhaustive "
+                             "or --trials")
         _within_limit(dense_cells, args.identity_max, args.d)
     elif args.n is None:
         raise UsageError("--n is required unless --identity-max is given")
@@ -461,13 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TensorFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TensorFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

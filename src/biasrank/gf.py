@@ -1,7 +1,7 @@
 """Exact arithmetic in prime fields F_p and dense linear algebra over them.
 
 Residues are plain Python ints in [0, p).  Vectors are tuples of residues
-and matrices are tuples of row tuples; :class:`PrimeField` carries the
+and matrices are sequences of rows; :class:`PrimeField` carries the
 modulus and all modular arithmetic.  Ranks come from one Gaussian
 elimination per field kind: :func:`gf2_rank` on rows packed as int
 bitsets, by word-wide XOR, and :func:`rank_mod_p` on rows of residues
@@ -21,7 +21,6 @@ from .rng import SplitMix64
 MAX_MODULUS = 1 << 31
 
 Vector = tuple[int, ...]
-Matrix = tuple[Vector, ...]
 
 
 def is_prime(n: int) -> bool:
@@ -59,9 +58,6 @@ class PrimeField:
             raise ValueError(f"{a!r} is not a residue mod {self.p}")
         return a
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat's little theorem."""
         if a % self.p == 0:
@@ -76,40 +72,8 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Vectors
+# Ranks and random bases
 # ---------------------------------------------------------------------------
-
-def vector(field: PrimeField, entries: Iterable[int]) -> Vector:
-    """Validated residue vector."""
-    return tuple(field.check(a) for a in entries)
-
-
-def vec_add(field: PrimeField, u: Sequence[int], v: Sequence[int]) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    p = field.p
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    if not 0 <= i < n:
-        raise ValueError(f"unit index {i} out of range for length {n}")
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def random_vector(field: PrimeField, n: int, gen: SplitMix64) -> Vector:
-    return gen.residues(field.p, n)
-
-
-# ---------------------------------------------------------------------------
-# Matrices and rank
-# ---------------------------------------------------------------------------
-
-def transpose(rows: Sequence[Sequence[int]]) -> Matrix:
-    if not rows:
-        return ()
-    return tuple(zip(*rows))
-
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over F_2 of rows packed as int bitsets, by word-wide XOR.
@@ -168,8 +132,8 @@ def matrix_rank(field: PrimeField, rows: Sequence[Sequence[int]]) -> int:
     return rank_mod_p(field.p, rows)
 
 
-def random_matrix(field: PrimeField, nrows: int, ncols: int, gen: SplitMix64) -> Matrix:
-    return tuple(tuple(gen.below(field.p) for _ in range(ncols)) for _ in range(nrows))
+def random_vector(field: PrimeField, n: int, gen: SplitMix64) -> Vector:
+    return gen.residues(field.p, n)
 
 
 def random_full_rank_basis(field: PrimeField, n: int, k: int, gen: SplitMix64) -> tuple[Vector, ...]:

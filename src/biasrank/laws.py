@@ -7,9 +7,9 @@ one exception is the multi-component bound at p > 2, where the complex
 bias is a double and the comparison carries an explicit slack).
 
 Every law draws its instances from :func:`_universe` and checks them
-through :func:`_drive`, phase by phase.  Violations can only come from
-implementation bugs; any counterexample witness is replayed before it is
-reported, and seeded runs are bit-reproducible.
+through :meth:`_Tracker.drive`, phase by phase.  Violations can only
+come from implementation bugs; any counterexample witness is replayed
+before it is reported, and seeded runs are bit-reproducible.
 
 Subadditivity keeps one K per distinct tensor of its universe.  Its
 exhaustive pairs are indices into the cube in `all_tensors` order: the
@@ -64,16 +64,6 @@ CORRELATION_MAX_EACH = 3
 # Float slack of lemma-bias at p > 2, where the complex bias is a double.
 LEMMA_BIAS_TOL = 1e-9
 
-LAW_IDS = (
-    "subadditivity",
-    "correlation",
-    "arank-le-prank",
-    "independent-bound",
-    "restriction-monotone",
-    "lemma-bias",
-    "basis-invariance",
-)
-
 
 @dataclass(frozen=True)
 class LawResult:
@@ -107,38 +97,34 @@ class _Tracker:
         self.min_slack: Optional[float] = None
         self.witness: Optional[dict] = None
 
-    def record(self, ok: bool, slack: Optional[float], witness: Callable[[], dict],
-               replay: Callable[[], bool]):
-        self.checked += 1
-        if slack is not None and (self.min_slack is None or slack < self.min_slack):
-            self.min_slack = slack
-        if not ok and self.witness is None:
-            if replay():
-                raise RuntimeError(f"{self.law}: counterexample failed to replay")
-            self.witness = witness()
+    def drive(self, instances: Iterable,
+              check: Callable[[object], tuple[bool, Optional[float], Callable[[], dict]]],
+              replay: Optional[Callable[[object], bool]] = None) -> int:
+        """Record `check(instance)` = (ok, slack, witness thunk) for every instance.
+
+        The first failure is replayed by `replay(instance)`, by default a
+        second `check`, before its witness is kept; a failure that does not
+        replay is a RuntimeError.  Returns how many instances held.
+        """
+        held = 0
+        for inst in instances:
+            ok, slack, witness = check(inst)
+            self.checked += 1
+            if slack is not None and (self.min_slack is None or slack < self.min_slack):
+                self.min_slack = slack
+            if ok:
+                held += 1
+            elif self.witness is None:
+                if replay(inst) if replay else check(inst)[0]:
+                    raise RuntimeError(f"{self.law}: counterexample failed to replay")
+                self.witness = witness()
+        return held
 
     def result(self, notes: tuple[str, ...] = ()) -> LawResult:
         if self.checked == 0:
             notes = notes + ("empty universe: vacuous pass",)
         return LawResult(self.law, self.universe, self.witness is None,
                          self.checked, self.witness, self.min_slack, notes)
-
-
-def _drive(tracker: _Tracker, instances: Iterable,
-           check: Callable[[object], tuple[bool, Optional[float], Callable[[], dict]]],
-           replay: Optional[Callable[[object], bool]] = None) -> int:
-    """Record `check(instance)` = (ok, slack, witness thunk) for every instance.
-
-    A failure is replayed by `replay(instance)`, by default a second
-    `check`, before its witness is kept.  Returns how many instances held.
-    """
-    replay = replay or (lambda inst: check(inst)[0])
-    held = 0
-    for inst in instances:
-        ok, slack, witness = check(inst)
-        tracker.record(ok, slack, witness, lambda: replay(inst))
-        held += ok
-    return held
 
 
 def _draw_tensor(field: PrimeField, dim: int, order: int, gen: SplitMix64) -> Tensor:
@@ -254,17 +240,17 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
             i, j = ij
             return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
 
-        _drive(tracker, product(range(len(cube)), repeat=2), index_pair_ok,
-               lambda ij: pair_ok((cube[ij[0]], cube[ij[1]]))[0])
+        tracker.drive(product(range(len(cube)), repeat=2), index_pair_ok,
+                      lambda ij: pair_ok((cube[ij[0]], cube[ij[1]]))[0])
     else:
-        _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw_pair),
-               lambda pair: pair_ok(pair, known), lambda pair: pair_ok(pair)[0])
+        tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw_pair),
+                      lambda pair: pair_ok(pair, known), lambda pair: pair_ok(pair)[0])
 
     notes = ()
     if disjoint_trials:
-        equal = _drive(tracker, _universe(field, dim, order, trials=disjoint_trials,
-                                          seed=seed ^ 0x5D15, draw=draw_pair),
-                       direct_sum_ok)
+        equal = tracker.drive(_universe(field, dim, order, trials=disjoint_trials,
+                                        seed=seed ^ 0x5D15, draw=draw_pair),
+                              direct_sum_ok)
         notes = (f"direct-sum tightness: {equal}/{disjoint_trials} exact equalities",)
     return tracker.result(notes)
 
@@ -364,7 +350,7 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
                             **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
             **details)
 
-    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
+    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
     return tracker.result()
 
 
@@ -408,12 +394,12 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         ok = bias_fiber(term.tensor, budget).numerator * q >= q ** exponent
         return ok, None, lambda: _tensor_witness(t=term.tensor, note="rank-one bias below 1/q")
 
-    _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                              seed=seed), check)
+    tracker.drive(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                            seed=seed), check)
     if not nonempty:
         return tracker.result()
     terms = table.terms
-    held = _drive(tracker, terms, rank_one_ok)
+    held = tracker.drive(terms, rank_one_ok)
     return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(terms)}",))
 
 
@@ -472,15 +458,15 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
               and len(max_independent_set(t, budget)) == dim)
         return ok, None, lambda: _tensor_witness(t=t, k=k)
 
-    _drive(tracker, _universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                              seed=seed), check)
+    tracker.drive(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                            seed=seed), check)
     if not (exhaustive or trials > 0):
         return tracker.result()
-    diag_ok = _drive(tracker, _universe(field, dim, order, trials=DIAGONAL_TRIALS,
-                                        seed=seed ^ 0xD1A6,
-                                        draw=lambda gen: gen.residues(q, dim)),
-                     closed_form_ok)
-    _drive(tracker, [identity_tensor(field, dim, order)], identity_ok)
+    diag_ok = tracker.drive(_universe(field, dim, order, trials=DIAGONAL_TRIALS,
+                                      seed=seed ^ 0xD1A6,
+                                      draw=lambda gen: gen.residues(q, dim)),
+                            closed_form_ok)
+    tracker.drive([identity_tensor(field, dim, order)], identity_ok)
     notes = (f"diagonal closed form exact on {diag_ok}/{DIAGONAL_TRIALS} draws plus identity",)
     return tracker.result(notes)
 
@@ -515,9 +501,9 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
-    _drive(tracker, draws, check)
-    _drive(tracker, ((t, coordinate_basis(dim, subset), {"subset": list(subset)})
-                     for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets), check)
+    tracker.drive(draws, check)
+    tracker.drive(((t, coordinate_basis(dim, subset), {"subset": list(subset)})
+                   for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets), check)
     return tracker.result()
 
 
@@ -545,10 +531,10 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             top=form.top(),
             components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
 
-    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed,
-                              draw=lambda gen: random_multiform(field, dim, order,
-                                                                gen.next_u64())),
-           check)
+    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed,
+                            draw=lambda gen: random_multiform(field, dim, order,
+                                                              gen.next_u64())),
+                  check)
     return tracker.result()
 
 
@@ -572,7 +558,7 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
         ok = bias_fiber(restrict(t, basis), budget) == bias_fiber(t, budget)
         return ok, None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
 
-    _drive(tracker, _universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
+    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
     return tracker.result()
 
 

@@ -8,7 +8,9 @@ array; at each search node the chosen candidate must be nonzero at the
 residual's first lexicographic nonzero coefficient, which is a complete
 pruning rule.  A slice or partition candidate is built as the flat outer
 product of its two factor arrays, put into full cell order by one
-precomputed index gather per bipartition.  The candidate table and the
+precomputed index gather per bipartition; the gather and the greedy
+bound's matricizations read each cell's (A, B) position from one helper,
+:func:`_cell_positions`.  The candidate table and the
 search hold coefficient arrays only; RankOneTerm objects (and their
 tensors) are made on demand, for the terms of a certificate or when a
 caller asks for every term.  Every returned decomposition is re-summed
@@ -59,9 +61,6 @@ class RankOneTerm:
     factors: tuple
     tensor: Tensor
 
-    def expand(self) -> Tensor:
-        return self.tensor
-
 
 @dataclass(frozen=True)
 class RankReport:
@@ -83,7 +82,7 @@ class RankReport:
 def _verify_certificate(t: Tensor, terms: Sequence[RankOneTerm]):
     total = zero_tensor(t.field, t.dim, t.order)
     for term in terms:
-        total = total + term.expand()
+        total = total + term.tensor
     if total != t:
         raise AssertionError("decomposition does not re-sum to the tensor")
 
@@ -114,24 +113,31 @@ def _outer_product(field: PrimeField, vectors: Sequence[Sequence[int]]) -> tuple
     return tuple(coeffs)
 
 
+def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Each cell's (row, column) in the (A, B) matricization, in cell order.
+
+    Row fa and column fb are the row-major indices of the cell's A-slots
+    and of its other slots: each slot in turn appends its index digit to
+    one of them.
+    """
+    positions = [(0, 0)]
+    for s in range(order):
+        if s in slots_a:
+            positions = [(fa * dim + i, fb) for fa, fb in positions for i in range(dim)]
+        else:
+            positions = [(fa, fb * dim + i) for fa, fb in positions for i in range(dim)]
+    return positions
+
+
 def _gather(dim: int, order: int, slots_a: tuple[int, ...]):
     """Map the flat A-by-B outer product of two arrays onto full cell order.
 
-    Cell (i_1, ..., i_d) is the product of cell fa of the A-array and cell
-    fb of the B-array, where fa and fb are the row-major indices of its
-    A-slots and its B-slots, so it sits at fa * n^|B| + fb of the outer
-    product.
+    A cell is the product of cell fa of the A-array and cell fb of the
+    B-array (:func:`_cell_positions`), so it sits at fa * n^|B| + fb of the
+    outer product.
     """
-    slots_b = tuple(s for s in range(order) if s not in slots_a)
-    len_b = dim ** len(slots_b)
-    cells = []
-    for idx in product(range(dim), repeat=order):
-        fa = fb = 0
-        for s in slots_a:
-            fa = fa * dim + idx[s]
-        for s in slots_b:
-            fb = fb * dim + idx[s]
-        cells.append(fa * len_b + fb)
+    len_b = dim ** (order - len(slots_a))
+    cells = [fa * len_b + fb for fa, fb in _cell_positions(dim, order, slots_a)]
     if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
         return lambda outer: tuple(outer[c] for c in cells)
     return itemgetter(*cells)
@@ -164,8 +170,6 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
-    if order < 2:
-        raise ValueError("candidate terms need order >= 2")
     p = field.p
     seen: set[tuple[int, ...]] = set()
 
@@ -199,25 +203,6 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
                 if coeffs not in seen:
                     seen.add(coeffs)
                     yield coeffs, side, (arr_a, arr_b)
-
-
-def _term(field: PrimeField, dim: int, order: int, kind: str,
-          coeffs: tuple[int, ...], slots_a, factors) -> RankOneTerm:
-    """The RankOneTerm of one candidate array and its factors."""
-    tensor = Tensor._trusted(field, dim, order, coeffs)
-    if kind == "rank":
-        return RankOneTerm(kind, None, factors, tensor)
-    arr_a, arr_b = factors
-    return RankOneTerm(kind, slots_a, (Tensor._trusted(field, dim, len(slots_a), arr_a),
-                                       Tensor._trusted(field, dim, order - len(slots_a), arr_b)),
-                       tensor)
-
-
-def candidate_terms(field: PrimeField, dim: int, order: int, kind: str,
-                    max_candidates: int) -> list[RankOneTerm]:
-    """All rank-one tensors of the given kind, deduplicated by array."""
-    found = sorted(_candidates(field, dim, order, kind, max_candidates), key=itemgetter(0))
-    return [_term(field, dim, order, kind, *candidate) for candidate in found]
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +239,6 @@ def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
     return dfs(target, depth)
 
 
-def rank_upper_greedy(t: Tensor, kind: str) -> int:
-    """Size of a verified (not necessarily minimal) decomposition."""
-    return len(greedy_decomposition(t, kind))
-
-
 def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
     """A valid decomposition: rank-one probe first, then slot slicing.
 
@@ -277,16 +257,9 @@ def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
 
 
 def _matricization(t: Tensor, slots_a: tuple[int, ...]) -> list[list[int]]:
-    slots_b = tuple(s for s in range(t.order) if s not in slots_a)
     n = t.dim
-    rows = [[0] * (n ** len(slots_b)) for _ in range(n ** len(slots_a))]
-    for idx, c in t.nonzero_entries():
-        fa = 0
-        for s in slots_a:
-            fa = fa * n + idx[s]
-        fb = 0
-        for s in slots_b:
-            fb = fb * n + idx[s]
+    rows = [[0] * (n ** (t.order - len(slots_a))) for _ in range(n ** len(slots_a))]
+    for (fa, fb), c in zip(_cell_positions(n, t.order, slots_a), t.coeffs):
         rows[fa][fb] = c
     return rows
 
@@ -337,8 +310,6 @@ def _full_product_factors(t: Tensor) -> Optional[tuple]:
 
 def _greedy(t: Tensor, kind: str) -> list[RankOneTerm]:
     field, n, d = t.field, t.dim, t.order
-    if t.is_zero():
-        return []
     if kind == "rank":
         factors = _full_product_factors(t)
         if factors is not None:
@@ -438,24 +409,18 @@ class CandidateTable:
 
     def term(self, coeffs: tuple[int, ...]) -> RankOneTerm:
         """The RankOneTerm of one candidate array."""
-        return _term(self.field, self.dim, self.order, self.kind, coeffs,
-                     *self.by_coeffs[coeffs])
+        field, dim, order, kind = self.field, self.dim, self.order, self.kind
+        slots_a, factors = self.by_coeffs[coeffs]
+        if kind != "rank":
+            arr_a, arr_b = factors
+            factors = (Tensor._trusted(field, dim, len(slots_a), arr_a),
+                       Tensor._trusted(field, dim, order - len(slots_a), arr_b))
+        return RankOneTerm(kind, slots_a, factors, Tensor._trusted(field, dim, order, coeffs))
 
     @property
     def terms(self) -> tuple[RankOneTerm, ...]:
-        """Every candidate as a term, sorted by array, as candidate_terms lists them."""
+        """Every candidate as a term, sorted by array."""
         return tuple(self.term(coeffs) for coeffs in sorted(self.by_coeffs))
-
-
-def candidate_table(field: PrimeField, dim: int, order: int, kind: str,
-                    max_candidates: int) -> CandidateTable:
-    """Build and index the candidates; BudgetError past `max_candidates`."""
-    by_coeffs = {coeffs: (slots_a, factors) for coeffs, slots_a, factors
-                 in _candidates(field, dim, order, kind, max_candidates)}
-    arrays = sorted(by_coeffs)
-    by_pos = tuple([coeffs for coeffs in arrays if coeffs[pos]]
-                   for pos in range(dim ** order))
-    return CandidateTable(field, dim, order, kind, by_coeffs, by_pos)
 
 
 def search_table(field: PrimeField, dim: int, order: int, kind: str,
@@ -468,11 +433,15 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
     """
     if order < 2:
         return None
+    cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
     try:
-        return candidate_table(field, dim, order, kind,
-                               min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES))
+        by_coeffs = {coeffs: (slots_a, factors)
+                     for coeffs, slots_a, factors in _candidates(field, dim, order, kind, cap)}
     except BudgetError:
         return None
+    arrays = sorted(by_coeffs)
+    by_pos = tuple([coeffs for coeffs in arrays if coeffs[pos]] for pos in range(dim ** order))
+    return CandidateTable(field, dim, order, kind, by_coeffs, by_pos)
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,

@@ -107,7 +107,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(p={self.field.p}, n={self.dim}, d={self.order}, nnz={len(self.nonzero_entries())})"
 
-    def flat_index(self, idx: Sequence[int]) -> int:
+    def entry(self, idx: Sequence[int]) -> int:
         if len(idx) != self.order:
             raise ValueError("index arity mismatch")
         flat = 0
@@ -115,10 +115,7 @@ class Tensor:
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {idx} out of range for dim {self.dim}")
             flat = flat * self.dim + i
-        return flat
-
-    def entry(self, idx: Sequence[int]) -> int:
-        return self.coeffs[self.flat_index(idx)]
+        return self.coeffs[flat]
 
     def nonzero_entries(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """((index tuple, coefficient), ...) in lexicographic index order."""

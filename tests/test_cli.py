@@ -1,14 +1,17 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from biasrank import cli
 from biasrank.cli import main
 from biasrank.gf import PrimeField
 from biasrank.rng import substream
@@ -311,6 +314,14 @@ class TestRoundTripMany:
     pytest.param(["check", "subadditivity", "--trials", "-1"], id="negative-trials"),
     pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "-1"],
                  id="survey-identity-negative"),
+    pytest.param(["survey", "--p", "2", "--n", "2", "--d", "3", "--exhaustive", "--trials", "3"],
+                 id="survey-exhaustive-with-trials"),
+    pytest.param(["survey", "--p", "2", "--n", "2", "--d", "3", "--identity-max", "3"],
+                 id="survey-identity-with-n"),
+    pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "3", "--exhaustive"],
+                 id="survey-identity-with-exhaustive"),
+    pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "3", "--trials", "3"],
+                 id="survey-identity-with-trials"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
@@ -403,3 +414,20 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("c(3, 2) = 0.415037499279")
+
+
+def test_readme_lists_every_command_flag_and_law():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Commands and their flags:", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, flags = row.strip("|").split("|")
+        documented[command.strip(" `").split()[0]] = re.findall(r"--[a-z][a-z-]*", flags)
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actual = {name: [option for action in parser._actions for option in action.option_strings
+                     if option.startswith("--") and option != "--help"]
+              for name, parser in subparsers.choices.items()}
+    assert documented == actual
+    law_line = readme.split("Law ids for `biasrank check`:", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", law_line) == list(cli._LAWS) + ["all"]

@@ -6,12 +6,13 @@ from biasrank.gf import (
     PrimeField,
     gf2_rank,
     matrix_rank,
-    random_matrix,
     rank_mod_p,
-    transpose,
-    unit_vector,
 )
 from biasrank.rng import SplitMix64
+
+
+def random_rows(p, nrows, ncols, gen):
+    return [[gen.below(p) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def oracle_inverse(p, a):
@@ -51,10 +52,6 @@ class TestPrimeField:
             PrimeField(1 << 31)
         PrimeField(2147483647)  # largest accepted prime
 
-    def test_basic_ops(self):
-        f5 = PrimeField(5)
-        assert f5.mul(3, 4) == 2
-
     def test_inverse_matches_brute_force(self):
         f7 = PrimeField(7)
         assert f7.inv(3) == 5 == oracle_inverse(7, 3)
@@ -63,7 +60,7 @@ class TestPrimeField:
             for a in range(1, p):
                 inv = field.inv(a)
                 assert inv == oracle_inverse(p, a)
-                assert field.mul(a, inv) == 1
+                assert a * inv % p == 1
 
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -75,7 +72,7 @@ class TestMatrixRank:
         f2 = PrimeField(2)
         assert matrix_rank(f2, [[0, 0, 0]] * 3) == 0
         f3 = PrimeField(3)
-        eye = [unit_vector(4, i) for i in range(4)]
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
         assert matrix_rank(f3, eye) == 4
 
     def test_empty(self):
@@ -86,7 +83,7 @@ class TestMatrixRank:
         field = PrimeField(p)
         gen = SplitMix64(6 * p)
         for _ in range(60):
-            m = random_matrix(field, 5, 5, gen)
+            m = random_rows(p, 5, 5, gen)
             assert matrix_rank(field, m) == oracle_rank(p, [list(r) for r in m])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -94,14 +91,14 @@ class TestMatrixRank:
         field = PrimeField(p)
         gen = SplitMix64(99 + p)
         for _ in range(40):
-            m = random_matrix(field, 4, 6, gen)
-            assert matrix_rank(field, m) == matrix_rank(field, transpose(m))
+            m = random_rows(p, 4, 6, gen)
+            assert matrix_rank(field, m) == matrix_rank(field, list(zip(*m)))
 
     def test_row_operations_invariance(self):
         field = PrimeField(5)
         gen = SplitMix64(17)
         for _ in range(30):
-            m = [list(r) for r in random_matrix(field, 4, 4, gen)]
+            m = random_rows(5, 4, 4, gen)
             base = matrix_rank(field, m)
             m[0], m[2] = m[2], m[0]
             assert matrix_rank(field, m) == base
@@ -114,7 +111,7 @@ class TestMatrixRank:
         field = PrimeField(2)
         gen = SplitMix64(31337)
         for _ in range(100):
-            rows = random_matrix(field, 5, 7, gen)
+            rows = random_rows(2, 5, 7, gen)
             packed = [sum(x << j for j, x in enumerate(r)) for r in rows]
             expected = rank_mod_p(2, rows)
             assert gf2_rank(packed) == matrix_rank(field, rows) == expected
@@ -124,5 +121,5 @@ class TestMatrixRank:
         field = PrimeField(3)
         gen = SplitMix64(4)
         for _ in range(20):
-            m = random_matrix(field, 3, 6, gen)
+            m = random_rows(3, 3, 6, gen)
             assert 0 <= matrix_rank(field, m) <= 3

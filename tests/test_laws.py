@@ -247,7 +247,8 @@ class TestWitnessMachinery:
     def test_tracker_replays_before_reporting(self):
         from biasrank.laws import _Tracker
         tracker = _Tracker("demo", "unit")
-        tracker.record(False, None, lambda: {"instance": 1}, lambda: False)
+        tracker.drive([1], lambda inst: (False, None, lambda: {"instance": inst}),
+                      lambda inst: False)
         result = tracker.result()
         assert not result.holds
         assert result.witness == {"instance": 1}
@@ -256,7 +257,7 @@ class TestWitnessMachinery:
         from biasrank.laws import _Tracker
         tracker = _Tracker("demo", "unit")
         with pytest.raises(RuntimeError):
-            tracker.record(False, None, lambda: {}, lambda: True)
+            tracker.drive([1], lambda inst: (False, None, lambda: {}), lambda inst: True)
 
     def test_result_serializes(self):
         import json

@@ -8,15 +8,11 @@ import pytest
 from biasrank.bias import analytic_rank, bias_fiber
 from biasrank.gf import PrimeField, matrix_rank
 from biasrank.ranks import (
-    MAX_SEARCH_CANDIDATES,
-    candidate_table,
-    candidate_terms,
     greedy_decomposition,
     is_independent_set,
     max_independent_set,
     rank_bounds,
     rank_exact,
-    rank_upper_greedy,
     search_table,
 )
 from biasrank.rng import substream
@@ -98,7 +94,7 @@ class TestExactSearch:
                 assert report.exact
                 total = zero_tensor(F2, 2, 3)
                 for term in report.certificate:
-                    total = total + term.expand()
+                    total = total + term.tensor
                 assert total == t
 
     def test_rank_ordering_exhaustive_cube(self):
@@ -139,29 +135,29 @@ class TestExactSearch:
 
 class TestGreedy:
     def test_zero(self):
-        assert rank_upper_greedy(zero_tensor(F2, 2, 3), "prank") == 0
+        assert len(greedy_decomposition(zero_tensor(F2, 2, 3), "prank")) == 0
 
     def test_probe_finds_rank_one(self):
         for seed in range(10):
             t = make_partition_rank_one(F3, 2, seed)
-            assert rank_upper_greedy(t, "prank") == 1
+            assert len(greedy_decomposition(t, "prank")) == 1
 
     def test_greedy_at_least_exact(self):
         for trial in range(25):
             t = random_tensor(F2, 2, 3, substream(123, trial).next_u64())
             for kind in ("rank", "srank", "prank"):
                 exact = rank_exact(t, kind).value
-                assert rank_upper_greedy(t, kind) >= exact
+                assert len(greedy_decomposition(t, kind)) >= exact
 
     def test_identity_greedy_equals_dimension(self):
-        assert rank_upper_greedy(identity_tensor(F2, 2, 3), "prank") == 2
-        assert rank_upper_greedy(identity_tensor(F2, 5, 3), "prank") == 5
+        assert len(greedy_decomposition(identity_tensor(F2, 2, 3), "prank")) == 2
+        assert len(greedy_decomposition(identity_tensor(F2, 5, 3), "prank")) == 5
 
     def test_matrix_peel_is_exact(self):
         for trial in range(20):
             t = random_tensor(F3, 3, 2, substream(321, trial).next_u64())
             rows = [t.coeffs[i * 3:(i + 1) * 3] for i in range(3)]
-            assert rank_upper_greedy(t, "rank") == matrix_rank(F3, rows)
+            assert len(greedy_decomposition(t, "rank")) == matrix_rank(F3, rows)
 
     def test_full_rank_probe(self):
         # product of three linear forms has rank 1
@@ -171,7 +167,7 @@ class TestGreedy:
             if c:
                 entries.append(((i, j, k), c))
         t = from_entries(F3, 2, 3, entries)
-        assert rank_upper_greedy(t, "rank") == 1
+        assert len(greedy_decomposition(t, "rank")) == 1
 
 
 class TestSearchTable:
@@ -270,21 +266,21 @@ class TestIndependentSets:
 
 class TestCandidates:
     def test_arrays_unique_and_sorted(self):
-        terms = candidate_terms(F2, 2, 3, "prank", max_candidates=10 ** 6)
+        terms = search_table(F2, 2, 3, "prank", 10 ** 8).terms
         arrays = [term.tensor.coeffs for term in terms]
         assert len(arrays) == len(set(arrays))
         assert arrays == sorted(arrays)
 
-    def test_every_candidate_verifies_rank_one(self):
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
+    def test_every_candidate_verifies_rank_one(self, p, n, d):
+        field = PrimeField(p)
         for kind in ("rank", "srank", "prank"):
-            for term in candidate_terms(F2, 2, 3, kind, max_candidates=10 ** 6):
-                assert rank_upper_greedy(term.tensor, kind) == 1
+            for term in search_table(field, n, d, kind, 10 ** 8).terms:
+                assert len(greedy_decomposition(term.tensor, kind)) == 1
 
     def test_slice_candidates_subset_of_partition(self):
-        slice_arrays = {t.tensor.coeffs
-                        for t in candidate_terms(F3, 2, 3, "srank", max_candidates=10 ** 6)}
-        partition_arrays = {t.tensor.coeffs
-                            for t in candidate_terms(F3, 2, 3, "prank", max_candidates=10 ** 6)}
+        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8).by_coeffs)
+        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8).by_coeffs)
         assert slice_arrays <= partition_arrays
 
 
@@ -367,13 +363,11 @@ class TestCandidateTable:
     def test_matches_cell_by_cell_reference(self, p, n, d, kind):
         field = PrimeField(p)
         reference = _reference_candidates(field, n, d, kind)
-        table = candidate_table(field, n, d, kind, max_candidates=10 ** 6)
+        table = search_table(field, n, d, kind, 10 ** 8)
         # same arrays in the same first-seen order, each with the same factors
         assert list(table.by_coeffs.items()) == list(reference.items())
         arrays = sorted(reference)
         assert table.by_pos == tuple([c for c in arrays if c[pos]] for pos in range(n ** d))
-        assert table.terms == tuple(candidate_terms(field, n, d, kind,
-                                                    max_candidates=10 ** 6))
 
     def test_build_makes_no_tensors(self, monkeypatch):
         made = []
@@ -384,7 +378,7 @@ class TestCandidateTable:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        table = candidate_table(F5, 2, 3, "prank", MAX_SEARCH_CANDIDATES)
+        table = search_table(F5, 2, 3, "prank", 10 ** 8)
         assert len(table.by_coeffs) == 9504
         assert not made
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from biasrank.gf import PrimeField, random_vector, vec_add
+from biasrank.gf import PrimeField, random_vector
 from biasrank.rng import SplitMix64, substream
 from biasrank.tensor import (
     MultiComponentForm,
@@ -221,7 +221,7 @@ class TestRestrict:
             for y in ys:
                 acc = (0, 0, 0)
                 for coef, b in zip(y, basis):
-                    acc = vec_add(F3, acc, tuple(coef * x % 3 for x in b))
+                    acc = tuple((a + coef * x) % 3 for a, x in zip(acc, b))
                 lifted.append(acc)
             assert sub.evaluate(ys) == t.evaluate(lifted)
 
@@ -235,7 +235,7 @@ class TestRestrict:
         for row in b2:
             acc = (0, 0, 0)
             for coef, b in zip(row, b1):
-                acc = vec_add(F5, acc, tuple(coef * x % 5 for x in b))
+                acc = tuple((a + coef * x) % 5 for a, x in zip(acc, b))
             composed.append(acc)
         assert once == restrict(t, composed)
 
@@ -274,7 +274,7 @@ class TestShiftTerms:
             xs = [random_vector(field, n, gen) for _ in range(d)]
             ys = [random_vector(field, n, gen) for _ in range(d)]
             terms = shift_terms(t, xs, ys)
-            merged = [vec_add(field, x, y) for x, y in zip(xs, ys)]
+            merged = [tuple((a + b) % p for a, b in zip(x, y)) for x, y in zip(xs, ys)]
             assert sum(terms.values()) % p == t.evaluate(merged)
 
 
