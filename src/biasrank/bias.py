@@ -5,7 +5,7 @@ of its arguments (whichever slot is left free) leaves an identically-zero
 linear form; it is therefore an exact rational K / q^(n(d-1)) with
 integer K, which is what every engine here returns.
 
-Three engines compute it, two of them on one packed-slice kernel:
+Three engines compute it on one packed-slice kernel:
 
 * :func:`bias_fiber` counts zero fibers.  It walks the leading slot in
   reflected q-ary Gray-code order, so consecutive contractions differ by
@@ -17,22 +17,32 @@ Three engines compute it, two of them on one packed-slice kernel:
   additionally factors disjoint coordinate blocks (bias is
   multiplicative across them) and memoizes repeated subproblems; both
   accelerations are value-preserving.
-* :func:`bias_histogram` walks every fixing of the leading slots but
-  takes no rank: it evaluates the linear form left in the last slot on
-  every vector, tallies all q^(nd) values, and extracts the same rational
-  from the histogram.
+* :func:`bias_histogram` takes no rank: it counts the values of T on all
+  q^(nd) inputs by the value walk below and extracts the same rational.
 
-Every walk ends in :meth:`_Packed.matrix_fibers`, which memoizes the order-2
-count q^(n-rank) on its cached kernel when the key space is small: for
-n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and n = 2 with q <= 7).  The
-key is the reduced matrix (the packed int at q = 2, the cells reduced mod q
-at odd q), so a memo never holds more than q^(n^2) entries however many
-distinct inputs a process sees; nothing is built before the first walk.
+The value walk serves the histogram and :func:`bias_multiform`.  It
+homogenizes a multi-component form R on (F_q^n)^d into one order-d tensor
+T on F_q^(n+1) whose last coordinate in a slot stands for "this slot is not
+in the component", so R(x) = T((x^1, 1), ..., (x^d, 1)); a plain tensor is
+the form with only its top component.  The leading d-1 slots walk the
+coset of vectors ending in 1 in Gray order, and each fixing leaves an
+affine form in the last slot, counted by its key reduced mod q.  There are
+at most q^(n+1) distinct forms for the q^(n(d-1)) fixings, and each is
+evaluated on every x once, its tally weighted by its count.
+
+The fiber and recursive walks end in :meth:`_Packed.matrix_fibers`, which
+memoizes the order-2 count q^(n-rank) on its cached kernel when the key
+space is small: for n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and
+n = 2 with q <= 7).  The key is the reduced matrix (the packed int at q = 2,
+the cells reduced mod q at odd q), so a memo never holds more than q^(n^2)
+entries however many distinct inputs a process sees; nothing is built
+before the first walk.
 
 Since fiber and recursive share the walk, their agreement cannot catch a
-fault in it.  The rank-free histogram, the naive zero-fiber oracle of the
-tests and the reference engine of the benchmark (``perfbench/verify.py``,
-which shares no code with this package) are the independent checks.
+fault in it.  The histogram, which shares the packing but no rank (a test
+makes every rank function raise), the naive oracles of the tests and the
+reference engine of the benchmark (``perfbench/verify.py``, which shares no
+code with this package) are the independent checks.
 
 The module also provides the additive character chi, the complex bias of
 multi-component forms, and the diagonal-tensor constant c(d, q).
@@ -42,10 +52,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
 from .tensor import MultiComponentForm, Tensor
@@ -215,7 +225,7 @@ class ValueHistogram:
 # Gray step tables keyed by (p, n) and packing kernels keyed by (p, n, depth),
 # both built on first use and cached only for p^n <= _CACHE_LIMIT.  A
 # kernel holds no Gray table: one is built only when a walk needs it.
-_GRAY_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
+_GRAY_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 _KERNEL_CACHE: dict[tuple[int, int, int], "_Packed"] = {}
 # Binary digits '0'/'1' to the bytes 0/1.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -245,13 +255,13 @@ def gray_steps(p: int, n: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _gray(p: int, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The Gray steps of F_p^n, and for each digit k the first p^k - 1 of them."""
+def _gray(p: int, n: int) -> list[tuple[int, ...]]:
+    """For each digit k, the first p^k - 1 Gray steps of F_p^n."""
     key = (p, n)
     table = _GRAY_CACHE.get(key)
     if table is None:
         steps = gray_steps(p, n)
-        table = (steps, [steps[:p ** k - 1] for k in range(n)])
+        table = [steps[:p ** k - 1] for k in range(n)]
         if p ** n <= _CACHE_LIMIT:
             _GRAY_CACHE[key] = table
     return table
@@ -271,7 +281,8 @@ class _Packed:
 
     `memo` maps each reduced matrix seen to its fiber count, or is None where
     the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
-    cells wider than a byte.  `reduce` is the byte table of c -> c mod p.
+    cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
+    odd p with one-byte cells, and None otherwise.
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce")
@@ -284,7 +295,7 @@ class _Packed:
         self.column_mask = (1 << (self.bits * n)) - 1
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
-        self.reduce = bytes(c % p for c in range(256)) if small and p != 2 else None
+        self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
 
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
@@ -309,17 +320,18 @@ class _Packed:
         return [c % self.p for c in self.cells(x, count)]
 
     def walk(self, x: int, order: int, lines: bool):
-        """T(y, ...) for every y in F_p^n in Gray order, each one slice away.
+        """T(y, ...) for y in F_p^n in Gray order, each one slice away.
 
-        With `lines`, one y per line through 0 instead: the y whose last
-        nonzero digit is 1.  Digit k set to 1, the first p^k - 1 Gray steps
-        walk the digits below k and visit those whose last nonzero digit is k.
+        With `lines`, one y per line through 0: the y whose last nonzero
+        digit is 1.  Digit k set to 1, the first p^k - 1 Gray steps walk the
+        digits below k and visit those whose last nonzero digit is k.
+        Without, the coset of the y whose last digit is 1: the last line.
         """
         shift = self.bits * self.n ** (order - 1)
         mask = (1 << shift) - 1
         slices = [(x >> (k * shift)) & mask for k in range(self.n)]
-        all_steps, line_steps = _gray(self.p, self.n)
-        walks = zip(slices, line_steps) if lines else [(0, all_steps)]
+        line_steps = _gray(self.p, self.n)
+        walks = zip(slices, line_steps) if lines else [(slices[-1], line_steps[-1])]
         if self.p == 2:
             deltas = slices + slices
             for current, steps in walks:
@@ -334,6 +346,16 @@ class _Packed:
                 for step in steps:
                     current += deltas[step]
                     yield current
+
+    def keys(self, xs: Iterable[int], count: int) -> Iterable:
+        """The first `count` cells of each x mod p as a key, which `pack` reads
+        at odd p: x at p = 2, bytes where cells are one byte, else a tuple."""
+        if self.p == 2:
+            return xs
+        reduce = self.reduce
+        if reduce is None:
+            return (tuple(self.residues(x, count)) for x in xs)
+        return (x.to_bytes(count, "little").translate(reduce) for x in xs)
 
     def matrix_fibers(self, x: int) -> int:
         """p^(n - rank) zero fibers of a packed order-2 tensor, memoized if on."""
@@ -511,16 +533,65 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 
 
 # ---------------------------------------------------------------------------
-# Engine 3: full value histogram
+# Engine 3: full value histogram, by the rank-free value walk
 # ---------------------------------------------------------------------------
+
+def _value_counts(p: int, n: int, order: int, components) -> list[int]:
+    """How often R(x) = sum of R_I(x^I) takes each value: the value walk.
+
+    `components` pairs each slot set I with its tensor R_I, whose slots are
+    those of I in increasing order.  Each distinct form is evaluated in Gray
+    order from its constant coefficient.
+    """
+    size = n + 1
+    cells = [0] * size ** order
+    for slots, tensor in components:
+        for idx, c in tensor.nonzero_entries():
+            digits = iter(idx)
+            flat = 0
+            for slot in range(order):
+                flat = flat * size + (next(digits) if slot in slots else n)
+            cells[flat] = c
+    kernel = _kernel(p, size, 1)
+    forms: Counter = Counter()
+
+    def fix(x: int, order: int):
+        # x is reduced, and so is every child walked on at odd p, which
+        # keeps each cell within the bound of one contraction.
+        children = kernel.walk(x, order, lines=False)
+        if order == 2:
+            forms.update(kernel.keys(children, size))
+            return
+        if p != 2:
+            children = map(kernel.pack, kernel.keys(children, size ** (order - 1)))
+        for child in children:
+            fix(child, order - 1)
+
+    x = kernel.pack(cells)
+    if order == 1:
+        forms.update(kernel.keys([x], size))
+    else:
+        fix(x, order)
+    steps = _gray(p, size)[n]
+    counts = [0] * p
+    for form, count in forms.items():
+        if p == 2:
+            form = kernel.cells(form, size)
+        deltas = list(form) + [-c for c in form]
+        value = form[n]
+        counts[value] += count
+        for step in steps:
+            value += deltas[step]
+            counts[value % p] += count
+    return counts
+
 
 def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistogram, BiasValue]:
     """Evaluate T on every input, tally values, and recover the bias.
 
-    The Gray walk fixes the leading d-1 slots; the linear form c left in
-    the last slot is then evaluated on every x in the same Gray order,
-    where each step changes c(x) by one coefficient.  No rank is taken.
-    Multilinearity makes the nonzero values equidistributed, so the
+    The value walk evaluates each distinct linear form that a fixing of the
+    leading d-1 slots leaves in the last slot on every x once; no rank is
+    taken.  Multilinearity makes the nonzero values equidistributed, so the
     character sum collapses to (N_0 * q - q^(nd)) / (q^n (q-1) q^(n(d-1)))
     and the division is exact; the engine asserts that.
     """
@@ -529,24 +600,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
     p, n = t.field.p, t.dim
     total = p ** (n * t.order)
     _check_budget(total, budget, "value histogram")
-    counts = [0] * p
-    kernel = _kernel(p, n, t.order - 1)
-    steps = _gray(p, n)[0]
-
-    def tally(x: int, order: int):
-        if order > 1:
-            for child in kernel.walk(x, order, lines=False):
-                tally(child, order - 1)
-            return
-        form = kernel.residues(x, n)
-        deltas = form + [-c for c in form]
-        value = 0
-        counts[0] += 1
-        for step in steps:
-            value += deltas[step]
-            counts[value % p] += 1
-
-    tally(kernel.pack(t.coeffs), t.order)
+    counts = _value_counts(p, n, t.order, [(range(t.order), t)])
     hist = ValueHistogram(p, tuple(counts), total)
     numerator = counts[0] * p - total
     denominator = (p ** n) * (p - 1)
@@ -598,27 +652,13 @@ class MultiformBias:
 
 
 def bias_multiform(form: MultiComponentForm, budget: int = DEFAULT_BUDGET) -> MultiformBias:
-    """Histogram of R over all inputs plus its (complex) bias."""
+    """Histogram of R over all inputs, by the value walk, plus its (complex) bias."""
+    if form.order < 1:
+        raise ValueError("bias is defined for order >= 1")
     p = form.field.p
     total = p ** (form.dim * form.order)
     _check_budget(total, budget, "multi-component enumeration")
-    space = tuple(product(range(p), repeat=form.dim))
-    comp_data = []
-    for subset, tensor in form.components.items():
-        slots = tuple(sorted(subset))
-        comp_data.append((slots, tensor.nonzero_entries()))
-    counts = [0] * p
-    for assignment in product(space, repeat=form.order):
-        val = 0
-        for slots, items in comp_data:
-            for idx, c in items:
-                term = c
-                for pos, slot in enumerate(slots):
-                    term = term * assignment[slot][idx[pos]] % p
-                    if not term:
-                        break
-                val += term
-        counts[val % p] += 1
+    counts = _value_counts(p, form.dim, form.order, form.components.items())
     hist = ValueHistogram(p, tuple(counts), total)
     if p == 2:
         exact = Fraction(counts[0] - counts[1], total)

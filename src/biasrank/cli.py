@@ -328,6 +328,8 @@ def cmd_gen(args) -> int:
     field = _field(args.p)
     _check_shape(args.n, args.d)
     if args.diagonal is not None:
+        if args.identity:
+            raise UsageError("--identity cannot be combined with --diagonal")
         try:
             diag = [int(tok) % args.p for tok in args.diagonal.split(",")]
         except ValueError:

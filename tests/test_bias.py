@@ -147,8 +147,7 @@ class TestEngineTriangle:
             assert values["fiber"] == values["recursive"] == values["histogram"]
 
     # Fiber and recursive share the Gray walk, so only an oracle that shares
-    # nothing with them can catch a fault in it.  At (7, 2, 3) the histogram
-    # packs its cells into two bytes each.
+    # nothing with them can catch a fault in it.
     @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 2, 4), (5, 2, 2), (3, 1, 3), (3, 2, 3),
                                        (7, 2, 3)])
     def test_fiber_matches_naive_oracle(self, p, n, d):
@@ -164,6 +163,71 @@ class TestEngineTriangle:
         for trial in range(20):
             t = random_tensor(F2, 3, 3, substream(11, trial).next_u64())
             assert bias_fiber(t).numerator >= 1
+
+
+def oracle_counts(f, p, n, d):
+    """Value counts of a tensor or multi-component form, evaluated on every input."""
+    counts = [0] * p
+    for xs in product(list(product(range(p), repeat=n)), repeat=d):
+        counts[f.evaluate(xs)] += 1
+    return counts
+
+
+# The value walk runs on F_p^(n+1) and keys its forms by the int at p = 2,
+# by reduced bytes up to (11, 1, 3), and by residue tuples where cells are
+# two bytes wide (13, 1, 3) or residues exceed a byte (257, 1, 2).
+ORACLE_SHAPES = [(2, 0, 3), (2, 2, 1), (3, 2, 1), (2, 3, 3), (2, 2, 4), (3, 2, 3), (5, 2, 2),
+                 (7, 2, 3), (11, 1, 3), (13, 1, 3), (257, 1, 2)]
+
+
+class TestValueWalk:
+    """The histogram and multiform engines against evaluation on every input."""
+
+    @pytest.mark.parametrize("p,n,d", ORACLE_SHAPES)
+    def test_histogram_matches_naive_oracle(self, p, n, d):
+        field = PrimeField(p)
+        for trial in range(3 if p ** (n * d) <= 5000 else 1):
+            t = random_tensor(field, n, d, substream(808, trial).next_u64())
+            assert list(bias_histogram(t)[0].counts) == oracle_counts(t, p, n, d)
+
+    @pytest.mark.parametrize("p,n,d", ORACLE_SHAPES)
+    def test_multiform_matches_naive_oracle(self, p, n, d):
+        form = random_multiform(PrimeField(p), n, d, substream(909, 0).next_u64())
+        if p ** (n * d) > 5000:
+            # the top, constant and first-slot components keep the oracle fast
+            keep = {frozenset(range(d)), frozenset(), frozenset({0})}
+            form = MultiComponentForm(form.field, n, d, {s: c for s, c in form.components.items()
+                                                         if s in keep})
+        assert list(bias_multiform(form).histogram.counts) == oracle_counts(form, p, n, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_constant_component_and_zero_form(self, p):
+        field = PrimeField(p)
+        const = Tensor(field, 2, 0, (p - 1,))
+        top = random_tensor(field, 2, 3, 77)
+        for comps in ({}, {frozenset(): const}, {frozenset(): const, frozenset({0, 1, 2}): top}):
+            form = MultiComponentForm(field, 2, 3, comps)
+            assert list(bias_multiform(form).histogram.counts) == oracle_counts(form, p, 2, 3)
+
+    def test_oracle_shapes_reach_every_key_kind(self):
+        assert bias._kernel(11, 2, 1).reduce is not None
+        assert bias._kernel(13, 2, 1).width == 2 and bias._kernel(13, 2, 1).reduce is None
+        assert bias._kernel(257, 2, 1).reduce is None
+
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (3, 2, 3)])
+    def test_no_rank_is_taken(self, monkeypatch, p, n, d):
+        field = PrimeField(p)
+        t = random_tensor(field, n, d, 5)
+        form = random_multiform(field, n, d, 6)
+        expected = oracle_counts(t, p, n, d), oracle_counts(form, p, n, d)
+
+        def refuse(*args):
+            raise AssertionError("a rank was taken")
+
+        for name in ("gf2_rank", "rank_mod_p", "matrix_rank"):
+            monkeypatch.setattr(bias, name, refuse)
+        assert list(bias_histogram(t)[0].counts) == expected[0]
+        assert list(bias_multiform(form).histogram.counts) == expected[1]
 
 
 class TestGrayWalk:

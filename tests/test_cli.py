@@ -322,6 +322,8 @@ class TestRoundTripMany:
                  id="survey-identity-with-exhaustive"),
     pytest.param(["survey", "--p", "2", "--d", "3", "--identity-max", "3", "--trials", "3"],
                  id="survey-identity-with-trials"),
+    pytest.param(["gen", "--p", "2", "--d", "3", "--identity", "--diagonal", "1,0,1"],
+                 id="gen-identity-with-diagonal"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
@@ -399,6 +401,9 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
     pytest.param("check subadditivity --p 3 --n 2 --d 2 --exhaustive",
                  "a463d139c55b36230f55d20fb7c19a7c39ae1f4c7430fe4547ead9f069fa6558",
                  id="subadditivity-exhaustive-p3"),
+    pytest.param("check lemma-bias --p 5 --n 2 --d 3 --trials 30 --seed 2",
+                 "a398382e6342132a1564fca5e7c4170cd55d87be069bdc3f6ec401f12214f90e",
+                 id="lemma-bias-p5"),
 ])
 def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
