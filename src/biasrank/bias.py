@@ -5,18 +5,18 @@ of its arguments (whichever slot is left free) leaves an identically-zero
 linear form; it is therefore an exact rational K / q^(n(d-1)) with
 integer K, which is what every engine here returns.
 
-Three engines compute it on one packed-slice kernel:
+Every engine descends through one walk, :meth:`_Packed.descend`, on one
+packed-slice kernel per field size and dimension.  It walks the leading
+slots in reflected q-ary Gray-code order, so consecutive contractions
+differ by one slice (one XOR of int bitsets at q = 2), and at odd q it
+reduces every intermediate tensor before walking it.
 
-* :func:`bias_fiber` counts zero fibers.  It walks the leading slot in
-  reflected q-ary Gray-code order, so consecutive contractions differ by
-  one slice (one XOR of int bitsets at q = 2), recurses through the
-  following slots the same way, and ends every walk at the order-2 case,
-  where a matrix of rank r has q^(n-r) zero fibers.  Scalar multiples of
-  a fixing leave the same zero fibers, so one fixing per line is walked.
-* :func:`bias_recursive` shares that walk and that rank base case, and
-  additionally factors disjoint coordinate blocks (bias is
-  multiplicative across them) and memoizes repeated subproblems; both
-  accelerations are value-preserving.
+* :func:`bias_fiber` counts zero fibers.  The walk goes down to order 2,
+  where a matrix of rank r has q^(n-r) zero fibers; scalar multiples of a
+  fixing leave the same zero fibers, so one fixing per line is walked.
+* :func:`bias_recursive` factors the tensor once into disjoint coordinate
+  blocks (bias is multiplicative across them) and counts each distinct
+  block once by the fiber engine's count; the value is the same.
 * :func:`bias_histogram` takes no rank: it counts the values of T on all
   q^(nd) inputs by the value walk below and extracts the same rational.
 
@@ -24,25 +24,25 @@ The value walk serves the histogram and :func:`bias_multiform`.  It
 homogenizes a multi-component form R on (F_q^n)^d into one order-d tensor
 T on F_q^(n+1) whose last coordinate in a slot stands for "this slot is not
 in the component", so R(x) = T((x^1, 1), ..., (x^d, 1)); a plain tensor is
-the form with only its top component.  The leading d-1 slots walk the
-coset of vectors ending in 1 in Gray order, and each fixing leaves an
+the form with only its top component.  The walk takes the leading d-1
+slots over the coset of vectors ending in 1, and each fixing leaves an
 affine form in the last slot, counted by its key reduced mod q.  There are
 at most q^(n+1) distinct forms for the q^(n(d-1)) fixings, and each is
 evaluated on every x once, its tally weighted by its count.
 
-The fiber and recursive walks end in :meth:`_Packed.matrix_fibers`, which
-memoizes the order-2 count q^(n-rank) on its cached kernel when the key
-space is small: for n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and
-n = 2 with q <= 7).  The key is the reduced matrix (the packed int at q = 2,
-the cells reduced mod q at odd q), so a memo never holds more than q^(n^2)
-entries however many distinct inputs a process sees; nothing is built
-before the first walk.
+The fiber count ends in :meth:`_Packed.matrix_fibers`, which memoizes the
+order-2 count q^(n-rank) on its cached kernel when the key space is small:
+for n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and n = 2 with q <= 7).
+The key is the reduced matrix (the packed int at q = 2, the cells reduced
+mod q at odd q), so a memo never holds more than q^(n^2) entries however
+many distinct inputs a process sees; nothing is built before the first
+walk.
 
-Since fiber and recursive share the walk, their agreement cannot catch a
-fault in it.  The histogram, which shares the packing but no rank (a test
-makes every rank function raise), the naive oracles of the tests and the
-reference engine of the benchmark (``perfbench/verify.py``, which shares no
-code with this package) are the independent checks.
+Since every engine shares the walk, their agreement cannot catch a fault
+in it.  The naive oracles of the tests and the reference engine of the
+benchmark (``perfbench/verify.py``, which shares no code with this
+package) are the independent checks; the histogram still takes no rank (a
+test makes every rank function raise), so it checks the rank base case.
 
 The module also provides the additive character chi, the complex bias of
 multi-component forms, and the diagonal-tensor constant c(d, q).
@@ -55,14 +55,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
 from .tensor import MultiComponentForm, Tensor
 
 DEFAULT_BUDGET = 10 ** 8
 
-# Gray tables and packing kernels are cached only for p^n up to this size.
+# Packing kernels, with their Gray tables, are cached only for p^n up to this size.
 _CACHE_LIMIT = 1 << 16
 
 # A kernel memoizes order-2 fiber counts only where n >= 2 and the p^(n^2)
@@ -222,11 +223,9 @@ class ValueHistogram:
 # The packed-slice Gray walk shared by the engines
 # ---------------------------------------------------------------------------
 
-# Gray step tables keyed by (p, n) and packing kernels keyed by (p, n, depth),
-# both built on first use and cached only for p^n <= _CACHE_LIMIT.  A
-# kernel holds no Gray table: one is built only when a walk needs it.
-_GRAY_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-_KERNEL_CACHE: dict[tuple[int, int, int], "_Packed"] = {}
+# Packing kernels keyed by (p, n), built on first use and cached only for
+# p^n <= _CACHE_LIMIT.  A kernel builds its Gray tables on its first walk.
+_KERNEL_CACHE: dict[tuple[int, int], "_Packed"] = {}
 # Binary digits '0'/'1' to the bytes 0/1.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -255,18 +254,6 @@ def gray_steps(p: int, n: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _gray(p: int, n: int) -> list[tuple[int, ...]]:
-    """For each digit k, the first p^k - 1 Gray steps of F_p^n."""
-    key = (p, n)
-    table = _GRAY_CACHE.get(key)
-    if table is None:
-        steps = gray_steps(p, n)
-        table = [steps[:p ** k - 1] for k in range(n)]
-        if p ** n <= _CACHE_LIMIT:
-            _GRAY_CACHE[key] = table
-    return table
-
-
 class _Packed:
     """Tensors over F_p^n packed into one int each, and the Gray walk on them.
 
@@ -276,26 +263,30 @@ class _Packed:
     cell is one bit and a Gray step is one XOR.  At odd p a cell is a run of
     bytes holding the unreduced sum of y_k times slice k: the Gray digits
     y_k stay in [0, p), so a step adds or subtracts one packed slice without
-    a carry or borrow between cells, and cells are read mod p.  `depth` is
-    how many contractions deep a walk goes, which bounds the unreduced cells.
+    a carry or borrow between cells, and cells are read mod p.  Every walk
+    starts from reduced cells, so one contraction, at most n (p-1)^2 per
+    cell, bounds the width.
 
     `memo` maps each reduced matrix seen to its fiber count, or is None where
     the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
     cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
-    odd p with one-byte cells, and None otherwise.
+    odd p with one-byte cells, and None otherwise.  `gray_table` is built by
+    :meth:`gray` on the first walk.
     """
 
-    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce")
+    __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
+                 "gray_table")
 
-    def __init__(self, p: int, n: int, depth: int):
+    def __init__(self, p: int, n: int):
         self.p, self.n = p, n
-        self.width = max(1, (((p - 1) * (n * (p - 1)) ** depth).bit_length() + 7) // 8)
+        self.width = max(1, ((n * (p - 1) ** 2).bit_length() + 7) // 8)
         self.bits = 1 if p == 2 else 8 * self.width
         self.powers = [p ** (n - r) for r in range(n + 1)]
         self.column_mask = (1 << (self.bits * n)) - 1
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
         self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
+        self.gray_table = None
 
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
@@ -316,8 +307,12 @@ class _Packed:
             return raw
         return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
 
-    def residues(self, x: int, count: int) -> list[int]:
-        return [c % self.p for c in self.cells(x, count)]
+    def gray(self) -> list[tuple[int, ...]]:
+        """For each digit k, the first p^k - 1 Gray steps of F_p^n."""
+        if self.gray_table is None:
+            steps = gray_steps(self.p, self.n)
+            self.gray_table = [steps[:self.p ** k - 1] for k in range(self.n)]
+        return self.gray_table
 
     def walk(self, x: int, order: int, lines: bool):
         """T(y, ...) for y in F_p^n in Gray order, each one slice away.
@@ -330,7 +325,7 @@ class _Packed:
         shift = self.bits * self.n ** (order - 1)
         mask = (1 << shift) - 1
         slices = [(x >> (k * shift)) & mask for k in range(self.n)]
-        line_steps = _gray(self.p, self.n)
+        line_steps = self.gray()
         walks = zip(slices, line_steps) if lines else [(slices[-1], line_steps[-1])]
         if self.p == 2:
             deltas = slices + slices
@@ -347,6 +342,23 @@ class _Packed:
                     current += deltas[step]
                     yield current
 
+    def descend(self, x: int, order: int, stop: int, lines: bool) -> Iterator[int]:
+        """The packed order-`stop` tensors left by walking the leading slots.
+
+        Each slot from `order` down to stop + 1 is walked as in :meth:`walk`;
+        at odd p every intermediate tensor is reduced before its own walk,
+        so x must be reduced and every leaf is one contraction deep.
+        """
+        if order == stop:
+            return iter((x,))
+        children = self.walk(x, order, lines)
+        if order - 1 == stop:
+            return children
+        if self.p != 2:
+            children = map(self.pack, self.keys(children, self.n ** (order - 1)))
+        return chain.from_iterable(self.descend(child, order - 1, stop, lines)
+                                   for child in children)
+
     def keys(self, xs: Iterable[int], count: int) -> Iterable:
         """The first `count` cells of each x mod p as a key, which `pack` reads
         at odd p: x at p = 2, bytes where cells are one byte, else a tuple."""
@@ -354,7 +366,7 @@ class _Packed:
             return xs
         reduce = self.reduce
         if reduce is None:
-            return (tuple(self.residues(x, count)) for x in xs)
+            return (tuple(c % self.p for c in self.cells(x, count)) for x in xs)
         return (x.to_bytes(count, "little").translate(reduce) for x in xs)
 
     def matrix_fibers(self, x: int) -> int:
@@ -380,31 +392,36 @@ class _Packed:
             rank = rank_mod_p(self.p, [cells[j * n:(j + 1) * n] for j in range(n)])
         return self.powers[rank]
 
-    def zero_fibers(self, x: int, order: int) -> int:
-        """K of a packed tensor of order >= 2: the walk down to the rank case.
 
-        T(cy, ...) = c T(y, ...) has the zero fibers of T(y, ...) for c != 0,
-        so one y per line stands for p - 1 of them; y = 0 leaves the zero
-        tensor, all of whose p^(n(order-2)) fixings are zero fibers.
-        """
-        if order == 2:
-            return self.matrix_fibers(x)
-        lines = self.walk(x, order, lines=True)
-        if order == 3:
-            walked = sum(map(self.matrix_fibers, lines))
-        else:
-            walked = sum(self.zero_fibers(child, order - 1) for child in lines)
-        return self.p ** (self.n * (order - 2)) + (self.p - 1) * walked
-
-
-def _kernel(p: int, n: int, depth: int) -> _Packed:
-    key = (p, n, depth)
+def _kernel(p: int, n: int) -> _Packed:
+    key = (p, n)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
-        kernel = _Packed(p, n, depth)
+        kernel = _Packed(p, n)
         if p ** n <= _CACHE_LIMIT:
             _KERNEL_CACHE[key] = kernel
     return kernel
+
+
+def _zero_fibers(field: PrimeField, n: int, order: int, coeffs: Sequence[int]) -> int:
+    """K: the fixings of the leading order-1 slots that leave the zero form.
+
+    Order 2 is p^(n-r) for a matrix of rank r.  Above it the walk fixes the
+    leading slots down to order 2, one y per line: T(cy, ...) = c T(y, ...)
+    has the zero fibers of T(y, ...) for c != 0, so a line stands for p - 1
+    fixings.  With q = p^n, the q (q^(d-2) - (q-1)^(d-2)) fixings that put
+    y = 0 in some leading slot leave the zero matrix.
+    """
+    p = field.p
+    if order == 1:
+        return 0 if any(coeffs) else 1
+    if order == 2:
+        return p ** (n - matrix_rank(field, [coeffs[i * n:(i + 1) * n] for i in range(n)]))
+    kernel = _kernel(p, n)
+    leaves = kernel.descend(kernel.pack(coeffs), order, 2, lines=True)
+    q = p ** n
+    return (q * (q ** (order - 2) - (q - 1) ** (order - 2))
+            + (p - 1) ** (order - 2) * sum(map(kernel.matrix_fibers, leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +441,14 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     p = t.field.p
     exponent = t.dim * (t.order - 1)
     _check_budget(p ** exponent, budget, "zero-fiber enumeration")
-    n = t.dim
-    if t.order == 1:
-        k = 0 if any(t.coeffs) else 1
-    elif t.order == 2:
-        k = p ** (n - matrix_rank(t.field, [t.coeffs[i * n:(i + 1) * n] for i in range(n)]))
-    else:
-        kernel = _kernel(p, n, t.order - 2)
-        k = kernel.zero_fibers(kernel.pack(t.coeffs), t.order)
+    k = _zero_fibers(t.field, t.dim, t.order, t.coeffs)
     if t.order >= 2 and k < 1:
         raise AssertionError("multilinear bias must be positive for order >= 2")
     return BiasValue(k, exponent, p)
 
 
 # ---------------------------------------------------------------------------
-# Engine 2: order reduction with block factoring and a memo
+# Engine 2: block factoring over the fiber count
 # ---------------------------------------------------------------------------
 
 def _components(cells, dim: int, order: int) -> list[list[int]]:
@@ -479,57 +489,30 @@ def _block_cells(cells, dim: int, order: int, block: list[int]) -> list[int]:
 
 
 def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
-    """Average bias of the order-(d-1) contractions over the leading slot.
+    """The fiber count after factoring disjoint coordinate blocks.
 
-    The same Gray walk as the fiber engine, ending at the same base case
-    d = 2, where bias is q^(-rank); d = 1 matches the fiber engine.
-    Disjoint coordinate blocks are factored (their biases multiply
-    exactly) and repeated subproblems are memoized; the returned value is
-    identical to plain recursion.  The budget meters fixings actually
-    enumerated, so sparse tensors whose blocks factor stay cheap even
-    when the dense enumeration would not.
+    Bias is multiplicative across blocks that share no coordinate, so K is
+    the product of the K of each block, counted once per distinct block by
+    the fiber engine's walk, times q^(d-1) for each coordinate outside
+    every block; the value is the fiber engine's.  The budget is checked
+    before any walk: q^m for each node of order >= 3 that the walk of a
+    distinct m-dimensional block expands, so tensors that factor into
+    small blocks stay cheap even when the dense enumeration would not.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
-    p = t.field.p
-    exponent = t.dim * (t.order - 1)
-    if t.order == 1:
-        return BiasValue(0 if any(t.coeffs) else 1, exponent, p)
-    memo: dict = {}
-    steps = [0]
-
-    def rec(x: int, dim: int, order: int) -> int:
-        # Returns K with bias = K / p^(dim*(order-1)); above order 2, x is
-        # reduced mod p, so equal subproblems share one memo key.
-        kernel = _kernel(p, dim, 1)
-        if order == 2:
-            return kernel.matrix_fibers(x)
-        key = (dim, order, x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cells = kernel.residues(x, dim ** order)
-        comps = _components(cells, dim, order)
-        support = sum(len(c) for c in comps)
-        if len(comps) > 1 or support < dim:
-            k = p ** ((dim - support) * (order - 1))
-            for comp in comps:
-                sub = _kernel(p, len(comp), 1)
-                k *= rec(sub.pack(_block_cells(cells, dim, order, comp)), len(comp), order)
-        else:
-            steps[0] += p ** dim
-            _check_budget(steps[0], budget, "recursive bias")
-            size = dim ** (order - 1)
-            walked = 0
-            for child in kernel.walk(x, order, lines=True):
-                if order > 3:
-                    child = kernel.pack(kernel.residues(child, size))
-                walked += rec(child, dim, order - 1)
-            k = p ** (dim * (order - 2)) + (p - 1) * walked
-        memo[key] = k
-        return k
-
-    return BiasValue(rec(_kernel(p, t.dim, 1).pack(t.coeffs), t.dim, t.order), exponent, p)
+    p, n, order = t.field.p, t.dim, t.order
+    blocks = Counter((len(comp), tuple(_block_cells(t.coeffs, n, order, comp)))
+                     for comp in _components(t.coeffs, n, order))
+    work = 0
+    for m, _ in blocks:
+        lines = (p ** m - 1) // (p - 1)
+        work += p ** m * sum(lines ** j for j in range(order - 2))
+    _check_budget(work, budget, "recursive bias")
+    k = p ** ((n - sum(m * count for (m, _), count in blocks.items())) * (order - 1))
+    for (m, cells), count in blocks.items():
+        k *= _zero_fibers(t.field, m, order, cells) ** count
+    return BiasValue(k, n * (order - 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -552,27 +535,9 @@ def _value_counts(p: int, n: int, order: int, components) -> list[int]:
             for slot in range(order):
                 flat = flat * size + (next(digits) if slot in slots else n)
             cells[flat] = c
-    kernel = _kernel(p, size, 1)
-    forms: Counter = Counter()
-
-    def fix(x: int, order: int):
-        # x is reduced, and so is every child walked on at odd p, which
-        # keeps each cell within the bound of one contraction.
-        children = kernel.walk(x, order, lines=False)
-        if order == 2:
-            forms.update(kernel.keys(children, size))
-            return
-        if p != 2:
-            children = map(kernel.pack, kernel.keys(children, size ** (order - 1)))
-        for child in children:
-            fix(child, order - 1)
-
-    x = kernel.pack(cells)
-    if order == 1:
-        forms.update(kernel.keys([x], size))
-    else:
-        fix(x, order)
-    steps = _gray(p, size)[n]
+    kernel = _kernel(p, size)
+    forms = Counter(kernel.keys(kernel.descend(kernel.pack(cells), order, 1, lines=False), size))
+    steps = kernel.gray()[n]
     counts = [0] * p
     for form, count in forms.items():
         if p == 2:

@@ -12,6 +12,7 @@ derives from the --seed flag, so reports are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -327,6 +328,8 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     field = _field(args.p)
     _check_shape(args.n, args.d)
+    if args.seed is not None and (args.identity or args.diagonal is not None):
+        raise UsageError("--seed applies only to random tensors, not to --identity or --diagonal")
     if args.diagonal is not None:
         if args.identity:
             raise UsageError("--identity cannot be combined with --diagonal")
@@ -345,7 +348,7 @@ def cmd_gen(args) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --diagonal is given")
-        t = random_tensor(field, args.n, args.d, args.seed)
+        t = random_tensor(field, args.n, args.d, args.seed or 0)
     sys.stdout.write(serialize_tensor(t))
     return 0
 
@@ -441,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a random tensor (default 0)")
     p.add_argument("--identity", action="store_true")
     p.add_argument("--diagonal", type=str, default=None,
                    help="comma-separated diagonal coefficients")
@@ -462,9 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of `main`."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TensorFormatError, UsageError, OSError) as exc:

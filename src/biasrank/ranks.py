@@ -43,10 +43,6 @@ KINDS = ("rank", "srank", "prank")
 MAX_SEARCH_CANDIDATES = 50_000
 
 
-class BudgetError(RuntimeError):
-    """Search-space budget exhausted; exact search is not attempted."""
-
-
 @dataclass(frozen=True)
 class RankOneTerm:
     """One summand of a decomposition.
@@ -176,7 +172,7 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
     if kind == "rank":
         count = (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
         if count > max_candidates:
-            raise BudgetError(f"{count} full-product candidates exceed the search budget")
+            raise BudgetExceededError(f"{count} full-product candidates exceed the search budget")
         rest = list(_projective_vectors(field, dim))
         for head in _nonzero_vectors(field, dim):
             for tail in product(rest, repeat=order - 1):
@@ -193,7 +189,7 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
         len_a, len_b = dim ** len(side), dim ** (order - len(side))
         count += ((p ** len_a - 1) // (p - 1)) * (p ** len_b - 1)
     if count > max_candidates:
-        raise BudgetError(f"{count} bipartition candidates exceed the search budget")
+        raise BudgetExceededError(f"{count} bipartition candidates exceed the search budget")
     for side in sides:
         gather = _gather(dim, order, side)
         arrays_b = list(_nonzero_vectors(field, dim ** (order - len(side))))
@@ -228,7 +224,7 @@ def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
         for coeffs in by_pos[pos]:
             nodes[0] += 1
             if nodes[0] > node_limit:
-                raise BudgetError("rank search exceeded its node budget")
+                raise BudgetExceededError("rank search exceeded its node budget")
             new_res = tuple((a - b) % p for a, b in zip(residual, coeffs))
             rest = dfs(new_res, remaining - 1)
             if rest is not None:
@@ -437,7 +433,7 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
     try:
         by_coeffs = {coeffs: (slots_a, factors)
                      for coeffs, slots_a, factors in _candidates(field, dim, order, kind, cap)}
-    except BudgetError:
+    except BudgetExceededError:
         return None
     arrays = sorted(by_coeffs)
     by_pos = tuple([coeffs for coeffs in arrays if coeffs[pos]] for pos in range(dim ** order))
@@ -474,7 +470,7 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
                 cert = tuple(table.term(coeffs) for coeffs in found)
                 _verify_certificate(t, cert)
                 return RankReport(kind, depth, depth, True, cert, "search", "search")
-    except BudgetError:
+    except BudgetExceededError:
         return rank_bounds(t, kind, budget)
     return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
 

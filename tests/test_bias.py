@@ -148,12 +148,23 @@ class TestEngineTriangle:
 
     # Fiber and recursive share the Gray walk, so only an oracle that shares
     # nothing with them can catch a fault in it.
+    # At odd p and d >= 4 the walk reduces every intermediate tensor.
     @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 2, 4), (5, 2, 2), (3, 1, 3), (3, 2, 3),
-                                       (7, 2, 3)])
+                                       (7, 2, 3), (3, 2, 4), (3, 1, 5), (7, 1, 4)])
     def test_fiber_matches_naive_oracle(self, p, n, d):
         field = PrimeField(p)
         for trial in range(15):
             t = random_tensor(field, n, d, substream(321, trial).next_u64())
+            expected = oracle_zero_fibers(t)
+            assert bias_fiber(t).numerator == expected
+            assert bias_recursive(t).numerator == expected
+            assert bias_histogram(t)[1].numerator == expected
+
+    def test_fiber_matches_naive_oracle_through_the_order_two_memo(self):
+        # (5, 2, 4) walks one-byte cells, so its order-2 leaves use the memo
+        assert bias._kernel(5, 2).memo is not None
+        for trial in range(3):
+            t = random_tensor(F5, 2, 4, substream(321, trial).next_u64())
             expected = oracle_zero_fibers(t)
             assert bias_fiber(t).numerator == expected
             assert bias_recursive(t).numerator == expected
@@ -210,9 +221,9 @@ class TestValueWalk:
             assert list(bias_multiform(form).histogram.counts) == oracle_counts(form, p, 2, 3)
 
     def test_oracle_shapes_reach_every_key_kind(self):
-        assert bias._kernel(11, 2, 1).reduce is not None
-        assert bias._kernel(13, 2, 1).width == 2 and bias._kernel(13, 2, 1).reduce is None
-        assert bias._kernel(257, 2, 1).reduce is None
+        assert bias._kernel(11, 2).reduce is not None
+        assert bias._kernel(13, 2).width == 2 and bias._kernel(13, 2).reduce is None
+        assert bias._kernel(257, 2).reduce is None
 
     @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (3, 2, 3)])
     def test_no_rank_is_taken(self, monkeypatch, p, n, d):
@@ -258,7 +269,7 @@ class TestOrderTwoMemo:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_every_reduced_matrix(self, p):
-        kernel = bias._Packed(p, 2, 1)
+        kernel = bias._Packed(p, 2)
         assert kernel.memo is not None
         for cells in product(range(p), repeat=4):
             x = kernel.pack(cells)
@@ -267,7 +278,7 @@ class TestOrderTwoMemo:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_unreduced_cells_of_the_walk(self, p):
-        kernel = bias._Packed(p, 2, 1)
+        kernel = bias._Packed(p, 2)
         gen = substream(p, 0)
         unreduced = 0
         for _ in range(30):
@@ -280,7 +291,7 @@ class TestOrderTwoMemo:
 
     def test_size_stays_within_its_bound(self):
         p = 3
-        kernel = bias._Packed(p, 2, 1)
+        kernel = bias._Packed(p, 2)
         top = (p - 1) * 2 * (p - 1)  # largest unreduced cell one contraction deep
         inputs = [kernel.pack(cells) for cells in product(range(top + 1), repeat=4)]
         assert len(inputs) > p ** 4
@@ -290,7 +301,7 @@ class TestOrderTwoMemo:
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (11, 2)])
     def test_off_where_the_key_space_is_large_or_trivial(self, p, n):
-        assert bias._Packed(p, n, 1).memo is None
+        assert bias._Packed(p, n).memo is None
 
 
 class TestHistogram:
@@ -437,6 +448,19 @@ class TestBudget:
         dense = random_tensor(F2, 4, 4, 3)
         with pytest.raises(BudgetExceededError):
             bias_recursive(dense, budget=10)
+
+    # The charge is q^m for each node of order >= 3 that the walk of a
+    # distinct m-dimensional block expands: 2^10, 3^5, 8 (1 + 7) and 2^3.
+    @pytest.mark.parametrize("t, charge", [
+        (random_tensor(F2, 10, 3, 1), 1024),
+        (random_tensor(F3, 5, 3, 1), 243),
+        (random_tensor(F2, 3, 4, 9), 64),
+        (direct_sum(random_tensor(F2, 3, 3, 1), random_tensor(F2, 3, 3, 1)), 8),
+    ], ids=["dense-2-10-3", "dense-3-5-3", "dense-2-3-4", "equal-blocks-once"])
+    def test_recursive_charge_is_pinned(self, t, charge):
+        with pytest.raises(BudgetExceededError):
+            bias_recursive(t, budget=charge - 1)
+        assert bias_recursive(t, budget=charge) == bias_fiber(t)
 
     @pytest.mark.parametrize("p, dim", [(2, 40), (3, 25)])
     def test_recursive_factors_before_any_walk_of_the_full_dimension(self, p, dim):

@@ -324,6 +324,10 @@ class TestRoundTripMany:
                  id="survey-identity-with-trials"),
     pytest.param(["gen", "--p", "2", "--d", "3", "--identity", "--diagonal", "1,0,1"],
                  id="gen-identity-with-diagonal"),
+    pytest.param(["gen", "--p", "2", "--d", "3", "--diagonal", "1,0,1", "--seed", "5"],
+                 id="gen-diagonal-with-seed"),
+    pytest.param(["gen", "--p", "2", "--n", "2", "--d", "3", "--identity", "--seed", "5"],
+                 id="gen-identity-with-seed"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
