@@ -149,9 +149,6 @@ class BiasValue:
     def to_float(self) -> float:
         return float(self.as_fraction())
 
-    def is_one(self) -> bool:
-        return self.numerator == self.base ** self.exponent
-
     def is_zero(self) -> bool:
         return self.numerator == 0
 
@@ -308,10 +305,15 @@ class _Packed:
         return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
 
     def gray(self) -> list[tuple[int, ...]]:
-        """For each digit k, the first p^k - 1 Gray steps of F_p^n."""
+        """For each digit k, the first p^k - 1 Gray steps of F_p^n.
+
+        Those steps touch only digits below n - 1, so they are the steps of
+        F_p^(n-1) with each lowering code n - 1 + k moved up to n + k.
+        """
         if self.gray_table is None:
-            steps = gray_steps(self.p, self.n)
-            self.gray_table = [steps[:self.p ** k - 1] for k in range(self.n)]
+            n = self.n
+            prefix = tuple(s + (s >= n - 1) for s in gray_steps(self.p, n - 1)) if n else ()
+            self.gray_table = [prefix[:self.p ** k - 1] for k in range(n)]
         return self.gray_table
 
     def walk(self, x: int, order: int, lines: bool):

@@ -72,7 +72,14 @@ _MIN_SHAPE = {"arank-le-prank": (0, 2), "independent-bound": (0, 2),
 
 
 class UsageError(Exception):
-    """Usage error detected past argparse; mapped to exit code 2."""
+    """Usage error, from argparse or past it; mapped to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and its subparsers, that raise UsageError on bad usage."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 # Default universes per law: the exhaustive 256-tensor cube plus seeded
 # ensembles sized to finish on a laptop.
@@ -387,7 +394,7 @@ def cmd_survey(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biasrank",
         description="Exact bias, analytic rank, and combinatorial ranks of tensors over F_p.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -473,8 +480,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (TensorFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,11 +53,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.p:
-            raise ValueError(f"{a!r} is not a residue mod {self.p}")
-        return a
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat's little theorem."""
         if a % self.p == 0:

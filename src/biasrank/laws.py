@@ -390,17 +390,17 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         slack = prank - analytic_rank(BiasValue(k, exponent, q)).value
         return ok, slack, lambda: _tensor_witness(t=t, prank=prank, k=k)
 
-    def rank_one_ok(term):
-        ok = bias_fiber(term.tensor, budget).numerator * q >= q ** exponent
-        return ok, None, lambda: _tensor_witness(t=term.tensor, note="rank-one bias below 1/q")
+    def rank_one_ok(t: Tensor):
+        ok = bias_fiber(t, budget).numerator * q >= q ** exponent
+        return ok, None, lambda: _tensor_witness(t=t, note="rank-one bias below 1/q")
 
     tracker.drive(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
                             seed=seed), check)
     if not nonempty:
         return tracker.result()
-    terms = table.terms
-    held = tracker.drive(terms, rank_one_ok)
-    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(terms)}",))
+    held = tracker.drive((Tensor._trusted(field, dim, order, c) for c in sorted(table.arrays)),
+                         rank_one_ok)
+    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(table.arrays)}",))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ pruning rule.  A slice or partition candidate is built as the flat outer
 product of its two factor arrays, put into full cell order by one
 precomputed index gather per bipartition; the gather and the greedy
 bound's matricizations read each cell's (A, B) position from one helper,
-:func:`_cell_positions`.  The candidate table and the
-search hold coefficient arrays only; RankOneTerm objects (and their
-tensors) are made on demand, for the terms of a certificate or when a
-caller asks for every term.  Every returned decomposition is re-summed
-and verified before it leaves this module.
+:func:`_cell_positions`.  The candidate table and the search hold
+coefficient arrays only.  One function, :func:`_rank_one_term`, writes a
+rank-one tensor as factors: the greedy bound's rank-one probe and the
+terms of a certificate both come from it.  Every returned decomposition
+is re-summed and verified before it leaves this module.
 
 The search space is tiny-instance only by design.  This module alone
 decides how large a table may grow: :func:`search_table` builds the table
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, arank_ceil, bias_fiber
 from .gf import PrimeField, matrix_rank
-from .tensor import Tensor, from_entries, zero_tensor
+from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
 
@@ -158,16 +158,16 @@ def _partition_sides(order: int, slice_only: bool):
 
 def _candidates(field: PrimeField, dim: int, order: int, kind: str,
                 max_candidates: int):
-    """Yield (coeffs, slots_a, factors) for each distinct rank-one array.
+    """Yield the coefficient array of every rank-one candidate.
 
-    Arrays come in the order they are first produced, each with the factors
-    of the first candidate that produced it: d linear forms for `rank`, the
-    arrays of the A-side and B-side tensors for `srank`/`prank`.
+    Full products are d linear forms with projective tails; slice and
+    partition candidates are a projective A-side array times a nonzero
+    B-side array, for each side of :func:`_partition_sides`.  An array
+    rank one across several sides is yielded once per side.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     p = field.p
-    seen: set[tuple[int, ...]] = set()
 
     if kind == "rank":
         count = (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
@@ -176,11 +176,7 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
         rest = list(_projective_vectors(field, dim))
         for head in _nonzero_vectors(field, dim):
             for tail in product(rest, repeat=order - 1):
-                vectors = (head,) + tail
-                coeffs = _outer_product(field, vectors)
-                if coeffs not in seen:
-                    seen.add(coeffs)
-                    yield coeffs, None, vectors
+                yield _outer_product(field, (head,) + tail)
         return
 
     sides = _partition_sides(order, slice_only=(kind == "srank"))
@@ -195,17 +191,14 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str,
         arrays_b = list(_nonzero_vectors(field, dim ** (order - len(side))))
         for arr_a in _projective_vectors(field, dim ** len(side)):
             for arr_b in arrays_b:
-                coeffs = gather([ca * cb % p for ca in arr_a for cb in arr_b])
-                if coeffs not in seen:
-                    seen.add(coeffs)
-                    yield coeffs, side, (arr_a, arr_b)
+                yield gather([ca * cb % p for ca in arr_a for cb in arr_b])
 
 
 # ---------------------------------------------------------------------------
 # Exact search
 # ---------------------------------------------------------------------------
 
-def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
+def _search_depth(target: tuple[int, ...], arrays, by_pos, p, depth,
                   nodes: list[int], node_limit: int) -> Optional[list]:
     """Depth-limited DFS: at most `depth` candidate arrays summing to target."""
     failed: set = set()
@@ -219,7 +212,7 @@ def _search_depth(target: tuple[int, ...], by_coeffs, by_pos, p, depth,
         if state in failed:
             return None
         if remaining == 1:
-            return [residual] if residual in by_coeffs else None
+            return [residual] if residual in arrays else None
         pos = next(i for i, c in enumerate(residual) if c)
         for coeffs in by_pos[pos]:
             nodes[0] += 1
@@ -275,7 +268,12 @@ def _rank_one_split(t: Tensor, slots_a: tuple[int, ...]) -> Optional[tuple]:
 
 
 def _full_product_factors(t: Tensor) -> Optional[tuple]:
-    """Factor into d linear forms if every mode unfolding has rank 1."""
+    """Factor into d linear forms if every mode unfolding has rank 1.
+
+    Each split leaves a projective slot-0 factor; the last factor's scalar
+    moves onto the head, so the tails are projective.
+    """
+    field, p = t.field, t.field.p
     current = t
     factors = []
     for _ in range(t.order - 1):
@@ -284,60 +282,54 @@ def _full_product_factors(t: Tensor) -> Optional[tuple]:
             return None
         arr_a, arr_b = split
         factors.append(arr_a)
-        current = Tensor(current.field, current.dim, current.order - 1, arr_b)
-    if current.is_zero():
-        return None
-    factors.append(current.coeffs)
-    # Normalize: all but the first factor projective, head absorbs scalars.
-    field = t.field
-    scale = 1
-    out = []
-    for i, vec in enumerate(factors):
-        if i == 0:
-            out.append(vec)
-            continue
-        lead = next(x for x in vec if x)
-        inv = field.inv(lead)
-        out.append(tuple(x * inv % field.p for x in vec))
-        scale = scale * lead % field.p
-    head = tuple(x * scale % field.p for x in out[0])
-    return (head,) + tuple(out[1:])
+        current = Tensor._trusted(field, current.dim, current.order - 1, arr_b)
+    lead = next(x for x in current.coeffs if x)
+    inv = field.inv(lead)
+    head = tuple(x * lead % p for x in factors[0])
+    return (head, *factors[1:], tuple(x * inv % p for x in current.coeffs))
 
 
-def _greedy(t: Tensor, kind: str) -> list[RankOneTerm]:
+def _rank_one_term(t: Tensor, kind: str) -> Optional[RankOneTerm]:
+    """The normal form of t as one term of `kind`, or None if t is not rank one.
+
+    A full product has projective tails and a head that absorbs the
+    scalars.  A slice or partition term splits across the first side, in
+    :func:`_partition_sides` order, across which t has rank one, with a
+    projective A-side array; that is the candidate :func:`_candidates`
+    yields first for t, so a table's terms are rebuilt from arrays alone.
+    """
     field, n, d = t.field, t.dim, t.order
     if kind == "rank":
         factors = _full_product_factors(t)
-        if factors is not None:
-            return [RankOneTerm("rank", None, factors, t)]
-        if d == 2:
-            return _peel_matrix(t)
-        terms = []
-        for i, slice_terms in _nonzero_slices(t):
-            unit = tuple(1 if j == i else 0 for j in range(n))
-            for sub in _greedy(slice_terms, "rank"):
-                vectors = (unit,) + sub.factors
-                expanded = Tensor(field, n, d, _outer_product(field, vectors))
-                terms.append(RankOneTerm("rank", None, vectors, expanded))
-        return terms
-    # slice / partition: probe every candidate bipartition for rank one
+        return None if factors is None else RankOneTerm("rank", None, factors, t)
     for side in _partition_sides(d, slice_only=(kind == "srank")):
         split = _rank_one_split(t, side)
         if split is not None:
             arr_a, arr_b = split
-            slots_b = tuple(s for s in range(d) if s not in side)
-            term = RankOneTerm(kind, side,
-                               (Tensor(field, n, len(side), arr_a),
-                                Tensor(field, n, len(slots_b), arr_b)), t)
-            return [term]
+            return RankOneTerm(kind, side, (Tensor._trusted(field, n, len(side), arr_a),
+                                            Tensor._trusted(field, n, d - len(side), arr_b)), t)
+    return None
+
+
+def _greedy(t: Tensor, kind: str) -> list[RankOneTerm]:
+    term = _rank_one_term(t, kind)
+    if term is not None:
+        return [term]
+    field, n, d = t.field, t.dim, t.order
+    if kind == "rank" and d == 2:
+        return _peel_matrix(t)
     terms = []
     for i, slice_tensor in _nonzero_slices(t):
         unit = tuple(1 if j == i else 0 for j in range(n))
-        expanded = from_entries(field, n, d,
-                                (((i,) + idx, c) for idx, c in slice_tensor.nonzero_entries()))
-        term = RankOneTerm(kind, (0,),
-                           (Tensor(field, n, 1, unit), slice_tensor), expanded)
-        terms.append(term)
+        if kind == "rank":
+            for sub in _greedy(slice_tensor, "rank"):
+                vectors = (unit,) + sub.factors
+                expanded = Tensor._trusted(field, n, d, _outer_product(field, vectors))
+                terms.append(RankOneTerm("rank", None, vectors, expanded))
+        else:
+            factors = (Tensor._trusted(field, n, 1, unit), slice_tensor)
+            expanded = _outer_product(field, (unit, slice_tensor.coeffs))
+            terms.append(RankOneTerm(kind, (0,), factors, Tensor._trusted(field, n, d, expanded)))
     return terms
 
 
@@ -387,36 +379,23 @@ def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
 class CandidateTable:
     """The rank-one candidates of one shape and kind, as coefficient arrays.
 
-    `by_coeffs` maps each distinct array to the (slots_a, factors) of the
-    first candidate that produced it, and `by_pos[i]` lists, in sorted
-    order, the arrays nonzero at flat position i.  The search runs on
-    arrays alone; terms are made on demand, by :meth:`term` for the arrays
-    of a certificate and by :attr:`terms` for all of them.  A caller that
-    ranks many tensors of one shape builds the table once and passes it to
-    every :func:`rank_exact` call.
+    `arrays` holds each distinct candidate array, and `by_pos[i]` lists,
+    in sorted order, the arrays nonzero at flat position i.  The search
+    runs on arrays alone; :meth:`term` factors the arrays of a
+    certificate.  A caller that ranks many tensors of one shape builds the
+    table once and passes it to every :func:`rank_exact` call.
     """
 
     field: PrimeField
     dim: int
     order: int
     kind: str
-    by_coeffs: dict
+    arrays: frozenset
     by_pos: tuple
 
     def term(self, coeffs: tuple[int, ...]) -> RankOneTerm:
-        """The RankOneTerm of one candidate array."""
-        field, dim, order, kind = self.field, self.dim, self.order, self.kind
-        slots_a, factors = self.by_coeffs[coeffs]
-        if kind != "rank":
-            arr_a, arr_b = factors
-            factors = (Tensor._trusted(field, dim, len(slots_a), arr_a),
-                       Tensor._trusted(field, dim, order - len(slots_a), arr_b))
-        return RankOneTerm(kind, slots_a, factors, Tensor._trusted(field, dim, order, coeffs))
-
-    @property
-    def terms(self) -> tuple[RankOneTerm, ...]:
-        """Every candidate as a term, sorted by array."""
-        return tuple(self.term(coeffs) for coeffs in sorted(self.by_coeffs))
+        """The RankOneTerm of one candidate array, in :func:`_rank_one_term` normal form."""
+        return _rank_one_term(Tensor._trusted(self.field, self.dim, self.order, coeffs), self.kind)
 
 
 def search_table(field: PrimeField, dim: int, order: int, kind: str,
@@ -431,13 +410,12 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
         return None
     cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
     try:
-        by_coeffs = {coeffs: (slots_a, factors)
-                     for coeffs, slots_a, factors in _candidates(field, dim, order, kind, cap)}
+        arrays = frozenset(_candidates(field, dim, order, kind, cap))
     except BudgetExceededError:
         return None
-    arrays = sorted(by_coeffs)
-    by_pos = tuple([coeffs for coeffs in arrays if coeffs[pos]] for pos in range(dim ** order))
-    return CandidateTable(field, dim, order, kind, by_coeffs, by_pos)
+    ordered = sorted(arrays)
+    by_pos = tuple([coeffs for coeffs in ordered if coeffs[pos]] for pos in range(dim ** order))
+    return CandidateTable(field, dim, order, kind, arrays, by_pos)
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
@@ -464,7 +442,7 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
     node_limit = max(1000, budget // max(1, t.dim ** t.order))
     try:
         for depth in range(len(greedy)):
-            found = _search_depth(t.coeffs, table.by_coeffs, table.by_pos,
+            found = _search_depth(t.coeffs, table.arrays, table.by_pos,
                                   t.field.p, depth, nodes, node_limit)
             if found is not None:
                 cert = tuple(table.term(coeffs) for coeffs in found)

@@ -163,27 +163,12 @@ class Tensor:
 
     # -- algebra -------------------------------------------------------------
 
-    def _check_shape(self, other: "Tensor"):
+    def __add__(self, other: "Tensor") -> "Tensor":
         if self.field.p != other.field.p or self.dim != other.dim or self.order != other.order:
             raise ValueError("tensor shape or field mismatch")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_shape(other)
         p = self.field.p
         return Tensor._trusted(self.field, self.dim, self.order,
                                tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_shape(other)
-        p = self.field.p
-        return Tensor._trusted(self.field, self.dim, self.order,
-                               tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "Tensor":
-        c = self.field.check(c)
-        p = self.field.p
-        return Tensor._trusted(self.field, self.dim, self.order,
-                               tuple(a * c % p for a in self.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,9 @@ class TestKnownValues:
 
     def test_zero_tensor_bias_one(self):
         for t in (zero_tensor(F2, 2, 3), zero_tensor(F5, 2, 2), zero_tensor(F3, 0, 3)):
-            assert bias_fiber(t).is_one()
-            assert bias_recursive(t).is_one()
-            assert bias_histogram(t)[1].is_one()
+            assert bias_fiber(t).as_fraction() == 1
+            assert bias_recursive(t).as_fraction() == 1
+            assert bias_histogram(t)[1].as_fraction() == 1
 
     def test_identity_closed_form_small(self):
         # (1 - (1 - 1/q)^(d-1))^n at q=2, d=3: 3/4, 9/16, 27/64
@@ -118,7 +118,7 @@ class TestKnownValues:
 
     def test_order_one_forms(self):
         zero = zero_tensor(F3, 2, 1)
-        assert bias_fiber(zero).is_one()
+        assert bias_fiber(zero).as_fraction() == 1
         nonzero = from_entries(F3, 2, 1, [((0,), 1)])
         assert bias_fiber(nonzero).is_zero()
         assert bias_recursive(nonzero).is_zero()
@@ -258,6 +258,12 @@ class TestGrayWalk:
         assert len(seen) == p ** n
         assert set(seen) == set(product(range(p), repeat=n))
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernel_tables_are_prefixes_of_the_full_code(self, p, n):
+        steps = gray_steps(p, n)
+        assert bias._Packed(p, n).gray() == [steps[:p ** k - 1] for k in range(n)]
+
 
 class TestOrderTwoMemo:
     """The memoized order-2 fiber count against a fresh rank, and its bound."""
@@ -314,7 +320,7 @@ class TestHistogram:
     def test_zero_tensor_counts(self):
         hist, value = bias_histogram(zero_tensor(F2, 1, 2))
         assert hist.counts == (4, 0)
-        assert value.is_one()
+        assert value.as_fraction() == 1
 
     def test_nonzero_values_equidistributed(self):
         for trial in range(10):

@@ -328,6 +328,13 @@ class TestRoundTripMany:
                  id="gen-diagonal-with-seed"),
     pytest.param(["gen", "--p", "2", "--n", "2", "--d", "3", "--identity", "--seed", "5"],
                  id="gen-identity-with-seed"),
+    pytest.param(["bias"], id="argparse-missing-file"),
+    pytest.param(["rank", "DIRECTORY", "--kind", "foo"], id="argparse-bad-choice"),
+    pytest.param(["bias", "DIRECTORY", "--budget", "x"], id="argparse-bad-int"),
+    pytest.param(["rank", "DIRECTORY", "--exact", "--bounds"], id="argparse-exclusive-flags"),
+    pytest.param(["survey", "--p", "2", "--n", "2", "--d", "3", "--exhaustive", "--format",
+                  "json"], id="argparse-unknown-flag"),
+    pytest.param(["nosuch"], id="argparse-unknown-command"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]

@@ -175,12 +175,12 @@ class TestSearchTable:
         assert search_table(F2, 3, 1, "prank", 10 ** 8) is None
         assert search_table(F3, 3, 3, "prank", 10 ** 8) is None  # over MAX_SEARCH_CANDIDATES
         assert search_table(F2, 2, 3, "prank", 8 * 134) is None  # 135 candidates
-        assert len(search_table(F2, 2, 3, "prank", 8 * 135).by_coeffs) > 0
+        assert len(search_table(F2, 2, 3, "prank", 8 * 135).arrays) > 0
 
     @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
     def test_dimension_zero_table_is_empty(self, kind):
         table = search_table(F2, 0, 3, kind, 10 ** 8)
-        assert table.by_coeffs == {} and table.by_pos == ()
+        assert table.arrays == frozenset() and table.by_pos == ()
 
     @pytest.mark.parametrize("p,n,d,kind", [
         (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
@@ -266,7 +266,8 @@ class TestIndependentSets:
 
 class TestCandidates:
     def test_arrays_unique_and_sorted(self):
-        terms = search_table(F2, 2, 3, "prank", 10 ** 8).terms
+        table = search_table(F2, 2, 3, "prank", 10 ** 8)
+        terms = [table.term(c) for c in sorted(table.arrays)]
         arrays = [term.tensor.coeffs for term in terms]
         assert len(arrays) == len(set(arrays))
         assert arrays == sorted(arrays)
@@ -275,13 +276,23 @@ class TestCandidates:
     def test_every_candidate_verifies_rank_one(self, p, n, d):
         field = PrimeField(p)
         for kind in ("rank", "srank", "prank"):
-            for term in search_table(field, n, d, kind, 10 ** 8).terms:
+            table = search_table(field, n, d, kind, 10 ** 8)
+            for term in [table.term(c) for c in sorted(table.arrays)]:
                 assert len(greedy_decomposition(term.tensor, kind)) == 1
 
     def test_slice_candidates_subset_of_partition(self):
-        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8).by_coeffs)
-        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8).by_coeffs)
+        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8).arrays)
+        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8).arrays)
         assert slice_arrays <= partition_arrays
+
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
+    def test_greedy_probe_gives_the_table_term(self, p, n, d):
+        field = PrimeField(p)
+        for kind in ("rank", "srank", "prank"):
+            table = search_table(field, n, d, kind, 10 ** 8)
+            for coeffs in table.arrays:
+                t = Tensor(field, n, d, coeffs)
+                assert greedy_decomposition(t, kind) == (table.term(coeffs),)
 
 
 def _reference_merge(p, dim, order, slots_a, arr_a, arr_b):
@@ -364,8 +375,12 @@ class TestCandidateTable:
         field = PrimeField(p)
         reference = _reference_candidates(field, n, d, kind)
         table = search_table(field, n, d, kind, 10 ** 8)
-        # same arrays in the same first-seen order, each with the same factors
-        assert list(table.by_coeffs.items()) == list(reference.items())
+        # the same arrays, each factored as the reference's first producer
+        assert table.arrays == set(reference)
+        for coeffs, (slots_a, factors) in reference.items():
+            term = table.term(coeffs)
+            assert term.tensor.coeffs == coeffs and term.slots_a == slots_a
+            assert tuple(getattr(f, "coeffs", f) for f in term.factors) == factors
         arrays = sorted(reference)
         assert table.by_pos == tuple([c for c in arrays if c[pos]] for pos in range(n ** d))
 
@@ -379,7 +394,7 @@ class TestCandidateTable:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         table = search_table(F5, 2, 3, "prank", 10 ** 8)
-        assert len(table.by_coeffs) == 9504
+        assert len(table.arrays) == 9504
         assert not made
 
     def test_certificates_are_pinned(self):
