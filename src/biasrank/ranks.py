@@ -6,10 +6,12 @@ projectively (first nonzero coordinate of each free factor scaled to 1,
 the remaining factor absorbs scalars) and deduplicated by coefficient
 array; at each search node the chosen candidate must be nonzero at the
 residual's first lexicographic nonzero coefficient, which is a complete
-pruning rule.  A slice or partition candidate is built as the flat outer
-product of its two factor arrays, put into full cell order by one
-precomputed index gather per bipartition; the gather and the greedy
-bound's matricizations read each cell's (A, B) position from one helper,
+pruning rule.  The table is built only when the greedy bound exceeds 2
+terms: below that the greedy decomposition is minimal, since its rank-one
+probe failed.  Every candidate is a head array on one side A times an
+array on the other slots B, read in full cell order by one itemgetter per
+head from the B-array's multiples; that itemgetter and the greedy bound's
+matricizations take each cell's (A, B) position from one helper,
 :func:`_cell_positions`.  The candidate table and the search hold
 coefficient arrays only.  One function, :func:`_rank_one_term`, writes a
 rank-one tensor as factors: the greedy bound's rank-one probe and the
@@ -125,27 +127,13 @@ def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> list[tupl
     return positions
 
 
-def _gather(dim: int, order: int, slots_a: tuple[int, ...]):
-    """Map the flat A-by-B outer product of two arrays onto full cell order.
-
-    A cell is the product of cell fa of the A-array and cell fb of the
-    B-array (:func:`_cell_positions`), so it sits at fa * n^|B| + fb of the
-    outer product.
-    """
-    len_b = dim ** (order - len(slots_a))
-    cells = [fa * len_b + fb for fa, fb in _cell_positions(dim, order, slots_a)]
-    if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
-        return lambda outer: tuple(outer[c] for c in cells)
-    return itemgetter(*cells)
-
-
 def _partition_sides(order: int, slice_only: bool):
     """Canonical bipartition sides A (each unordered {A, B} listed once).
 
     Slice terms put a linear factor on any single slot, so only the
-    singletons are used there.
+    singletons are used there; an order-1 tensor has the one side (0,).
     """
-    if slice_only:
+    if slice_only or order == 1:
         return [(s,) for s in range(order)]
     sides = []
     for size in range(1, order // 2 + 1):
@@ -156,42 +144,55 @@ def _partition_sides(order: int, slice_only: bool):
     return sides
 
 
-def _candidates(field: PrimeField, dim: int, order: int, kind: str,
-                max_candidates: int):
-    """Yield the coefficient array of every rank-one candidate.
-
-    Full products are d linear forms with projective tails; slice and
-    partition candidates are a projective A-side array times a nonzero
-    B-side array, for each side of :func:`_partition_sides`.  An array
-    rank one across several sides is yielded once per side.
-    """
+def _candidate_count(p: int, dim: int, order: int, kind: str) -> int:
+    """How many arrays :func:`_candidates` yields, repeats included."""
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
-    p = field.p
-
     if kind == "rank":
-        count = (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
-        if count > max_candidates:
-            raise BudgetExceededError(f"{count} full-product candidates exceed the search budget")
-        rest = list(_projective_vectors(field, dim))
-        for head in _nonzero_vectors(field, dim):
-            for tail in product(rest, repeat=order - 1):
-                yield _outer_product(field, (head,) + tail)
-        return
+        return (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
+    return sum(((p ** dim ** len(side) - 1) // (p - 1)) * (p ** dim ** (order - len(side)) - 1)
+               for side in _partition_sides(order, slice_only=(kind == "srank")))
 
-    sides = _partition_sides(order, slice_only=(kind == "srank"))
-    count = 0
-    for side in sides:
-        len_a, len_b = dim ** len(side), dim ** (order - len(side))
-        count += ((p ** len_a - 1) // (p - 1)) * (p ** len_b - 1)
-    if count > max_candidates:
-        raise BudgetExceededError(f"{count} bipartition candidates exceed the search budget")
-    for side in sides:
-        gather = _gather(dim, order, side)
-        arrays_b = list(_nonzero_vectors(field, dim ** (order - len(side))))
-        for arr_a in _projective_vectors(field, dim ** len(side)):
-            for arr_b in arrays_b:
-                yield gather([ca * cb % p for ca in arr_a for cb in arr_b])
+
+def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
+    """True iff an exact search may build this shape's table: order >= 2 and
+    at most min(budget // n^d, MAX_SEARCH_CANDIDATES) candidates."""
+    cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
+    return order >= 2 and _candidate_count(p, dim, order, kind) <= cap
+
+
+def _candidates(field: PrimeField, dim: int, order: int, kind: str):
+    """Yield the coefficient array of every rank-one candidate.
+
+    Each candidate is a head array on a side A times a B-array on the
+    other slots.  Full products are the side (0,) with nonzero heads and
+    the outer products of projective tails as B-arrays; slice and
+    partition candidates are a projective head times a nonzero B-array,
+    for each side of :func:`_partition_sides`.  Each B-array b is laid out
+    once with its multiples, [0] + 1*b + ... + (p-1)*b, so one itemgetter
+    per head reads every candidate of that head: cell c sits at
+    1 + (a[fa]-1)*|b| + fb (:func:`_cell_positions`), or at 0 where
+    a[fa] = 0.  An array rank one across several sides is yielded once
+    per side.
+    """
+    p = field.p
+    if kind == "rank":
+        tails = product(_projective_vectors(field, dim), repeat=order - 1)
+        plans = [((0,), _nonzero_vectors(field, dim), [_outer_product(field, v) for v in tails])]
+    else:
+        plans = [(side, _projective_vectors(field, dim ** len(side)),
+                  _nonzero_vectors(field, dim ** (order - len(side))))
+                 for side in _partition_sides(order, slice_only=(kind == "srank"))]
+    for side, heads, arrays_b in plans:
+        len_b = dim ** (order - len(side))
+        multiples = [[0, *(k * x % p for k in range(1, p) for x in b)] for b in arrays_b]
+        positions = _cell_positions(dim, order, side)
+        for head in heads:
+            cells = [1 + (head[fa] - 1) * len_b + fb if head[fa] else 0 for fa, fb in positions]
+            if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
+                yield from ((m[cells[0]],) for m in multiples)
+            else:
+                yield from map(itemgetter(*cells), multiples)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,8 @@ def _full_product_factors(t: Tensor) -> Optional[tuple]:
         arr_a, arr_b = split
         factors.append(arr_a)
         current = Tensor._trusted(field, current.dim, current.order - 1, arr_b)
+    if not factors:  # order 1: the tensor is its own head
+        return (t.coeffs,)
     lead = next(x for x in current.coeffs if x)
     inv = field.inv(lead)
     head = tuple(x * lead % p for x in factors[0])
@@ -406,13 +409,9 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
     min(budget // n^d, MAX_SEARCH_CANDIDATES).  A caller that ranks many
     tensors of one shape builds it once and passes it to every search.
     """
-    if order < 2:
+    if not _fits(field.p, dim, order, kind, budget):
         return None
-    cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
-    try:
-        arrays = frozenset(_candidates(field, dim, order, kind, cap))
-    except BudgetExceededError:
-        return None
+    arrays = frozenset(_candidates(field, dim, order, kind))
     ordered = sorted(arrays)
     by_pos = tuple([coeffs for coeffs in ordered if coeffs[pos]] for pos in range(dim ** order))
     return CandidateTable(field, dim, order, kind, arrays, by_pos)
@@ -422,34 +421,36 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
                table: CandidateTable | None = None) -> RankReport:
     """Minimal decomposition size by iterative deepening, or an interval.
 
-    The search runs on `table`, by default the :func:`search_table` of
-    the tensor's shape; with no table, or once the node budget is spent,
-    the interval of :func:`rank_bounds` is returned instead.
+    A greedy decomposition of at most two terms is minimal, since its
+    rank-one probe failed.  Past that the search runs from depth 2 on
+    `table`, by default the :func:`search_table` of the tensor's shape,
+    which is built only then.  Over the search cap, or once the node
+    budget is spent, the interval of :func:`rank_bounds` is returned.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     if table is not None and (table.field.p, table.dim, table.order, table.kind) != (
             t.field.p, t.dim, t.order, kind):
         raise ValueError("candidate table is for another shape or kind")
-    if t.is_zero() or t.order == 1:
-        return rank_bounds(t, kind, budget)
-    if table is None:
-        table = search_table(t.field, t.dim, t.order, kind, budget)
-    if table is None:
+    if t.is_zero() or t.order == 1 or (
+            table is None and not _fits(t.field.p, t.dim, t.order, kind, budget)):
         return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
-    nodes = [0]
-    node_limit = max(1000, budget // max(1, t.dim ** t.order))
-    try:
-        for depth in range(len(greedy)):
-            found = _search_depth(t.coeffs, table.arrays, table.by_pos,
-                                  t.field.p, depth, nodes, node_limit)
-            if found is not None:
-                cert = tuple(table.term(coeffs) for coeffs in found)
-                _verify_certificate(t, cert)
-                return RankReport(kind, depth, depth, True, cert, "search", "search")
-    except BudgetExceededError:
-        return rank_bounds(t, kind, budget)
+    if len(greedy) > 2:
+        if table is None:
+            table = search_table(t.field, t.dim, t.order, kind, budget)
+        nodes = [0]
+        node_limit = max(1000, budget // max(1, t.dim ** t.order))
+        try:
+            for depth in range(2, len(greedy)):
+                found = _search_depth(t.coeffs, table.arrays, table.by_pos,
+                                      t.field.p, depth, nodes, node_limit)
+                if found is not None:
+                    cert = tuple(table.term(coeffs) for coeffs in found)
+                    _verify_certificate(t, cert)
+                    return RankReport(kind, depth, depth, True, cert, "search", "search")
+        except BudgetExceededError:
+            return rank_bounds(t, kind, budget)
     return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
 
 
@@ -466,8 +467,7 @@ def rank_bounds(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankRepor
     if t.is_zero():
         return RankReport(kind, 0, 0, True, (), "search", "search")
     if t.order == 1:
-        return RankReport(kind, 1, 1, True, (RankOneTerm(kind, None, (t.coeffs,), t),),
-                          "search", "search")
+        return RankReport(kind, 1, 1, True, (_rank_one_term(t, kind),), "search", "search")
     greedy = greedy_decomposition(t, kind)
     try:
         lower, source = arank_ceil(bias_fiber(t, budget)), "analytic-rank"

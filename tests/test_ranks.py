@@ -7,7 +7,9 @@ import pytest
 
 from biasrank.bias import analytic_rank, bias_fiber
 from biasrank.gf import PrimeField, matrix_rank
+from biasrank import ranks
 from biasrank.ranks import (
+    RankReport,
     greedy_decomposition,
     is_independent_set,
     max_independent_set,
@@ -196,6 +198,35 @@ class TestSearchTable:
                 assert report == rank_bounds(t, kind)
 
 
+def _refuse_table(*args):
+    raise AssertionError("the search built a table it does not read")
+
+
+class TestLazyTable:
+    @pytest.mark.parametrize("p,d,kind", [(5, 3, "prank"), (2, 4, "srank"), (2, 4, "prank")])
+    def test_greedy_of_two_builds_no_table(self, p, d, kind, monkeypatch):
+        field = PrimeField(p)
+        table = search_table(field, 2, d, kind, 10 ** 8)
+        tensors = [random_tensor(field, 2, d, substream(63, trial).next_u64())
+                   for trial in range(4)]
+        monkeypatch.setattr(ranks, "search_table", _refuse_table)
+        for t in tensors:
+            greedy = greedy_decomposition(t, kind)
+            # the probe and the table agree on rank one, so depths 0 and 1 fail past one term
+            assert 1 <= len(greedy) <= 2 and (len(greedy) == 1) == (t.coeffs in table.arrays)
+            report = rank_exact(t, kind)
+            assert report == RankReport(kind, len(greedy), len(greedy), True, greedy,
+                                        "search", "greedy")
+            assert rank_exact(t, kind, table=table) == report
+
+    def test_one_candidate_over_the_cap_gives_the_interval(self):
+        for trial in range(4):
+            t = random_tensor(F2, 2, 3, substream(64, trial).next_u64())
+            assert len(greedy_decomposition(t, "prank")) <= 2
+            assert rank_exact(t, "prank", 8 * 134) == rank_bounds(t, "prank", 8 * 134)
+            assert rank_exact(t, "prank", 8 * 135).lower_source == "search"
+
+
 class TestBoundsReport:
     def test_identity_bounds(self):
         report = rank_bounds(identity_tensor(F2, 5, 3), "prank")
@@ -216,6 +247,19 @@ class TestBoundsReport:
         for t in (Tensor(F3, 3, 1, (0, 2, 1)), zero_tensor(F3, 3, 1), zero_tensor(F2, 2, 3)):
             for kind in ("rank", "srank", "prank"):
                 assert rank_bounds(t, kind) == rank_exact(t, kind)
+
+    def test_order_one_terms_have_the_documented_factors(self):
+        for t in (Tensor(F3, 3, 1, (0, 2, 1)), Tensor(F5, 2, 1, (3, 4)), Tensor(F2, 1, 1, (1,))):
+            for kind in ("rank", "srank", "prank"):
+                (term,) = rank_bounds(t, kind).certificate
+                assert term.kind == kind and term.tensor == t
+                if kind == "rank":  # one linear form, the head
+                    assert term.slots_a is None and term.factors == (t.coeffs,)
+                    continue
+                head, rest = term.factors  # tensors on slots (0,) and on no slot
+                assert term.slots_a == (0,) and (head.order, rest.order) == (1, 0)
+                assert next(x for x in head.coeffs if x) == 1
+                assert tuple(x * rest.coeffs[0] % t.field.p for x in head.coeffs) == t.coeffs
 
 
 class TestIndependentSets:
@@ -369,8 +413,10 @@ def _certificate_digest():
 
 
 class TestCandidateTable:
-    @pytest.mark.parametrize("p,n,d", [(2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 2, 4)])
-    @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
+    @pytest.mark.parametrize("kind,p,n,d", [
+        (kind, p, n, d) for kind in ("rank", "srank", "prank")
+        for p, n, d in [(2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 2, 4)]]
+        + [("rank", 5, 2, 3)])
     def test_matches_cell_by_cell_reference(self, p, n, d, kind):
         field = PrimeField(p)
         reference = _reference_candidates(field, n, d, kind)
