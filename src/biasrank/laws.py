@@ -17,9 +17,13 @@ index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise, so
 a pair is one index computation and three list lookups, and tensors are
 built only for a witness.
 
-arank-le-prank and the survey search on :func:`ranks.search_table`; over
-its cap arank-le-prank, which needs exact ranks, raises BudgetExceededError
-before checking anything, and the survey reports intervals.
+arank-le-prank and the survey rank exactly under the cap of
+:func:`ranks.search_table`; over it arank-le-prank, which needs exact
+ranks, raises BudgetExceededError before checking anything, and the survey
+reports intervals.  At order <= 3 no partition-rank search reads a table
+(:func:`ranks.rank_exact` takes the subspace duality there), so the survey
+builds one only at order >= 4.  arank-le-prank builds its table at every
+order, because its arrays are the rank-one tensors it checks.
 """
 
 from __future__ import annotations
@@ -363,9 +367,10 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
     """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
 
-    A nonempty universe also checks every rank-one candidate.  Its searches
-    share one :func:`search_table`; a shape over the search cap, or a
-    search that ends in an interval, raises BudgetExceededError.
+    A nonempty universe also checks every rank-one candidate, the arrays
+    of one :func:`search_table`, which its searches share at order >= 4.
+    A shape over the search cap, or a search that ends in an interval,
+    raises BudgetExceededError.
     """
     if order < 2:
         raise ValueError("arank-le-prank needs order >= 2")
@@ -598,9 +603,10 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
                identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
     """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
 
-    The exhaustive and seeded universes share one search table; the
-    identity family changes dimension from row to row.  Over the search
-    cap a row reports its certified interval.
+    At order >= 4 the exhaustive and seeded universes share one search
+    table; at order <= 3 no search reads one.  The identity family changes
+    dimension from row to row.  Over the search cap a row reports its
+    certified interval.
     """
     table = None
     if identity_max:
@@ -616,7 +622,7 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
             prefix = "seeded"
         labelled = ((f"{prefix}-{i}", t) for i, t in enumerate(
             _universe(field, dim, order, exhaustive=exhaustive, trials=trials, seed=seed)))
-        if exhaustive or trials > 0:
+        if (exhaustive or trials > 0) and order > 3:
             table = search_table(field, dim, order, "prank", budget)
     rows = []
     max_ratio = None

@@ -1,47 +1,64 @@
 """Exact and bounded tensor / slice / partition rank, and independent sets.
 
-Exact ranks are found by iterative deepening over sums of rank-one
-candidate terms against the residual tensor.  Candidates are normalized
-projectively (first nonzero coordinate of each free factor scaled to 1,
-the remaining factor absorbs scalars) and deduplicated by coefficient
-array; at each search node the chosen candidate must be nonzero at the
-residual's first lexicographic nonzero coefficient, which is a complete
-pruning rule.  The table is built only when the greedy bound exceeds 2
-terms: below that the greedy decomposition is minimal, since its rank-one
-probe failed.  Every candidate is a head array on one side A times an
-array on the other slots B, read in full cell order by one itemgetter per
-head from the B-array's multiples; that itemgetter and the greedy bound's
-matricizations take each cell's (A, B) position from one helper,
-:func:`_cell_positions`.  The candidate table and the search hold
-coefficient arrays only.  One function, :func:`_rank_one_term`, writes a
-rank-one tensor as factors: the greedy bound's rank-one probe and the
-terms of a certificate both come from it.  Every returned decomposition
-is re-summed and verified before it leaves this module.
+A greedy decomposition of at most 2 terms is minimal, since its rank-one
+probe failed; past that, two exact methods take over.
+
+Slice rank, and partition rank at order <= 3 (where every bipartition has
+a singleton side, so the two agree), come from subspace duality:
+srank(T) = min sum_i codim W_i over subspaces W_1..W_d of F_p^n with
+T|_{W_1 x ... x W_d} = 0.  :func:`_slice_duality` walks W_1..W_{d-1} as
+RREF bases; the largest admissible W_d is the common kernel of the
+contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank.
+:func:`_slice_certificate` expands T slot by slot along forms that cut
+each W_i out, one slice term per form.
+
+Tensor rank, and partition rank at order >= 4, come from iterative
+deepening over sums of rank-one candidate terms against the residual
+tensor.  Candidates are normalized projectively (first nonzero coordinate
+of each free factor scaled to 1, the remaining factor absorbs scalars)
+and deduplicated by coefficient array; at each search node the chosen
+candidate must be nonzero at the residual's first lexicographic nonzero
+coefficient, which is a complete pruning rule.  Every candidate is a head
+array on one side A times an array on the other slots B, read in full
+cell order by one itemgetter per head from the B-array's multiples; that
+itemgetter and the greedy bound's matricizations take each cell's (A, B)
+position from one helper, :func:`_cell_positions`.  The candidate table
+and the search hold coefficient arrays only.
+
+One function, :func:`_rank_one_term`, writes a rank-one tensor as factors:
+the greedy bound's rank-one probe and the terms of every certificate come
+from it.  Every returned decomposition is re-summed and verified before it
+leaves this module.
 
 The search space is tiny-instance only by design.  This module alone
-decides how large a table may grow: :func:`search_table` builds the table
-of a shape, or gives None when its candidates exceed
-min(budget // n^d, MAX_SEARCH_CANDIDATES).  With no table, or once the
-node budget runs out, an interval [analytic-rank ceiling, greedy upper
-bound] is returned instead, exact only if the two meet.
+decides how large a search may be, and one cap holds for every kind: a
+shape whose candidates exceed min(budget // n^d, MAX_SEARCH_CANDIDATES)
+gets no exact search by either method, although the duality builds no
+table, and :func:`search_table` gives None for it.  Both methods count
+nodes against max(1000, budget // n^d).  With no search, or once the node
+budget runs out, an interval [analytic-rank ceiling, greedy upper bound]
+is returned instead, exact only if the two meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import itemgetter
+from functools import reduce
+from itertools import combinations, compress, product
+from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, arank_ceil, bias_fiber
-from .gf import PrimeField, matrix_rank
+from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
 from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
 
 # Feasibility envelope for exact search: the candidate space must stay below
-# this many rank-one tensors.  Admits (p=2, n<=2, d<=4) and (p=3, n=2, d=3);
-# anything larger falls back to certified bounds.
+# this many rank-one tensors, counted also for the kinds that the subspace
+# duality ranks without a table.  Admits every kind at (p=2, n=2, d<=4),
+# (p<=5, n=2, d=3) and (p=2, n=3, d=3), but slice and partition rank at
+# (p=3, n=3, d=3) are over it; anything over it falls back to certified bounds.
 MAX_SEARCH_CANDIDATES = 50_000
 
 
@@ -378,6 +395,148 @@ def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
     return terms
 
 
+# ---------------------------------------------------------------------------
+# Slice rank by subspace duality
+# ---------------------------------------------------------------------------
+
+def _subspaces(p: int, dim: int) -> list:
+    """(basis, cut) of every subspace W of F_p^n, by increasing codimension.
+
+    `basis` is the RREF basis B_1..B_k of W, with pivots P_1..P_k.  `cut`
+    holds one (j, form) per non-pivot coordinate j, with
+    form(x) = x_j - sum_r x_{P_r} B_r[j]: these codim W forms vanish
+    exactly on W, and each is 0 at the other non-pivot coordinates.
+    """
+    spaces = []
+    for rank in range(dim, -1, -1):
+        for pivots in combinations(range(dim), rank):
+            others = [j for j in range(dim) if j not in pivots]
+            free = [(r, j) for r, q in enumerate(pivots) for j in others if j > q]
+            for values in product(range(p), repeat=len(free)):
+                basis = [[int(j == q) for j in range(dim)] for q in pivots]
+                for (r, j), v in zip(free, values):
+                    basis[r][j] = v
+                cut = []
+                for j in others:
+                    form = [int(i == j) for i in range(dim)]
+                    for q, row in zip(pivots, basis):
+                        form[q] = -row[j] % p
+                    cut.append((j, tuple(form)))
+                spaces.append((basis, cut))
+    return spaces
+
+
+def _echelon_cut(p: int, dim: int, rows) -> tuple:
+    """An echelon basis of the span of `rows` over F_p, as (pivot, form):
+    form[pivot] = 1, and every later form is 0 at that pivot."""
+    rows = [list(r) for r in rows]
+    cut = []
+    for col in range(dim):
+        k = next((k for k, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        inv = pow(rows[k][col], p - 2, p)
+        pivot = tuple(x * inv % p for x in rows.pop(k))
+        rows = [[(a - r[col] * b) % p for a, b in zip(r, pivot)] for r in rows]
+        cut.append((col, pivot))
+    return tuple(cut)
+
+
+def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
+    """The cuts of subspaces W_1..W_d with T|_{W_1 x ... x W_d} = 0 and the
+    least total codimension below `bound`, or None if none is below it.
+
+    W_1..W_{d-1} run over :func:`_subspaces` by increasing codimension; T
+    is contracted along each slot by the chosen basis, so the largest
+    admissible W_d is the common kernel of the forms left at the last
+    slot, and codim W_d is their rank (at p = 2 on bitsets).  A partial sum
+    that reaches the best total so far is cut off, and the walk stops at a
+    total of `floor`, a lower bound the caller knows.  `cuts[i]` lists the
+    (j, form) pairs whose forms cut W_i out: those of :func:`_subspaces`,
+    and for W_d an echelon basis of the last forms.  One node is counted
+    per tuple W_1..W_{d-1}; past `node_limit`, BudgetExceededError.
+    """
+    p, n, d = t.field.p, t.dim, t.order
+    if p == 2:  # an order-m array is an int whose bit c is cell c
+        top = sum(1 << c for c, x in enumerate(t.coeffs) if x)
+
+        def split(a, block):
+            mask = (1 << block) - 1
+            return [a >> (i * block) & mask for i in range(n)]
+
+        def combine(chunks, w):
+            return reduce(xor, compress(chunks, w), 0)
+
+        rank = gf2_rank
+    else:
+        top = t.coeffs
+
+        def split(a, block):
+            return [a[i * block:(i + 1) * block] for i in range(n)]
+
+        def combine(chunks, w):
+            return tuple(sum(map(mul, w, cells)) % p for cells in zip(*chunks))
+
+        def rank(forms):
+            return rank_mod_p(p, forms)
+
+    spaces = _subspaces(p, n)
+    best = [bound, None, None]
+    nodes = [0]
+
+    def walk(slot, arrays, spent, cuts):
+        chunked = [split(a, n ** (d - 1 - slot)) for a in arrays]
+        for basis, cut in spaces:
+            total = spent + len(cut)
+            if total >= best[0]:
+                return
+            contracted = [combine(chunks, w) for chunks in chunked for w in basis]
+            if slot < d - 2:
+                walk(slot + 1, contracted, total, cuts + (cut,))
+            else:
+                nodes[0] += 1
+                if nodes[0] > node_limit:
+                    raise BudgetExceededError("slice-rank duality exceeded its node budget")
+                total += rank(contracted)
+                if total < best[0]:
+                    best[:] = total, cuts + (cut,), contracted
+            if best[0] <= floor:
+                return
+
+    walk(0, [top], 0, ())
+    _, cuts, forms = best
+    if cuts is None:
+        return None
+    if p == 2:
+        forms = [[f >> k & 1 for k in range(n)] for f in forms]
+    return cuts + (_echelon_cut(p, n, forms),)
+
+
+def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
+    """One slice term per cut form, by the (<=) half of the duality.
+
+    In each slot's cut, form(e_j) = 1 and every later form is 0 at e_j.
+    Taking the term form(x^i) R(.., e_j, ..) off the residual R feeds slot
+    i through x - form(x) e_j, a projection onto the kernel of the form
+    that keeps the later forms' values.  Once a slot's forms are done, the
+    residual reads that slot only through a projection into W_i; once
+    every slot is done, it vanishes on W_1 x ... x W_d, so it is 0.
+    """
+    field, n, d = t.field, t.dim, t.order
+    p = field.p
+    residual = t.coeffs
+    terms = []
+    for slot, cut in enumerate(cuts):
+        stride = n ** (d - 1 - slot)
+        digits = [c // stride % n for c in range(n ** d)]
+        for j, form in cut:
+            coeffs = tuple(form[i] * residual[c + (j - i) * stride] % p
+                           for c, i in enumerate(digits))
+            terms.append(_rank_one_term(Tensor._trusted(field, n, d, coeffs), kind))
+            residual = tuple((a - b) % p for a, b in zip(residual, coeffs))
+    return tuple(terms)
+
+
 @dataclass(frozen=True)
 class CandidateTable:
     """The rank-one candidates of one shape and kind, as coefficient arrays.
@@ -419,13 +578,15 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
                table: CandidateTable | None = None) -> RankReport:
-    """Minimal decomposition size by iterative deepening, or an interval.
+    """Minimal decomposition size by an exact search, or an interval.
 
     A greedy decomposition of at most two terms is minimal, since its
-    rank-one probe failed.  Past that the search runs from depth 2 on
-    `table`, by default the :func:`search_table` of the tensor's shape,
-    which is built only then.  Over the search cap, or once the node
-    budget is spent, the interval of :func:`rank_bounds` is returned.
+    rank-one probe failed.  Past that, slice rank, and partition rank at
+    order <= 3, take the subspace duality, which needs no table and
+    ignores `table`; the other kinds search from depth 2 on `table`, by
+    default the :func:`search_table` of the tensor's shape, which is built
+    only then.  Over the search cap, or once the node budget is spent,
+    the interval of :func:`rank_bounds` is returned.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -436,22 +597,30 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
             table is None and not _fits(t.field.p, t.dim, t.order, kind, budget)):
         return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
+    cert = None
     if len(greedy) > 2:
-        if table is None:
-            table = search_table(t.field, t.dim, t.order, kind, budget)
-        nodes = [0]
         node_limit = max(1000, budget // max(1, t.dim ** t.order))
         try:
-            for depth in range(2, len(greedy)):
-                found = _search_depth(t.coeffs, table.arrays, table.by_pos,
-                                      t.field.p, depth, nodes, node_limit)
-                if found is not None:
-                    cert = tuple(table.term(coeffs) for coeffs in found)
-                    _verify_certificate(t, cert)
-                    return RankReport(kind, depth, depth, True, cert, "search", "search")
+            if kind == "srank" or (kind == "prank" and t.order <= 3):
+                cuts = _slice_duality(t, len(greedy), node_limit, floor=2)
+                if cuts is not None:
+                    cert = _slice_certificate(t, cuts, kind)
+            else:
+                if table is None:
+                    table = search_table(t.field, t.dim, t.order, kind, budget)
+                nodes = [0]
+                for depth in range(2, len(greedy)):
+                    found = _search_depth(t.coeffs, table.arrays, table.by_pos,
+                                          t.field.p, depth, nodes, node_limit)
+                    if found is not None:
+                        cert = tuple(table.term(coeffs) for coeffs in found)
+                        break
         except BudgetExceededError:
             return rank_bounds(t, kind, budget)
-    return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
+    if cert is None:
+        return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
+    _verify_certificate(t, cert)
+    return RankReport(kind, len(cert), len(cert), True, cert, "search", "search")
 
 
 def rank_bounds(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:

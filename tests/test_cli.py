@@ -403,6 +403,9 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
     pytest.param("survey --p 2 --n 2 --d 3 --exhaustive",
                  "70e2ae634505b0ececd3610c848b4d8e3b8383e3e80f899d1397b25ec3131139",
                  id="survey-exhaustive"),
+    pytest.param("survey --p 2 --n 3 --d 3 --trials 3",
+                 "4fc286a3bb668e47e0c88e441575d9ef108a9a86fa1fff5c966363b491fdb75b",
+                 id="survey-seeded-233"),
     pytest.param("survey --p 3 --n 3 --d 3 --trials 2",
                  "53ef2a5ddb8865ba19539f5f2d84f6ebc7a415509103c38e8ae80bd817ac2034",
                  id="survey-over-search-cap"),
@@ -420,6 +423,21 @@ def test_reports_are_byte_identical_to_the_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["srank", "prank"])
+@pytest.mark.parametrize("seed,value,upper_source", [
+    (0, 3, "greedy"), (1, 3, "greedy"), (2, 3, "greedy"), (11, 2, "search")])
+def test_slice_and_partition_rank_bytes_past_the_greedy_bound(capsys, tmp_path, kind, seed,
+                                                              value, upper_source):
+    # each (2,3,3) tensor has a greedy bound of 3 terms, so an exact search decides it
+    path = tmp_path / "t233.txt"
+    path.write_text(serialize_tensor(random_tensor(PrimeField(2), 3, 3, seed)))
+    text = f"{kind} = {value} (exact)\ncertificate: {value} rank-one terms, verified\n"
+    assert run(capsys, "rank", str(path), "--kind", kind) == (0, text, "")
+    line = (f'{{"exact": true, "kind": "{kind}", "lower": {value}, "lower_source": "search", '
+            f'"upper": {value}, "upper_source": "{upper_source}"}}\n')
+    assert run(capsys, "rank", str(path), "--kind", kind, "--format", "json") == (0, line, "")
 
 
 def test_python_dash_m_runs_the_cli():

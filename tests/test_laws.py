@@ -4,7 +4,7 @@ from itertools import islice, product
 
 import pytest
 
-from biasrank import laws
+from biasrank import laws, ranks
 from biasrank.bias import BiasValue, BudgetExceededError
 from biasrank.gf import PrimeField
 from biasrank.laws import (
@@ -241,6 +241,15 @@ class TestSurvey:
         report = survey_gap(F2, 2, 3, exhaustive=True)
         assert len(report.rows) == 255  # zero tensor dropped
         assert report.max_ratio is not None
+
+    def test_order_three_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the survey built a table that no search reads")
+
+        monkeypatch.setattr(laws, "search_table", refuse)
+        monkeypatch.setattr(ranks, "search_table", refuse)
+        for report in (survey_gap(F2, 3, 3, trials=3), survey_gap(F2, 2, 3, exhaustive=True)):
+            assert report.rows and all(row.exact for row in report.rows)
 
 
 class TestWitnessMachinery:

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from biasrank.bias import analytic_rank, bias_fiber
+from biasrank.bias import BudgetExceededError, analytic_rank, bias_fiber
 from biasrank.gf import PrimeField, matrix_rank
 from biasrank import ranks
 from biasrank.ranks import (
@@ -21,6 +21,7 @@ from biasrank.rng import substream
 from biasrank.tensor import (
     Tensor,
     all_tensors,
+    diagonal_tensor,
     from_entries,
     identity_tensor,
     random_tensor,
@@ -186,7 +187,8 @@ class TestSearchTable:
 
     @pytest.mark.parametrize("p,n,d,kind", [
         (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
-        for kind in ("rank", "srank", "prank")] + [(3, 3, 3, "srank"), (3, 3, 3, "prank")])
+        for kind in ("rank", "srank", "prank")] + [(3, 3, 3, "srank"), (3, 3, 3, "prank"),
+                                                   (2, 3, 3, "srank"), (2, 3, 3, "prank")])
     def test_rank_exact_gives_the_same_report_with_the_table(self, p, n, d, kind):
         field = PrimeField(p)
         table = search_table(field, n, d, kind, 10 ** 8)
@@ -217,6 +219,19 @@ class TestLazyTable:
             report = rank_exact(t, kind)
             assert report == RankReport(kind, len(greedy), len(greedy), True, greedy,
                                         "search", "greedy")
+            assert rank_exact(t, kind, table=table) == report
+
+    @pytest.mark.parametrize("kind", ["srank", "prank"])
+    def test_slice_duality_builds_no_table(self, kind, monkeypatch):
+        table = search_table(F2, 3, 3, kind, 10 ** 8)
+        tensors = [random_tensor(F2, 3, 3, seed) for seed in (0, 11, 95)]  # values 3, 2, 2
+        monkeypatch.setattr(ranks, "search_table", _refuse_table)
+        for t in tensors:
+            assert len(greedy_decomposition(t, kind)) == 3
+            report = rank_exact(t, kind)
+            assert report.exact and report.value == len(report.certificate)
+            assert all(term == ranks._rank_one_term(term.tensor, kind)
+                       for term in report.certificate)
             assert rank_exact(t, kind, table=table) == report
 
     def test_one_candidate_over_the_cap_gives_the_interval(self):
@@ -446,6 +461,74 @@ class TestCandidateTable:
     def test_certificates_are_pinned(self):
         assert _certificate_digest() == (
             "40b4bccf6b56bdf4bb3d287ea5c52953cb33ab5cd9ceca4c36bba85345e8f247")
+
+
+def _reference_srank(t, table):
+    """Least depth below the greedy size at which the candidate DFS writes t
+    as slice terms, or else the greedy size."""
+    greedy = len(greedy_decomposition(t, "srank"))
+    return next((depth for depth in range(greedy) if ranks._search_depth(
+        t.coeffs, table.arrays, table.by_pos, t.field.p, depth, [0], 10 ** 9) is not None),
+        greedy)
+
+
+def _duality_srank(t):
+    """The duality's minimum, with its certificate re-summed."""
+    cuts = ranks._slice_duality(t, t.dim + 1, 10 ** 9)  # n slices along slot 0 always do
+    cert = ranks._slice_certificate(t, cuts, "srank")
+    ranks._verify_certificate(t, cert)
+    return len(cert)
+
+
+def _planted_slice_sum(field, dim, order, terms, seed):
+    """A sum of `terms` random slice terms, each on a random slot."""
+    gen = substream(seed, 0)
+    coeffs = [0] * dim ** order
+    for _ in range(terms):
+        slot = gen.below(order)
+        form = gen.residues(field.p, dim)
+        rest = gen.residues(field.p, dim ** (order - 1))
+        term = _reference_merge(field.p, dim, order, (slot,), form, rest)
+        coeffs = [(a + b) % field.p for a, b in zip(coeffs, term)]
+    return Tensor(field, dim, order, tuple(coeffs))
+
+
+class TestSliceDuality:
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (2, 3, 2)])
+    def test_matches_the_search_exhaustively(self, p, n, d):
+        field = PrimeField(p)
+        table = search_table(field, n, d, "srank", 10 ** 8)
+        for t in all_tensors(field, n, d):
+            assert _duality_srank(t) == _reference_srank(t, table)
+
+    @pytest.mark.parametrize("p,n,d,trials", [(3, 2, 3, 50), (2, 3, 3, 50), (2, 2, 4, 30)])
+    def test_matches_the_search_on_seeded_tensors(self, p, n, d, trials):
+        field = PrimeField(p)
+        table = search_table(field, n, d, "srank", 10 ** 8)
+        for trial in range(trials):
+            t = random_tensor(field, n, d, substream(91, trial).next_u64())
+            assert _duality_srank(t) == _reference_srank(t, table)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
+    def test_diagonal_slice_rank_counts_its_nonzero_entries(self, p, n):
+        for diagonal in product(range(p), repeat=n):
+            t = diagonal_tensor(PrimeField(p), 3, diagonal)
+            assert _duality_srank(t) == sum(1 for c in diagonal if c)
+
+    @pytest.mark.parametrize("terms", [2, 3])
+    def test_planted_slice_sums(self, terms):
+        table = search_table(F2, 3, 3, "srank", 10 ** 8)
+        for trial in range(8):
+            t = _planted_slice_sum(F2, 3, 3, terms, 100 * terms + trial)
+            value = _duality_srank(t)
+            assert value <= terms and value == _reference_srank(t, table)
+
+    def test_floor_and_bound_cut_the_walk_short(self):
+        t = random_tensor(F2, 3, 3, 11)  # slice rank 2, greedy 3
+        assert ranks._slice_duality(t, 2, 10 ** 9) is None
+        assert sum(map(len, ranks._slice_duality(t, 3, 10 ** 9, floor=2))) == 2
+        with pytest.raises(BudgetExceededError):
+            ranks._slice_duality(t, 3, 0)
 
 
 class TestRankInequalitiesOnCube:
