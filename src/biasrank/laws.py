@@ -17,13 +17,12 @@ index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise, so
 a pair is one index computation and three list lookups, and tensors are
 built only for a witness.
 
-arank-le-prank and the survey rank exactly under the cap of
-:func:`ranks.search_table`; over it arank-le-prank, which needs exact
-ranks, raises BudgetExceededError before checking anything, and the survey
-reports intervals.  At order <= 3 no partition-rank search reads a table
-(:func:`ranks.rank_exact` takes the subspace duality there), so the survey
-builds one only at order >= 4.  arank-le-prank builds its table at every
-order, because its arrays are the rank-one tensors it checks.
+arank-le-prank and the survey rank exactly under the search cap of
+:func:`ranks.rank_exact`; over it arank-le-prank, which needs exact ranks,
+raises BudgetExceededError before checking anything, and the survey
+reports intervals.  arank-le-prank takes the rank-one tensors it checks,
+and its refusal, from :func:`ranks.search_table`, which lists the
+partition-rank candidates of its shape or gives None over the cap.
 """
 
 from __future__ import annotations
@@ -367,10 +366,9 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
     """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
 
-    A nonempty universe also checks every rank-one candidate, the arrays
-    of one :func:`search_table`, which its searches share at order >= 4.
-    A shape over the search cap, or a search that ends in an interval,
-    raises BudgetExceededError.
+    A nonempty universe also checks every rank-one tensor, the arrays of
+    :func:`search_table`.  A shape over the search cap, or a search that
+    ends in an interval, raises BudgetExceededError.
     """
     if order < 2:
         raise ValueError("arank-le-prank needs order >= 2")
@@ -380,13 +378,13 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
     nonempty = exhaustive or trials > 0
-    table = search_table(field, dim, order, "prank", budget) if nonempty else None
-    if nonempty and table is None:
+    rank_one = search_table(field, dim, order, "prank", budget) if nonempty else None
+    if nonempty and rank_one is None:
         raise BudgetExceededError(f"partition-rank candidates at p={q} n={dim} d={order} "
                                   f"exceed the search cap at budget {budget}")
 
     def check(t: Tensor):
-        report = rank_exact(t, "prank", budget, table=table)
+        report = rank_exact(t, "prank", budget)
         if not report.exact:
             raise BudgetExceededError(f"exact partition rank search exceeded budget {budget}")
         k = bias_fiber(t, budget).numerator
@@ -403,9 +401,8 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                             seed=seed), check)
     if not nonempty:
         return tracker.result()
-    held = tracker.drive((Tensor._trusted(field, dim, order, c) for c in sorted(table.arrays)),
-                         rank_one_ok)
-    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(table.arrays)}",))
+    held = tracker.drive((Tensor._trusted(field, dim, order, c) for c in rank_one), rank_one_ok)
+    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(rank_one)}",))
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +600,9 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
                identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
     """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
 
-    At order >= 4 the exhaustive and seeded universes share one search
-    table; at order <= 3 no search reads one.  The identity family changes
-    dimension from row to row.  Over the search cap a row reports its
-    certified interval.
+    The identity family changes dimension from row to row.  Over the
+    search cap a row reports its certified interval.
     """
-    table = None
     if identity_max:
         universe = f"identity tensors n=1..{identity_max} p={field.p} d={order}"
         labelled = ((f"identity-n{n}", identity_tensor(field, n, order))
@@ -622,15 +616,13 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
             prefix = "seeded"
         labelled = ((f"{prefix}-{i}", t) for i, t in enumerate(
             _universe(field, dim, order, exhaustive=exhaustive, trials=trials, seed=seed)))
-        if (exhaustive or trials > 0) and order > 3:
-            table = search_table(field, dim, order, "prank", budget)
     rows = []
     max_ratio = None
     for label, t in labelled:
         if t.is_zero():
             continue
         ar = analytic_rank(bias_fiber(t, budget)).value
-        report = rank_exact(t, "prank", budget, table=table)
+        report = rank_exact(t, "prank", budget)
         ratio = None
         if report.exact and ar > 0:
             ratio = report.value / ar

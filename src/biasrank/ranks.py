@@ -1,7 +1,7 @@
 """Exact and bounded tensor / slice / partition rank, and independent sets.
 
 A greedy decomposition of at most 2 terms is minimal, since its rank-one
-probe failed; past that, two exact methods take over.
+probe failed; past that, each kind has one exact method.
 
 Slice rank, and partition rank at order <= 3 (where every bipartition has
 a singleton side, so the two agree), come from subspace duality:
@@ -12,18 +12,24 @@ contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank.
 :func:`_slice_certificate` expands T slot by slot along forms that cut
 each W_i out, one slice term per form.
 
-Tensor rank, and partition rank at order >= 4, come from iterative
-deepening over sums of rank-one candidate terms against the residual
-tensor.  Candidates are normalized projectively (first nonzero coordinate
-of each free factor scaled to 1, the remaining factor absorbs scalars)
-and deduplicated by coefficient array; at each search node the chosen
+Tensor rank comes from iterative deepening over sums of rank-one
+candidate arrays against the residual tensor, :func:`_search`.
+Candidates are normalized projectively (first nonzero coordinate of each
+free factor scaled to 1, the remaining factor absorbs scalars) and
+deduplicated by coefficient array; at each search node the chosen
 candidate must be nonzero at the residual's first lexicographic nonzero
 coefficient, which is a complete pruning rule.  Every candidate is a head
 array on one side A times an array on the other slots B, read in full
 cell order by one itemgetter per head from the B-array's multiples; that
 itemgetter and the greedy bound's matricizations take each cell's (A, B)
-position from one helper, :func:`_cell_positions`.  The candidate table
-and the search hold coefficient arrays only.
+position from one helper, :func:`_cell_positions`.  :func:`search_table`
+lists the candidates of a shape and kind as coefficient arrays; besides
+the search, it gives arank-le-prank the partition-rank candidates it
+checks.
+
+Partition rank at order >= 4 has no exact method past greedy, and needs
+none: under the cap such a shape has n <= 2, and greedy slices slot 0
+into at most n terms.
 
 One function, :func:`_rank_one_term`, writes a rank-one tensor as factors:
 the greedy bound's rank-one probe and the terms of every certificate come
@@ -33,11 +39,11 @@ leaves this module.
 The search space is tiny-instance only by design.  This module alone
 decides how large a search may be, and one cap holds for every kind: a
 shape whose candidates exceed min(budget // n^d, MAX_SEARCH_CANDIDATES)
-gets no exact search by either method, although the duality builds no
-table, and :func:`search_table` gives None for it.  Both methods count
-nodes against max(1000, budget // n^d).  With no search, or once the node
-budget runs out, an interval [analytic-rank ceiling, greedy upper bound]
-is returned instead, exact only if the two meet.
+gets no exact method, although the duality lists no candidates, and
+:func:`search_table` gives None for it.  Both methods count nodes against
+max(1000, budget // n^d).  With no exact method, or once the node budget
+runs out, an interval [analytic-rank ceiling, greedy upper bound] is
+returned instead, exact only if the two meet.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ KINDS = ("rank", "srank", "prank")
 
 # Feasibility envelope for exact search: the candidate space must stay below
 # this many rank-one tensors, counted also for the kinds that the subspace
-# duality ranks without a table.  Admits every kind at (p=2, n=2, d<=4),
+# duality ranks without listing them.  Admits every kind at (p=2, n=2, d<=4),
 # (p<=5, n=2, d=3) and (p=2, n=3, d=3), but slice and partition rank at
 # (p=3, n=3, d=3) are over it; anything over it falls back to certified bounds.
 MAX_SEARCH_CANDIDATES = 50_000
@@ -172,8 +178,8 @@ def _candidate_count(p: int, dim: int, order: int, kind: str) -> int:
 
 
 def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
-    """True iff an exact search may build this shape's table: order >= 2 and
-    at most min(budget // n^d, MAX_SEARCH_CANDIDATES) candidates."""
+    """True iff an exact method may rank this shape: order >= 2 and at
+    most min(budget // n^d, MAX_SEARCH_CANDIDATES) candidates."""
     cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
     return order >= 2 and _candidate_count(p, dim, order, kind) <= cap
 
@@ -216,12 +222,25 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str):
 # Exact search
 # ---------------------------------------------------------------------------
 
-def _search_depth(target: tuple[int, ...], arrays, by_pos, p, depth,
-                  nodes: list[int], node_limit: int) -> Optional[list]:
-    """Depth-limited DFS: at most `depth` candidate arrays summing to target."""
+def _search(target: tuple[int, ...], arrays: list, p: int, depths,
+            node_limit: int) -> Optional[list]:
+    """The candidate arrays summing to target at the first depth in `depths`
+    that admits them, or None.
+
+    `arrays` are sorted and distinct.  A depth-limited DFS runs per depth,
+    trying at each node, in sorted order, the arrays nonzero at the
+    residual's first nonzero position; a residual with one term left needs
+    only a membership test.  Known failures are kept per depth, since the
+    node count decides which searches end in an interval.  Nodes are
+    counted over all depths; past `node_limit`, BudgetExceededError.
+    """
+    members = frozenset(arrays)
+    by_pos = [[coeffs for coeffs in arrays if coeffs[pos]] for pos in range(len(target))]
+    nodes = 0
     failed: set = set()
 
     def dfs(residual: tuple[int, ...], remaining: int) -> Optional[list]:
+        nonlocal nodes
         if not any(residual):
             return []
         if remaining == 0:
@@ -230,11 +249,11 @@ def _search_depth(target: tuple[int, ...], arrays, by_pos, p, depth,
         if state in failed:
             return None
         if remaining == 1:
-            return [residual] if residual in arrays else None
+            return [residual] if residual in members else None
         pos = next(i for i, c in enumerate(residual) if c)
         for coeffs in by_pos[pos]:
-            nodes[0] += 1
-            if nodes[0] > node_limit:
+            nodes += 1
+            if nodes > node_limit:
                 raise BudgetExceededError("rank search exceeded its node budget")
             new_res = tuple((a - b) % p for a, b in zip(residual, coeffs))
             rest = dfs(new_res, remaining - 1)
@@ -243,14 +262,20 @@ def _search_depth(target: tuple[int, ...], arrays, by_pos, p, depth,
         failed.add(state)
         return None
 
-    return dfs(target, depth)
+    for depth in depths:
+        failed.clear()
+        found = dfs(target, depth)
+        if found is not None:
+            return found
+    return None
 
 
 def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
     """A valid decomposition: rank-one probe first, then slot slicing.
 
-    Order 2 uses pivot peeling, which is exact there; higher orders slice
-    along the slot with the fewest nonzero slices.
+    Tensor rank at order 2 uses pivot peeling, which is exact there.
+    Otherwise t is sliced along slot 0: slice and partition rank take one
+    slice term per nonzero slice, and tensor rank recurses into each slice.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -316,7 +341,7 @@ def _rank_one_term(t: Tensor, kind: str) -> Optional[RankOneTerm]:
     scalars.  A slice or partition term splits across the first side, in
     :func:`_partition_sides` order, across which t has rank one, with a
     projective A-side array; that is the candidate :func:`_candidates`
-    yields first for t, so a table's terms are rebuilt from arrays alone.
+    yields first for t, so the search's terms are rebuilt from arrays alone.
     """
     field, n, d = t.field, t.dim, t.order
     if kind == "rank":
@@ -361,7 +386,7 @@ def _nonzero_slices(t: Tensor):
     for i in range(n):
         chunk = t.coeffs[i * block: (i + 1) * block]
         if any(chunk):
-            out.append((i, Tensor(t.field, n, d - 1, chunk)))
+            out.append((i, Tensor._trusted(t.field, n, d - 1, chunk)))
     return out
 
 
@@ -390,7 +415,7 @@ def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
             if u[i]:
                 for j in range(n):
                     rows[i][j] = (rows[i][j] - u[i] * v[j]) % p
-        expanded = Tensor(field, n, 2, _outer_product(field, (u, v)))
+        expanded = Tensor._trusted(field, n, 2, _outer_product(field, (u, v)))
         terms.append(RankOneTerm("rank", None, (u, v), expanded))
     return terms
 
@@ -537,84 +562,51 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class CandidateTable:
-    """The rank-one candidates of one shape and kind, as coefficient arrays.
-
-    `arrays` holds each distinct candidate array, and `by_pos[i]` lists,
-    in sorted order, the arrays nonzero at flat position i.  The search
-    runs on arrays alone; :meth:`term` factors the arrays of a
-    certificate.  A caller that ranks many tensors of one shape builds the
-    table once and passes it to every :func:`rank_exact` call.
-    """
-
-    field: PrimeField
-    dim: int
-    order: int
-    kind: str
-    arrays: frozenset
-    by_pos: tuple
-
-    def term(self, coeffs: tuple[int, ...]) -> RankOneTerm:
-        """The RankOneTerm of one candidate array, in :func:`_rank_one_term` normal form."""
-        return _rank_one_term(Tensor._trusted(self.field, self.dim, self.order, coeffs), self.kind)
-
-
 def search_table(field: PrimeField, dim: int, order: int, kind: str,
-                 budget: int) -> CandidateTable | None:
-    """The candidate table an exact search of this shape and budget uses.
+                 budget: int) -> list | None:
+    """The sorted distinct candidate arrays of this shape and kind.
 
     None below order 2 and when the candidates exceed
-    min(budget // n^d, MAX_SEARCH_CANDIDATES).  A caller that ranks many
-    tensors of one shape builds it once and passes it to every search.
+    min(budget // n^d, MAX_SEARCH_CANDIDATES).
     """
     if not _fits(field.p, dim, order, kind, budget):
         return None
-    arrays = frozenset(_candidates(field, dim, order, kind))
-    ordered = sorted(arrays)
-    by_pos = tuple([coeffs for coeffs in ordered if coeffs[pos]] for pos in range(dim ** order))
-    return CandidateTable(field, dim, order, kind, arrays, by_pos)
+    return sorted(set(_candidates(field, dim, order, kind)))
 
 
-def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET,
-               table: CandidateTable | None = None) -> RankReport:
-    """Minimal decomposition size by an exact search, or an interval.
+def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:
+    """Minimal decomposition size by the kind's exact method, or an interval.
 
     A greedy decomposition of at most two terms is minimal, since its
-    rank-one probe failed.  Past that, slice rank, and partition rank at
-    order <= 3, take the subspace duality, which needs no table and
-    ignores `table`; the other kinds search from depth 2 on `table`, by
-    default the :func:`search_table` of the tensor's shape, which is built
-    only then.  Over the search cap, or once the node budget is spent,
-    the interval of :func:`rank_bounds` is returned.
+    rank-one probe failed.  Past that, tensor rank searches the
+    :func:`search_table` of the tensor's shape from depth 2, and slice
+    rank, and partition rank at order <= 3, take the subspace duality.
+    Over the search cap, or once the node budget is spent, the interval
+    of :func:`rank_bounds` is returned; so it is for partition rank at
+    order >= 4 past greedy, which no shape under the cap reaches.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
-    if table is not None and (table.field.p, table.dim, table.order, table.kind) != (
-            t.field.p, t.dim, t.order, kind):
-        raise ValueError("candidate table is for another shape or kind")
-    if t.is_zero() or t.order == 1 or (
-            table is None and not _fits(t.field.p, t.dim, t.order, kind, budget)):
+    if t.is_zero() or t.order == 1 or not _fits(t.field.p, t.dim, t.order, kind, budget):
         return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
     cert = None
     if len(greedy) > 2:
-        node_limit = max(1000, budget // max(1, t.dim ** t.order))
+        field, n, d = t.field, t.dim, t.order
+        node_limit = max(1000, budget // max(1, n ** d))
         try:
-            if kind == "srank" or (kind == "prank" and t.order <= 3):
+            if kind == "rank":
+                found = _search(t.coeffs, search_table(field, n, d, kind, budget), field.p,
+                                range(2, len(greedy)), node_limit)
+                if found is not None:
+                    cert = tuple(_rank_one_term(Tensor._trusted(field, n, d, coeffs), kind)
+                                 for coeffs in found)
+            elif kind == "srank" or d <= 3:
                 cuts = _slice_duality(t, len(greedy), node_limit, floor=2)
                 if cuts is not None:
                     cert = _slice_certificate(t, cuts, kind)
             else:
-                if table is None:
-                    table = search_table(t.field, t.dim, t.order, kind, budget)
-                nodes = [0]
-                for depth in range(2, len(greedy)):
-                    found = _search_depth(t.coeffs, table.arrays, table.by_pos,
-                                          t.field.p, depth, nodes, node_limit)
-                    if found is not None:
-                        cert = tuple(table.term(coeffs) for coeffs in found)
-                        break
+                return rank_bounds(t, kind, budget)
         except BudgetExceededError:
             return rank_bounds(t, kind, budget)
     if cert is None:

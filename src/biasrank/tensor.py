@@ -13,9 +13,9 @@ line-oriented text format used by the command line tools.
 Coefficients are validated at the boundaries only: the public
 ``Tensor(...)`` constructor, :func:`from_entries` and :func:`parse_tensor`
 reject a non-residue, a non-int and a wrong length.  Results computed from
-tensors that already hold residues (``+``, ``-``, :meth:`Tensor.scale`,
-:func:`restrict`, :func:`random_tensor`, :func:`all_tensors`) are built by
-the internal :meth:`Tensor._trusted`, which skips that check.
+residues (``+``, :func:`restrict`, :func:`random_tensor`,
+:func:`all_tensors`, and the slices and terms the rank code builds) are
+made by the internal :meth:`Tensor._trusted`, which skips that check.
 """
 
 from __future__ import annotations

@@ -409,6 +409,12 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
     pytest.param("survey --p 3 --n 3 --d 3 --trials 2",
                  "53ef2a5ddb8865ba19539f5f2d84f6ebc7a415509103c38e8ae80bd817ac2034",
                  id="survey-over-search-cap"),
+    pytest.param("survey --p 2 --n 2 --d 4 --trials 40",
+                 "eb6833ecd45df05d99cdf71ea88993bbcd94b51d4a4b388434b4374c47872c34",
+                 id="survey-seeded-order-4"),
+    pytest.param("check arank-le-prank --p 2 --n 2 --d 4 --trials 30",
+                 "0e9e81fa54f64fab9b74ab490e51a9b9c652818f6e8541c20a488080a4c8ad00",
+                 id="arank-le-prank-order-4"),
     pytest.param("check arank-le-prank --p 3 --n 2 --d 3 --trials 20 --seed 5",
                  "f5541260446591476b8c1ccce004ed279a497177a6b1285164010a24c6ff9f16",
                  id="arank-le-prank-p3"),

@@ -133,7 +133,7 @@ class TestArankLePrank:
     def test_inexact_search_is_a_budget_refusal(self, monkeypatch):
         # the identity of the cube has prank 2 but arank ceiling 1
         monkeypatch.setattr(laws, "rank_exact",
-                            lambda t, kind, budget, table: rank_bounds(t, kind, budget))
+                            lambda t, kind, budget: rank_bounds(t, kind, budget))
         with pytest.raises(BudgetExceededError):
             law_arank_le_prank(F2, 2, 3, exhaustive=True)
 
@@ -248,7 +248,8 @@ class TestSurvey:
 
         monkeypatch.setattr(laws, "search_table", refuse)
         monkeypatch.setattr(ranks, "search_table", refuse)
-        for report in (survey_gap(F2, 3, 3, trials=3), survey_gap(F2, 2, 3, exhaustive=True)):
+        for report in (survey_gap(F2, 3, 3, trials=3), survey_gap(F2, 2, 3, exhaustive=True),
+                       survey_gap(F2, 2, 4, trials=20)):
             assert report.rows and all(row.exact for row in report.rows)
 
 

@@ -178,12 +178,11 @@ class TestSearchTable:
         assert search_table(F2, 3, 1, "prank", 10 ** 8) is None
         assert search_table(F3, 3, 3, "prank", 10 ** 8) is None  # over MAX_SEARCH_CANDIDATES
         assert search_table(F2, 2, 3, "prank", 8 * 134) is None  # 135 candidates
-        assert len(search_table(F2, 2, 3, "prank", 8 * 135).arrays) > 0
+        assert len(search_table(F2, 2, 3, "prank", 8 * 135)) > 0
 
     @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
     def test_dimension_zero_table_is_empty(self, kind):
-        table = search_table(F2, 0, 3, kind, 10 ** 8)
-        assert table.arrays == frozenset() and table.by_pos == ()
+        assert search_table(F2, 0, 3, kind, 10 ** 8) == []
 
     @pytest.mark.parametrize("p,n,d,kind", [
         (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
@@ -191,13 +190,22 @@ class TestSearchTable:
                                                    (2, 3, 3, "srank"), (2, 3, 3, "prank")])
     def test_rank_exact_gives_the_same_report_with_the_table(self, p, n, d, kind):
         field = PrimeField(p)
-        table = search_table(field, n, d, kind, 10 ** 8)
+        arrays = search_table(field, n, d, kind, 10 ** 8)
         for trial in range(3):
             t = random_tensor(field, n, d, substream(57, trial).next_u64())
             report = rank_exact(t, kind)
-            assert rank_exact(t, kind, table=table) == report
-            if table is None:
+            if arrays is None:
                 assert report == rank_bounds(t, kind)
+            else:  # an exact answer, whose terms are all candidate arrays
+                assert report.exact
+                assert {term.tensor.coeffs for term in report.certificate} <= set(arrays)
+
+    def test_order_four_partition_rank_fits_only_at_n_at_most_two(self):
+        # so greedy, one slice term per nonzero slot-0 slice, decides every
+        # order >= 4 partition rank that an exact method could take
+        fitting = [(p, n, d) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 9)
+                   for d in range(4, 7) if ranks._fits(p, n, d, "prank", 10 ** 18)]
+        assert (2, 2, 4) in fitting and all(n <= 2 for _, n, _ in fitting)
 
 
 def _refuse_table(*args):
@@ -208,22 +216,20 @@ class TestLazyTable:
     @pytest.mark.parametrize("p,d,kind", [(5, 3, "prank"), (2, 4, "srank"), (2, 4, "prank")])
     def test_greedy_of_two_builds_no_table(self, p, d, kind, monkeypatch):
         field = PrimeField(p)
-        table = search_table(field, 2, d, kind, 10 ** 8)
+        arrays = set(search_table(field, 2, d, kind, 10 ** 8))
         tensors = [random_tensor(field, 2, d, substream(63, trial).next_u64())
                    for trial in range(4)]
         monkeypatch.setattr(ranks, "search_table", _refuse_table)
         for t in tensors:
             greedy = greedy_decomposition(t, kind)
             # the probe and the table agree on rank one, so depths 0 and 1 fail past one term
-            assert 1 <= len(greedy) <= 2 and (len(greedy) == 1) == (t.coeffs in table.arrays)
+            assert 1 <= len(greedy) <= 2 and (len(greedy) == 1) == (t.coeffs in arrays)
             report = rank_exact(t, kind)
             assert report == RankReport(kind, len(greedy), len(greedy), True, greedy,
                                         "search", "greedy")
-            assert rank_exact(t, kind, table=table) == report
 
     @pytest.mark.parametrize("kind", ["srank", "prank"])
     def test_slice_duality_builds_no_table(self, kind, monkeypatch):
-        table = search_table(F2, 3, 3, kind, 10 ** 8)
         tensors = [random_tensor(F2, 3, 3, seed) for seed in (0, 11, 95)]  # values 3, 2, 2
         monkeypatch.setattr(ranks, "search_table", _refuse_table)
         for t in tensors:
@@ -232,7 +238,6 @@ class TestLazyTable:
             assert report.exact and report.value == len(report.certificate)
             assert all(term == ranks._rank_one_term(term.tensor, kind)
                        for term in report.certificate)
-            assert rank_exact(t, kind, table=table) == report
 
     def test_one_candidate_over_the_cap_gives_the_interval(self):
         for trial in range(4):
@@ -323,11 +328,15 @@ class TestIndependentSets:
             is_independent_set(t, (0, 0))
 
 
+def _table_terms(field, n, d, kind):
+    """The term of each candidate array, as the search's certificates write it."""
+    return [ranks._rank_one_term(Tensor(field, n, d, coeffs), kind)
+            for coeffs in search_table(field, n, d, kind, 10 ** 8)]
+
+
 class TestCandidates:
     def test_arrays_unique_and_sorted(self):
-        table = search_table(F2, 2, 3, "prank", 10 ** 8)
-        terms = [table.term(c) for c in sorted(table.arrays)]
-        arrays = [term.tensor.coeffs for term in terms]
+        arrays = [term.tensor.coeffs for term in _table_terms(F2, 2, 3, "prank")]
         assert len(arrays) == len(set(arrays))
         assert arrays == sorted(arrays)
 
@@ -335,23 +344,20 @@ class TestCandidates:
     def test_every_candidate_verifies_rank_one(self, p, n, d):
         field = PrimeField(p)
         for kind in ("rank", "srank", "prank"):
-            table = search_table(field, n, d, kind, 10 ** 8)
-            for term in [table.term(c) for c in sorted(table.arrays)]:
+            for term in _table_terms(field, n, d, kind):
                 assert len(greedy_decomposition(term.tensor, kind)) == 1
 
     def test_slice_candidates_subset_of_partition(self):
-        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8).arrays)
-        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8).arrays)
+        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8))
+        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8))
         assert slice_arrays <= partition_arrays
 
     @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
     def test_greedy_probe_gives_the_table_term(self, p, n, d):
         field = PrimeField(p)
         for kind in ("rank", "srank", "prank"):
-            table = search_table(field, n, d, kind, 10 ** 8)
-            for coeffs in table.arrays:
-                t = Tensor(field, n, d, coeffs)
-                assert greedy_decomposition(t, kind) == (table.term(coeffs),)
+            for term in _table_terms(field, n, d, kind):
+                assert greedy_decomposition(term.tensor, kind) == (term,)
 
 
 def _reference_merge(p, dim, order, slots_a, arr_a, arr_b):
@@ -435,15 +441,13 @@ class TestCandidateTable:
     def test_matches_cell_by_cell_reference(self, p, n, d, kind):
         field = PrimeField(p)
         reference = _reference_candidates(field, n, d, kind)
-        table = search_table(field, n, d, kind, 10 ** 8)
-        # the same arrays, each factored as the reference's first producer
-        assert table.arrays == set(reference)
-        for coeffs, (slots_a, factors) in reference.items():
-            term = table.term(coeffs)
-            assert term.tensor.coeffs == coeffs and term.slots_a == slots_a
+        # the same arrays, sorted, each factored as the reference's first producer
+        terms = _table_terms(field, n, d, kind)
+        assert [term.tensor.coeffs for term in terms] == sorted(reference)
+        for term in terms:
+            slots_a, factors = reference[term.tensor.coeffs]
+            assert term.slots_a == slots_a
             assert tuple(getattr(f, "coeffs", f) for f in term.factors) == factors
-        arrays = sorted(reference)
-        assert table.by_pos == tuple([c for c in arrays if c[pos]] for pos in range(n ** d))
 
     def test_build_makes_no_tensors(self, monkeypatch):
         made = []
@@ -454,8 +458,7 @@ class TestCandidateTable:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        table = search_table(F5, 2, 3, "prank", 10 ** 8)
-        assert len(table.arrays) == 9504
+        assert len(search_table(F5, 2, 3, "prank", 10 ** 8)) == 9504
         assert not made
 
     def test_certificates_are_pinned(self):
@@ -463,13 +466,12 @@ class TestCandidateTable:
             "40b4bccf6b56bdf4bb3d287ea5c52953cb33ab5cd9ceca4c36bba85345e8f247")
 
 
-def _reference_srank(t, table):
-    """Least depth below the greedy size at which the candidate DFS writes t
-    as slice terms, or else the greedy size."""
+def _reference_srank(t, arrays):
+    """Least depth below the greedy size at which the candidate search writes
+    t as slice terms, or else the greedy size."""
     greedy = len(greedy_decomposition(t, "srank"))
-    return next((depth for depth in range(greedy) if ranks._search_depth(
-        t.coeffs, table.arrays, table.by_pos, t.field.p, depth, [0], 10 ** 9) is not None),
-        greedy)
+    found = ranks._search(t.coeffs, arrays, t.field.p, range(greedy), 10 ** 9)
+    return greedy if found is None else len(found)
 
 
 def _duality_srank(t):
@@ -497,17 +499,17 @@ class TestSliceDuality:
     @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (2, 3, 2)])
     def test_matches_the_search_exhaustively(self, p, n, d):
         field = PrimeField(p)
-        table = search_table(field, n, d, "srank", 10 ** 8)
+        arrays = search_table(field, n, d, "srank", 10 ** 8)
         for t in all_tensors(field, n, d):
-            assert _duality_srank(t) == _reference_srank(t, table)
+            assert _duality_srank(t) == _reference_srank(t, arrays)
 
     @pytest.mark.parametrize("p,n,d,trials", [(3, 2, 3, 50), (2, 3, 3, 50), (2, 2, 4, 30)])
     def test_matches_the_search_on_seeded_tensors(self, p, n, d, trials):
         field = PrimeField(p)
-        table = search_table(field, n, d, "srank", 10 ** 8)
+        arrays = search_table(field, n, d, "srank", 10 ** 8)
         for trial in range(trials):
             t = random_tensor(field, n, d, substream(91, trial).next_u64())
-            assert _duality_srank(t) == _reference_srank(t, table)
+            assert _duality_srank(t) == _reference_srank(t, arrays)
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
     def test_diagonal_slice_rank_counts_its_nonzero_entries(self, p, n):
@@ -517,11 +519,11 @@ class TestSliceDuality:
 
     @pytest.mark.parametrize("terms", [2, 3])
     def test_planted_slice_sums(self, terms):
-        table = search_table(F2, 3, 3, "srank", 10 ** 8)
+        arrays = search_table(F2, 3, 3, "srank", 10 ** 8)
         for trial in range(8):
             t = _planted_slice_sum(F2, 3, 3, terms, 100 * terms + trial)
             value = _duality_srank(t)
-            assert value <= terms and value == _reference_srank(t, table)
+            assert value <= terms and value == _reference_srank(t, arrays)
 
     def test_floor_and_bound_cut_the_walk_short(self):
         t = random_tensor(F2, 3, 3, 11)  # slice rank 2, greedy 3
