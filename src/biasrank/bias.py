@@ -38,6 +38,9 @@ mod q at odd q), so a memo never holds more than q^(n^2) entries however
 many distinct inputs a process sees; nothing is built before the first
 walk.
 
+The kernel is the only code that packs, slices, contracts and ranks
+packed tensors; the slice-rank duality of :mod:`biasrank.ranks` uses it.
+
 Since every engine shares the walk, their agreement cannot catch a fault
 in it.  The naive oracles of the tests and the reference engine of the
 benchmark (``perfbench/verify.py``, which shares no code with this
@@ -55,10 +58,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
+from operator import mul, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
+from .gf import PrimeField, gf2_rank, rank_mod_p
+from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps bias.matrix_rank)
 from .tensor import MultiComponentForm, Tensor
 
 DEFAULT_BUDGET = 10 ** 8
@@ -262,7 +268,7 @@ class _Packed:
     y_k stay in [0, p), so a step adds or subtracts one packed slice without
     a carry or borrow between cells, and cells are read mod p.  Every walk
     starts from reduced cells, so one contraction, at most n (p-1)^2 per
-    cell, bounds the width.
+    cell, bounds the width; :meth:`reduced` brings cells back below p.
 
     `memo` maps each reduced matrix seen to its fiber count, or is None where
     the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
@@ -356,10 +362,32 @@ class _Packed:
         children = self.walk(x, order, lines)
         if order - 1 == stop:
             return children
-        if self.p != 2:
-            children = map(self.pack, self.keys(children, self.n ** (order - 1)))
+        children = self.reduced(children, self.n ** (order - 1))
         return chain.from_iterable(self.descend(child, order - 1, stop, lines)
                                    for child in children)
+
+    def slices(self, x: int, order: int) -> list[int]:
+        """The n slices of a packed order-`order` tensor along its leading slot."""
+        shift = self.bits * self.n ** (order - 1)
+        mask = (1 << shift) - 1
+        return [(x >> (k * shift)) & mask for k in range(self.n)]
+
+    def contract(self, slices: Sequence[int], ws: Iterable, order: int) -> list[int]:
+        """T(w, ...) = sum_k w_k slice_k, reduced, for each w in ws, from the
+        :meth:`slices` of an order-`order` T with reduced cells."""
+        if self.p == 2:
+            return [reduce(xor, compress(slices, w), 0) for w in ws]
+        return list(self.reduced([sum(map(mul, w, slices)) for w in ws], self.n ** (order - 1)))
+
+    def rank(self, forms: Iterable[int]) -> int:
+        """The rank of packed order-1 forms, their cells read mod p."""
+        if self.p == 2:
+            return gf2_rank(forms)
+        return rank_mod_p(self.p, [self.cells(f, self.n) for f in forms])
+
+    def reduced(self, xs: Iterable[int], count: int) -> Iterable[int]:
+        """Each x with its first `count` cells reduced mod p, packed again."""
+        return xs if self.p == 2 else map(self.pack, self.keys(xs, count))
 
     def keys(self, xs: Iterable[int], count: int) -> Iterable:
         """The first `count` cells of each x mod p as a key, which `pack` reads
@@ -408,17 +436,15 @@ def _kernel(p: int, n: int) -> _Packed:
 def _zero_fibers(field: PrimeField, n: int, order: int, coeffs: Sequence[int]) -> int:
     """K: the fixings of the leading order-1 slots that leave the zero form.
 
-    Order 2 is p^(n-r) for a matrix of rank r.  Above it the walk fixes the
-    leading slots down to order 2, one y per line: T(cy, ...) = c T(y, ...)
-    has the zero fibers of T(y, ...) for c != 0, so a line stands for p - 1
-    fixings.  With q = p^n, the q (q^(d-2) - (q-1)^(d-2)) fixings that put
-    y = 0 in some leading slot leave the zero matrix.
+    The walk fixes the leading slots down to order 2 (an order-2 tensor is
+    its one leaf), one y per line: T(cy, ...) = c T(y, ...) has the zero
+    fibers of T(y, ...) for c != 0, so a line stands for p - 1 fixings.
+    With q = p^n, the q (q^(d-2) - (q-1)^(d-2)) fixings that put y = 0 in
+    some leading slot leave the zero matrix.
     """
     p = field.p
     if order == 1:
         return 0 if any(coeffs) else 1
-    if order == 2:
-        return p ** (n - matrix_rank(field, [coeffs[i * n:(i + 1) * n] for i in range(n)]))
     kernel = _kernel(p, n)
     leaves = kernel.descend(kernel.pack(coeffs), order, 2, lines=True)
     q = p ** n
@@ -453,9 +479,9 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 # Engine 2: block factoring over the fiber count
 # ---------------------------------------------------------------------------
 
-def _components(cells, dim: int, order: int) -> list[list[int]]:
+def _components(t: Tensor) -> list[list[int]]:
     """Connected coordinate blocks: indices co-occurring in some entry."""
-    parent = list(range(dim))
+    parent = list(range(t.dim))
 
     def find(a):
         while parent[a] != a:
@@ -464,13 +490,7 @@ def _components(cells, dim: int, order: int) -> list[list[int]]:
         return a
 
     seen = set()
-    for flat, c in enumerate(cells):
-        if not c:
-            continue
-        idx = []
-        for _ in range(order):
-            idx.append(flat % dim)
-            flat //= dim
+    for idx, _ in t.nonzero_entries():
         seen.update(idx)
         root = find(idx[0])
         for i in idx[1:]:
@@ -505,7 +525,7 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
         raise ValueError("bias is defined for order >= 1")
     p, n, order = t.field.p, t.dim, t.order
     blocks = Counter((len(comp), tuple(_block_cells(t.coeffs, n, order, comp)))
-                     for comp in _components(t.coeffs, n, order))
+                     for comp in _components(t))
     work = 0
     for m, _ in blocks:
         lines = (p ** m - 1) // (p - 1)

@@ -38,7 +38,7 @@ from .laws import (
     law_subadditivity,
     survey_gap,
 )
-from .ranks import max_independent_set, rank_bounds, rank_exact
+from .ranks import KINDS, max_independent_set, rank_bounds, rank_exact
 from .tensor import (
     TensorFormatError,
     dense_cells,
@@ -188,7 +188,7 @@ def cmd_bias(args) -> int:
     else:
         values = {args.method: _ENGINES[args.method](t, args.budget)}
     lines = [f"p={t.field.p} n={t.dim} d={t.order}"]
-    for name in ("fiber", "recursive", "histogram"):
+    for name in _ENGINES:
         if name in values:
             v = values[name]
             lines.append(f"{name}: {v} = {v.to_float():.12f}")
@@ -406,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias", help="exact bias of a tensor file")
     p.add_argument("file", help="tensor file, or - for stdin")
-    p.add_argument("--method", choices=("fiber", "recursive", "histogram", "all"),
-                   default="fiber")
+    p.add_argument("--method", choices=(*_ENGINES, "all"), default="fiber")
     add_common(p)
     p.set_defaults(func=cmd_bias)
 
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="tensor / slice / partition rank")
     p.add_argument("file")
-    p.add_argument("--kind", choices=("rank", "srank", "prank"), default="prank")
+    p.add_argument("--kind", choices=KINDS, default="prank")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--bounds", action="store_true")
@@ -482,6 +481,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "budget", 0) < 0:
+            raise UsageError(f"--budget must be at least 0, got {args.budget}")
         return args.func(args)
     except (TensorFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

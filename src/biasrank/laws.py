@@ -36,6 +36,7 @@ from .bias import (
     DEFAULT_BUDGET,
     BiasValue,
     BudgetExceededError,
+    _check_budget,
     analytic_rank,
     bias_fiber,
     bias_multiform,
@@ -281,8 +282,7 @@ class CorrelationInstance:
         """(#common zeros of T, of S, of both, domain size) by enumeration."""
         q, n, d = self.field.p, self.dim, self.order
         total = q ** (n * d)
-        if total > budget:
-            raise BudgetExceededError(f"correlation counting needs {total} evaluations")
+        _check_budget(total, budget, "correlation counting")
         vectors = list(product(range(q), repeat=n))
         z_t = z_s = z_both = 0
         for assignment in product(vectors, repeat=d):

@@ -8,7 +8,8 @@ a singleton side, so the two agree), come from subspace duality:
 srank(T) = min sum_i codim W_i over subspaces W_1..W_d of F_p^n with
 T|_{W_1 x ... x W_d} = 0.  :func:`_slice_duality` walks W_1..W_{d-1} as
 RREF bases; the largest admissible W_d is the common kernel of the
-contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank.
+contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank;
+the bias kernel packs, contracts and ranks them.
 :func:`_slice_certificate` expands T slot by slot along forms that cut
 each W_i out, one slice term per form.
 
@@ -31,10 +32,10 @@ Partition rank at order >= 4 has no exact method past greedy, and needs
 none: under the cap such a shape has n <= 2, and greedy slices slot 0
 into at most n terms.
 
-One function, :func:`_rank_one_term`, writes a rank-one tensor as factors:
-the greedy bound's rank-one probe and the terms of every certificate come
-from it.  Every returned decomposition is re-summed and verified before it
-leaves this module.
+:func:`_rank_one_term` writes the normal form of a rank-one tensor; every
+term is in it except greedy `rank` terms past the probe, which the slice
+recursion and the matrix peel factor themselves.  Every returned
+decomposition is re-summed and verified before it leaves this module.
 
 The search space is tiny-instance only by design.  This module alone
 decides how large a search may be, and one cap holds for every kind: a
@@ -49,13 +50,13 @@ returned instead, exact only if the two meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, compress, product
-from operator import itemgetter, mul, xor
+from itertools import combinations, product
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .bias import DEFAULT_BUDGET, BudgetExceededError, arank_ceil, bias_fiber
-from .gf import PrimeField, gf2_rank, matrix_rank, rank_mod_p
+from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
+from .gf import PrimeField
+from .gf import matrix_rank  # the benchmark tracer wraps ranks.matrix_rank
 from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
@@ -474,67 +475,44 @@ def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
     W_1..W_{d-1} run over :func:`_subspaces` by increasing codimension; T
     is contracted along each slot by the chosen basis, so the largest
     admissible W_d is the common kernel of the forms left at the last
-    slot, and codim W_d is their rank (at p = 2 on bitsets).  A partial sum
-    that reaches the best total so far is cut off, and the walk stops at a
-    total of `floor`, a lower bound the caller knows.  `cuts[i]` lists the
-    (j, form) pairs whose forms cut W_i out: those of :func:`_subspaces`,
-    and for W_d an echelon basis of the last forms.  One node is counted
-    per tuple W_1..W_{d-1}; past `node_limit`, BudgetExceededError.
+    slot, and codim W_d is their rank.  The bias kernel of (p, n) packs,
+    contracts and ranks the tensors.  A partial sum that reaches the best
+    total so far is cut off, and the walk stops at a total of `floor`, a
+    lower bound the caller knows.  `cuts[i]` lists the (j, form) pairs
+    whose forms cut W_i out: those of :func:`_subspaces`, and for W_d an
+    echelon basis of the last forms.  One node is counted per tuple
+    W_1..W_{d-1}; past `node_limit`, BudgetExceededError.
     """
     p, n, d = t.field.p, t.dim, t.order
-    if p == 2:  # an order-m array is an int whose bit c is cell c
-        top = sum(1 << c for c, x in enumerate(t.coeffs) if x)
-
-        def split(a, block):
-            mask = (1 << block) - 1
-            return [a >> (i * block) & mask for i in range(n)]
-
-        def combine(chunks, w):
-            return reduce(xor, compress(chunks, w), 0)
-
-        rank = gf2_rank
-    else:
-        top = t.coeffs
-
-        def split(a, block):
-            return [a[i * block:(i + 1) * block] for i in range(n)]
-
-        def combine(chunks, w):
-            return tuple(sum(map(mul, w, cells)) % p for cells in zip(*chunks))
-
-        def rank(forms):
-            return rank_mod_p(p, forms)
-
+    kernel = _kernel(p, n)
     spaces = _subspaces(p, n)
     best = [bound, None, None]
     nodes = [0]
 
     def walk(slot, arrays, spent, cuts):
-        chunked = [split(a, n ** (d - 1 - slot)) for a in arrays]
+        sliced = [kernel.slices(a, d - slot) for a in arrays]
         for basis, cut in spaces:
             total = spent + len(cut)
             if total >= best[0]:
                 return
-            contracted = [combine(chunks, w) for chunks in chunked for w in basis]
+            contracted = [f for s in sliced for f in kernel.contract(s, basis, d - slot)]
             if slot < d - 2:
                 walk(slot + 1, contracted, total, cuts + (cut,))
             else:
                 nodes[0] += 1
                 if nodes[0] > node_limit:
                     raise BudgetExceededError("slice-rank duality exceeded its node budget")
-                total += rank(contracted)
+                total += kernel.rank(contracted)
                 if total < best[0]:
                     best[:] = total, cuts + (cut,), contracted
             if best[0] <= floor:
                 return
 
-    walk(0, [top], 0, ())
+    walk(0, [kernel.pack(t.coeffs)], 0, ())
     _, cuts, forms = best
     if cuts is None:
         return None
-    if p == 2:
-        forms = [[f >> k & 1 for k in range(n)] for f in forms]
-    return cuts + (_echelon_cut(p, n, forms),)
+    return cuts + (_echelon_cut(p, n, [kernel.cells(f, n) for f in forms]),)
 
 
 def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:

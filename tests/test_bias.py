@@ -149,8 +149,11 @@ class TestEngineTriangle:
     # Fiber and recursive share the Gray walk, so only an oracle that shares
     # nothing with them can catch a fault in it.
     # At odd p and d >= 4 the walk reduces every intermediate tensor.
+    # Order 2 runs with the memo off at (2, 4, 2), at odd p at (3, 3, 2), and
+    # on two-byte cells at (13, 2, 2).
     @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 2, 4), (5, 2, 2), (3, 1, 3), (3, 2, 3),
-                                       (7, 2, 3), (3, 2, 4), (3, 1, 5), (7, 1, 4)])
+                                       (7, 2, 3), (3, 2, 4), (3, 1, 5), (7, 1, 4), (2, 4, 2),
+                                       (3, 3, 2), (13, 2, 2)])
     def test_fiber_matches_naive_oracle(self, p, n, d):
         field = PrimeField(p)
         for trial in range(15):

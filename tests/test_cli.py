@@ -331,13 +331,24 @@ class TestRoundTripMany:
     pytest.param(["bias"], id="argparse-missing-file"),
     pytest.param(["rank", "DIRECTORY", "--kind", "foo"], id="argparse-bad-choice"),
     pytest.param(["bias", "DIRECTORY", "--budget", "x"], id="argparse-bad-int"),
+    pytest.param(["bias", "TENSOR", "--budget", "-1"], id="bias-negative-budget"),
+    pytest.param(["arank", "TENSOR", "--budget", "-1"], id="arank-negative-budget"),
+    pytest.param(["rank", "TENSOR", "--budget", "-5"], id="rank-negative-budget"),
+    pytest.param(["rank", "TENSOR", "--bounds", "--budget", "-5"],
+                 id="rank-bounds-negative-budget"),
+    pytest.param(["maxindep", "TENSOR", "--budget", "-1"], id="maxindep-negative-budget"),
+    pytest.param(["check", "all", "--budget", "-1"], id="check-negative-budget"),
+    pytest.param(["survey", "--p", "2", "--n", "2", "--d", "3", "--budget", "-1"],
+                 id="survey-negative-budget"),
     pytest.param(["rank", "DIRECTORY", "--exact", "--bounds"], id="argparse-exclusive-flags"),
     pytest.param(["survey", "--p", "2", "--n", "2", "--d", "3", "--exhaustive", "--format",
                   "json"], id="argparse-unknown-flag"),
     pytest.param(["nosuch"], id="argparse-unknown-command"),
 ])
 def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
-    argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
+    tensor = tmp_path / "t223.txt"
+    tensor.write_text(serialize_tensor(random_tensor(PrimeField(2), 2, 2, 3)))
+    argv = [{"DIRECTORY": str(tmp_path), "TENSOR": str(tensor)}.get(a, a) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1

@@ -103,6 +103,13 @@ class TestCorrelation:
         z_t, z_s, z_both, total = inst.zero_counts()
         assert total == 4 and z_t == 3 and z_both == 3
 
+    def test_zero_count_refusal_names_the_budget(self):
+        t = identity_tensor(F2, 1, 2)
+        inst = CorrelationInstance(F2, 1, 2, (t,), (t,))
+        assert inst.zero_counts(4)[3] == 4
+        with pytest.raises(BudgetExceededError, match="needs 4 evaluations, budget is 3"):
+            inst.zero_counts(3)
+
     def test_lifted_tensors_use_disjoint_lead_coordinates(self):
         gen = substream(7, 0)
         ts = tuple(random_tensor(F2, 2, 2, gen.next_u64()) for _ in range(2))

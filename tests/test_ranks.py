@@ -172,6 +172,19 @@ class TestGreedy:
         t = from_entries(F3, 2, 3, entries)
         assert len(greedy_decomposition(t, "rank")) == 1
 
+    @pytest.mark.parametrize("kind", ["srank", "prank"])
+    def test_slice_and_partition_terms_are_in_the_normal_form(self, kind):
+        # Greedy `rank` terms need not be: the slice recursion and the matrix
+        # peel write their own factors, and the certificate pin holds them.
+        tensors = list(all_tensors(F2, 2, 3))
+        for p, n, d in [(3, 2, 3), (2, 3, 3), (2, 2, 4), (5, 2, 3), (3, 3, 2)]:
+            tensors += [random_tensor(PrimeField(p), n, d, substream(41, trial).next_u64())
+                        for trial in range(20)]
+        for t in tensors:
+            for term in greedy_decomposition(t, kind):
+                normal = ranks._rank_one_term(term.tensor, kind)
+                assert (term.slots_a, term.factors) == (normal.slots_a, normal.factors)
+
 
 class TestSearchTable:
     def test_none_below_order_two_and_over_the_cap(self):
@@ -503,7 +516,9 @@ class TestSliceDuality:
         for t in all_tensors(field, n, d):
             assert _duality_srank(t) == _reference_srank(t, arrays)
 
-    @pytest.mark.parametrize("p,n,d,trials", [(3, 2, 3, 50), (2, 3, 3, 50), (2, 2, 4, 30)])
+    # Odd-p contractions at (3, 3, 2) and (5, 3, 2), two-byte cells at (13, 2, 2).
+    @pytest.mark.parametrize("p,n,d,trials", [(3, 2, 3, 50), (2, 3, 3, 50), (2, 2, 4, 30),
+                                              (3, 3, 2, 30), (5, 3, 2, 30), (13, 2, 2, 30)])
     def test_matches_the_search_on_seeded_tensors(self, p, n, d, trials):
         field = PrimeField(p)
         arrays = search_table(field, n, d, "srank", 10 ** 8)
