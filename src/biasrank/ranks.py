@@ -1,7 +1,14 @@
 """Exact and bounded tensor / slice / partition rank, and independent sets.
 
-A greedy decomposition of at most 2 terms is minimal, since its rank-one
-probe failed; past that, each kind has one exact method.
+A greedy decomposition of at most 2 terms, or of a matrix, is minimal:
+its rank-one probe failed, or its pivot peel is exact; past that, each
+kind has one exact method.
+
+One step does all the elimination: :func:`_pivot_split` splits a matrix
+at its first nonzero cell into (column over the pivot, row).  The rank-one
+probe checks one split cell by cell; :func:`_peel` takes splits off the
+residual, which is greedy's matrix peel and, on rows read column-major,
+the duality's echelon cut.
 
 Slice rank, and partition rank at order <= 3 (where every bipartition has
 a singleton side, so the two agree), come from subspace duality:
@@ -22,8 +29,8 @@ candidate must be nonzero at the residual's first lexicographic nonzero
 coefficient, which is a complete pruning rule.  Every candidate is a head
 array on one side A times an array on the other slots B, read in full
 cell order by one itemgetter per head from the B-array's multiples; that
-itemgetter and the greedy bound's matricizations take each cell's (A, B)
-position from one helper, :func:`_cell_positions`.  :func:`search_table`
+itemgetter, the pivot split and the slice certificate take each cell's
+(A, B) position from one helper, :func:`_cell_positions`.  :func:`search_table`
 lists the candidates of a shape and kind as coefficient arrays; besides
 the search, it gives arank-le-prank the partition-rank candidates it
 checks.
@@ -56,7 +63,7 @@ from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
 from .gf import PrimeField
-from .gf import matrix_rank  # the benchmark tracer wraps ranks.matrix_rank
+from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.matrix_rank)
 from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
@@ -140,7 +147,8 @@ def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> list[tupl
 
     Row fa and column fb are the row-major indices of the cell's A-slots
     and of its other slots: each slot in turn appends its index digit to
-    one of them.
+    one of them.  So the cells of one row come by increasing column, and
+    those of one column by increasing row.
     """
     positions = [(0, 0)]
     for s in range(order):
@@ -274,9 +282,9 @@ def _search(target: tuple[int, ...], arrays: list, p: int, depths,
 def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
     """A valid decomposition: rank-one probe first, then slot slicing.
 
-    Tensor rank at order 2 uses pivot peeling, which is exact there.
-    Otherwise t is sliced along slot 0: slice and partition rank take one
-    slice term per nonzero slice, and tensor rank recurses into each slice.
+    At order 2 the pivot peel is exact for every kind.  Otherwise t is
+    sliced along slot 0: slice and partition rank take one slice term per
+    nonzero slice, and tensor rank recurses into each slice.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -289,26 +297,39 @@ def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
     return tuple(terms)
 
 
-def _matricization(t: Tensor, slots_a: tuple[int, ...]) -> list[list[int]]:
-    n = t.dim
-    rows = [[0] * (n ** (t.order - len(slots_a))) for _ in range(n ** len(slots_a))]
-    for (fa, fb), c in zip(_cell_positions(n, t.order, slots_a), t.coeffs):
-        rows[fa][fb] = c
-    return rows
+def _pivot_split(p: int, cells, positions) -> Optional[tuple]:
+    """(Column over the pivot, row) at a matrix's first nonzero (row, column),
+    or None if it is 0.  Cell k sits at positions[k], in the order of
+    :func:`_cell_positions`; the column is 1 at the pivot and 0 above it."""
+    pivot = min((pos for pos, c in zip(positions, cells) if c), default=None)
+    if pivot is None:
+        return None
+    r0, c0 = pivot
+    column = [c for (_, fb), c in zip(positions, cells) if fb == c0]
+    inv = pow(column[r0], p - 2, p)
+    return (tuple(x * inv % p for x in column),
+            tuple(c for (fa, _), c in zip(positions, cells) if fa == r0))
+
+
+def _peel(p: int, cells, positions):
+    """One :func:`_pivot_split` per unit of rank, each taken off the residual."""
+    while (split := _pivot_split(p, cells, positions)) is not None:
+        yield split
+        a, b = split
+        cells = [(c - a[fa] * b[fb]) % p for (fa, fb), c in zip(positions, cells)]
 
 
 def _rank_one_split(t: Tensor, slots_a: tuple[int, ...]) -> Optional[tuple]:
     """If the (A, B) matricization has rank 1, return (arr_a, arr_b)."""
-    rows = _matricization(t, slots_a)
-    field = t.field
-    if matrix_rank(field, rows) != 1:
-        return None
-    r0 = next(i for i, row in enumerate(rows) if any(row))
-    c0 = next(j for j, x in enumerate(rows[r0]) if x)
-    inv = field.inv(rows[r0][c0])
-    arr_a = tuple(row[c0] * inv % field.p for row in rows)
-    arr_b = tuple(rows[r0])
-    return arr_a, arr_b
+    p = t.field.p
+    positions = _cell_positions(t.dim, t.order, slots_a)
+    split = _pivot_split(p, t.coeffs, positions)
+    if split is not None:
+        a, b = split
+        for (fa, fb), c in zip(positions, t.coeffs):
+            if c != a[fa] * b[fb] % p:
+                return None
+    return split
 
 
 def _full_product_factors(t: Tensor) -> Optional[tuple]:
@@ -362,8 +383,8 @@ def _greedy(t: Tensor, kind: str) -> list[RankOneTerm]:
     if term is not None:
         return [term]
     field, n, d = t.field, t.dim, t.order
-    if kind == "rank" and d == 2:
-        return _peel_matrix(t)
+    if d == 2:
+        return _peel_matrix(t, kind)
     terms = []
     for i, slice_tensor in _nonzero_slices(t):
         unit = tuple(1 if j == i else 0 for j in range(n))
@@ -391,33 +412,16 @@ def _nonzero_slices(t: Tensor):
     return out
 
 
-def _peel_matrix(t: Tensor) -> list[RankOneTerm]:
-    """Exact rank decomposition of a matrix by pivot peeling."""
+def _peel_matrix(t: Tensor, kind: str) -> list[RankOneTerm]:
+    """One term u(x) v(y) per peeled split: linear forms for `rank`, else
+    order-1 tensors on side (0,), the normal form, as u is projective."""
     field, n = t.field, t.dim
-    p = field.p
-    rows = [list(t.coeffs[i * n: (i + 1) * n]) for i in range(n)]
     terms = []
-    while True:
-        pivot = None
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        inv = field.inv(rows[r0][c0])
-        u = tuple(rows[i][c0] * inv % p for i in range(n))
-        v = tuple(rows[r0])
-        for i in range(n):
-            if u[i]:
-                for j in range(n):
-                    rows[i][j] = (rows[i][j] - u[i] * v[j]) % p
+    for u, v in _peel(field.p, t.coeffs, _cell_positions(n, 2, (0,))):
         expanded = Tensor._trusted(field, n, 2, _outer_product(field, (u, v)))
-        terms.append(RankOneTerm("rank", None, (u, v), expanded))
+        if kind != "rank":
+            u, v = Tensor._trusted(field, n, 1, u), Tensor._trusted(field, n, 1, v)
+        terms.append(RankOneTerm(kind, None if kind == "rank" else (0,), (u, v), expanded))
     return terms
 
 
@@ -454,18 +458,12 @@ def _subspaces(p: int, dim: int) -> list:
 
 def _echelon_cut(p: int, dim: int, rows) -> tuple:
     """An echelon basis of the span of `rows` over F_p, as (pivot, form):
-    form[pivot] = 1, and every later form is 0 at that pivot."""
-    rows = [list(r) for r in rows]
-    cut = []
-    for col in range(dim):
-        k = next((k for k, r in enumerate(rows) if r[col]), None)
-        if k is None:
-            continue
-        inv = pow(rows[k][col], p - 2, p)
-        pivot = tuple(x * inv % p for x in rows.pop(k))
-        rows = [[(a - r[col] * b) % p for a, b in zip(r, pivot)] for r in rows]
-        cut.append((col, pivot))
-    return tuple(cut)
+    the :func:`_peel` of the rows read column-major, so each pivot is the
+    first nonzero entry of its form, form[pivot] = 1, and every later form
+    is 0 at that pivot."""
+    positions = [(j, i) for i in range(len(rows)) for j in range(dim)]
+    splits = _peel(p, [x for row in rows for x in row], positions)
+    return tuple((form.index(1), form) for form, _ in splits)
 
 
 def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
@@ -530,11 +528,10 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
     residual = t.coeffs
     terms = []
     for slot, cut in enumerate(cuts):
-        stride = n ** (d - 1 - slot)
-        digits = [c // stride % n for c in range(n ** d)]
+        positions = _cell_positions(n, d, (slot,))
         for j, form in cut:
-            coeffs = tuple(form[i] * residual[c + (j - i) * stride] % p
-                           for c, i in enumerate(digits))
+            row = [c for (fa, _), c in zip(positions, residual) if fa == j]
+            coeffs = tuple(form[fa] * row[fb] % p for fa, fb in positions)
             terms.append(_rank_one_term(Tensor._trusted(field, n, d, coeffs), kind))
             residual = tuple((a - b) % p for a, b in zip(residual, coeffs))
     return tuple(terms)
@@ -556,12 +553,13 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
     """Minimal decomposition size by the kind's exact method, or an interval.
 
     A greedy decomposition of at most two terms is minimal, since its
-    rank-one probe failed.  Past that, tensor rank searches the
-    :func:`search_table` of the tensor's shape from depth 2, and slice
-    rank, and partition rank at order <= 3, take the subspace duality.
-    Over the search cap, or once the node budget is spent, the interval
-    of :func:`rank_bounds` is returned; so it is for partition rank at
-    order >= 4 past greedy, which no shape under the cap reaches.
+    rank-one probe failed, and so is one of a matrix, the pivot peel.
+    Past that, tensor rank searches the :func:`search_table` of the
+    tensor's shape from depth 2, and slice rank, and partition rank at
+    order <= 3, take the subspace duality.  Over the search cap, or once
+    the node budget is spent, the interval of :func:`rank_bounds` is
+    returned; so it is for partition rank at order >= 4 past greedy, which
+    no shape under the cap reaches.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -569,7 +567,7 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
         return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
     cert = None
-    if len(greedy) > 2:
+    if len(greedy) > 2 and t.order > 2:
         field, n, d = t.field, t.dim, t.order
         node_limit = max(1000, budget // max(1, n ** d))
         try:

@@ -457,6 +457,16 @@ def test_slice_and_partition_rank_bytes_past_the_greedy_bound(capsys, tmp_path, 
     assert run(capsys, "rank", str(path), "--kind", kind, "--format", "json") == (0, line, "")
 
 
+def test_matrix_rank_bytes_come_from_the_peel(capsys, tmp_path):
+    # the pivot peel is exact on a matrix, so no search runs out of nodes
+    path = tmp_path / "id5.txt"
+    _, text, _ = run(capsys, "gen", "--p", "2", "--n", "5", "--d", "2", "--identity")
+    path.write_text(text)
+    line = ('{"exact": true, "kind": "rank", "lower": 5, "lower_source": "search", '
+            '"upper": 5, "upper_source": "greedy"}\n')
+    assert run(capsys, "rank", str(path), "--kind", "rank", "--format", "json") == (0, line, "")
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -249,7 +249,7 @@ class TestSurvey:
         assert len(report.rows) == 255  # zero tensor dropped
         assert report.max_ratio is not None
 
-    def test_order_three_builds_no_table(self, monkeypatch):
+    def test_survey_builds_no_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the survey built a table that no search reads")
 

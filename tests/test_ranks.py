@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from biasrank.bias import BudgetExceededError, analytic_rank, bias_fiber
-from biasrank.gf import PrimeField, matrix_rank
+from biasrank.gf import PrimeField, matrix_rank, rank_mod_p
 from biasrank import ranks
 from biasrank.ranks import (
     RankReport,
@@ -258,6 +258,40 @@ class TestLazyTable:
             assert len(greedy_decomposition(t, "prank")) <= 2
             assert rank_exact(t, "prank", 8 * 134) == rank_bounds(t, "prank", 8 * 134)
             assert rank_exact(t, "prank", 8 * 135).lower_source == "search"
+
+
+def _refuse_exact_method(*args, **kwargs):
+    raise AssertionError("a matrix went past the pivot peel")
+
+
+class TestOrderTwo:
+    def test_every_kind_is_the_pivot_peel(self, monkeypatch):
+        # every rank of a matrix is its matrix rank, which the peel reaches
+        tensors = [identity_tensor(F2, 6, 2)] + [
+            random_tensor(F3, 4, 2, substream(75, trial).next_u64()) for trial in range(4)]
+        monkeypatch.setattr(ranks, "search_table", _refuse_exact_method)
+        monkeypatch.setattr(ranks, "_slice_duality", _refuse_exact_method)
+        for t in tensors:
+            rows = [t.coeffs[i * t.dim:(i + 1) * t.dim] for i in range(t.dim)]
+            value = matrix_rank(t.field, rows)
+            for kind in ("rank", "srank", "prank"):
+                report = rank_exact(t, kind)
+                greedy = greedy_decomposition(t, kind)
+                assert report == RankReport(kind, value, value, True, greedy, "search", "greedy")
+                if kind != "rank":
+                    assert all(term == ranks._rank_one_term(term.tensor, kind) for term in greedy)
+
+    def test_bounds_are_exact_over_the_cap(self):
+        # (2,8,2) is over the cap for every kind; the analytic rank of a
+        # matrix is its rank, and the peel meets it
+        for trial in range(3):
+            t = random_tensor(F2, 8, 2, substream(76, trial).next_u64())
+            rows = [t.coeffs[i * 8:(i + 1) * 8] for i in range(8)]
+            for kind in ("rank", "srank", "prank"):
+                assert not ranks._fits(2, 8, 2, kind, 10 ** 8)
+                report = rank_exact(t, kind)
+                assert report.exact and report.value == matrix_rank(F2, rows)
+                assert (report.lower_source, report.upper_source) == ("analytic-rank", "greedy")
 
 
 class TestBoundsReport:
@@ -546,6 +580,93 @@ class TestSliceDuality:
         assert sum(map(len, ranks._slice_duality(t, 3, 10 ** 9, floor=2))) == 2
         with pytest.raises(BudgetExceededError):
             ranks._slice_duality(t, 3, 0)
+
+    def test_cuts_and_certificates_are_pinned(self):
+        assert _duality_digest() == (
+            "606ec99b2cbb6ebc7d4da04f4b8c33aa48d407903acb812de837d339c29bf8df")
+
+
+def _duality_digest():
+    """sha256 over the duality's cuts and slice certificates with no greedy bound."""
+    tensors = [random_tensor(F2, 3, 3, seed) for seed in (0, 1, 2, 11)]
+    for p, n, d, trials in [(3, 3, 2, 20), (5, 3, 2, 20), (13, 2, 2, 20), (3, 3, 3, 10)]:
+        tensors += [random_tensor(PrimeField(p), n, d, substream(97, trial).next_u64())
+                    for trial in range(trials)]
+    h = hashlib.sha256()
+    for t in tensors:
+        cuts = ranks._slice_duality(t, t.dim + 1, 10 ** 9)
+        terms = ranks._slice_certificate(t, cuts, "srank")
+        h.update(repr(([[(j, list(form)) for j, form in cut] for cut in cuts],
+                       [(term.slots_a, [list(f.coeffs) for f in term.factors])
+                        for term in terms])).encode())
+    return h.hexdigest()
+
+
+def _reference_split(t, side):
+    """(A-array, B-array) of a rank-one (A, B) matricization, or None: each
+    cell's row and column decoded from its digits, the rank by matrix_rank."""
+    field, n, d = t.field, t.dim, t.order
+    rows = [[0] * n ** (d - len(side)) for _ in range(n ** len(side))]
+    for flat, c in enumerate(t.coeffs):
+        fa = fb = 0
+        for s in range(d):
+            digit = flat // n ** (d - 1 - s) % n
+            if s in side:
+                fa = fa * n + digit
+            else:
+                fb = fb * n + digit
+        rows[fa][fb] = c
+    if matrix_rank(field, rows) != 1:
+        return None
+    r0 = next(i for i, row in enumerate(rows) if any(row))
+    c0 = next(j for j, x in enumerate(rows[r0]) if x)
+    inv = field.inv(rows[r0][c0])
+    return tuple(row[c0] * inv % field.p for row in rows), tuple(rows[r0])
+
+
+class TestPivotSplit:
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4), (5, 2, 3)])
+    def test_rank_one_split_matches_the_matrix_rank_reference(self, p, n, d):
+        field = PrimeField(p)
+        sides = sorted(set(ranks._partition_sides(d, True) + ranks._partition_sides(d, False)))
+        gen = substream(71, p * 100 + d)
+        tensors = [random_tensor(field, n, d, substream(72, trial).next_u64())
+                   for trial in range(20)]
+        for side in sides:
+            for _ in range(10):
+                arr_a = arr_b = ()
+                while not any(arr_a):
+                    arr_a = gen.residues(p, n ** len(side))
+                while not any(arr_b):
+                    arr_b = gen.residues(p, n ** (d - len(side)))
+                tensors.append(Tensor(field, n, d, _reference_merge(p, n, d, side, arr_a, arr_b)))
+        tensors.append(zero_tensor(field, n, d))
+        for t in tensors:
+            for side in sides:
+                assert ranks._rank_one_split(t, side) == _reference_split(t, side)
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_echelon_cut_is_an_echelon_basis_of_the_span(self, p):
+        gen = substream(73, p)
+        cases = [[], [[0, 0, 0]], [[0] * 4, [0] * 4]]
+        for trial in range(30):
+            dim, count = 1 + trial % 4, trial % 5
+            rows = [list(gen.residues(p, dim)) for _ in range(count)]
+            if rows:  # a zero row and a combination of the others
+                rows.insert(gen.below(len(rows) + 1), [0] * dim)
+                k = gen.below(p)
+                rows.append([(a + k * b) % p for a, b in zip(rows[0], rows[-1])])
+            cases.append(rows)
+        for rows in cases:
+            dim = len(rows[0]) if rows else 3
+            cut = ranks._echelon_cut(p, dim, rows)
+            pivots = [pivot for pivot, _ in cut]
+            assert pivots == sorted(set(pivots))
+            for k, (pivot, form) in enumerate(cut):
+                assert form[pivot] == 1 and not any(form[:pivot])
+                assert all(later[q] == 0 for q in pivots[:k + 1] for _, later in cut[k + 1:])
+            rank = rank_mod_p(p, rows)
+            assert len(cut) == rank == rank_mod_p(p, rows + [form for _, form in cut])
 
 
 class TestRankInequalitiesOnCube:
