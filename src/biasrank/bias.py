@@ -379,11 +379,11 @@ class _Packed:
             return [reduce(xor, compress(slices, w), 0) for w in ws]
         return list(self.reduced([sum(map(mul, w, slices)) for w in ws], self.n ** (order - 1)))
 
-    def rank(self, forms: Iterable[int]) -> int:
-        """The rank of packed order-1 forms, their cells read mod p."""
+    def rank(self, forms: Iterable[int], order: int = 1) -> int:
+        """The rank of packed order-`order` tensors as vectors, cells read mod p."""
         if self.p == 2:
             return gf2_rank(forms)
-        return rank_mod_p(self.p, [self.cells(f, self.n) for f in forms])
+        return rank_mod_p(self.p, [self.cells(f, self.n ** order) for f in forms])
 
     def reduced(self, xs: Iterable[int], count: int) -> Iterable[int]:
         """Each x with its first `count` cells reduced mod p, packed again."""

@@ -20,8 +20,12 @@ the bias kernel packs, contracts and ranks them.
 :func:`_slice_certificate` expands T slot by slot along forms that cut
 each W_i out, one slice term per form.
 
-Tensor rank comes from iterative deepening over sums of rank-one
-candidate arrays against the residual tensor, :func:`_search`.
+Tensor rank at order 3 comes from the slice span, :func:`_slice_span`:
+rank(T) is the least dim W over spaces W of matrices that hold the span
+S of the slot-0 slices and are spanned by rank-one matrices; each W is S
+plus one subspace of the quotient from :func:`_subspaces`, the walk the
+duality shares.  At order >= 4 it comes from iterative deepening over
+sums of rank-one candidate arrays against the residual, :func:`_search`.
 Candidates are normalized projectively (first nonzero coordinate of each
 free factor scaled to 1, the remaining factor absorbs scalars) and
 deduplicated by coefficient array; at each search node the chosen
@@ -32,8 +36,8 @@ cell order by one itemgetter per head from the B-array's multiples; that
 itemgetter, the pivot split and the slice certificate take each cell's
 (A, B) position from one helper, :func:`_cell_positions`.  :func:`search_table`
 lists the candidates of a shape and kind as coefficient arrays; besides
-the search, it gives arank-le-prank the partition-rank candidates it
-checks.
+the order >= 4 search, it gives arank-le-prank the partition-rank
+candidates it checks.
 
 Partition rank at order >= 4 has no exact method past greedy, and needs
 none: under the cap such a shape has n <= 2, and greedy slices slot 0
@@ -47,9 +51,9 @@ decomposition is re-summed and verified before it leaves this module.
 The search space is tiny-instance only by design.  This module alone
 decides how large a search may be, and one cap holds for every kind: a
 shape whose candidates exceed min(budget // n^d, MAX_SEARCH_CANDIDATES)
-gets no exact method, although the duality lists no candidates, and
-:func:`search_table` gives None for it.  Both methods count nodes against
-max(1000, budget // n^d).  With no exact method, or once the node budget
+gets no exact method, although the duality and the slice span list no
+candidates, and :func:`search_table` gives None for it.  Every method
+counts nodes (the slice span, point lookups) against max(1000, budget // n^d).  With no exact method, or once the node budget
 runs out, an interval [analytic-rank ceiling, greedy upper bound] is
 returned instead, exact only if the two meet.
 """
@@ -57,8 +61,10 @@ returned instead, exact only if the two meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import itemgetter
+from functools import lru_cache
+from itertools import chain, combinations, product
+from math import prod
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
@@ -142,13 +148,15 @@ def _outer_product(field: PrimeField, vectors: Sequence[Sequence[int]]) -> tuple
     return tuple(coeffs)
 
 
-def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> list[tuple[int, int]]:
+@lru_cache(maxsize=64)
+def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Each cell's (row, column) in the (A, B) matricization, in cell order.
 
     Row fa and column fb are the row-major indices of the cell's A-slots
     and of its other slots: each slot in turn appends its index digit to
     one of them.  So the cells of one row come by increasing column, and
-    those of one column by increasing row.
+    those of one column by increasing row.  Cached: the probe asks for the
+    same few on every tensor.
     """
     positions = [(0, 0)]
     for s in range(order):
@@ -156,7 +164,7 @@ def _cell_positions(dim: int, order: int, slots_a: tuple[int, ...]) -> list[tupl
             positions = [(fa * dim + i, fb) for fa, fb in positions for i in range(dim)]
         else:
             positions = [(fa, fb * dim + i) for fa, fb in positions for i in range(dim)]
-    return positions
+    return tuple(positions)
 
 
 def _partition_sides(order: int, slice_only: bool):
@@ -429,31 +437,31 @@ def _peel_matrix(t: Tensor, kind: str) -> list[RankOneTerm]:
 # Slice rank by subspace duality
 # ---------------------------------------------------------------------------
 
-def _subspaces(p: int, dim: int) -> list:
-    """(basis, cut) of every subspace W of F_p^n, by increasing codimension.
+def _subspaces(p: int, dim: int, k: int):
+    """The RREF basis B_1..B_k of every k-dimensional subspace of F_p^n, by
+    pivots P_1..P_k and then free entries, each in lexicographic order."""
+    for pivots in combinations(range(dim), k):
+        units = [[int(j == q) for j in range(dim)] for q in pivots]
+        free = [(r, j) for r, q in enumerate(pivots) for j in range(q + 1, dim) if j not in pivots]
+        for values in product(range(p), repeat=len(free)):
+            basis = [row[:] for row in units]
+            for (r, j), v in zip(free, values):
+                basis[r][j] = v
+            yield basis
 
-    `basis` is the RREF basis B_1..B_k of W, with pivots P_1..P_k.  `cut`
-    holds one (j, form) per non-pivot coordinate j, with
-    form(x) = x_j - sum_r x_{P_r} B_r[j]: these codim W forms vanish
-    exactly on W, and each is 0 at the other non-pivot coordinates.
-    """
-    spaces = []
-    for rank in range(dim, -1, -1):
-        for pivots in combinations(range(dim), rank):
-            others = [j for j in range(dim) if j not in pivots]
-            free = [(r, j) for r, q in enumerate(pivots) for j in others if j > q]
-            for values in product(range(p), repeat=len(free)):
-                basis = [[int(j == q) for j in range(dim)] for q in pivots]
-                for (r, j), v in zip(free, values):
-                    basis[r][j] = v
-                cut = []
-                for j in others:
-                    form = [int(i == j) for i in range(dim)]
-                    for q, row in zip(pivots, basis):
-                        form[q] = -row[j] % p
-                    cut.append((j, tuple(form)))
-                spaces.append((basis, cut))
-    return spaces
+
+def _subspace_count(p: int, dim: int, k: int) -> int:
+    """How many bases :func:`_subspaces` yields: the Gaussian binomial [n k]_p."""
+    return prod(p ** (dim - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
+
+
+def _cut(p: int, dim: int, basis) -> list:
+    """One (j, form) per non-pivot coordinate j of an RREF basis, with
+    form(x) = x_j - sum_r x_{P_r} B_r[j]: these codim W forms vanish exactly
+    on W, and each is 0 at the other non-pivot coordinates."""
+    pivots = [row.index(1) for row in basis]
+    return [(j, tuple(-basis[pivots.index(i)][j] % p if i in pivots else int(i == j)
+                      for i in range(dim))) for j in range(dim) if j not in pivots]
 
 
 def _echelon_cut(p: int, dim: int, rows) -> tuple:
@@ -477,40 +485,41 @@ def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
     contracts and ranks the tensors.  A partial sum that reaches the best
     total so far is cut off, and the walk stops at a total of `floor`, a
     lower bound the caller knows.  `cuts[i]` lists the (j, form) pairs
-    whose forms cut W_i out: those of :func:`_subspaces`, and for W_d an
+    whose forms cut W_i out: the :func:`_cut` of its basis, and for W_d an
     echelon basis of the last forms.  One node is counted per tuple
     W_1..W_{d-1}; past `node_limit`, BudgetExceededError.
     """
     p, n, d = t.field.p, t.dim, t.order
     kernel = _kernel(p, n)
-    spaces = _subspaces(p, n)
+    spaces = list(chain.from_iterable(_subspaces(p, n, k) for k in range(n, -1, -1)))
     best = [bound, None, None]
     nodes = [0]
 
-    def walk(slot, arrays, spent, cuts):
+    def walk(slot, arrays, spent, bases):
         sliced = [kernel.slices(a, d - slot) for a in arrays]
-        for basis, cut in spaces:
-            total = spent + len(cut)
+        for basis in spaces:
+            total = spent + n - len(basis)
             if total >= best[0]:
                 return
             contracted = [f for s in sliced for f in kernel.contract(s, basis, d - slot)]
             if slot < d - 2:
-                walk(slot + 1, contracted, total, cuts + (cut,))
+                walk(slot + 1, contracted, total, bases + (basis,))
             else:
                 nodes[0] += 1
                 if nodes[0] > node_limit:
                     raise BudgetExceededError("slice-rank duality exceeded its node budget")
                 total += kernel.rank(contracted)
                 if total < best[0]:
-                    best[:] = total, cuts + (cut,), contracted
+                    best[:] = total, bases + (basis,), contracted
             if best[0] <= floor:
                 return
 
     walk(0, [kernel.pack(t.coeffs)], 0, ())
-    _, cuts, forms = best
-    if cuts is None:
+    _, bases, forms = best
+    if bases is None:
         return None
-    return cuts + (_echelon_cut(p, n, [kernel.cells(f, n) for f in forms]),)
+    return (*(_cut(p, n, basis) for basis in bases),
+            _echelon_cut(p, n, [kernel.cells(f, n) for f in forms]))
 
 
 def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
@@ -537,6 +546,75 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
     return tuple(terms)
 
 
+# ---------------------------------------------------------------------------
+# Order-3 tensor rank by slice span
+# ---------------------------------------------------------------------------
+
+def _reduced(p: int, cut, v):
+    """v less the multiples of an echelon cut's forms that clear each pivot."""
+    for q, form in cut:
+        if c := v[q]:
+            v = [(a - c * b) % p for a, b in zip(v, form)]
+    return v
+
+
+def _slice_span(t: Tensor, upper: int, node_limit: int) -> Optional[tuple[RankOneTerm, ...]]:
+    """A least decomposition of an order-3 t into fewer than `upper` full
+    products, or None.  rank(T) is the least dim W over spaces W of matrices
+    that hold S, the span of the slot-0 slices, and are spanned by rank-one
+    ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser, Clausen and
+    Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).  W runs over
+    S + U by dimension from max(2, s), for U among the :func:`_subspaces` of
+    the quotient by S, read off the pivots of S's echelon cut.  One rank-one
+    matrix per line is bucketed by its projective image there, so those in
+    W are bucket 0 and the buckets of U's points.  Each U is charged its
+    points; past `node_limit`, BudgetExceededError.
+    """
+    field, n, size, p = t.field, t.dim, t.dim * t.dim, t.field.p
+    kernel = _kernel(p, n)
+    s_cut = _echelon_cut(p, size, [t.coeffs[i * size:(i + 1) * size] for i in range(n)])
+    s, pivots, buckets = len(s_cut), {q for q, _ in s_cut}, {}
+    for uv in product(_projective_vectors(field, n), repeat=2):  # one matrix per line
+        matrix = _outer_product(field, uv)
+        image = [x for j, x in enumerate(_reduced(p, s_cut, matrix)) if j not in pivots]
+        inv = pow(next((x for x in image if x), 1), p - 2, p)
+        buckets.setdefault(bytes(x * inv % p for x in image), []).append(kernel.pack(matrix))
+    inside, nodes, mod = buckets.get(bytes(size - s), []), 0, bytes(c % p for c in range(256))
+    for k in range(max(2, s) - s, upper - s):
+        points = list(_projective_vectors(field, k))
+        if (p - 1) * (1 + (k - 1) * (p - 1)) > 255:  # no shape under the cap gets here
+            raise BudgetExceededError("slice span points overflow their one-byte cells")
+        for basis in _subspaces(p, size - s, k):
+            nodes += len(points)
+            if nodes > node_limit:
+                raise BudgetExceededError("slice span exceeded its node budget")
+            rows = [int.from_bytes(bytes(row), "little") for row in basis]
+            hits = [h for c in points if (h := buckets.get(
+                sum(map(mul, c, rows)).to_bytes(size - s, "little").translate(mod)))]
+            members = inside + [m for h in hits for m in h]
+            if len(hits) >= k and len(members) >= s + k and kernel.rank(members, 2) == s + k:
+                chosen: list = []
+                for m in members:
+                    if len(chosen) < s + k and kernel.rank(chosen + [m], 2) > len(chosen):
+                        chosen.append(m)
+                return _span_terms(t, [tuple(kernel.cells(m, size)) for m in chosen])
+    return None
+
+
+def _span_terms(t: Tensor, basis) -> tuple[RankOneTerm, ...]:
+    """The terms c_.j x M_j of the slot-0 slices T_i = sum_j c_ij M_j in a
+    least rank-one basis of a span that holds them, so no c_.j is 0.  Each
+    M_j carries e_j on extra coordinates through an :func:`_echelon_cut`,
+    so a slice reduced by the cut keeps minus its c_ij there."""
+    field, n, size, r, p = t.field, t.dim, t.dim * t.dim, len(basis), t.field.p
+    cut = _echelon_cut(p, size + r, [m + tuple(int(i == j) for i in range(r))
+                                     for j, m in enumerate(basis)])
+    left = [_reduced(p, cut, t.coeffs[i * size:(i + 1) * size] + (0,) * r)[size:]
+            for i in range(n)]
+    return tuple(_rank_one_term(Tensor._trusted(field, n, 3, _outer_product(
+        field, ([-c % p for c in column], m))), "rank") for m, column in zip(basis, zip(*left)))
+
+
 def search_table(field: PrimeField, dim: int, order: int, kind: str,
                  budget: int) -> list | None:
     """The sorted distinct candidate arrays of this shape and kind.
@@ -554,12 +632,12 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
 
     A greedy decomposition of at most two terms is minimal, since its
     rank-one probe failed, and so is one of a matrix, the pivot peel.
-    Past that, tensor rank searches the :func:`search_table` of the
-    tensor's shape from depth 2, and slice rank, and partition rank at
-    order <= 3, take the subspace duality.  Over the search cap, or once
-    the node budget is spent, the interval of :func:`rank_bounds` is
-    returned; so it is for partition rank at order >= 4 past greedy, which
-    no shape under the cap reaches.
+    Past that, tensor rank takes the slice span at order 3 and searches
+    the :func:`search_table` of the tensor's shape from depth 2 at order
+    >= 4; slice rank, and partition rank at order <= 3, take the subspace
+    duality.  Over the search cap, or once the node budget is spent, the
+    interval of :func:`rank_bounds` is returned; so it is for partition
+    rank at order >= 4 past greedy, which no shape under the cap reaches.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -571,7 +649,9 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
         field, n, d = t.field, t.dim, t.order
         node_limit = max(1000, budget // max(1, n ** d))
         try:
-            if kind == "rank":
+            if kind == "rank" and d == 3:
+                cert = _slice_span(t, len(greedy), node_limit)
+            elif kind == "rank":
                 found = _search(t.coeffs, search_table(field, n, d, kind, budget), field.p,
                                 range(2, len(greedy)), node_limit)
                 if found is not None:

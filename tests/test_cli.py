@@ -457,6 +457,30 @@ def test_slice_and_partition_rank_bytes_past_the_greedy_bound(capsys, tmp_path, 
     assert run(capsys, "rank", str(path), "--kind", kind, "--format", "json") == (0, line, "")
 
 
+def _rank_bytes(capsys, tmp_path, p, n, seed, value, upper_source):
+    path = tmp_path / f"t{p}{n}3.txt"
+    _, text, _ = run(capsys, "gen", "--p", str(p), "--n", str(n), "--d", "3", "--seed", str(seed))
+    path.write_text(text)
+    text = f"rank = {value} (exact)\ncertificate: {value} rank-one terms, verified\n"
+    assert run(capsys, "rank", str(path), "--kind", "rank") == (0, text, "")
+    line = (f'{{"exact": true, "kind": "rank", "lower": {value}, "lower_source": "search", '
+            f'"upper": {value}, "upper_source": "{upper_source}"}}\n')
+    assert run(capsys, "rank", str(path), "--kind", "rank", "--format", "json") == (0, line, "")
+
+
+@pytest.mark.parametrize("p,seed,value,upper_source", [
+    (5, 0, 2, "greedy"), (5, 1, 3, "greedy"), (5, 2, 3, "search"), (5, 3, 3, "greedy"),
+    (3, 0, 2, "search"), (3, 1, 3, "greedy"), (3, 2, 2, "search"), (3, 3, 2, "greedy")])
+def test_tensor_rank_bytes_at_n_two(capsys, tmp_path, p, seed, value, upper_source):
+    _rank_bytes(capsys, tmp_path, p, 2, seed, value, upper_source)
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_tensor_rank_at_n_three_is_exact(capsys, tmp_path, p):
+    # the candidate search ran out of nodes on both; the slice span needs few
+    _rank_bytes(capsys, tmp_path, p, 3, 0, 5, "search")
+
+
 def test_matrix_rank_bytes_come_from_the_peel(capsys, tmp_path):
     # the pivot peel is exact on a matrix, so no search runs out of nodes
     path = tmp_path / "id5.txt"

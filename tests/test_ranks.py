@@ -1,6 +1,7 @@
 """Rank search, greedy bounds, and independent sets, with brute-force oracles."""
 
 import hashlib
+import time
 from itertools import combinations, product
 
 import pytest
@@ -510,7 +511,7 @@ class TestCandidateTable:
 
     def test_certificates_are_pinned(self):
         assert _certificate_digest() == (
-            "40b4bccf6b56bdf4bb3d287ea5c52953cb33ab5cd9ceca4c36bba85345e8f247")
+            "c63875557a799dfa2ab57ecfe168eac19f81fe73b33e57fa81ae8f4aa607cfae")
 
 
 def _reference_srank(t, arrays):
@@ -600,6 +601,119 @@ def _duality_digest():
                        [(term.slots_a, [list(f.coeffs) for f in term.factors])
                         for term in terms])).encode())
     return h.hexdigest()
+
+
+def _reference_subspaces(p, dim):
+    """(basis, cut) of every subspace of F_p^n by increasing codimension, as
+    the eager list that the lazy enumerator replaced built them."""
+    spaces = []
+    for rank in range(dim, -1, -1):
+        for pivots in combinations(range(dim), rank):
+            others = [j for j in range(dim) if j not in pivots]
+            free = [(r, j) for r, q in enumerate(pivots) for j in others if j > q]
+            for values in product(range(p), repeat=len(free)):
+                basis = [[int(j == q) for j in range(dim)] for q in pivots]
+                for (r, j), v in zip(free, values):
+                    basis[r][j] = v
+                cut = []
+                for j in others:
+                    form = [int(i == j) for i in range(dim)]
+                    for q, row in zip(pivots, basis):
+                        form[q] = -row[j] % p
+                    cut.append((j, tuple(form)))
+                spaces.append((basis, cut))
+    return spaces
+
+
+class TestSubspaces:
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(5)])
+    def test_each_dimension_matches_the_eager_reference(self, p, n):
+        reference = _reference_subspaces(p, n)
+        for k in range(n + 2):
+            bases = list(ranks._subspaces(p, n, k))
+            assert [(basis, ranks._cut(p, n, basis)) for basis in bases] == [
+                (basis, cut) for basis, cut in reference if len(basis) == k]
+            assert ranks._subspace_count(p, n, k) == len(bases)
+
+    def test_gaussian_binomials(self):
+        assert [ranks._subspace_count(2, 4, k) for k in range(6)] == [1, 15, 35, 15, 1, 0]
+        assert ranks._subspace_count(3, 6, 2) == 11011
+        assert sum(ranks._subspace_count(2, 8, k) for k in range(9)) == 417199
+
+
+def _reference_rank(t, arrays):
+    """Least depth below the greedy size at which the candidate search writes
+    t as full products, or else the greedy size."""
+    greedy = len(greedy_decomposition(t, "rank"))
+    found = ranks._search(t.coeffs, arrays, t.field.p, range(greedy), 10 ** 9)
+    return greedy if found is None else len(found)
+
+
+def _planted_rank_sum(field, dim, terms, seed):
+    """A sum of `terms` random full products u x v x w at order 3."""
+    gen = substream(seed, 0)
+    coeffs = [0] * dim ** 3
+    for _ in range(terms):
+        vectors = [gen.residues(field.p, dim) for _ in range(3)]
+        coeffs = [(a + b) % field.p for a, b in zip(coeffs, ranks._outer_product(field, vectors))]
+    return Tensor(field, dim, 3, tuple(coeffs))
+
+
+def _flattening_rank(t):
+    """The largest rank of the n x n^2 matricizations along each slot."""
+    return max(matrix_rank(t.field, [[t.entry(idx) for idx in product(range(t.dim), repeat=3)
+                                      if idx[slot] == i] for i in range(t.dim)])
+               for slot in range(3))
+
+
+def _refuse_search(*args, **kwargs):
+    raise AssertionError("order-3 tensor rank went to the candidate search")
+
+
+class TestSliceSpan:
+    @pytest.mark.parametrize("p,trials", [(2, None), (3, 50), (5, 50), (7, 20)])
+    def test_matches_the_search_below_greedy(self, p, trials):
+        field = PrimeField(p)
+        arrays = search_table(field, 2, 3, "rank", 10 ** 8)
+        tensors = (all_tensors(field, 2, 3) if trials is None else
+                   [random_tensor(field, 2, 3, substream(93, trial).next_u64())
+                    for trial in range(trials)])
+        for t in tensors:
+            report = rank_exact(t, "rank")
+            assert report.exact and report.value == _reference_rank(t, arrays)
+            if report.upper_source == "search":  # greedy terms past the probe are not
+                assert all(term == ranks._rank_one_term(term.tensor, "rank")
+                           for term in report.certificate)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("terms", [2, 3, 4])
+    def test_planted_sums(self, p, terms):
+        field = PrimeField(p)
+        for trial in range(6):
+            t = _planted_rank_sum(field, 3, terms, 10 * terms + trial)
+            report = rank_exact(t, "rank")
+            assert report.exact and len(report.certificate) == report.value
+            assert _flattening_rank(t) <= report.value <= terms
+
+    def test_order_three_goes_to_no_search(self, monkeypatch):
+        tensors = [random_tensor(PrimeField(p), n, 3, seed)
+                   for p, n, seed in [(2, 2, 7), (3, 2, 1), (5, 2, 2), (2, 3, 0), (3, 3, 1)]]
+        monkeypatch.setattr(ranks, "search_table", _refuse_search)
+        monkeypatch.setattr(ranks, "_search", _refuse_search)
+        for t in tensors:
+            assert len(greedy_decomposition(t, "rank")) > 2
+            report = rank_exact(t, "rank")
+            assert report.exact and report.value == len(report.certificate)
+
+    def test_small_budget_gives_the_bounds_quickly(self):
+        t = random_tensor(F3, 3, 3, 7)  # rank 5, found after 35,360 point lookups
+        budget = 27 * ranks._candidate_count(3, 3, 3, "rank")  # the least that fits
+        start = time.perf_counter()
+        report = rank_exact(t, "rank", budget)
+        assert time.perf_counter() - start < 1.0
+        assert report == rank_bounds(t, "rank", budget) and not report.exact
+        with pytest.raises(BudgetExceededError):
+            ranks._slice_span(t, 8, 1000)
 
 
 def _reference_split(t, side):
