@@ -14,6 +14,10 @@ reduces every intermediate tensor before walking it.
 * :func:`bias_fiber` counts zero fibers.  The walk goes down to order 2,
   where a matrix of rank r has q^(n-r) zero fibers; scalar multiples of a
   fixing leave the same zero fibers, so one fixing per line is walked.
+  At q = 2 where the order-2 memo is off (n >= 4, and n <= 1) and
+  2^n <= _CACHE_LIMIT it stops at order 3 instead:
+  :meth:`_Packed.slice_fibers` bit-slices the 2^n matrices T(y, ., .) of a
+  leaf and ranks them all in one Gauss-Jordan pass.
 * :func:`bias_recursive` factors the tensor once into disjoint coordinate
   blocks (bias is multiplicative across them) and counts each distinct
   block once by the fiber engine's count; the value is the same.
@@ -46,6 +50,9 @@ in it.  The naive oracles of the tests and the reference engine of the
 benchmark (``perfbench/verify.py``, which shares no code with this
 package) are the independent checks; the histogram still takes no rank (a
 test makes every rank function raise), so it checks the rank base case.
+Past the memo at q = 2 the fiber count leaves the walk at order 3 while
+the histogram walks on to order 1, so there fiber against histogram also
+checks the whole last two levels independently.
 
 The module also provides the additive character chi, the complex bias of
 multi-component forms, and the diagonal-tensor constant c(d, q).
@@ -229,8 +236,9 @@ class ValueHistogram:
 # Packing kernels keyed by (p, n), built on first use and cached only for
 # p^n <= _CACHE_LIMIT.  A kernel builds its Gray tables on its first walk.
 _KERNEL_CACHE: dict[tuple[int, int], "_Packed"] = {}
-# Binary digits '0'/'1' to the bytes 0/1.
+# Binary digits '0'/'1' to the bytes 0/1, and back.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def gray_steps(p: int, n: int) -> tuple[int, ...]:
@@ -294,7 +302,7 @@ class _Packed:
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
         if self.p == 2:
-            return int("".join(map(str, cells[::-1])) or "0", 2)
+            return int(bytes(cells[::-1]).translate(_DIGITS) or b"0", 2)
         w = self.width
         if w == 1:
             return int.from_bytes(bytes(cells), "little")
@@ -422,6 +430,36 @@ class _Packed:
             rank = rank_mod_p(self.p, [cells[j * n:(j + 1) * n] for j in range(n)])
         return self.powers[rank]
 
+    def slice_fibers(self, x: int) -> int:
+        """Sum over y in F_2^n of 2^(n - rank T(y, ., .)) for a packed order-3 T
+        at p = 2, by one Gauss-Jordan pass over all 2^n matrices at once.
+
+        Bit y of plane c is cell c of T(y, ., .): the XOR of the lane masks
+        {y : y_k = 1} over the slices k whose cell c is 1.  `spans[c]` holds
+        the lanes with a pivot in column c and `pivots[c]` their pivot rows.
+        """
+        n = self.n
+        full = (1 << (1 << n)) - 1
+        lanes = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+                 for k in range(n)]
+        cells, area = self.cells(x, n ** 3), n * n
+        planes = [reduce(xor, compress(lanes, cells[c::area]), 0) for c in range(area)]
+        pivots, spans = [[0] * n for _ in range(n)], [0] * n
+        for j in range(n):
+            row = planes[j * n:(j + 1) * n]
+            for c, bit in enumerate(row):  # row[c] is read after columns < c updated it
+                if bit:
+                    fresh = bit & ~spans[c]
+                    spans[c] |= bit
+                    pivot = pivots[c]
+                    for k in range(c + 1, n):
+                        pivot[k] |= row[k] & fresh
+                        row[k] ^= pivot[k] & bit
+        ranks = [full]  # ranks[r]: the lanes of rank r
+        for span in spans:
+            ranks = [lo & ~span | hi & span for lo, hi in zip(ranks + [0], [0] + ranks)]
+        return sum(mask.bit_count() << (n - r) for r, mask in enumerate(ranks))
+
 
 def _kernel(p: int, n: int) -> _Packed:
     key = (p, n)
@@ -436,20 +474,26 @@ def _kernel(p: int, n: int) -> _Packed:
 def _zero_fibers(field: PrimeField, n: int, order: int, coeffs: Sequence[int]) -> int:
     """K: the fixings of the leading order-1 slots that leave the zero form.
 
-    The walk fixes the leading slots down to order 2 (an order-2 tensor is
-    its one leaf), one y per line: T(cy, ...) = c T(y, ...) has the zero
-    fibers of T(y, ...) for c != 0, so a line stands for p - 1 fixings.
-    With q = p^n, the q (q^(d-2) - (q-1)^(d-2)) fixings that put y = 0 in
-    some leading slot leave the zero matrix.
+    The walk fixes the leading slots down to the leaf order s (a tensor of
+    order s is its one leaf), one y per line: T(cy, ...) = c T(y, ...) has
+    the zero fibers of T(y, ...) for c != 0, so a line stands for p - 1
+    fixings.  With q = p^n, the q^(s-1) (q^(d-s) - (q-1)^(d-s)) fixings
+    that put y = 0 in some walked slot leave the zero tensor.  The leaves
+    are order-3 tensors, counted by :meth:`_Packed.slice_fibers`, at p = 2
+    where the order-2 memo is off and 2^n <= _CACHE_LIMIT (its planes hold
+    n^2 2^n bits); elsewhere they are matrices.
     """
     p = field.p
     if order == 1:
         return 0 if any(coeffs) else 1
     kernel = _kernel(p, n)
-    leaves = kernel.descend(kernel.pack(coeffs), order, 2, lines=True)
+    stop, fibers = 2, kernel.matrix_fibers
+    if p == 2 and order >= 3 and kernel.memo is None and 2 ** n <= _CACHE_LIMIT:
+        stop, fibers = 3, kernel.slice_fibers
+    leaves = kernel.descend(kernel.pack(coeffs), order, stop, lines=True)
     q = p ** n
-    return (q * (q ** (order - 2) - (q - 1) ** (order - 2))
-            + (p - 1) ** (order - 2) * sum(map(kernel.matrix_fibers, leaves)))
+    return (q ** (stop - 1) * (q ** (order - stop) - (q - 1) ** (order - stop))
+            + (p - 1) ** (order - stop) * sum(map(fibers, leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +505,9 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 
     Returns K / q^(n(d-1)) with K the number of zero fibers.  The walk
     fixes the leading slots down to order 2, where a matrix of rank r
-    has q^(n-r) zero fibers.  Order 1 is the base case: bias 1 for the
-    zero form, 0 otherwise.
+    has q^(n-r) zero fibers; at p = 2 past the order-2 memo it stops at
+    order 3 (see :func:`_zero_fibers`).  Order 1 is the base case: bias 1
+    for the zero form, 0 otherwise.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")

@@ -28,8 +28,9 @@ partition-rank candidates of its shape or gives None over the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from operator import xor
+from operator import add, mul, xor
 from typing import Callable, Iterable, Optional
 
 from .bias import (
@@ -263,6 +264,38 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
 # Positive correlation of common zero sets
 # ---------------------------------------------------------------------------
 
+# Bits in the monomial table of one block of correlation assignments.
+_TABLE_BITS = 1 << 22
+
+
+def _combine(f: list[int], g: list[int], op, q: int) -> list[int]:
+    """op(f, g) mod q, each function listing the bitmask where it takes each value."""
+    h = [0] * q
+    for u, fu in enumerate(f):
+        if fu:
+            for v, gv in enumerate(g):
+                h[op(u, v) % q] |= fu & gv
+    return h
+
+
+@lru_cache(maxsize=1)
+def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int, list]:
+    """The block of assignments with high base-q digits `high`, as a bitmask, and
+    each monomial's value masks on it; coordinate i of slot s is digit sn + i."""
+    low = n * d - len(high)
+    full = (1 << q ** low) - 1
+    digits = [[(((1 << q ** k) - 1) << (v * q ** k)) * (full // ((1 << q ** (k + 1)) - 1))
+               for v in range(q)] for k in range(low)]
+    digits += [[full * (v == h) for v in range(q)] for h in high]
+    table = []
+    for idx in product(range(n), repeat=d):
+        term = [full * (v == 1) for v in range(q)]
+        for s, i in enumerate(idx):
+            term = _combine(term, digits[s * n + i], mul, q)
+        table.append(term)
+    return full, table
+
+
 @dataclass(frozen=True)
 class CorrelationInstance:
     """Tensor families T_1..T_m and S_1..S_k on a shared input space."""
@@ -279,18 +312,35 @@ class CorrelationInstance:
                 raise ValueError("family members must share shape and field")
 
     def zero_counts(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int, int]:
-        """(#common zeros of T, of S, of both, domain size) by enumeration."""
+        """(#common zeros of T, of S, of both, domain size) by enumeration:
+        a zero-set bitmask per member and block of assignments, each block as
+        large as a monomial table of _TABLE_BITS bits allows, and popcounts."""
         q, n, d = self.field.p, self.dim, self.order
         total = q ** (n * d)
         _check_budget(total, budget, "correlation counting")
-        vectors = list(product(range(q), repeat=n))
+        low = n * d
+        while low and q ** (low + 1) * n ** d > _TABLE_BITS:
+            low -= 1
         z_t = z_s = z_both = 0
-        for assignment in product(vectors, repeat=d):
-            t_zero = all(t.evaluate(assignment) == 0 for t in self.t_group)
-            s_zero = all(s.evaluate(assignment) == 0 for s in self.s_group)
-            z_t += t_zero
-            z_s += s_zero
-            z_both += t_zero and s_zero
+        for high in product(range(q), repeat=n * d - low):
+            full, table = _monomial_table(q, n, d, high)
+
+            def zeros(group):
+                common = full
+                for t in group:
+                    values = [full] + [0] * (q - 1)
+                    for term, c in zip(table, t.coeffs):
+                        if c:  # c * term takes value v where term takes v / c
+                            inv = pow(c, -1, q)
+                            values = _combine(values, [term[v * inv % q] for v in range(q)],
+                                              add, q)
+                    common &= values[0]
+                return common
+
+            t_zero, s_zero = zeros(self.t_group), zeros(self.s_group)
+            z_t += t_zero.bit_count()
+            z_s += s_zero.bit_count()
+            z_both += (t_zero & s_zero).bit_count()
         return z_t, z_s, z_both, total
 
     def lifted(self) -> tuple[Tensor, Tensor]:

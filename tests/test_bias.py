@@ -46,20 +46,31 @@ F5 = PrimeField(5)
 def oracle_zero_fibers(t):
     """Naive count: every fixing recomputed from scratch, no sharing."""
     n, d, p = t.dim, t.order, t.field.p
+    entries = list(t.nonzero_entries())
     vectors = list(product(range(p), repeat=n))
     count = 0
     for fixing in product(vectors, repeat=d - 1):
-        coeffs = []
-        for i in range(n):
-            total = 0
-            for idx in product(range(n), repeat=d - 1):
-                term = t.entry((i,) + idx)
-                for slot, j in enumerate(idx):
-                    term *= fixing[slot][j]
-                total += term
-            coeffs.append(total % p)
-        count += all(c == 0 for c in coeffs)
+        coeffs = [0] * n
+        for idx, term in entries:
+            for slot, j in enumerate(idx[1:]):
+                term *= fixing[slot][j]
+            coeffs[idx[0]] += term
+        count += all(c % p == 0 for c in coeffs)
     return count
+
+
+def planted_tensor(field, n, d, r, gen):
+    """A sum of r products of random vectors: every contraction has rank <= r."""
+    p = field.p
+    coeffs = [0] * n ** d
+    for _ in range(r):
+        vectors = [[gen.below(p) for _ in range(n)] for _ in range(d)]
+        for flat, idx in enumerate(product(range(n), repeat=d)):
+            term = 1
+            for slot, i in enumerate(idx):
+                term *= vectors[slot][i]
+            coeffs[flat] = (coeffs[flat] + term) % p
+    return Tensor(field, n, d, coeffs)
 
 
 class TestBiasValue:
@@ -173,6 +184,59 @@ class TestEngineTriangle:
             assert bias_recursive(t).numerator == expected
             assert bias_histogram(t)[1].numerator == expected
 
+    # At p = 2 where the order-2 memo is off, the walk stops at order-3
+    # leaves and counts each by one bit-sliced elimination over all 2^n
+    # fixings of its leading slot; n = 1 and n = 0 are its smallest cases.
+    @pytest.mark.parametrize("n,d,count", [(4, 3, 4), (5, 3, 3), (4, 4, 2), (1, 4, 4),
+                                           (0, 3, 1)])
+    def test_bit_sliced_leaves_match_naive_oracle(self, n, d, count):
+        gen = substream(977, 10 * n + d)
+        tensors = [zero_tensor(F2, n, d)]
+        for _ in range(count):
+            sparse = [(tuple(gen.below(n) for _ in range(d)), 1) for _ in range(n)] if n else []
+            tensors += [random_tensor(F2, n, d, gen.next_u64()), from_entries(F2, n, d, sparse),
+                        planted_tensor(F2, n, d, 1, gen), planted_tensor(F2, n, d, 2, gen)]
+        for t in tensors:
+            expected = oracle_zero_fibers(t)
+            assert bias_fiber(t).numerator == expected
+            assert bias_recursive(t).numerator == expected
+            assert bias_histogram(t)[1].numerator == expected
+
+    def test_bit_sliced_leaves_take_no_matrix_count(self, monkeypatch):
+        tensors = [random_tensor(F2, 5, 3, substream(978, trial).next_u64()) for trial in range(3)]
+        expected = [oracle_zero_fibers(t) for t in tensors]
+
+        def refuse(self, x):
+            raise AssertionError("an order-2 leaf was counted")
+
+        monkeypatch.setattr(bias._Packed, "matrix_fibers", refuse)
+        assert [bias_fiber(t).numerator for t in tensors] == expected
+
+    def test_memo_shapes_keep_the_matrix_walk(self, monkeypatch):
+        tensors = [random_tensor(F2, 3, 3, substream(979, trial).next_u64()) for trial in range(3)]
+        expected = [oracle_zero_fibers(t) for t in tensors]
+
+        def refuse(self, x):
+            raise AssertionError("an order-3 leaf was bit-sliced")
+
+        monkeypatch.setattr(bias._Packed, "slice_fibers", refuse)
+        assert [bias_fiber(t).numerator for t in tensors] == expected
+
+    def test_lane_bound_keeps_large_leaves_on_the_matrix_walk(self, monkeypatch):
+        # slice_fibers holds n^2 planes of 2^n bits, so past 2^n > _CACHE_LIMIT
+        # (n >= 17 at the module's limit) a leaf is walked down to matrices;
+        # a lowered limit puts n = 5 past it.
+        tensors = [random_tensor(F2, 5, d, substream(980, d).next_u64()) for d in (3, 4)]
+        expected = [oracle_zero_fibers(t) for t in tensors]
+
+        def refuse(self, x):
+            raise AssertionError("a leaf past the lane bound was bit-sliced")
+
+        monkeypatch.setattr(bias, "_CACHE_LIMIT", 1 << 4)
+        monkeypatch.setattr(bias._Packed, "slice_fibers", refuse)
+        assert [bias_fiber(t).numerator for t in tensors] == expected
+        assert [bias_recursive(t).numerator for t in tensors] == expected
+
     def test_positive_for_order_two_and_up(self):
         for trial in range(20):
             t = random_tensor(F2, 3, 3, substream(11, trial).next_u64())
@@ -266,6 +330,17 @@ class TestGrayWalk:
     def test_kernel_tables_are_prefixes_of_the_full_code(self, p, n):
         steps = gray_steps(p, n)
         assert bias._Packed(p, n).gray() == [steps[:p ** k - 1] for k in range(n)]
+
+
+class TestPack:
+    def test_binary_cells_round_trip_at_every_length(self):
+        kernel = bias._Packed(2, 2)
+        gen = substream(2, 131)
+        for length in range(131):
+            cells = tuple(gen.below(2) for _ in range(length))
+            x = kernel.pack(cells)
+            assert x == kernel.pack(list(cells)) == int("".join(map(str, cells[::-1])) or "0", 2)
+            assert kernel.cells(x, length) == bytes(cells)
 
 
 class TestOrderTwoMemo:

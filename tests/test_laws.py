@@ -110,6 +110,23 @@ class TestCorrelation:
         with pytest.raises(BudgetExceededError, match="needs 4 evaluations, budget is 3"):
             inst.zero_counts(3)
 
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (5, 2, 2)])
+    @pytest.mark.parametrize("table_bits", [laws._TABLE_BITS, 64])
+    def test_zero_counts_match_evaluation(self, monkeypatch, p, n, d, table_bits):
+        # 64 bits cuts the domain into blocks of a few assignments each
+        monkeypatch.setattr(laws, "_TABLE_BITS", table_bits)
+        field = PrimeField(p)
+        gen = substream(31, p * n * d)
+        inputs = list(product(product(range(p), repeat=n), repeat=d))
+        for _ in range(12):
+            groups = [tuple(random_tensor(field, n, d, gen.next_u64())
+                            for _ in range(1 + gen.below(3))) for _ in range(2)]
+            groups[gen.below(2)] += (zero_tensor(field, n, d),)
+            inst = CorrelationInstance(field, n, d, *groups)
+            zeros = [[all(t.evaluate(x) == 0 for t in group) for x in inputs] for group in groups]
+            assert inst.zero_counts() == (sum(zeros[0]), sum(zeros[1]),
+                                          sum(map(min, *zeros)), len(inputs))
+
     def test_lifted_tensors_use_disjoint_lead_coordinates(self):
         gen = substream(7, 0)
         ts = tuple(random_tensor(F2, 2, 2, gen.next_u64()) for _ in range(2))
