@@ -28,11 +28,11 @@ The value walk serves the histogram and :func:`bias_multiform`.  It
 homogenizes a multi-component form R on (F_q^n)^d into one order-d tensor
 T on F_q^(n+1) whose last coordinate in a slot stands for "this slot is not
 in the component", so R(x) = T((x^1, 1), ..., (x^d, 1)); a plain tensor is
-the form with only its top component.  The walk takes the leading d-1
-slots over the coset of vectors ending in 1, and each fixing leaves an
-affine form in the last slot, counted by its key reduced mod q.  There are
-at most q^(n+1) distinct forms for the q^(n(d-1)) fixings, and each is
-evaluated on every x once, its tally weighted by its count.
+the form with only its top component.  Where d >= 2, n >= 2 and q^(2n) <=
+_CACHE_LIMIT the q^(2n) arguments of the last two slots are the lanes of
+an int, and a Gray walk of the third adds one slice's values per step.
+Elsewhere it walks down to order 1 and evaluates each distinct affine
+form left in the last slot on every x once, weighted by its count.
 
 The fiber count ends in :meth:`_Packed.matrix_fibers`, which memoizes the
 order-2 count q^(n-rank) on its cached kernel when the key space is small:
@@ -50,9 +50,9 @@ in it.  The naive oracles of the tests and the reference engine of the
 benchmark (``perfbench/verify.py``, which shares no code with this
 package) are the independent checks; the histogram still takes no rank (a
 test makes every rank function raise), so it checks the rank base case.
-Past the memo at q = 2 the fiber count leaves the walk at order 3 while
-the histogram walks on to order 1, so there fiber against histogram also
-checks the whole last two levels independently.
+On its lane path the histogram does not walk the last three slots (an
+order-3 tensor is not walked at all), so there fiber against histogram
+checks the walk's last levels independently.
 
 The module also provides the additive character chi, the complex bias of
 multi-component forms, and the diagonal-tensor constant c(d, q).
@@ -65,12 +65,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, compress
-from operator import mul, xor
+from functools import partial, reduce
+from itertools import accumulate, chain, compress
+from operator import add, mul, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf import PrimeField, gf2_rank, rank_mod_p
+from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, rank_mod_p
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps bias.matrix_rank)
 from .tensor import MultiComponentForm, Tensor
 
@@ -282,11 +282,12 @@ class _Packed:
     the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
     cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
     odd p with one-byte cells, and None otherwise.  `gray_table` is built by
-    :meth:`gray` on the first walk.
+    :meth:`gray` on the first walk, `lane_table` by the first
+    :meth:`lane_products`.
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
-                 "gray_table")
+                 "gray_table", "lane_table")
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -297,7 +298,7 @@ class _Packed:
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
         self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
-        self.gray_table = None
+        self.gray_table = self.lane_table = None
 
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
@@ -329,6 +330,21 @@ class _Packed:
             prefix = tuple(s + (s >= n - 1) for s in gray_steps(self.p, n - 1)) if n else ()
             self.gray_table = [prefix[:self.p ** k - 1] for k in range(n)]
         return self.gray_table
+
+    def lane_products(self) -> list:
+        """Cell (i, j) of an order-2 tensor, u_i x_j, on the lanes (u, x) of
+        coset vectors ending in 1 (lane digit j is x_j, digit n - 1 + i is u_i):
+        at p = 2 item i n + j is its mask of 1s; at odd p item c lists, in that
+        order, the value masks of c u_i x_j."""
+        if self.lane_table is None:
+            p, m = self.p, self.n - 1
+            digits = digit_masks(p, 2 * m)
+            one = [0, (1 << p ** (2 * m)) - 1] + [0] * (p - 2)
+            xs, us = digits[:m] + [one], digits[m:] + [one]
+            cells = [combine_masks(u, x, mul, p) for u in us for x in xs]
+            self.lane_table = [f[1] for f in cells] if p == 2 else [None] + [
+                [[f[v * pow(c, -1, p) % p] for v in range(p)] for f in cells] for c in range(1, p)]
+        return self.lane_table
 
     def walk(self, x: int, order: int, lines: bool):
         """T(y, ...) for y in F_p^n in Gray order, each one slice away.
@@ -440,8 +456,7 @@ class _Packed:
         """
         n = self.n
         full = (1 << (1 << n)) - 1
-        lanes = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
-                 for k in range(n)]
+        lanes = [masks[1] for masks in digit_masks(2, n)]
         cells, area = self.cells(x, n ** 3), n * n
         planes = [reduce(xor, compress(lanes, cells[c::area]), 0) for c in range(area)]
         pivots, spans = [[0] * n for _ in range(n)], [0] * n
@@ -590,8 +605,9 @@ def _value_counts(p: int, n: int, order: int, components) -> list[int]:
     """How often R(x) = sum of R_I(x^I) takes each value: the value walk.
 
     `components` pairs each slot set I with its tensor R_I, whose slots are
-    those of I in increasing order.  Each distinct form is evaluated in Gray
-    order from its constant coefficient.
+    those of I in increasing order.  Their homogenized tensor is counted by
+    :func:`_lane_counts` where its lanes fit and by :func:`_keyed_counts`
+    elsewhere.
     """
     size = n + 1
     cells = [0] * size ** order
@@ -603,18 +619,57 @@ def _value_counts(p: int, n: int, order: int, components) -> list[int]:
                 flat = flat * size + (next(digits) if slot in slots else n)
             cells[flat] = c
     kernel = _kernel(p, size)
-    forms = Counter(kernel.keys(kernel.descend(kernel.pack(cells), order, 1, lines=False), size))
-    steps = kernel.gray()[n]
+    if order >= 2 and n >= 2 and p ** (2 * n) <= _CACHE_LIMIT:
+        return _lane_counts(kernel, kernel.pack(cells), order)
+    return _keyed_counts(kernel, kernel.pack(cells), order)
+
+
+def _keyed_counts(kernel: _Packed, x: int, order: int) -> list[int]:
+    """The value walk down to order 1: each distinct affine form left in the
+    last slot is evaluated in Gray order from its constant coefficient."""
+    p, size = kernel.p, kernel.n
+    forms = Counter(kernel.keys(kernel.descend(x, order, 1, lines=False), size))
+    steps = kernel.gray()[size - 1]
     counts = [0] * p
     for form, count in forms.items():
         if p == 2:
             form = kernel.cells(form, size)
         deltas = list(form) + [-c for c in form]
-        value = form[n]
+        value = form[size - 1]
         counts[value] += count
         for step in steps:
             value += deltas[step]
             counts[value % p] += count
+    return counts
+
+
+def _lane_counts(kernel: _Packed, x: int, order: int) -> list[int]:
+    """The value walk down to order-3 nodes (an order-2 tensor is one node of
+    one slice), each slice held as its values on the lanes of
+    :meth:`_Packed.lane_products`; a Gray walk of the node's leading slot
+    adds one slice per step and tallies every lane."""
+    p, size = kernel.p, kernel.n
+    area, products, counts = size * size, kernel.lane_products(), [0] * p
+    slices, steps = (1, ()) if order == 2 else (size, kernel.gray()[size - 1])
+    nodes = kernel.descend(x, order, 3, lines=False) if order > 2 else (x,)
+    plus = partial(combine_masks, op=add, q=p)
+    zero = [(1 << p ** (2 * size - 2)) - 1] + [0] * (p - 1)
+    for node in kernel.keys(nodes, slices * area):
+        if p == 2:
+            cells = kernel.cells(node, slices * area)
+            vectors = [reduce(xor, compress(products, cells[k * area:(k + 1) * area]), 0)
+                       for k in range(slices)]
+            deltas = vectors + vectors
+            walk = accumulate(steps, lambda f, step: f ^ deltas[step], initial=vectors[-1])
+            counts[1] += sum(map(int.bit_count, walk))
+            continue
+        vectors = [reduce(plus, [products[c][i] for i, c in enumerate(node[k * area:(k + 1) * area])
+                                 if c], zero) for k in range(slices)]
+        deltas = vectors + [[f[0]] + f[:0:-1] for f in vectors]
+        for f in accumulate(steps, lambda f, step: plus(f, deltas[step]), initial=vectors[-1]):
+            for v in range(1, p):
+                counts[v] += f[v].bit_count()
+    counts[0] = p ** ((size - 1) * order) - sum(counts)
     return counts
 
 

@@ -7,6 +7,9 @@ elimination per field kind: :func:`gf2_rank` on rows packed as int
 bitsets, by word-wide XOR, and :func:`rank_mod_p` on rows of residues
 for odd p.  :func:`matrix_rank` dispatches between them, and the bias
 kernel calls both directly on its packed matrices.
+
+A function on q^m points can be held as q value masks, bit x of mask v set
+where it takes value v (:func:`digit_masks`, :func:`combine_masks`).
 """
 
 from __future__ import annotations
@@ -125,6 +128,28 @@ def matrix_rank(field: PrimeField, rows: Sequence[Sequence[int]]) -> int:
     if field.p == 2:
         return gf2_rank(sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows)
     return rank_mod_p(field.p, rows)
+
+
+# ---------------------------------------------------------------------------
+# Functions held as value masks
+# ---------------------------------------------------------------------------
+
+def digit_masks(q: int, m: int) -> list[list[int]]:
+    """For each base-q digit k < m of the points 0 .. q^m - 1, the q masks of
+    the points whose digit k is v."""
+    full = (1 << q ** m) - 1
+    return [[(((1 << q ** k) - 1) << (v * q ** k)) * (full // ((1 << q ** (k + 1)) - 1))
+             for v in range(q)] for k in range(m)]
+
+
+def combine_masks(f: Sequence[int], g: Sequence[int], op, q: int) -> list[int]:
+    """op(f, g) mod q, each function listing the bitmask where it takes each value."""
+    h = [0] * q
+    for u, fu in enumerate(f):
+        if fu:
+            for v, gv in enumerate(g):
+                h[op(u, v) % q] |= fu & gv
+    return h
 
 
 def random_vector(field: PrimeField, n: int, gen: SplitMix64) -> Vector:

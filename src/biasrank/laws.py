@@ -44,7 +44,7 @@ from .bias import (
     c_constant,
     diagonal_bias_numerator,
 )
-from .gf import PrimeField, random_full_rank_basis
+from .gf import PrimeField, combine_masks, digit_masks, random_full_rank_basis
 from .ranks import max_independent_set, rank_exact, search_table
 from .rng import SplitMix64, substream
 from .tensor import (
@@ -268,30 +268,18 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
 _TABLE_BITS = 1 << 22
 
 
-def _combine(f: list[int], g: list[int], op, q: int) -> list[int]:
-    """op(f, g) mod q, each function listing the bitmask where it takes each value."""
-    h = [0] * q
-    for u, fu in enumerate(f):
-        if fu:
-            for v, gv in enumerate(g):
-                h[op(u, v) % q] |= fu & gv
-    return h
-
-
 @lru_cache(maxsize=1)
 def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int, list]:
     """The block of assignments with high base-q digits `high`, as a bitmask, and
     each monomial's value masks on it; coordinate i of slot s is digit sn + i."""
     low = n * d - len(high)
     full = (1 << q ** low) - 1
-    digits = [[(((1 << q ** k) - 1) << (v * q ** k)) * (full // ((1 << q ** (k + 1)) - 1))
-               for v in range(q)] for k in range(low)]
-    digits += [[full * (v == h) for v in range(q)] for h in high]
+    digits = digit_masks(q, low) + [[full * (v == h) for v in range(q)] for h in high]
     table = []
     for idx in product(range(n), repeat=d):
         term = [full * (v == 1) for v in range(q)]
         for s, i in enumerate(idx):
-            term = _combine(term, digits[s * n + i], mul, q)
+            term = combine_masks(term, digits[s * n + i], mul, q)
         table.append(term)
     return full, table
 
@@ -314,7 +302,10 @@ class CorrelationInstance:
     def zero_counts(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int, int]:
         """(#common zeros of T, of S, of both, domain size) by enumeration:
         a zero-set bitmask per member and block of assignments, each block as
-        large as a monomial table of _TABLE_BITS bits allows, and popcounts."""
+        large as a monomial table of _TABLE_BITS bits allows, and popcounts.
+        The value-mask helpers of :mod:`biasrank.gf` are shared with the
+        histogram's lane walk, but nothing with bias_fiber, which the bridge
+        check compares these counts against."""
         q, n, d = self.field.p, self.dim, self.order
         total = q ** (n * d)
         _check_budget(total, budget, "correlation counting")
@@ -332,8 +323,8 @@ class CorrelationInstance:
                     for term, c in zip(table, t.coeffs):
                         if c:  # c * term takes value v where term takes v / c
                             inv = pow(c, -1, q)
-                            values = _combine(values, [term[v * inv % q] for v in range(q)],
-                                              add, q)
+                            values = combine_masks(values, [term[v * inv % q] for v in range(q)],
+                                                   add, q)
                     common &= values[0]
                 return common
 

@@ -405,19 +405,20 @@ def serialize_tensor(t: Tensor) -> str:
 
 
 def parse_tensor(text: str) -> Tensor:
-    """Parse the canonical format; `#` starts a comment, blank lines ignored."""
-    header = None
-    entries = []
+    """Parse the canonical format; `#` starts a comment, blank lines ignored.
+
+    Each entry is checked once; duplicate indices are summed mod p.
+    """
+    field = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
         try:
-            values = [int(tok) for tok in tokens]
+            values = [int(tok) for tok in line.split()]
         except ValueError:
             raise TensorFormatError(lineno, f"non-integer token in {line!r}")
-        if header is None:
+        if field is None:
             if len(values) != 3:
                 raise TensorFormatError(lineno, "header must be `p n d`")
             p, dim, order = values
@@ -426,22 +427,23 @@ def parse_tensor(text: str) -> Tensor:
             if dim < 0:
                 raise TensorFormatError(lineno, "dimension must be >= 0")
             try:
-                dense_cells(dim, order)
+                cells = dense_cells(dim, order)
                 field = PrimeField(p)
             except ValueError as exc:
                 raise TensorFormatError(lineno, str(exc))
-            header = (field, dim, order)
+            coeffs = [0] * cells
             continue
-        field, dim, order = header
         if len(values) != order + 1:
             raise TensorFormatError(lineno, f"expected {order} indices and a value")
-        idx, value = values[:-1], values[-1]
-        if any(not 0 <= i < dim for i in idx):
-            raise TensorFormatError(lineno, f"index {tuple(idx)} out of range for dim {dim}")
-        if not 0 <= value < field.p:
-            raise TensorFormatError(lineno, f"value {value} is not a residue mod {field.p}")
-        entries.append((tuple(idx), value))
-    if header is None:
+        value = values.pop()
+        flat = 0
+        for i in values:
+            if not 0 <= i < dim:
+                raise TensorFormatError(lineno, f"index {tuple(values)} out of range for dim {dim}")
+            flat = flat * dim + i
+        if not 0 <= value < p:
+            raise TensorFormatError(lineno, f"value {value} is not a residue mod {p}")
+        coeffs[flat] = (coeffs[flat] + value) % p
+    if field is None:
         raise TensorFormatError(1, "missing header line `p n d`")
-    field, dim, order = header
-    return from_entries(field, dim, order, entries)
+    return Tensor._trusted(field, dim, order, tuple(coeffs))

@@ -251,11 +251,21 @@ def oracle_counts(f, p, n, d):
     return counts
 
 
-# The value walk runs on F_p^(n+1) and keys its forms by the int at p = 2,
-# by reduced bytes up to (11, 1, 3), and by residue tuples where cells are
-# two bytes wide (13, 1, 3) or residues exceed a byte (257, 1, 2).
+# The value walk runs on F_p^(n+1).  Where n >= 2, d >= 2 and p^(2n) <=
+# _CACHE_LIMIT it evaluates the last two slots in lanes: at p = 2, at odd p
+# on order-2 inputs with one byte cells (3, 3, 2) and two (13, 2, 2), on one
+# order-3 node (5, 2, 3) and on the nodes of an order-4 walk (3, 2, 4).
+# Elsewhere it keys its forms by the int at p = 2, by reduced bytes up to
+# (11, 1, 3), and by residue tuples where cells are two bytes wide
+# (13, 1, 3) or residues exceed a byte (257, 1, 2).
 ORACLE_SHAPES = [(2, 0, 3), (2, 2, 1), (3, 2, 1), (2, 3, 3), (2, 2, 4), (3, 2, 3), (5, 2, 2),
-                 (7, 2, 3), (11, 1, 3), (13, 1, 3), (257, 1, 2)]
+                 (7, 2, 3), (11, 1, 3), (13, 1, 3), (257, 1, 2), (3, 3, 2), (5, 2, 3), (3, 2, 4),
+                 (2, 4, 3), (2, 2, 2), (13, 2, 2)]
+LANE_SHAPES = [(2, 3, 3), (2, 2, 2), (3, 3, 2), (3, 2, 4), (13, 2, 2)]
+
+
+def refuse_path(*args):
+    raise AssertionError("a refused path was taken")
 
 
 class TestValueWalk:
@@ -306,6 +316,31 @@ class TestValueWalk:
             monkeypatch.setattr(bias, name, refuse)
         assert list(bias_histogram(t)[0].counts) == expected[0]
         assert list(bias_multiform(form).histogram.counts) == expected[1]
+
+    @staticmethod
+    def assert_counts_match_oracle(p, n, d):
+        field = PrimeField(p)
+        t = random_tensor(field, n, d, 15)
+        form = random_multiform(field, n, d, 16)
+        assert list(bias_histogram(t)[0].counts) == oracle_counts(t, p, n, d)
+        assert list(bias_multiform(form).histogram.counts) == oracle_counts(form, p, n, d)
+
+    @pytest.mark.parametrize("p,n,d", LANE_SHAPES)
+    def test_lane_shapes_take_no_keyed_walk(self, monkeypatch, p, n, d):
+        monkeypatch.setattr(bias, "_keyed_counts", refuse_path)
+        self.assert_counts_match_oracle(p, n, d)
+
+    # Lanes hold (n+1)^2 p p^(2n) bits, so past p^(2n) > _CACHE_LIMIT (n >= 9
+    # at p = 2 at the module's limit) the keyed walk serves; a lowered limit
+    # puts these shapes past it.  n <= 1 and order 1 never take lanes.
+    @pytest.mark.parametrize("p,n,d,limit", [(2, 3, 3, 1 << 5), (3, 2, 4, 1 << 6),
+                                             (3, 3, 2, 1 << 4), (11, 1, 3, None),
+                                             (3, 2, 1, None), (2, 0, 3, None)])
+    def test_lane_bound_keeps_the_keyed_walk(self, monkeypatch, p, n, d, limit):
+        if limit is not None:
+            monkeypatch.setattr(bias, "_CACHE_LIMIT", limit)
+        monkeypatch.setattr(bias._Packed, "lane_products", refuse_path)
+        self.assert_counts_match_oracle(p, n, d)
 
 
 class TestGrayWalk:
