@@ -20,28 +20,24 @@ the bias kernel packs, contracts and ranks them.
 :func:`_slice_certificate` expands T slot by slot along forms that cut
 each W_i out, one slice term per form.
 
-Tensor rank at order 3 comes from the slice span, :func:`_slice_span`:
-rank(T) is the least dim W over spaces W of matrices that hold the span
-S of the slot-0 slices and are spanned by rank-one matrices; each W is S
-plus one subspace of the quotient from :func:`_subspaces`, the walk the
-duality shares.  At order >= 4 it comes from iterative deepening over
-sums of rank-one candidate arrays against the residual, :func:`_search`.
-Candidates are normalized projectively (first nonzero coordinate of each
-free factor scaled to 1, the remaining factor absorbs scalars) and
-deduplicated by coefficient array; at each search node the chosen
-candidate must be nonzero at the residual's first lexicographic nonzero
-coefficient, which is a complete pruning rule.  Every candidate is a head
-array on one side A times an array on the other slots B, read in full
-cell order by one itemgetter per head from the B-array's multiples; that
-itemgetter, the pivot split and the slice certificate take each cell's
-(A, B) position from one helper, :func:`_cell_positions`.  :func:`search_table`
-lists the candidates of a shape and kind as coefficient arrays; besides
-the order >= 4 search, it gives arank-le-prank the partition-rank
-candidates it checks.
+Tensor rank at every order d >= 3 comes from the slice span,
+:func:`_slice_span`: rank(T) is the least dim W over spaces W of order-(d-1)
+tensors that hold the span S of the slot-0 slices and are spanned by
+rank-one ones.  Only W = S + U with U spanned by the quotient images of
+rank-one tensors can qualify, so a depth-first walk over those images
+meets each such U once, by its greedy basis.  No candidates are listed.
 
 Partition rank at order >= 4 has no exact method past greedy, and needs
 none: under the cap such a shape has n <= 2, and greedy slices slot 0
 into at most n terms.
+
+:func:`search_table` lists the slice or partition rank-one arrays of a
+shape as sorted coefficient arrays, for arank-le-prank's rank-one checks.
+Every candidate is a projective head array on one side A times an array
+on the other slots B, read in full cell order by one itemgetter per head
+from the B-array's multiples; that itemgetter, the pivot split and the
+slice certificate take each cell's (A, B) position from one helper,
+:func:`_cell_positions`.
 
 :func:`_rank_one_term` writes the normal form of a rank-one tensor; every
 term is in it except greedy `rank` terms past the probe, which the slice
@@ -50,12 +46,14 @@ decomposition is re-summed and verified before it leaves this module.
 
 The search space is tiny-instance only by design.  This module alone
 decides how large a search may be, and one cap holds for every kind: a
-shape whose candidates exceed min(budget // n^d, MAX_SEARCH_CANDIDATES)
-gets no exact method, although the duality and the slice span list no
-candidates, and :func:`search_table` gives None for it.  Every method
-counts nodes (the slice span, point lookups) against max(1000, budget // n^d).  With no exact method, or once the node budget
-runs out, an interval [analytic-rank ceiling, greedy upper bound] is
-returned instead, exact only if the two meet.
+shape whose rank-one candidates (counted by :func:`_candidate_count`, full
+products for `rank`) exceed min(budget // n^d, MAX_SEARCH_CANDIDATES) gets
+no exact method, although the duality and the slice span list none, and
+:func:`search_table` gives None for it.  Every method counts nodes (the
+slice span, point lookups) against max(1000, budget // n^d).  With no
+exact method, or once the node budget runs out, an interval
+[analytic-rank ceiling, greedy upper bound] is returned instead, exact
+only if the two meet.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter, xor
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
@@ -76,9 +74,10 @@ KINDS = ("rank", "srank", "prank")
 
 # Feasibility envelope for exact search: the candidate space must stay below
 # this many rank-one tensors, counted also for the kinds that the subspace
-# duality ranks without listing them.  Admits every kind at (p=2, n=2, d<=4),
-# (p<=5, n=2, d=3) and (p=2, n=3, d=3), but slice and partition rank at
-# (p=3, n=3, d=3) are over it; anything over it falls back to certified bounds.
+# duality and the slice span rank without listing them.  Admits every kind
+# at (p=2, n=2, d<=4), (p<=5, n=2, d=3) and (p=2, n=3, d=3), but slice and
+# partition rank at (p=3, n=3, d=3) are over it; anything over it falls
+# back to certified bounds.
 MAX_SEARCH_CANDIDATES = 50_000
 
 
@@ -185,7 +184,8 @@ def _partition_sides(order: int, slice_only: bool):
 
 
 def _candidate_count(p: int, dim: int, order: int, kind: str) -> int:
-    """How many arrays :func:`_candidates` yields, repeats included."""
+    """How many arrays :func:`_candidates` yields, repeats included; for
+    `rank`, which lists none, the nonzero full products."""
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
     if kind == "rank":
@@ -202,90 +202,39 @@ def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
 
 
 def _candidates(field: PrimeField, dim: int, order: int, kind: str):
-    """Yield the coefficient array of every rank-one candidate.
+    """The coefficient array of every slice or partition rank-one candidate.
 
-    Each candidate is a head array on a side A times a B-array on the
-    other slots.  Full products are the side (0,) with nonzero heads and
-    the outer products of projective tails as B-arrays; slice and
-    partition candidates are a projective head times a nonzero B-array,
-    for each side of :func:`_partition_sides`.  Each B-array b is laid out
-    once with its multiples, [0] + 1*b + ... + (p-1)*b, so one itemgetter
-    per head reads every candidate of that head: cell c sits at
-    1 + (a[fa]-1)*|b| + fb (:func:`_cell_positions`), or at 0 where
-    a[fa] = 0.  An array rank one across several sides is yielded once
-    per side.
+    Each candidate is a projective head array on a side A of
+    :func:`_partition_sides` times a nonzero B-array on the other slots.
+    Each B-array b is laid out once with its multiples,
+    [0] + 1*b + ... + (p-1)*b, so one itemgetter per head reads every
+    candidate of that head: cell c sits at 1 + (a[fa]-1)*|b| + fb
+    (:func:`_cell_positions`), or at 0 where a[fa] = 0.  An array rank one
+    across several sides is yielded once per side.  Tensor rank lists no
+    candidates: it takes the slice span.
     """
-    p = field.p
     if kind == "rank":
-        tails = product(_projective_vectors(field, dim), repeat=order - 1)
-        plans = [((0,), _nonzero_vectors(field, dim), [_outer_product(field, v) for v in tails])]
-    else:
-        plans = [(side, _projective_vectors(field, dim ** len(side)),
-                  _nonzero_vectors(field, dim ** (order - len(side))))
-                 for side in _partition_sides(order, slice_only=(kind == "srank"))]
-    for side, heads, arrays_b in plans:
-        len_b = dim ** (order - len(side))
-        multiples = [[0, *(k * x % p for k in range(1, p) for x in b)] for b in arrays_b]
-        positions = _cell_positions(dim, order, side)
-        for head in heads:
-            cells = [1 + (head[fa] - 1) * len_b + fb if head[fa] else 0 for fa, fb in positions]
-            if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
-                yield from ((m[cells[0]],) for m in multiples)
-            else:
-                yield from map(itemgetter(*cells), multiples)
+        raise ValueError("tensor rank takes the slice span and lists no candidates")
+    sides = _partition_sides(order, slice_only=(kind == "srank"))
+    return chain.from_iterable(_side_candidates(field, dim, order, side) for side in sides)
+
+
+def _side_candidates(field: PrimeField, dim: int, order: int, side: tuple[int, ...]):
+    p, len_b = field.p, dim ** (order - len(side))
+    multiples = [[0, *(k * x % p for k in range(1, p) for x in b)]
+                 for b in _nonzero_vectors(field, len_b)]
+    positions = _cell_positions(dim, order, side)
+    for head in _projective_vectors(field, dim ** len(side)):
+        cells = [1 + (head[fa] - 1) * len_b + fb if head[fa] else 0 for fa, fb in positions]
+        if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
+            yield from ((m[cells[0]],) for m in multiples)
+        else:
+            yield from map(itemgetter(*cells), multiples)
 
 
 # ---------------------------------------------------------------------------
-# Exact search
+# Greedy decomposition and the rank-one normal form
 # ---------------------------------------------------------------------------
-
-def _search(target: tuple[int, ...], arrays: list, p: int, depths,
-            node_limit: int) -> Optional[list]:
-    """The candidate arrays summing to target at the first depth in `depths`
-    that admits them, or None.
-
-    `arrays` are sorted and distinct.  A depth-limited DFS runs per depth,
-    trying at each node, in sorted order, the arrays nonzero at the
-    residual's first nonzero position; a residual with one term left needs
-    only a membership test.  Known failures are kept per depth, since the
-    node count decides which searches end in an interval.  Nodes are
-    counted over all depths; past `node_limit`, BudgetExceededError.
-    """
-    members = frozenset(arrays)
-    by_pos = [[coeffs for coeffs in arrays if coeffs[pos]] for pos in range(len(target))]
-    nodes = 0
-    failed: set = set()
-
-    def dfs(residual: tuple[int, ...], remaining: int) -> Optional[list]:
-        nonlocal nodes
-        if not any(residual):
-            return []
-        if remaining == 0:
-            return None
-        state = (residual, remaining)
-        if state in failed:
-            return None
-        if remaining == 1:
-            return [residual] if residual in members else None
-        pos = next(i for i, c in enumerate(residual) if c)
-        for coeffs in by_pos[pos]:
-            nodes += 1
-            if nodes > node_limit:
-                raise BudgetExceededError("rank search exceeded its node budget")
-            new_res = tuple((a - b) % p for a, b in zip(residual, coeffs))
-            rest = dfs(new_res, remaining - 1)
-            if rest is not None:
-                return [coeffs] + rest
-        failed.add(state)
-        return None
-
-    for depth in depths:
-        failed.clear()
-        found = dfs(target, depth)
-        if found is not None:
-            return found
-    return None
-
 
 def greedy_decomposition(t: Tensor, kind: str) -> tuple[RankOneTerm, ...]:
     """A valid decomposition: rank-one probe first, then slot slicing.
@@ -371,7 +320,7 @@ def _rank_one_term(t: Tensor, kind: str) -> Optional[RankOneTerm]:
     scalars.  A slice or partition term splits across the first side, in
     :func:`_partition_sides` order, across which t has rank one, with a
     projective A-side array; that is the candidate :func:`_candidates`
-    yields first for t, so the search's terms are rebuilt from arrays alone.
+    yields first for t.
     """
     field, n, d = t.field, t.dim, t.order
     if kind == "rank":
@@ -547,7 +496,7 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Order-3 tensor rank by slice span
+# Tensor rank by slice span
 # ---------------------------------------------------------------------------
 
 def _reduced(p: int, cut, v):
@@ -559,45 +508,74 @@ def _reduced(p: int, cut, v):
 
 
 def _slice_span(t: Tensor, upper: int, node_limit: int) -> Optional[tuple[RankOneTerm, ...]]:
-    """A least decomposition of an order-3 t into fewer than `upper` full
-    products, or None.  rank(T) is the least dim W over spaces W of matrices
-    that hold S, the span of the slot-0 slices, and are spanned by rank-one
-    ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser, Clausen and
-    Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).  W runs over
-    S + U by dimension from max(2, s), for U among the :func:`_subspaces` of
-    the quotient by S, read off the pivots of S's echelon cut.  One rank-one
-    matrix per line is bucketed by its projective image there, so those in
-    W are bucket 0 and the buckets of U's points.  Each U is charged its
-    points; past `node_limit`, BudgetExceededError.
+    """A least decomposition of t, of order d >= 3, into fewer than `upper`
+    full products, or None.  rank(T) is the least dim W over spaces W of
+    order-(d-1) tensors that hold S, the span of the slot-0 slices, and are
+    spanned by rank-one ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser,
+    Clausen and Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).
+
+    One rank-one member per projective class, the outer product of d - 1
+    projective vectors, is bucketed by its normalized image in the quotient
+    by S, read off the pivots of S's echelon cut.  Bucket 0 is S; the
+    others are the points, sorted.  W = S + U is only worth trying for U
+    spanned by points, since the rank-one members of W are bucket 0 and the
+    buckets of U's points.  So a depth-first walk picks points by
+    increasing index; the j-th pick looks up the p^(j-1) points that it
+    adds to the span, and the branch is cut if one of them comes earlier
+    than the pick, so that each such U is met once, by its greedy basis.
+    W qualifies if bucket 0 and U's buckets have rank s + k, for s = dim S
+    and k = dim U; dim W rises from max(2, s).  Quotient vectors are ints
+    of one-byte cells, added by XOR at p = 2 and reduced through a byte
+    table at odd p.  Each pick is charged its lookups; past `node_limit`,
+    BudgetExceededError.
     """
-    field, n, size, p = t.field, t.dim, t.dim * t.dim, t.field.p
-    kernel = _kernel(p, n)
+    field, n, d, p = t.field, t.dim, t.order, t.field.p
+    size, kernel = n ** (d - 1), _kernel(p, n)
     s_cut = _echelon_cut(p, size, [t.coeffs[i * size:(i + 1) * size] for i in range(n)])
     s, pivots, buckets = len(s_cut), {q for q, _ in s_cut}, {}
-    for uv in product(_projective_vectors(field, n), repeat=2):  # one matrix per line
-        matrix = _outer_product(field, uv)
-        image = [x for j, x in enumerate(_reduced(p, s_cut, matrix)) if j not in pivots]
+    for vectors in product(_projective_vectors(field, n), repeat=d - 1):
+        member = _outer_product(field, vectors)
+        image = [x for j, x in enumerate(_reduced(p, s_cut, member)) if j not in pivots]
         inv = pow(next((x for x in image if x), 1), p - 2, p)
-        buckets.setdefault(bytes(x * inv % p for x in image), []).append(kernel.pack(matrix))
-    inside, nodes, mod = buckets.get(bytes(size - s), []), 0, bytes(c % p for c in range(256))
-    for k in range(max(2, s) - s, upper - s):
-        points = list(_projective_vectors(field, k))
-        if (p - 1) * (1 + (k - 1) * (p - 1)) > 255:  # no shape under the cap gets here
-            raise BudgetExceededError("slice span points overflow their one-byte cells")
-        for basis in _subspaces(p, size - s, k):
-            nodes += len(points)
+        buckets.setdefault(tuple(x * inv % p for x in image), []).append(kernel.pack(member))
+    inside, mod = buckets.pop((0,) * (size - s), []), bytes(c % p for c in range(256))
+    points = sorted(buckets)
+    groups = [buckets[point] for point in points]
+    multiples = [[int.from_bytes(bytes(c * x % p for x in point), "little") for c in range(p)]
+                 for point in points]
+    index = {v: i for i, vs in enumerate(multiples) for v in vs[1:]}
+    add = xor if p == 2 else (lambda a, b: int.from_bytes(
+        (a + b).to_bytes(size - s, "little").translate(mod), "little"))
+    nodes = 0
+
+    def walk(start, left, span, members, need):
+        nonlocal nodes
+        if not left:
+            return members if len(members) >= need and kernel.rank(members, d - 1) == need else None
+        for i in range(start, len(points) - left + 1):
+            nodes += len(span)
             if nodes > node_limit:
                 raise BudgetExceededError("slice span exceeded its node budget")
-            rows = [int.from_bytes(bytes(row), "little") for row in basis]
-            hits = [h for c in points if (h := buckets.get(
-                sum(map(mul, c, rows)).to_bytes(size - s, "little").translate(mod)))]
-            members = inside + [m for h in hits for m in h]
-            if len(hits) >= k and len(members) >= s + k and kernel.rank(members, 2) == s + k:
-                chosen: list = []
-                for m in members:
-                    if len(chosen) < s + k and kernel.rank(chosen + [m], 2) > len(chosen):
-                        chosen.append(m)
-                return _span_terms(t, [tuple(kernel.cells(m, size)) for m in chosen])
+            fresh = [add(multiples[i][1], v) for v in span]
+            hits = [j for j in map(index.get, fresh) if j is not None]
+            if min(hits) < i:
+                continue
+            grown = span + fresh + [add(c, v) for c in multiples[i][2:] for v in span] \
+                if left > 1 else None
+            found = walk(i + 1, left - 1, grown,
+                         members + [m for j in hits for m in groups[j]], need)
+            if found is not None:
+                return found
+        return None
+
+    for k in range(max(2, s) - s, upper - s):
+        members = walk(0, k, [0], inside, s + k)
+        if members is not None:
+            chosen: list = []
+            for m in members:
+                if len(chosen) < s + k and kernel.rank(chosen + [m], d - 1) > len(chosen):
+                    chosen.append(m)
+            return _span_terms(t, [tuple(kernel.cells(m, size)) for m in chosen])
     return None
 
 
@@ -606,25 +584,25 @@ def _span_terms(t: Tensor, basis) -> tuple[RankOneTerm, ...]:
     least rank-one basis of a span that holds them, so no c_.j is 0.  Each
     M_j carries e_j on extra coordinates through an :func:`_echelon_cut`,
     so a slice reduced by the cut keeps minus its c_ij there."""
-    field, n, size, r, p = t.field, t.dim, t.dim * t.dim, len(basis), t.field.p
+    field, n, d, r, p = t.field, t.dim, t.order, len(basis), t.field.p
+    size = n ** (d - 1)
     cut = _echelon_cut(p, size + r, [m + tuple(int(i == j) for i in range(r))
                                      for j, m in enumerate(basis)])
     left = [_reduced(p, cut, t.coeffs[i * size:(i + 1) * size] + (0,) * r)[size:]
             for i in range(n)]
-    return tuple(_rank_one_term(Tensor._trusted(field, n, 3, _outer_product(
+    return tuple(_rank_one_term(Tensor._trusted(field, n, d, _outer_product(
         field, ([-c % p for c in column], m))), "rank") for m, column in zip(basis, zip(*left)))
 
 
 def search_table(field: PrimeField, dim: int, order: int, kind: str,
                  budget: int) -> list | None:
-    """The sorted distinct candidate arrays of this shape and kind.
+    """The sorted distinct slice or partition candidate arrays of this shape.
 
     None below order 2 and when the candidates exceed
-    min(budget // n^d, MAX_SEARCH_CANDIDATES).
+    min(budget // n^d, MAX_SEARCH_CANDIDATES); ValueError for `rank`.
     """
-    if not _fits(field.p, dim, order, kind, budget):
-        return None
-    return sorted(set(_candidates(field, dim, order, kind)))
+    candidates = _candidates(field, dim, order, kind)
+    return sorted(set(candidates)) if _fits(field.p, dim, order, kind, budget) else None
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:
@@ -632,12 +610,12 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
 
     A greedy decomposition of at most two terms is minimal, since its
     rank-one probe failed, and so is one of a matrix, the pivot peel.
-    Past that, tensor rank takes the slice span at order 3 and searches
-    the :func:`search_table` of the tensor's shape from depth 2 at order
-    >= 4; slice rank, and partition rank at order <= 3, take the subspace
-    duality.  Over the search cap, or once the node budget is spent, the
-    interval of :func:`rank_bounds` is returned; so it is for partition
-    rank at order >= 4 past greedy, which no shape under the cap reaches.
+    Past that, tensor rank takes the slice span at every order; slice
+    rank, and partition rank at order <= 3, take the subspace duality.
+    Over the search cap, or once the node budget is spent, the interval
+    of :func:`rank_bounds` is returned, on the greedy decomposition in
+    hand; so it is for partition rank at order >= 4 past greedy, which no
+    shape under the cap reaches.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
@@ -646,25 +624,18 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
     greedy = greedy_decomposition(t, kind)
     cert = None
     if len(greedy) > 2 and t.order > 2:
-        field, n, d = t.field, t.dim, t.order
-        node_limit = max(1000, budget // max(1, n ** d))
+        node_limit = max(1000, budget // max(1, t.dim ** t.order))
         try:
-            if kind == "rank" and d == 3:
+            if kind == "rank":
                 cert = _slice_span(t, len(greedy), node_limit)
-            elif kind == "rank":
-                found = _search(t.coeffs, search_table(field, n, d, kind, budget), field.p,
-                                range(2, len(greedy)), node_limit)
-                if found is not None:
-                    cert = tuple(_rank_one_term(Tensor._trusted(field, n, d, coeffs), kind)
-                                 for coeffs in found)
-            elif kind == "srank" or d <= 3:
+            elif kind == "srank" or t.order <= 3:
                 cuts = _slice_duality(t, len(greedy), node_limit, floor=2)
                 if cuts is not None:
                     cert = _slice_certificate(t, cuts, kind)
             else:
-                return rank_bounds(t, kind, budget)
+                return _interval(t, kind, budget, greedy)
         except BudgetExceededError:
-            return rank_bounds(t, kind, budget)
+            return _interval(t, kind, budget, greedy)
     if cert is None:
         return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
     _verify_certificate(t, cert)
@@ -685,7 +656,11 @@ def rank_bounds(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankRepor
         return RankReport(kind, 0, 0, True, (), "search", "search")
     if t.order == 1:
         return RankReport(kind, 1, 1, True, (_rank_one_term(t, kind),), "search", "search")
-    greedy = greedy_decomposition(t, kind)
+    return _interval(t, kind, budget, greedy_decomposition(t, kind))
+
+
+def _interval(t: Tensor, kind: str, budget: int, greedy) -> RankReport:
+    """The :func:`rank_bounds` report of t, whose greedy decomposition is `greedy`."""
     try:
         lower, source = arank_ceil(bias_fiber(t, budget)), "analytic-rank"
     except BudgetExceededError:

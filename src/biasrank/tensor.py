@@ -21,6 +21,7 @@ made by the internal :meth:`Tensor._trusted`, which skips that check.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .gf import PrimeField, Vector, matrix_rank
@@ -273,34 +274,11 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
             raise ValueError("basis vector length mismatch")
     if matrix_rank(t.field, basis) != k:
         raise ValueError("basis does not have full column rank")
-    p = t.field.p
-    coeffs = list(t.coeffs)
-    dims = [t.dim] * t.order
-    for slot in range(t.order):
-        n_slot = dims[slot]
-        inner = 1
-        for s in range(slot + 1, t.order):
-            inner *= dims[s]
-        outer = 1
-        for s in range(slot):
-            outer *= dims[s]
-        new = [0] * (outer * k * inner)
-        for o in range(outer):
-            src_o = o * n_slot * inner
-            dst_o = o * k * inner
-            for j in range(k):
-                bj = basis[j]
-                dst = dst_o + j * inner
-                for t_in in range(inner):
-                    acc = 0
-                    src = src_o + t_in
-                    for i in range(n_slot):
-                        c = coeffs[src + i * inner]
-                        if c:
-                            acc += c * bj[i]
-                    new[dst + t_in] = acc % p
-        coeffs = new
-        dims[slot] = k
+    p, n = t.field.p, t.dim
+    coeffs = t.coeffs
+    for _ in range(t.order):  # contract the leading slot with the basis, move it last
+        rest = len(coeffs) // max(n, 1)
+        coeffs = [sum(map(mul, b, coeffs[r::rest])) % p for r in range(rest) for b in basis]
     return Tensor._trusted(t.field, k, t.order, tuple(coeffs))
 
 

@@ -225,8 +225,12 @@ class TestEngineTriangle:
     def test_lane_bound_keeps_large_leaves_on_the_matrix_walk(self, monkeypatch):
         # slice_fibers holds n^2 planes of 2^n bits, so past 2^n > _CACHE_LIMIT
         # (n >= 17 at the module's limit) a leaf is walked down to matrices;
-        # a lowered limit puts n = 5 past it.
-        tensors = [random_tensor(F2, 5, d, substream(980, d).next_u64()) for d in (3, 4)]
+        # a lowered limit puts n = 5 past it.  The order-4 tensor is sparse, so
+        # the naive oracle's 2^15 fixings each multiply out a few entries.
+        gen = substream(980, 4)
+        entries = [(tuple(gen.below(5) for _ in range(4)), 1) for _ in range(24)]
+        tensors = [random_tensor(F2, 5, 3, substream(980, 3).next_u64()),
+                   from_entries(F2, 5, 4, entries)]
         expected = [oracle_zero_fibers(t) for t in tensors]
 
         def refuse(self, x):

@@ -1,5 +1,6 @@
 """Rank search, greedy bounds, and independent sets, with brute-force oracles."""
 
+import functools
 import hashlib
 import time
 from itertools import combinations, product
@@ -196,15 +197,24 @@ class TestSearchTable:
 
     @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
     def test_dimension_zero_table_is_empty(self, kind):
-        assert search_table(F2, 0, 3, kind, 10 ** 8) == []
+        if kind == "rank":  # tensor rank lists no table at any dimension
+            for n, d in [(0, 3), (2, 3), (2, 4), (3, 9)]:
+                with pytest.raises(ValueError):
+                    search_table(F2, n, d, kind, 10 ** 8)
+            with pytest.raises(ValueError):
+                list(ranks._candidates(F2, 2, 3, kind))
+        else:
+            assert search_table(F2, 0, 3, kind, 10 ** 8) == []
 
     @pytest.mark.parametrize("p,n,d,kind", [
         (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
         for kind in ("rank", "srank", "prank")] + [(3, 3, 3, "srank"), (3, 3, 3, "prank"),
                                                    (2, 3, 3, "srank"), (2, 3, 3, "prank")])
     def test_rank_exact_gives_the_same_report_with_the_table(self, p, n, d, kind):
+        # tensor rank's terms are read against the reference's full products
         field = PrimeField(p)
-        arrays = search_table(field, n, d, kind, 10 ** 8)
+        arrays = (_reference_candidates(field, n, d, kind) if kind == "rank"
+                  else search_table(field, n, d, kind, 10 ** 8))
         for trial in range(3):
             t = random_tensor(field, n, d, substream(57, trial).next_u64())
             report = rank_exact(t, kind)
@@ -377,9 +387,12 @@ class TestIndependentSets:
 
 
 def _table_terms(field, n, d, kind):
-    """The term of each candidate array, as the search's certificates write it."""
-    return [ranks._rank_one_term(Tensor(field, n, d, coeffs), kind)
-            for coeffs in search_table(field, n, d, kind, 10 ** 8)]
+    """The term of each candidate array, as certificates write it: the
+    table's arrays for slice and partition rank, the reference's full
+    products for tensor rank, which lists no table."""
+    arrays = (sorted(_reference_candidates(field, n, d, kind)) if kind == "rank"
+              else search_table(field, n, d, kind, 10 ** 8))
+    return [ranks._rank_one_term(Tensor(field, n, d, coeffs), kind) for coeffs in arrays]
 
 
 class TestCandidates:
@@ -388,13 +401,6 @@ class TestCandidates:
         assert len(arrays) == len(set(arrays))
         assert arrays == sorted(arrays)
 
-    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
-    def test_every_candidate_verifies_rank_one(self, p, n, d):
-        field = PrimeField(p)
-        for kind in ("rank", "srank", "prank"):
-            for term in _table_terms(field, n, d, kind):
-                assert len(greedy_decomposition(term.tensor, kind)) == 1
-
     def test_slice_candidates_subset_of_partition(self):
         slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8))
         partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8))
@@ -402,6 +408,7 @@ class TestCandidates:
 
     @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
     def test_greedy_probe_gives_the_table_term(self, p, n, d):
+        # one term each: the probe verifies every candidate rank one
         field = PrimeField(p)
         for kind in ("rank", "srank", "prank"):
             for term in _table_terms(field, n, d, kind):
@@ -489,7 +496,8 @@ class TestCandidateTable:
     def test_matches_cell_by_cell_reference(self, p, n, d, kind):
         field = PrimeField(p)
         reference = _reference_candidates(field, n, d, kind)
-        # the same arrays, sorted, each factored as the reference's first producer
+        # the same arrays, sorted, each factored as the reference's first
+        # producer; `rank` lists no table, so only its factors are compared
         terms = _table_terms(field, n, d, kind)
         assert [term.tensor.coeffs for term in terms] == sorted(reference)
         for term in terms:
@@ -511,14 +519,52 @@ class TestCandidateTable:
 
     def test_certificates_are_pinned(self):
         assert _certificate_digest() == (
-            "c63875557a799dfa2ab57ecfe168eac19f81fe73b33e57fa81ae8f4aa607cfae")
+            "aac061a91f223bfdf9c75adf9a4add5fbd05617bd1f81abbd4f8e827ef84e078")
 
 
-def _reference_srank(t, arrays):
-    """Least depth below the greedy size at which the candidate search writes
-    t as slice terms, or else the greedy size."""
-    greedy = len(greedy_decomposition(t, "srank"))
-    found = ranks._search(t.coeffs, arrays, t.field.p, range(greedy), 10 ** 9)
+def _reference_search(target, arrays, p, depths):
+    """The candidate arrays summing to target at the first depth in `depths`
+    that admits them, or None: a depth-limited DFS per depth over the sorted
+    distinct `arrays` nonzero at the residual's first nonzero position,
+    which is a complete pruning rule, keeping known failures per depth."""
+    members = frozenset(arrays)
+    by_pos = [[coeffs for coeffs in arrays if coeffs[pos]] for pos in range(len(target))]
+    failed = set()
+
+    def dfs(residual, remaining):
+        if not any(residual):
+            return []
+        if remaining == 0 or (residual, remaining) in failed:
+            return None
+        if remaining == 1:
+            return [residual] if residual in members else None
+        pos = next(i for i, c in enumerate(residual) if c)
+        for coeffs in by_pos[pos]:
+            rest = dfs(tuple((a - b) % p for a, b in zip(residual, coeffs)), remaining - 1)
+            if rest is not None:
+                return [coeffs] + rest
+        failed.add((residual, remaining))
+        return None
+
+    for depth in depths:
+        failed.clear()
+        found = dfs(target, depth)
+        if found is not None:
+            return found
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_arrays(p, dim, order, kind):
+    return sorted(_reference_candidates(PrimeField(p), dim, order, kind))
+
+
+def _reference_value(t, kind):
+    """Least depth below the greedy size at which the reference search writes
+    t as rank-one terms of `kind`, or else the greedy size."""
+    greedy = len(greedy_decomposition(t, kind))
+    arrays = _reference_arrays(t.field.p, t.dim, t.order, kind)
+    found = _reference_search(t.coeffs, arrays, t.field.p, range(greedy))
     return greedy if found is None else len(found)
 
 
@@ -546,20 +592,17 @@ def _planted_slice_sum(field, dim, order, terms, seed):
 class TestSliceDuality:
     @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (2, 3, 2)])
     def test_matches_the_search_exhaustively(self, p, n, d):
-        field = PrimeField(p)
-        arrays = search_table(field, n, d, "srank", 10 ** 8)
-        for t in all_tensors(field, n, d):
-            assert _duality_srank(t) == _reference_srank(t, arrays)
+        for t in all_tensors(PrimeField(p), n, d):
+            assert _duality_srank(t) == _reference_value(t, "srank")
 
     # Odd-p contractions at (3, 3, 2) and (5, 3, 2), two-byte cells at (13, 2, 2).
     @pytest.mark.parametrize("p,n,d,trials", [(3, 2, 3, 50), (2, 3, 3, 50), (2, 2, 4, 30),
                                               (3, 3, 2, 30), (5, 3, 2, 30), (13, 2, 2, 30)])
     def test_matches_the_search_on_seeded_tensors(self, p, n, d, trials):
         field = PrimeField(p)
-        arrays = search_table(field, n, d, "srank", 10 ** 8)
         for trial in range(trials):
             t = random_tensor(field, n, d, substream(91, trial).next_u64())
-            assert _duality_srank(t) == _reference_srank(t, arrays)
+            assert _duality_srank(t) == _reference_value(t, "srank")
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
     def test_diagonal_slice_rank_counts_its_nonzero_entries(self, p, n):
@@ -569,11 +612,10 @@ class TestSliceDuality:
 
     @pytest.mark.parametrize("terms", [2, 3])
     def test_planted_slice_sums(self, terms):
-        arrays = search_table(F2, 3, 3, "srank", 10 ** 8)
         for trial in range(8):
             t = _planted_slice_sum(F2, 3, 3, terms, 100 * terms + trial)
             value = _duality_srank(t)
-            assert value <= terms and value == _reference_srank(t, arrays)
+            assert value <= terms and value == _reference_value(t, "srank")
 
     def test_floor_and_bound_cut_the_walk_short(self):
         t = random_tensor(F2, 3, 3, 11)  # slice rank 2, greedy 3
@@ -641,14 +683,6 @@ class TestSubspaces:
         assert sum(ranks._subspace_count(2, 8, k) for k in range(9)) == 417199
 
 
-def _reference_rank(t, arrays):
-    """Least depth below the greedy size at which the candidate search writes
-    t as full products, or else the greedy size."""
-    greedy = len(greedy_decomposition(t, "rank"))
-    found = ranks._search(t.coeffs, arrays, t.field.p, range(greedy), 10 ** 9)
-    return greedy if found is None else len(found)
-
-
 def _planted_rank_sum(field, dim, terms, seed):
     """A sum of `terms` random full products u x v x w at order 3."""
     gen = substream(seed, 0)
@@ -667,23 +701,38 @@ def _flattening_rank(t):
 
 
 def _refuse_search(*args, **kwargs):
-    raise AssertionError("order-3 tensor rank went to the candidate search")
+    raise AssertionError("tensor rank went to the candidate search")
+
+
+def _assert_matches_the_reference(tensors):
+    for t in tensors:
+        report = rank_exact(t, "rank")
+        assert report.exact and report.value == _reference_value(t, "rank")
+        if report.upper_source == "search":  # greedy terms past the probe are not
+            assert all(term == ranks._rank_one_term(term.tensor, "rank")
+                       for term in report.certificate)
 
 
 class TestSliceSpan:
     @pytest.mark.parametrize("p,trials", [(2, None), (3, 50), (5, 50), (7, 20)])
     def test_matches_the_search_below_greedy(self, p, trials):
         field = PrimeField(p)
-        arrays = search_table(field, 2, 3, "rank", 10 ** 8)
-        tensors = (all_tensors(field, 2, 3) if trials is None else
-                   [random_tensor(field, 2, 3, substream(93, trial).next_u64())
-                    for trial in range(trials)])
-        for t in tensors:
-            report = rank_exact(t, "rank")
-            assert report.exact and report.value == _reference_rank(t, arrays)
-            if report.upper_source == "search":  # greedy terms past the probe are not
-                assert all(term == ranks._rank_one_term(term.tensor, "rank")
-                           for term in report.certificate)
+        _assert_matches_the_reference(
+            all_tensors(field, 2, 3) if trials is None else
+            [random_tensor(field, 2, 3, substream(93, trial).next_u64()) for trial in range(trials)])
+
+    @pytest.mark.parametrize("p,trials", [(2, 30), (3, 4)])
+    def test_matches_the_search_at_order_four(self, p, trials):
+        field = PrimeField(p)
+        _assert_matches_the_reference(
+            [random_tensor(field, 2, 4, substream(94, trial).next_u64()) for trial in range(trials)])
+
+    def test_odd_p_picks_read_every_point_of_the_span(self):
+        # at odd p a pick grows the span by c b + v for every c != 0; a walk
+        # that grows it by b + v alone misses points of U and answers 5 on
+        # these rank-4 tensors
+        _assert_matches_the_reference(
+            [random_tensor(F3, 2, 4, substream(99, trial).next_u64()) for trial in (2, 75)])
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("terms", [2, 3, 4])
@@ -696,18 +745,21 @@ class TestSliceSpan:
             assert _flattening_rank(t) <= report.value <= terms
 
     def test_order_three_goes_to_no_search(self, monkeypatch):
-        tensors = [random_tensor(PrimeField(p), n, 3, seed)
-                   for p, n, seed in [(2, 2, 7), (3, 2, 1), (5, 2, 2), (2, 3, 0), (3, 3, 1)]]
+        # and neither does order 4: tensor rank takes the slice span at every order
+        tensors = [random_tensor(PrimeField(p), n, d, seed) for p, n, d, seed in [
+            (2, 2, 3, 7), (3, 2, 3, 1), (5, 2, 3, 2), (2, 3, 3, 0), (3, 3, 3, 1),
+            (2, 2, 4, 0), (3, 2, 4, 0), (5, 2, 4, 0), (7, 2, 4, 0), (2, 2, 5, 0)]]
         monkeypatch.setattr(ranks, "search_table", _refuse_search)
-        monkeypatch.setattr(ranks, "_search", _refuse_search)
         for t in tensors:
             assert len(greedy_decomposition(t, "rank")) > 2
             report = rank_exact(t, "rank")
             assert report.exact and report.value == len(report.certificate)
 
     def test_small_budget_gives_the_bounds_quickly(self):
-        t = random_tensor(F3, 3, 3, 7)  # rank 5, found after 35,360 point lookups
-        budget = 27 * ranks._candidate_count(3, 3, 3, "rank")  # the least that fits
+        # greedy 13 over an analytic floor of 3: the walk to depth 2 alone passes
+        # the 3,375 lookups of the least budget that fits
+        t = random_tensor(F2, 4, 3, 7)
+        budget = 64 * ranks._candidate_count(2, 4, 3, "rank")
         start = time.perf_counter()
         report = rank_exact(t, "rank", budget)
         assert time.perf_counter() - start < 1.0
