@@ -283,11 +283,11 @@ class _Packed:
     cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
     odd p with one-byte cells, and None otherwise.  `gray_table` is built by
     :meth:`gray` on the first walk, `lane_table` by the first
-    :meth:`lane_products`.
+    :meth:`lane_products`, `fiber_lanes` by the first :meth:`slice_fibers`.
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
-                 "gray_table", "lane_table")
+                 "gray_table", "lane_table", "fiber_lanes")
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -298,7 +298,7 @@ class _Packed:
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
         self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
-        self.gray_table = self.lane_table = None
+        self.gray_table = self.lane_table = self.fiber_lanes = None
 
     def pack(self, cells: Sequence[int]) -> int:
         """One int from residues listed in cell-position order."""
@@ -456,7 +456,9 @@ class _Packed:
         """
         n = self.n
         full = (1 << (1 << n)) - 1
-        lanes = [masks[1] for masks in digit_masks(2, n)]
+        lanes = self.fiber_lanes
+        if lanes is None:
+            lanes = self.fiber_lanes = [masks[1] for masks in digit_masks(2, n)]
         cells, area = self.cells(x, n ** 3), n * n
         planes = [reduce(xor, compress(lanes, cells[c::area]), 0) for c in range(area)]
         pivots, spans = [[0] * n for _ in range(n)], [0] * n

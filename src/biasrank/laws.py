@@ -9,13 +9,19 @@ bias is a double and the comparison carries an explicit slack).
 Every law draws its instances from :func:`_universe` and checks them
 through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
-before it is reported, and seeded runs are bit-reproducible.
+before it is reported, and seeded runs are bit-reproducible.  A seeded
+universe's default draw, trial i's tensor (or pair) seeded by the first
+word (or two) of substream(seed, i), is made by :func:`_seeded_rows` a
+chunk of trials at a time, with the batched words and residue rows of
+:mod:`biasrank.rng`; a law's own draw runs per trial.
 
 Subadditivity keeps one K per distinct tensor of its universe.  Its
 exhaustive pairs are indices into the cube in `all_tensors` order: the
 index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise, so
-a pair is one index computation and three list lookups, and tensors are
-built only for a witness.
+a pair is one index computation and three list lookups.  Its seeded
+pairs are coefficient rows: K is memoized by row, and the row of t + s is
+the cellwise sum mod p.  Either way tensors are built only for K, a
+witness and its replay.
 
 arank-le-prank and the survey rank exactly under the search cap of
 :func:`ranks.rank_exact`; over it arank-le-prank, which needs exact ranks,
@@ -28,10 +34,10 @@ partition-rank candidates of its shape or gives None over the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import add, mul, xor
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bias import (
     DEFAULT_BUDGET,
@@ -46,14 +52,14 @@ from .bias import (
 )
 from .gf import PrimeField, combine_masks, digit_masks, random_full_rank_basis
 from .ranks import max_independent_set, rank_exact, search_table
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, residue_rows, substream, substream_seed, words
 from .tensor import (
     Tensor,
+    _check_dims,
     all_tensors,
     coordinate_basis,
     diagonal_tensor,
     direct_sum,
-    from_entries,
     identity_tensor,
     random_multiform,
     random_tensor,
@@ -136,18 +142,37 @@ def _draw_tensor(field: PrimeField, dim: int, order: int, gen: SplitMix64) -> Te
     return random_tensor(field, dim, order, gen.next_u64())
 
 
+# Trials whose words and residues are drawn in one batch.
+_CHUNK = 64
+
+
+def _seeded_rows(q: int, dim: int, order: int, trials: int, seed: int,
+                 per_trial: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Per trial i, the coefficients of the `per_trial` tensors that random_tensor
+    draws from the first words of substream(seed, i), _CHUNK trials at a time."""
+    for start in range(0, trials, _CHUNK):
+        _check_dims(dim, order)  # random_tensor's check, made wherever it would draw
+        streams = [substream_seed(seed, i) for i in range(start, min(start + _CHUNK, trials))]
+        rows = residue_rows(q, dim ** order, words(streams, per_trial))
+        yield from zip(*[iter(rows)] * per_trial)
+
+
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
-              trials: int = 0, seed: int = 0,
+              trials: int = 0, seed: int = 0, pairs: bool = False,
               draw: Optional[Callable[[SplitMix64], object]] = None) -> Iterable:
     """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
 
     A trial's instance is `draw(stream)`, by default the tensor seeded by
-    the stream's first word.
+    the stream's first word, or with `pairs` the tensors seeded by its first
+    two words.  Default draws are batched by :func:`_seeded_rows`.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
-    draw = draw or (lambda gen: _draw_tensor(field, dim, order, gen))
-    return (draw(substream(seed, i)) for i in range(trials))
+    if draw:
+        return (draw(substream(seed, i)) for i in range(trials))
+    rows = _seeded_rows(field.p, dim, order, trials, seed, 2 if pairs else 1)
+    tensor = partial(Tensor._trusted, field, dim, order)
+    return (tuple(map(tensor, row)) if pairs else tensor(row[0]) for row in rows)
 
 
 def _tensor_witness(**tensors) -> dict:
@@ -192,8 +217,9 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     K is computed once per distinct tensor of the universe: a list by cube
     index for exhaustive pairs, a dict by coefficients for seeded ones.
     Exhaustive pairs are cube indices (i, j): K(t + s) is a list lookup at
-    the index of t + s, and tensors are built only for a witness.  A
-    failing pair is replayed from scratch.
+    the index of t + s.  Seeded pairs are coefficient rows, summed cell by
+    cell.  Tensors are built only for K and a witness, and a failing pair
+    is replayed from scratch on tensors.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -203,16 +229,9 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     else:
         universe = f"random pairs p={q} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("subadditivity", universe)
-    numerators: dict[tuple[int, ...], int] = {}
 
     def fiber(t: Tensor) -> int:
         return bias_fiber(t, budget).numerator
-
-    def known(t: Tensor) -> int:
-        k = numerators.get(t.coeffs)
-        if k is None:
-            k = numerators[t.coeffs] = fiber(t)
-        return k
 
     def verdict(k_sum: int, k_t: int, k_s: int, pair: Callable[[], tuple]):
         ok = k_sum * scale >= k_t * k_s
@@ -224,17 +243,13 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
 
         return ok, slack, witness
 
-    def pair_ok(pair, k: Callable[[Tensor], int] = fiber):
-        t, s = pair
-        return verdict(k(t + s), k(t), k(s), lambda: pair)
+    def replay(t: Tensor, s: Tensor) -> bool:
+        return fiber(t + s) * scale >= fiber(t) * fiber(s)
 
     def direct_sum_ok(pair):
         t, s = pair
         ok = bias_fiber(direct_sum(t, s), budget) == bias_fiber(t, budget) * bias_fiber(s, budget)
         return ok, None, lambda: _tensor_witness(t=t, s=s, note="direct sum not multiplicative")
-
-    def draw_pair(gen: SplitMix64):
-        return _draw_tensor(field, dim, order, gen), _draw_tensor(field, dim, order, gen)
 
     if exhaustive:
         cube = list(_universe(field, dim, order, exhaustive=True))
@@ -246,15 +261,29 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
             return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
 
         tracker.drive(product(range(len(cube)), repeat=2), index_pair_ok,
-                      lambda ij: pair_ok((cube[ij[0]], cube[ij[1]]))[0])
+                      lambda ij: replay(cube[ij[0]], cube[ij[1]]))
     else:
-        tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw_pair),
-                      lambda pair: pair_ok(pair, known), lambda pair: pair_ok(pair)[0])
+        numerators: dict[tuple[int, ...], int] = {}
+        tensor = partial(Tensor._trusted, field, dim, order)
+
+        def known(c: tuple[int, ...]) -> int:
+            k = numerators.get(c)
+            if k is None:
+                k = numerators[c] = fiber(tensor(c))
+            return k
+
+        def row_pair_ok(pair):
+            c, d = pair
+            k_sum = known(tuple([(a + b) % q for a, b in zip(c, d)]))
+            return verdict(k_sum, known(c), known(d), lambda: (tensor(c), tensor(d)))
+
+        tracker.drive(_seeded_rows(q, dim, order, trials, seed, 2), row_pair_ok,
+                      lambda pair: replay(tensor(pair[0]), tensor(pair[1])))
 
     notes = ()
     if disjoint_trials:
         equal = tracker.drive(_universe(field, dim, order, trials=disjoint_trials,
-                                        seed=seed ^ 0x5D15, draw=draw_pair),
+                                        seed=seed ^ 0x5D15, pairs=True),
                               direct_sum_ok)
         notes = (f"direct-sum tightness: {equal}/{disjoint_trials} exact equalities",)
     return tracker.result(notes)
@@ -342,15 +371,25 @@ class CorrelationInstance:
         """
         m, k = len(self.t_group), len(self.s_group)
         lift_dim = max(m + k, self.dim)
-        entries_t = []
-        for i, t in enumerate(self.t_group):
-            entries_t += [((i,) + idx, c) for idx, c in t.nonzero_entries()]
-        entries_s = []
-        for j, s in enumerate(self.s_group):
-            entries_s += [((m + j,) + idx, c) for idx, c in s.nonzero_entries()]
-        lift_t = from_entries(self.field, lift_dim, self.order + 1, entries_t)
-        lift_s = from_entries(self.field, lift_dim, self.order + 1, entries_s)
-        return lift_t, lift_s
+        block = lift_dim ** self.order
+        cells = _padded_cells(self.dim, lift_dim, self.order)
+
+        def lift(group: tuple[Tensor, ...], first: int) -> Tensor:
+            coeffs = [0] * (lift_dim * block)
+            for lead, t in enumerate(group, first):
+                base = lead * block
+                for cell, c in zip(cells, t.coeffs):
+                    coeffs[base + cell] = c
+            return Tensor._trusted(self.field, lift_dim, self.order + 1, tuple(coeffs))
+
+        return lift(self.t_group, 0), lift(self.s_group, m)
+
+
+@lru_cache(maxsize=16)
+def _padded_cells(dim: int, lift_dim: int, order: int) -> tuple[int, ...]:
+    """Where each cell of an order-`order` tensor on F^dim sits in one on F^lift_dim."""
+    return tuple(sum(i * lift_dim ** (order - 1 - s) for s, i in enumerate(idx))
+                 for idx in product(range(dim), repeat=order))
 
 
 def _correlation_ok(inst: CorrelationInstance, budget: int) -> tuple[bool, float, dict]:

@@ -399,6 +399,12 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
     pytest.param("check all --seed 0",
                  "b857cfe4b930ec7de4348a1005c2f5d5de2d4aa4d1c002614af94238cfa69879",
                  id="check-all-seed-0"),
+    pytest.param("check all --seed 1",
+                 "4670c7350c380f72c2a6ea5f91025eacbcfa3307ce42f9d9522fbe42c4498857",
+                 id="check-all-seed-1"),
+    pytest.param("check all --seed 2",
+                 "b90f6c3a315ef61ea44e5559ca7ea3ac644d94b935934a7071f35ebeb97fb245",
+                 id="check-all-seed-2"),
     pytest.param("check all --trials 0",
                  "05c0899d88b42405b371302ea6383564362b05ee2c0081ae9902b3f50d595bad",
                  id="check-all-trials-0"),

@@ -21,7 +21,14 @@ from biasrank.laws import (
 )
 from biasrank.ranks import rank_bounds
 from biasrank.rng import substream
-from biasrank.tensor import Tensor, all_tensors, identity_tensor, random_tensor, zero_tensor
+from biasrank.tensor import (
+    Tensor,
+    all_tensors,
+    from_entries,
+    identity_tensor,
+    random_tensor,
+    zero_tensor,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -51,16 +58,18 @@ class TestSubadditivity:
 
 
 class TestSubadditivityPairsByIndex:
-    """Exhaustive pairs are cube indices; tensors are built only for a witness."""
+    """Exhaustive pairs are cube indices, seeded pairs coefficient rows; tensors
+    are added only to replay a witness."""
 
     def test_passing_exhaustive_run_adds_no_tensors(self, monkeypatch):
         calls = []
         add = Tensor.__add__
         monkeypatch.setattr(Tensor, "__add__", lambda t, s: calls.append(1) or add(t, s))
         assert law_subadditivity(F2, 2, 3, exhaustive=True).holds
+        assert law_subadditivity(F3, 2, 3, trials=5).holds
         assert calls == []
-        law_subadditivity(F3, 2, 3, trials=5)  # the counter does see seeded pairs
-        assert len(calls) == 5
+        random_tensor(F3, 2, 3, 0) + random_tensor(F3, 2, 3, 1)  # the counter does see a sum
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("field,dim,order,target", [(F2, 2, 3, 200), (F3, 2, 2, 50)])
     def test_witness_is_the_first_failing_pair(self, monkeypatch, field, dim, order, target):
@@ -86,6 +95,34 @@ class TestSubadditivityPairsByIndex:
         assert result.witness == {"t": dict(shape, coeffs=list(t.coeffs)),
                                   "s": dict(shape, coeffs=list(s.coeffs)),
                                   "k_sum": k(t + s), "k_t": k(t), "k_s": k(s)}
+
+    @pytest.mark.parametrize("field,dim,order", [(F2, 2, 3), (F3, 2, 2)])
+    def test_seeded_witness_is_the_first_failing_pair(self, monkeypatch, field, dim, order):
+        seed, trials = 4, 150
+        pairs = []
+        for i in range(trials):
+            gen = substream(seed, i)
+            pairs.append((random_tensor(field, dim, order, gen.next_u64()),
+                          random_tensor(field, dim, order, gen.next_u64())))
+        t, s = pairs[70]  # in the second chunk of batched draws
+        broken = (t + s).coeffs
+        real = laws.bias_fiber
+
+        def bias_fiber(t, budget=laws.DEFAULT_BUDGET):
+            value = real(t, budget)
+            return BiasValue(0, value.exponent, value.base) if t.coeffs == broken else value
+
+        monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
+        q_e = field.p ** (dim * (order - 1))
+        k = lambda t: bias_fiber(t).numerator  # noqa: E731
+        failing = [i for i, (a, b) in enumerate(pairs) if k(a + b) * q_e < k(a) * k(b)]
+        assert failing[0] == 70 and len(failing) == 2  # the other is in a later chunk
+        result = law_subadditivity(field, dim, order, trials=trials, seed=seed)
+        assert not result.holds and result.checked == trials
+        shape = {"p": field.p, "n": dim, "d": order}
+        assert result.witness == {"t": dict(shape, coeffs=list(t.coeffs)),
+                                  "s": dict(shape, coeffs=list(s.coeffs)),
+                                  "k_sum": 0, "k_t": k(t), "k_s": k(s)}
 
 
 class TestCorrelation:
@@ -136,6 +173,20 @@ class TestCorrelation:
         assert lift_t.dim == 5 and lift_t.order == 3
         assert all(idx[0] < 2 for idx, _ in lift_t.nonzero_entries())
         assert all(2 <= idx[0] < 5 for idx, _ in lift_s.nonzero_entries())
+
+    @pytest.mark.parametrize("m,k", list(product(range(1, 4), repeat=2)))
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (3, 2, 3), (2, 4, 2)])
+    def test_lifted_tensors_match_their_entries(self, p, n, d, m, k):
+        field = PrimeField(p)
+        gen = substream(p * n * d, 3 * m + k)
+        ts = tuple(random_tensor(field, n, d, gen.next_u64()) for _ in range(m))
+        ss = tuple(random_tensor(field, n, d, gen.next_u64()) for _ in range(k))
+        lift_dim = max(m + k, n)
+        expected = [from_entries(field, lift_dim, d + 1,
+                                 [((first + j,) + idx, c) for j, t in enumerate(group)
+                                  for idx, c in t.nonzero_entries()])
+                    for group, first in ((ts, 0), (ss, m))]
+        assert list(CorrelationInstance(field, n, d, ts, ss).lifted()) == expected
 
     def test_law_holds(self):
         result = law_correlation(F2, 2, 2, trials=150, seed=7)
