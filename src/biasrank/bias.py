@@ -9,15 +9,22 @@ Every engine descends through one walk, :meth:`_Packed.descend`, on one
 packed-slice kernel per field size and dimension.  It walks the leading
 slots in reflected q-ary Gray-code order, so consecutive contractions
 differ by one slice (one XOR of int bitsets at q = 2), and at odd q it
-reduces every intermediate tensor before walking it.
+reduces every intermediate tensor before walking it.  The walk may carry
+several tensors of one shape as the lanes of one int, each at its own
+offset: a step adds (or XORs) slice k of every lane at once, and one
+byte-table translate reduces every lane.
 
-* :func:`bias_fiber` counts zero fibers.  The walk goes down to order 2,
+* :func:`fiber_counts` counts zero fibers, K, for a list of coefficient
+  rows, up to _LANES of them on one walk.  The walk goes down to order 2,
   where a matrix of rank r has q^(n-r) zero fibers; scalar multiples of a
   fixing leave the same zero fibers, so one fixing per line is walked.
-  At q = 2 where the order-2 memo is off (n >= 4, and n <= 1) and
-  2^n <= _CACHE_LIMIT it stops at order 3 instead:
-  :meth:`_Packed.slice_fibers` bit-slices the 2^n matrices T(y, ., .) of a
-  leaf and ranks them all in one Gauss-Jordan pass.
+  At an order-2 leaf every lane's memo key is read, the missing keys are
+  ranked, and the rest are looked up in one pass.  At q = 2 where the
+  order-2 memo is off (n >= 4, and n <= 1) and 2^n <= _CACHE_LIMIT it
+  stops at order 3 instead: :meth:`_Packed.slice_fibers` bit-slices the
+  2^n matrices T(y, ., .) of every lane of a leaf and ranks them all in
+  one Gauss-Jordan pass, with at most _CACHE_LIMIT (tensor, y) lanes.
+  :func:`bias_fiber` is the count of one row.
 * :func:`bias_recursive` factors the tensor once into disjoint coordinate
   blocks (bias is multiplicative across them) and counts each distinct
   block once by the fiber engine's count; the value is the same.
@@ -34,7 +41,7 @@ an int, and a Gray walk of the third adds one slice's values per step.
 Elsewhere it walks down to order 1 and evaluates each distinct affine
 form left in the last slot on every x once, weighted by its count.
 
-The fiber count ends in :meth:`_Packed.matrix_fibers`, which memoizes the
+The fiber count ends in :meth:`_Packed.matrix_counts`, which memoizes the
 order-2 count q^(n-rank) on its cached kernel when the key space is small:
 for n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and n = 2 with q <= 7).
 The key is the reduced matrix (the packed int at q = 2, the cells reduced
@@ -66,8 +73,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, chain, compress
-from operator import add, mul, xor
+from itertools import accumulate, chain, compress, repeat
+from operator import add, lshift, mul, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, rank_mod_p
@@ -78,6 +85,9 @@ DEFAULT_BUDGET = 10 ** 8
 
 # Packing kernels, with their Gray tables, are cached only for p^n up to this size.
 _CACHE_LIMIT = 1 << 16
+
+# Rows whose fiber counts share one walk, at most.
+_LANES = 64
 
 # A kernel memoizes order-2 fiber counts only where n >= 2 and the p^(n^2)
 # reduced matrices, the memo's bound, are at most this many.
@@ -283,7 +293,8 @@ class _Packed:
     cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
     odd p with one-byte cells, and None otherwise.  `gray_table` is built by
     :meth:`gray` on the first walk, `lane_table` by the first
-    :meth:`lane_products`, `fiber_lanes` by the first :meth:`slice_fibers`.
+    :meth:`lane_products`, `fiber_lanes` (the masks {y : y_k = 1} of one
+    tensor's 2^n lanes) by the first :meth:`slice_fibers`.
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
@@ -346,16 +357,17 @@ class _Packed:
                 [[f[v * pow(c, -1, p) % p] for v in range(p)] for f in cells] for c in range(1, p)]
         return self.lane_table
 
-    def walk(self, x: int, order: int, lines: bool):
+    def walk(self, x: int, order: int, lines: bool, rep: int = 1):
         """T(y, ...) for y in F_p^n in Gray order, each one slice away.
 
         With `lines`, one y per line through 0: the y whose last nonzero
         digit is 1.  Digit k set to 1, the first p^k - 1 Gray steps walk the
         digits below k and visit those whose last nonzero digit is k.
         Without, the coset of the y whose last digit is 1: the last line.
+        `rep` has bit 0 of every lane of x set (see :meth:`descend`).
         """
         shift = self.bits * self.n ** (order - 1)
-        mask = (1 << shift) - 1
+        mask = ((1 << shift) - 1) * rep
         slices = [(x >> (k * shift)) & mask for k in range(self.n)]
         line_steps = self.gray()
         walks = zip(slices, line_steps) if lines else [(slices[-1], line_steps[-1])]
@@ -374,21 +386,31 @@ class _Packed:
                     current += deltas[step]
                     yield current
 
-    def descend(self, x: int, order: int, stop: int, lines: bool) -> Iterator[int]:
+    def descend(self, x: int, order: int, stop: int, lines: bool,
+                lanes: int = 1) -> Iterator[int]:
         """The packed order-`stop` tensors left by walking the leading slots.
 
         Each slot from `order` down to stop + 1 is walked as in :meth:`walk`;
         at odd p every intermediate tensor is reduced before its own walk,
-        so x must be reduced and every leaf is one contraction deep.
+        so x must be reduced and every leaf is one contraction deep.  x may
+        hold `lanes` tensors, lane i from cell i n^order on: every step
+        slices, steps and reduces all lanes at once, and every node holds
+        lane i's node from that cell on.
         """
         if order == stop:
             return iter((x,))
-        children = self.walk(x, order, lines)
-        if order - 1 == stop:
-            return children
-        children = self.reduced(children, self.n ** (order - 1))
-        return chain.from_iterable(self.descend(child, order - 1, stop, lines)
-                                   for child in children)
+        stride = self.n ** order
+        rep = int("1".rjust(self.bits * stride, "0") * lanes, 2) if lanes > 1 else 1
+        reach = (lanes - 1) * stride
+
+        def nodes(x: int, order: int) -> Iterator[int]:
+            children = self.walk(x, order, lines, rep)
+            if order - 1 == stop:
+                return children
+            children = self.reduced(children, reach + self.n ** (order - 1))
+            return chain.from_iterable(nodes(child, order - 1) for child in children)
+
+        return nodes(x, order)
 
     def slices(self, x: int, order: int) -> list[int]:
         """The n slices of a packed order-`order` tensor along its leading slot."""
@@ -429,53 +451,98 @@ class _Packed:
             return self.powers[0]
         memo = self.memo
         if memo is None:
-            return self._matrix_fibers(x)
+            return self._key_fibers(x if self.p == 2 else self.cells(x, self.n * self.n))
         key = x if self.p == 2 else x.to_bytes(self.n * self.n, "little").translate(self.reduce)
         fibers = memo.get(key)
         if fibers is None:
-            fibers = memo[key] = self._matrix_fibers(x)
+            fibers = memo[key] = self._key_fibers(key)
         return fibers
 
-    def _matrix_fibers(self, x: int) -> int:
+    def matrix_counts(self, leaves: Iterable[int], lanes: int, stride: int) -> list[int]:
+        """For each lane, the sum of p^(n - rank) over its matrices in the packed
+        order-2 leaves, lane i's from cell i stride on, memoized if on.
+
+        A lone lane is counted leaf by leaf by :meth:`matrix_fibers`.
+        Otherwise every lane's key is read first (its cells as an int at
+        p = 2, as bytes or a list at odd p, reduced where they are memo
+        keys); the keys the memo lacks are ranked and filled in, and the rest
+        are looked up in one pass.
+        """
+        if lanes == 1:
+            return [sum(map(self.matrix_fibers, leaves))]
+        area, memo, reach = self.n * self.n, self.memo, lanes * stride
+        if self.p == 2:
+            mask, starts = (1 << area) - 1, range(0, reach, stride)
+            keys = [(x >> j) & mask for x in leaves for j in starts]
+        else:  # one-byte cells are reduced by one translate; rank_mod_p reduces wider ones
+            if self.reduce is None:
+                cells = [c for x in leaves for c in self.cells(x, reach)]
+            else:
+                raw = b"".join([x.to_bytes(reach, "little") for x in leaves])
+                cells = raw.translate(self.reduce)
+            keys = [cells[j:j + area] for j in range(0, len(cells), stride)]
+        if memo is None:
+            fibers = list(map(self._key_fibers, keys))
+        else:
+            fibers = list(map(memo.get, keys))
+            if None in fibers:
+                for key in set(keys).difference(memo):
+                    memo[key] = self._key_fibers(key)
+                fibers = list(map(memo.__getitem__, keys))
+        return [sum(fibers[i::lanes]) for i in range(lanes)]
+
+    def _key_fibers(self, key) -> int:
+        """p^(n - rank) for a matrix given by its key: its packed int at p = 2,
+        its n^2 cells (read mod p) at odd p."""
         n = self.n
         if self.p == 2:
             mask = self.column_mask
-            rank = gf2_rank([(x >> (j * n)) & mask for j in range(n)])
+            rank = gf2_rank([(key >> (j * n)) & mask for j in range(n)])
         else:
-            cells = self.cells(x, n * n)
-            rank = rank_mod_p(self.p, [cells[j * n:(j + 1) * n] for j in range(n)])
+            rank = rank_mod_p(self.p, [key[j * n:(j + 1) * n] for j in range(n)])
         return self.powers[rank]
 
-    def slice_fibers(self, x: int) -> int:
-        """Sum over y in F_2^n of 2^(n - rank T(y, ., .)) for a packed order-3 T
-        at p = 2, by one Gauss-Jordan pass over all 2^n matrices at once.
+    def slice_fibers(self, leaves: Iterable[int], lanes: int, stride: int) -> list[int]:
+        """For each lane, the sum over its packed order-3 leaves T at p = 2
+        (lane i's from cell i stride on) of the sum over y in F_2^n of
+        2^(n - rank T(y, ., .)), by one Gauss-Jordan pass per leaf over all
+        lanes (i, y) at once.
 
-        Bit y of plane c is cell c of T(y, ., .): the XOR of the lane masks
-        {y : y_k = 1} over the slices k whose cell c is 1.  `spans[c]` holds
-        the lanes with a pivot in column c and `pivots[c]` their pivot rows.
+        Bit i 2^n + y of plane c is cell c of lane i's T(y, ., .): the XOR of
+        the masks {(i, y) : y_k = 1} over the (i, k) whose cell c is 1.
+        `spans[c]` holds the lanes with a pivot in column c and `pivots[c]`
+        their pivot rows.
         """
         n = self.n
-        full = (1 << (1 << n)) - 1
-        lanes = self.fiber_lanes
-        if lanes is None:
-            lanes = self.fiber_lanes = [masks[1] for masks in digit_masks(2, n)]
-        cells, area = self.cells(x, n ** 3), n * n
-        planes = [reduce(xor, compress(lanes, cells[c::area]), 0) for c in range(area)]
-        pivots, spans = [[0] * n for _ in range(n)], [0] * n
-        for j in range(n):
-            row = planes[j * n:(j + 1) * n]
-            for c, bit in enumerate(row):  # row[c] is read after columns < c updated it
-                if bit:
-                    fresh = bit & ~spans[c]
-                    spans[c] |= bit
-                    pivot = pivots[c]
-                    for k in range(c + 1, n):
-                        pivot[k] |= row[k] & fresh
-                        row[k] ^= pivot[k] & bit
-        ranks = [full]  # ranks[r]: the lanes of rank r
-        for span in spans:
-            ranks = [lo & ~span | hi & span for lo, hi in zip(ranks + [0], [0] + ranks)]
-        return sum(mask.bit_count() << (n - r) for r, mask in enumerate(ranks))
+        area, full, shifts = n * n, (1 << (lanes << n)) - 1, range(0, lanes << n, 1 << n)
+        digits = self.fiber_lanes
+        if digits is None:
+            digits = self.fiber_lanes = [masks[1] for masks in digit_masks(2, n)]
+        # one mask per slice position of a lane; past the first n they hold no cells
+        padded = digits + [0] * (stride // area - n)
+        table = [mask << shift for shift in shifts for mask in padded]
+        suffix, weights = [0] * lanes, range(n, -1, -1)  # suffix[i]: the count over lanes >= i
+        for x in leaves:
+            cells = self.cells(x, (lanes - 1) * stride + n * area)
+            planes = [reduce(xor, compress(table, cells[c::area]), 0) for c in range(area)]
+            pivots, spans = [[0] * n for _ in range(n)], [0] * n
+            for j in range(n):
+                row = planes[j * n:(j + 1) * n]
+                for c, bit in enumerate(row):  # row[c] is read after columns < c updated it
+                    if bit:
+                        fresh = bit & ~spans[c]
+                        spans[c] |= bit
+                        pivot = pivots[c]
+                        for k in range(c + 1, n):
+                            pivot[k] |= row[k] & fresh
+                            row[k] ^= pivot[k] & bit
+            ranks = [full]  # ranks[r]: the lanes of rank r
+            for span in spans:
+                ranks = [lo & ~span | hi & span for lo, hi in zip(ranks + [0], [0] + ranks)]
+            for i, shift in enumerate(shifts):
+                counts = map(int.bit_count, map(rshift, ranks, repeat(shift)))
+                suffix[i] += sum(map(lshift, counts, weights))
+        return list(map(sub, suffix, suffix[1:] + [0]))
 
 
 def _kernel(p: int, n: int) -> _Packed:
@@ -488,29 +555,44 @@ def _kernel(p: int, n: int) -> _Packed:
     return kernel
 
 
-def _zero_fibers(field: PrimeField, n: int, order: int, coeffs: Sequence[int]) -> int:
-    """K: the fixings of the leading order-1 slots that leave the zero form.
+def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequence[int]],
+                 budget: Optional[int] = DEFAULT_BUDGET) -> list[int]:
+    """K of each coefficient row: the fixings of the leading order-1 slots
+    that leave the zero form, for order-`order` tensors on F_p^dim.
 
-    The walk fixes the leading slots down to the leaf order s (a tensor of
-    order s is its one leaf), one y per line: T(cy, ...) = c T(y, ...) has
-    the zero fibers of T(y, ...) for c != 0, so a line stands for p - 1
-    fixings.  With q = p^n, the q^(s-1) (q^(d-s) - (q-1)^(d-s)) fixings
-    that put y = 0 in some walked slot leave the zero tensor.  The leaves
-    are order-3 tensors, counted by :meth:`_Packed.slice_fibers`, at p = 2
-    where the order-2 memo is off and 2^n <= _CACHE_LIMIT (its planes hold
-    n^2 2^n bits); elsewhere they are matrices.
+    Up to _LANES rows at a time are the lanes of one packed int, row i from
+    cell i n^order on, and walk together (:meth:`_Packed.descend`).  The walk
+    fixes the leading slots down to the leaf order s (a tensor of order s
+    is its one leaf), one y per line: T(cy, ...) = c T(y, ...) has the zero
+    fibers of T(y, ...) for c != 0, so a line stands for p - 1 fixings.
+    With q = p^n, the q^(s-1) (q^(d-s) - (q-1)^(d-s)) fixings that put y = 0
+    in some walked slot leave the zero tensor.  The leaves are order-3
+    tensors, counted by :meth:`_Packed.slice_fibers`, at p = 2 where the
+    order-2 memo is off and 2^n <= _CACHE_LIMIT (its planes hold n^2 2^n
+    bits per lane, so fewer rows share a walk as n grows); elsewhere they
+    are matrices.  The budget is checked once, as by :func:`bias_fiber`,
+    where there is a row; None skips it for a caller that charged the walk.
     """
-    p = field.p
-    if order == 1:
-        return 0 if any(coeffs) else 1
+    p, n = field.p, dim
+    rows = list(rows)
+    if rows and budget is not None:
+        _check_budget(p ** (n * (order - 1)), budget, "zero-fiber enumeration")
+    if order == 1 or not n:
+        return [int(not any(row)) for row in rows]
     kernel = _kernel(p, n)
-    stop, fibers = 2, kernel.matrix_fibers
+    stop, leaf_counts, lanes = 2, kernel.matrix_counts, _LANES
     if p == 2 and order >= 3 and kernel.memo is None and 2 ** n <= _CACHE_LIMIT:
-        stop, fibers = 3, kernel.slice_fibers
-    leaves = kernel.descend(kernel.pack(coeffs), order, stop, lines=True)
-    q = p ** n
-    return (q ** (stop - 1) * (q ** (order - stop) - (q - 1) ** (order - stop))
-            + (p - 1) ** (order - stop) * sum(map(fibers, leaves)))
+        stop, leaf_counts, lanes = 3, kernel.slice_fibers, min(lanes, _CACHE_LIMIT >> n)
+    q, stride = p ** n, n ** order
+    walked = order - stop
+    base, scale = q ** (stop - 1) * (q ** walked - (q - 1) ** walked), (p - 1) ** walked
+    counts = []
+    for start in range(0, len(rows), lanes):
+        batch = rows[start:start + lanes]
+        x = kernel.pack(batch[0] if len(batch) == 1 else list(chain.from_iterable(batch)))
+        leaves = kernel.descend(x, order, stop, lines=True, lanes=len(batch))
+        counts += [base + scale * s for s in leaf_counts(leaves, len(batch), stride)]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +605,16 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     Returns K / q^(n(d-1)) with K the number of zero fibers.  The walk
     fixes the leading slots down to order 2, where a matrix of rank r
     has q^(n-r) zero fibers; at p = 2 past the order-2 memo it stops at
-    order 3 (see :func:`_zero_fibers`).  Order 1 is the base case: bias 1
+    order 3 (see :func:`fiber_counts`).  Order 1 is the base case: bias 1
     for the zero form, 0 otherwise.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
-    p = t.field.p
     exponent = t.dim * (t.order - 1)
-    _check_budget(p ** exponent, budget, "zero-fiber enumeration")
-    k = _zero_fibers(t.field, t.dim, t.order, t.coeffs)
+    k, = fiber_counts(t.field, t.dim, t.order, [t.coeffs], budget)
     if t.order >= 2 and k < 1:
         raise AssertionError("multilinear bias must be positive for order >= 2")
-    return BiasValue(k, exponent, p)
+    return BiasValue(k, exponent, t.field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +657,11 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 
     Bias is multiplicative across blocks that share no coordinate, so K is
     the product of the K of each block, counted once per distinct block by
-    the fiber engine's walk, times q^(d-1) for each coordinate outside
-    every block; the value is the fiber engine's.  The budget is checked
-    before any walk: q^m for each node of order >= 3 that the walk of a
-    distinct m-dimensional block expands, so tensors that factor into
-    small blocks stay cheap even when the dense enumeration would not.
+    :func:`fiber_counts`, times q^(d-1) for each coordinate outside every
+    block; the value is the fiber engine's.  The budget is checked before
+    any walk: q^m for each node of order >= 3 that the walk of a distinct
+    m-dimensional block expands, so tensors that factor into small blocks
+    stay cheap even when the dense enumeration would not.
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
@@ -595,7 +675,7 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     _check_budget(work, budget, "recursive bias")
     k = p ** ((n - sum(m * count for (m, _), count in blocks.items())) * (order - 1))
     for (m, cells), count in blocks.items():
-        k *= _zero_fibers(t.field, m, order, cells) ** count
+        k *= fiber_counts(t.field, m, order, [cells], None)[0] ** count
     return BiasValue(k, n * (order - 1), p)
 
 

@@ -15,13 +15,20 @@ word (or two) of substream(seed, i), is made by :func:`_seeded_rows` a
 chunk of trials at a time, with the batched words and residue rows of
 :mod:`biasrank.rng`; a law's own draw runs per trial.
 
+Laws read their bias numerators K a chunk of _CHUNK instances at a time
+(:meth:`_Tracker.drive_counted`): the chunk's tensors are grouped by shape
+and each group is counted by one :func:`bias.fiber_counts` call, whose
+rows share a walk.  A failing instance is replayed with bias_fiber one
+tensor at a time, so a fault that only batched counts make cannot replay.
+
 Subadditivity keeps one K per distinct tensor of its universe.  Its
 exhaustive pairs are indices into the cube in `all_tensors` order: the
-index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise, so
-a pair is one index computation and three list lookups.  Its seeded
-pairs are coefficient rows: K is memoized by row, and the row of t + s is
-the cellwise sum mod p.  Either way tensors are built only for K, a
-witness and its replay.
+index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise.
+They are charged to the budget before the cube is built, and each
+distinct triple (K(t + s), K(t), K(s)) is decided once.  Its seeded
+pairs are coefficient rows: K is memoized by row, a chunk's new rows are
+counted together, and the row of t + s is the cellwise sum mod p.
+Either way tensors are built only for K, a witness and its replay.
 
 arank-le-prank and the survey rank exactly under the search cap of
 :func:`ranks.rank_exact`; over it arank-le-prank, which needs exact ranks,
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product, repeat
 from operator import add, mul, xor
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -49,6 +56,7 @@ from .bias import (
     bias_multiform,
     c_constant,
     diagonal_bias_numerator,
+    fiber_counts,
 )
 from .gf import PrimeField, combine_masks, digit_masks, random_full_rank_basis
 from .ranks import max_independent_set, rank_exact, search_table
@@ -64,6 +72,7 @@ from .tensor import (
     random_multiform,
     random_tensor,
     restrict,
+    universe_size,
 )
 
 # Seeded diagonal tensors independent-bound checks against their closed form.
@@ -131,6 +140,24 @@ class _Tracker:
                 self.witness = witness()
         return held
 
+    def drive_counted(self, instances: Iterable, parts: Callable[[object], tuple],
+                      check: Callable[[object, list], tuple], budget: int) -> int:
+        """:meth:`drive` where `check(instance, ks)` reads the K of each tensor
+        of `parts(instance)`, ks[i] for the i-th, counted by :func:`_counted`.
+
+        A failure is replayed by `check` with every K recounted by bias_fiber,
+        one tensor at a time, so a count that goes wrong only in a batch
+        does not replay.
+        """
+        return self.drive(_counted(instances, parts, budget), lambda item: check(*item),
+                          lambda item: check(item[0], _Recount(parts(item[0]), budget))[0])
+
+    def record(self, checked: int, slack: Optional[float]) -> None:
+        """Count `checked` instances that held, the least slack among them `slack`."""
+        self.checked += checked
+        if slack is not None and (self.min_slack is None or slack < self.min_slack):
+            self.min_slack = slack
+
     def result(self, notes: tuple[str, ...] = ()) -> LawResult:
         if self.checked == 0:
             notes = notes + ("empty universe: vacuous pass",)
@@ -138,11 +165,53 @@ class _Tracker:
                          self.checked, self.witness, self.min_slack, notes)
 
 
+class _Recount:
+    """K of each tensor by bias_fiber, one tensor at a time, when read."""
+
+    def __init__(self, tensors: tuple, budget: int):
+        self.tensors, self.budget = tensors, budget
+
+    def __getitem__(self, i: int) -> int:
+        return bias_fiber(self.tensors[i], self.budget).numerator
+
+
+def _counted(instances: Iterable, parts: Callable[[object], tuple],
+             budget: int) -> Iterator[tuple[object, object]]:
+    """(instance, K of each tensor of parts(instance)) for every instance.
+
+    The K's of _CHUNK instances come from one fiber_counts call per shape,
+    which counts each distinct coefficient row once.  Where a shape's walk
+    is over the budget, the chunk's K's are read from bias_fiber one tensor
+    at a time (:class:`_Recount`), so the refusal comes where the law reads
+    that K, after any refusal the law makes first.
+    """
+    instances = iter(instances)
+    while chunk := list(islice(instances, _CHUNK)):
+        tensors = [parts(inst) for inst in chunk]
+        shapes: dict[tuple, dict] = {}
+        for t in chain.from_iterable(tensors):
+            shapes.setdefault((t.field, t.dim, t.order), {})[t.coeffs] = None
+        try:
+            for (field, dim, order), known in shapes.items():
+                rows = list(known)
+                known.update(zip(rows, fiber_counts(field, dim, order, rows, budget)))
+        except BudgetExceededError:
+            yield from zip(chunk, (_Recount(ts, budget) for ts in tensors))
+            continue
+        for inst, ts in zip(chunk, tensors):
+            yield inst, [shapes[t.field, t.dim, t.order][t.coeffs] for t in ts]
+
+
+def _itself(t: Tensor) -> tuple[Tensor]:
+    return (t,)
+
+
 def _draw_tensor(field: PrimeField, dim: int, order: int, gen: SplitMix64) -> Tensor:
     return random_tensor(field, dim, order, gen.next_u64())
 
 
-# Trials whose words and residues are drawn in one batch.
+# Trials whose words and residues are drawn, and instances whose K's are
+# counted, in one batch.
 _CHUNK = 64
 
 
@@ -216,10 +285,13 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
 
     K is computed once per distinct tensor of the universe: a list by cube
     index for exhaustive pairs, a dict by coefficients for seeded ones.
-    Exhaustive pairs are cube indices (i, j): K(t + s) is a list lookup at
-    the index of t + s.  Seeded pairs are coefficient rows, summed cell by
-    cell.  Tensors are built only for K and a witness, and a failing pair
-    is replayed from scratch on tensors.
+    Exhaustive pairs are cube indices (i, j), charged to the budget before
+    the cube is built; the verdict and slack of a pair depend only on its
+    triple (K(t + s), K(t), K(s)), so each distinct triple is decided once,
+    and the pairs are walked in order only to find the first failing one.
+    Seeded pairs are coefficient rows, summed cell by cell, and a chunk's
+    new rows are counted together.  Tensors are built only for K and a
+    witness, and a failing pair is replayed from scratch on tensors.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -233,58 +305,73 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     def fiber(t: Tensor) -> int:
         return bias_fiber(t, budget).numerator
 
-    def verdict(k_sum: int, k_t: int, k_s: int, pair: Callable[[], tuple]):
-        ok = k_sum * scale >= k_t * k_s
-        slack = k_sum / scale - (k_t * k_s) / scale_sq
+    def holds(k_sum: int, k_t: int, k_s: int) -> bool:
+        return k_sum * scale >= k_t * k_s
 
+    def slack(k_sum: int, k_t: int, k_s: int) -> float:
+        return k_sum / scale - (k_t * k_s) / scale_sq
+
+    def verdict(k_sum: int, k_t: int, k_s: int, pair: Callable[[], tuple]):
         def witness() -> dict:
             t, s = pair()
             return _tensor_witness(t=t, s=s, k_sum=k_sum, k_t=k_t, k_s=k_s)
 
-        return ok, slack, witness
+        return holds(k_sum, k_t, k_s), slack(k_sum, k_t, k_s), witness
 
     def replay(t: Tensor, s: Tensor) -> bool:
-        return fiber(t + s) * scale >= fiber(t) * fiber(s)
+        return holds(fiber(t + s), fiber(t), fiber(s))
 
-    def direct_sum_ok(pair):
+    def direct_sum_ok(pair, ks):
         t, s = pair
-        ok = bias_fiber(direct_sum(t, s), budget) == bias_fiber(t, budget) * bias_fiber(s, budget)
-        return ok, None, lambda: _tensor_witness(t=t, s=s, note="direct sum not multiplicative")
+        return ks[0] == ks[1] * ks[2], None, lambda: _tensor_witness(
+            t=t, s=s, note="direct sum not multiplicative")
 
     if exhaustive:
+        _check_dims(dim, order)
+        size = universe_size(q, dim, order)
+        _check_budget(size ** 2, budget, "exhaustive pairs")
         cube = list(_universe(field, dim, order, exhaustive=True))
-        ks = [fiber(t) for t in cube]
+        ks = fiber_counts(field, dim, order, [t.coeffs for t in cube], budget)
         index_sum = _index_sum(q)
+        triples = set()
+        for i, k_t in enumerate(ks):
+            sums = map(ks.__getitem__, map(index_sum, repeat(i, size), range(size)))
+            triples.update((k_sum, k_t, k_s) for k_sum, k_s in set(zip(sums, ks)))
+        if all(holds(*triple) for triple in triples):
+            tracker.record(size ** 2, min(slack(*triple) for triple in triples))
+        else:
+            def index_pair_ok(ij):
+                i, j = ij
+                return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
 
-        def index_pair_ok(ij):
-            i, j = ij
-            return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
-
-        tracker.drive(product(range(len(cube)), repeat=2), index_pair_ok,
-                      lambda ij: replay(cube[ij[0]], cube[ij[1]]))
+            tracker.drive(product(range(size), repeat=2), index_pair_ok,
+                          lambda ij: replay(cube[ij[0]], cube[ij[1]]))
     else:
         numerators: dict[tuple[int, ...], int] = {}
         tensor = partial(Tensor._trusted, field, dim, order)
 
-        def known(c: tuple[int, ...]) -> int:
-            k = numerators.get(c)
-            if k is None:
-                k = numerators[c] = fiber(tensor(c))
-            return k
+        def counted_pairs() -> Iterator[tuple]:
+            rows = _seeded_rows(q, dim, order, trials, seed, 2)
+            while chunk := list(islice(rows, _CHUNK)):
+                sums = [tuple([(a + b) % q for a, b in zip(c, d)]) for c, d in chunk]
+                fresh = list(set(chain(sums, *chunk)).difference(numerators))
+                numerators.update(zip(fresh, fiber_counts(field, dim, order, fresh, budget)))
+                yield from zip(chunk, sums)
 
-        def row_pair_ok(pair):
-            c, d = pair
-            k_sum = known(tuple([(a + b) % q for a, b in zip(c, d)]))
-            return verdict(k_sum, known(c), known(d), lambda: (tensor(c), tensor(d)))
+        def row_pair_ok(item):
+            (c, d), row_sum = item
+            return verdict(numerators[row_sum], numerators[c], numerators[d],
+                           lambda: (tensor(c), tensor(d)))
 
-        tracker.drive(_seeded_rows(q, dim, order, trials, seed, 2), row_pair_ok,
-                      lambda pair: replay(tensor(pair[0]), tensor(pair[1])))
+        tracker.drive(counted_pairs(), row_pair_ok,
+                      lambda item: replay(tensor(item[0][0]), tensor(item[0][1])))
+        numerators.clear()  # freed before the direct sums' chunks are counted
 
     notes = ()
     if disjoint_trials:
-        equal = tracker.drive(_universe(field, dim, order, trials=disjoint_trials,
-                                        seed=seed ^ 0x5D15, pairs=True),
-                              direct_sum_ok)
+        equal = tracker.drive_counted(
+            _universe(field, dim, order, trials=disjoint_trials, seed=seed ^ 0x5D15, pairs=True),
+            lambda pair: (direct_sum(*pair),) + pair, direct_sum_ok, budget)
         notes = (f"direct-sum tightness: {equal}/{disjoint_trials} exact equalities",)
     return tracker.result(notes)
 
@@ -363,14 +450,18 @@ class CorrelationInstance:
             z_both += (t_zero & s_zero).bit_count()
         return z_t, z_s, z_both, total
 
+    @property
+    def lift_dim(self) -> int:
+        """The dimension of :meth:`lifted`: every slot padded to max(m + k, n)."""
+        return max(len(self.t_group) + len(self.s_group), self.dim)
+
     def lifted(self) -> tuple[Tensor, Tensor]:
         """Order-(d+1) tensors with a fresh leading slot selecting the family.
 
         The T family occupies leading coordinates 0..m-1, the S family
         m..m+k-1; all slots are padded to a common dimension.
         """
-        m, k = len(self.t_group), len(self.s_group)
-        lift_dim = max(m + k, self.dim)
+        m, lift_dim = len(self.t_group), self.lift_dim
         block = lift_dim ** self.order
         cells = _padded_cells(self.dim, lift_dim, self.order)
 
@@ -392,20 +483,27 @@ def _padded_cells(dim: int, lift_dim: int, order: int) -> tuple[int, ...]:
                  for idx in product(range(dim), repeat=order))
 
 
-def _correlation_ok(inst: CorrelationInstance, budget: int) -> tuple[bool, float, dict]:
+def _lifts(inst: CorrelationInstance) -> tuple[Tensor, Tensor, Tensor]:
+    """The lifted sum and the two lifted families, whose K's the bridge reads."""
+    lift_t, lift_s = inst.lifted()
+    return lift_t + lift_s, lift_t, lift_s
+
+
+def _correlation_ok(inst: CorrelationInstance, budget: int,
+                    ks=None) -> tuple[bool, float, dict]:
+    """The correlation verdict, its slack and details; `ks` are the K's of
+    :func:`_lifts`, by default counted by bias_fiber."""
     q, n, d = inst.field.p, inst.dim, inst.order
     z_t, z_s, z_both, total = inst.zero_counts(budget)
     ok = z_both * total >= z_t * z_s
     slack = z_both / total - (z_t * z_s) / (total * total)
-    lift_t, lift_s = inst.lifted()
-    lift_dim = lift_t.dim
-    k_sum = bias_fiber(lift_t + lift_s, budget)
+    if ks is None:
+        ks = _Recount(_lifts(inst), budget)
+    lift_dim = inst.lift_dim
     # The counted LHS must equal the lifted-sum bias exactly, and the
     # counted RHS must equal the product of the lifted biases.
-    bridge_lhs = k_sum.numerator * q ** (n * d) == z_both * q ** (lift_dim * d)
-    k_t = bias_fiber(lift_t, budget).numerator
-    k_s = bias_fiber(lift_s, budget).numerator
-    bridge_rhs = k_t * k_s * q ** (2 * n * d) == z_t * z_s * q ** (2 * lift_dim * d)
+    bridge_lhs = ks[0] * q ** (n * d) == z_both * q ** (lift_dim * d)
+    bridge_rhs = ks[1] * ks[2] * q ** (2 * n * d) == z_t * z_s * q ** (2 * lift_dim * d)
     details = {"z_t": z_t, "z_s": z_s, "z_both": z_both, "domain": total,
                "bridge_lhs": bridge_lhs, "bridge_rhs": bridge_rhs}
     return ok and bridge_lhs and bridge_rhs, slack, details
@@ -426,14 +524,15 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
         s_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(k))
         return CorrelationInstance(field, dim, order, t_group, s_group)
 
-    def check(inst: CorrelationInstance):
-        ok, slack, details = _correlation_ok(inst, budget)
+    def check(inst: CorrelationInstance, ks):
+        ok, slack, details = _correlation_ok(inst, budget, ks)
         return ok, slack, lambda: dict(
             _tensor_witness(**{f"t{j}": t for j, t in enumerate(inst.t_group)},
                             **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
             **details)
 
-    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw),
+                          _lifts, check, budget)
     return tracker.result()
 
 
@@ -463,25 +562,26 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         raise BudgetExceededError(f"partition-rank candidates at p={q} n={dim} d={order} "
                                   f"exceed the search cap at budget {budget}")
 
-    def check(t: Tensor):
+    def check(t: Tensor, ks):
         report = rank_exact(t, "prank", budget)
         if not report.exact:
             raise BudgetExceededError(f"exact partition rank search exceeded budget {budget}")
-        k = bias_fiber(t, budget).numerator
+        k = ks[0]
         prank = report.value
         ok = k * q ** prank >= q ** exponent  # bias >= q^-prank, cross-multiplied
         slack = prank - analytic_rank(BiasValue(k, exponent, q)).value
         return ok, slack, lambda: _tensor_witness(t=t, prank=prank, k=k)
 
-    def rank_one_ok(t: Tensor):
-        ok = bias_fiber(t, budget).numerator * q >= q ** exponent
+    def rank_one_ok(t: Tensor, ks):
+        ok = ks[0] * q >= q ** exponent
         return ok, None, lambda: _tensor_witness(t=t, note="rank-one bias below 1/q")
 
-    tracker.drive(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                            seed=seed), check)
+    tracker.drive_counted(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                                    seed=seed), _itself, check, budget)
     if not nonempty:
         return tracker.result()
-    held = tracker.drive((Tensor._trusted(field, dim, order, c) for c in rank_one), rank_one_ok)
+    held = tracker.drive_counted((Tensor._trusted(field, dim, order, c) for c in rank_one),
+                                 _itself, rank_one_ok, budget)
     return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(rank_one)}",))
 
 
@@ -520,35 +620,38 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("independent-bound", universe)
     constant = c_constant(order, q)
 
-    def check(t: Tensor):
+    def check(t: Tensor, ks):
         indep = max_independent_set(t, budget)
         size = len(indep)
-        k = bias_fiber(t, budget).numerator
+        k = ks[0]
         ok = _indep_ok_exact(k, q, dim, order, size) and _indep_ok_stated(k, q, dim, order, size)
         slack = analytic_rank(BiasValue(k, exponent, q)).value - constant * size
         return ok, slack, lambda: _tensor_witness(t=t, independent_set=list(indep), k=k)
 
-    def closed_form_ok(diag: tuple[int, ...]):
-        t = diagonal_tensor(field, order, diag)
-        expected = diagonal_bias_numerator(q, dim, order, sum(1 for c in diag if c))
-        k = bias_fiber(t, budget).numerator
-        return k == expected, None, lambda: _tensor_witness(t=t, k=k, expected=expected)
+    def diagonal(diag: tuple[int, ...]) -> tuple[Tensor]:
+        return (diagonal_tensor(field, order, diag),)
 
-    def identity_ok(t: Tensor):
-        k = bias_fiber(t, budget).numerator
+    def closed_form_ok(diag: tuple[int, ...], ks):
+        expected = diagonal_bias_numerator(q, dim, order, sum(1 for c in diag if c))
+        k = ks[0]
+        return k == expected, None, lambda: _tensor_witness(t=diagonal(diag)[0], k=k,
+                                                            expected=expected)
+
+    def identity_ok(t: Tensor, ks):
+        k = ks[0]
         ok = (k == diagonal_bias_numerator(q, dim, order, dim)
               and len(max_independent_set(t, budget)) == dim)
         return ok, None, lambda: _tensor_witness(t=t, k=k)
 
-    tracker.drive(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                            seed=seed), check)
+    tracker.drive_counted(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
+                                    seed=seed), _itself, check, budget)
     if not (exhaustive or trials > 0):
         return tracker.result()
-    diag_ok = tracker.drive(_universe(field, dim, order, trials=DIAGONAL_TRIALS,
-                                      seed=seed ^ 0xD1A6,
-                                      draw=lambda gen: gen.residues(q, dim)),
-                            closed_form_ok)
-    tracker.drive([identity_tensor(field, dim, order)], identity_ok)
+    diag_ok = tracker.drive_counted(_universe(field, dim, order, trials=DIAGONAL_TRIALS,
+                                              seed=seed ^ 0xD1A6,
+                                              draw=lambda gen: gen.residues(q, dim)),
+                                    diagonal, closed_form_ok, budget)
+    tracker.drive_counted([identity_tensor(field, dim, order)], _itself, identity_ok, budget)
     notes = (f"diagonal closed form exact on {diag_ok}/{DIAGONAL_TRIALS} draws plus identity",)
     return tracker.result(notes)
 
@@ -574,18 +677,23 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         basis = random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
         return t, basis, {"basis": [list(v) for v in basis]}
 
-    def check(inst):
+    def parts(inst) -> tuple[Tensor, Tensor]:
+        t, basis, _ = inst
+        return t, restrict(t, basis)
+
+    def check(inst, ks):
         t, basis, where = inst
-        b_t = bias_fiber(t, budget)
-        b_sub = bias_fiber(restrict(t, basis), budget)
+        b_t = BiasValue(ks[0], dim * (order - 1), q)
+        b_sub = BiasValue(ks[1], len(basis) * (order - 1), q)
         ok = b_sub.numerator * q ** b_t.exponent >= b_t.numerator * q ** b_sub.exponent
         return ok, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(t=t, **where)
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
-    tracker.drive(draws, check)
-    tracker.drive(((t, coordinate_basis(dim, subset), {"subset": list(subset)})
-                   for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets), check)
+    tracker.drive_counted(draws, parts, check, budget)
+    tracker.drive_counted(((t, coordinate_basis(dim, subset), {"subset": list(subset)})
+                           for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets),
+                          parts, check, budget)
     return tracker.result()
 
 
@@ -600,9 +708,9 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
     universe = f"random multiforms p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("lemma-bias", universe)
 
-    def check(form):
+    def check(form, ks):
         result = bias_multiform(form, budget)
-        top = bias_fiber(form.top(), budget)
+        top = BiasValue(ks[0], dim * (order - 1), field.p)
         if result.exact is not None:
             ok = abs(result.exact) <= top.as_fraction()
             slack = float(top.as_fraction() - abs(result.exact))
@@ -613,10 +721,10 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             top=form.top(),
             components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
 
-    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed,
-                            draw=lambda gen: random_multiform(field, dim, order,
-                                                              gen.next_u64())),
-                  check)
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed,
+                                    draw=lambda gen: random_multiform(field, dim, order,
+                                                                      gen.next_u64())),
+                          lambda form: (form.top(),), check, budget)
     return tracker.result()
 
 
@@ -635,12 +743,12 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
         t = _draw_tensor(field, dim, order, gen)
         return t, random_full_rank_basis(field, dim, dim, gen)
 
-    def check(inst):
+    def check(inst, ks):
         t, basis = inst
-        ok = bias_fiber(restrict(t, basis), budget) == bias_fiber(t, budget)
-        return ok, None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
+        return ks[0] == ks[1], None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
 
-    tracker.drive(_universe(field, dim, order, trials=trials, seed=seed, draw=draw), check)
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw),
+                          lambda inst: (restrict(*inst), inst[0]), check, budget)
     return tracker.result()
 
 

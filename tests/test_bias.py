@@ -206,10 +206,10 @@ class TestEngineTriangle:
         tensors = [random_tensor(F2, 5, 3, substream(978, trial).next_u64()) for trial in range(3)]
         expected = [oracle_zero_fibers(t) for t in tensors]
 
-        def refuse(self, x):
+        def refuse(self, *leaves):
             raise AssertionError("an order-2 leaf was counted")
 
-        monkeypatch.setattr(bias._Packed, "matrix_fibers", refuse)
+        monkeypatch.setattr(bias._Packed, "matrix_counts", refuse)
         assert [bias_fiber(t).numerator for t in tensors] == expected
 
     def test_memo_shapes_keep_the_matrix_walk(self, monkeypatch):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,15 @@ class TestCheck:
                            "--p", "2", "--n", "2", "--d", "3")
         assert code == 0
         assert "holds" in out and "checked=65536" in out
+
+    def test_exhaustive_pairs_are_charged_to_the_budget(self, capsys):
+        # (2,2,4) has 2^16 tensors, so 2^32 pairs; refused before the cube is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "subadditivity", "--exhaustive",
+                             "--p", "2", "--n", "2", "--d", "4")
+        assert (code, out) == (3, "")
+        assert err == "error: exhaustive pairs needs 4294967296 evaluations, budget is 100000000\n"
+        assert time.perf_counter() - start < 5
 
     def test_correlation_with_seed(self, capsys):
         code, out, _ = run(capsys, "check", "correlation", "--trials", "60",

@@ -57,6 +57,25 @@ class TestSubadditivity:
         assert "direct-sum tightness: 50/50" in result.notes[0]
 
 
+def break_fiber_counts(monkeypatch, broken):
+    """Make the law's K of the tensor with coefficients `broken` 0, both in its
+    batched counts and in the bias_fiber that replays a failure; returns the
+    broken bias_fiber."""
+    real, real_counts = laws.bias_fiber, laws.fiber_counts
+
+    def bias_fiber(t, budget=laws.DEFAULT_BUDGET):
+        value = real(t, budget)
+        return BiasValue(0, value.exponent, value.base) if t.coeffs == broken else value
+
+    def fiber_counts(field, dim, order, rows, budget=laws.DEFAULT_BUDGET):
+        counts = real_counts(field, dim, order, rows, budget)
+        return [0 if tuple(row) == broken else k for row, k in zip(rows, counts)]
+
+    monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
+    monkeypatch.setattr(laws, "fiber_counts", fiber_counts)
+    return bias_fiber
+
+
 class TestSubadditivityPairsByIndex:
     """Exhaustive pairs are cube indices, seeded pairs coefficient rows; tensors
     are added only to replay a witness."""
@@ -75,13 +94,7 @@ class TestSubadditivityPairsByIndex:
     def test_witness_is_the_first_failing_pair(self, monkeypatch, field, dim, order, target):
         cube = list(all_tensors(field, dim, order))
         broken = cube[target].coeffs
-        real = laws.bias_fiber
-
-        def bias_fiber(t, budget=laws.DEFAULT_BUDGET):
-            value = real(t, budget)
-            return BiasValue(0, value.exponent, value.base) if t.coeffs == broken else value
-
-        monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
+        bias_fiber = break_fiber_counts(monkeypatch, broken)
         q_e = field.p ** (dim * (order - 1))
         k = lambda t: bias_fiber(t).numerator  # noqa: E731
         failing = list(islice(((t, s) for t, s in product(cube, repeat=2)
@@ -106,13 +119,7 @@ class TestSubadditivityPairsByIndex:
                           random_tensor(field, dim, order, gen.next_u64())))
         t, s = pairs[70]  # in the second chunk of batched draws
         broken = (t + s).coeffs
-        real = laws.bias_fiber
-
-        def bias_fiber(t, budget=laws.DEFAULT_BUDGET):
-            value = real(t, budget)
-            return BiasValue(0, value.exponent, value.base) if t.coeffs == broken else value
-
-        monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
+        bias_fiber = break_fiber_counts(monkeypatch, broken)
         q_e = field.p ** (dim * (order - 1))
         k = lambda t: bias_fiber(t).numerator  # noqa: E731
         failing = [i for i, (a, b) in enumerate(pairs) if k(a + b) * q_e < k(a) * k(b)]
@@ -349,3 +356,68 @@ class TestWitnessMachinery:
         result = law_subadditivity(F2, 2, 3, trials=5, seed=0)
         payload = json.dumps(result.to_dict(), sort_keys=True)
         assert '"holds": true' in payload
+
+
+class TestBatchedCounts:
+    """Laws read K's a chunk at a time from fiber_counts, but replay a failure
+    with bias_fiber one tensor at a time."""
+
+    @staticmethod
+    def break_first_row(monkeypatch):
+        """fiber_counts gives 0 for the first row of its first call only."""
+        real, calls = laws.fiber_counts, []
+
+        def fiber_counts(field, dim, order, rows, budget=laws.DEFAULT_BUDGET):
+            counts = real(field, dim, order, rows, budget)
+            calls.append(len(rows))
+            return [0] + counts[1:] if len(calls) == 1 else counts
+
+        monkeypatch.setattr(laws, "fiber_counts", fiber_counts)
+        return calls
+
+    @pytest.mark.parametrize("law,order", [(law_correlation, 2), (law_basis_invariance, 3),
+                                           (law_arank_le_prank, 3)])
+    def test_a_lane_fault_does_not_replay(self, monkeypatch, law, order):
+        calls = self.break_first_row(monkeypatch)
+        with pytest.raises(RuntimeError, match="counterexample failed to replay"):
+            law(F2, 2, order, trials=5, seed=1)
+        assert calls
+
+    @pytest.mark.parametrize("universe", [{"exhaustive": True}, {"trials": 150, "seed": 4}])
+    def test_a_subadditivity_lane_fault_does_not_replay(self, monkeypatch, universe):
+        pairs = [(random_tensor(F2, 2, 3, gen.next_u64()), random_tensor(F2, 2, 3, gen.next_u64()))
+                 for gen in (substream(4, i) for i in range(150))]
+        broken = (pairs[70][0] + pairs[70][1]).coeffs
+        real = laws.fiber_counts
+
+        def fiber_counts(field, dim, order, rows, budget=laws.DEFAULT_BUDGET):
+            counts = real(field, dim, order, rows, budget)
+            return [0 if tuple(row) == broken else k for row, k in zip(rows, counts)]
+
+        monkeypatch.setattr(laws, "fiber_counts", fiber_counts)
+        with pytest.raises(RuntimeError, match="subadditivity: counterexample failed to replay"):
+            law_subadditivity(F2, 2, 3, **universe)
+
+    @pytest.mark.parametrize("law,message", [
+        (law_correlation, "correlation counting needs 16 evaluations"),
+        (law_lemma_bias, "multi-component enumeration needs 64 evaluations"),
+    ])
+    def test_a_refusal_before_the_count_comes_first(self, law, message):
+        # the K's of the chunk would be refused too, but the law reads them later
+        with pytest.raises(BudgetExceededError, match=message):
+            law(F2, 2, 2 if law is law_correlation else 3, trials=3, budget=3)
+
+    def test_chunks_share_a_count_per_shape(self, monkeypatch):
+        # 150 trials are three chunks; each counts its tensors and their
+        # restrictions, whose dimension varies, one call per shape
+        real, shapes = laws.fiber_counts, []
+
+        def fiber_counts(field, dim, order, rows, budget=laws.DEFAULT_BUDGET):
+            shapes.append((dim, len(rows)))
+            return real(field, dim, order, rows, budget)
+
+        monkeypatch.setattr(laws, "fiber_counts", fiber_counts)
+        assert law_restriction_monotone(F3, 2, 3, trials=150, seed=3).holds
+        chunks = [i for i, (dim, _) in enumerate(shapes) if dim == 2]
+        assert len(chunks) == 3 + 1  # the coordinate subspaces of 15 draws are one more chunk
+        assert all(count <= 2 * laws._CHUNK for _, count in shapes)
