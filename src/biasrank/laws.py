@@ -30,12 +30,14 @@ pairs are coefficient rows: K is memoized by row, a chunk's new rows are
 counted together, and the row of t + s is the cellwise sum mod p.
 Either way tensors are built only for K, a witness and its replay.
 
-arank-le-prank and the survey rank exactly under the search cap of
-:func:`ranks.rank_exact`; over it arank-le-prank, which needs exact ranks,
-raises BudgetExceededError before checking anything, and the survey
-reports intervals.  arank-le-prank takes the rank-one tensors it checks,
-and its refusal, from :func:`ranks.search_table`, which lists the
-partition-rank candidates of its shape or gives None over the cap.
+arank-le-prank and the survey take partition rank from
+:func:`ranks.rank_exact`, which admits each exact method by its own worst
+case.  Where it gives an interval, arank-le-prank, which needs exact
+ranks, raises BudgetExceededError, and the survey reports the interval.
+arank-le-prank also takes the rank-one tensors it checks from
+:func:`ranks.search_table`, which lists the partition-rank candidates of
+its shape or gives None over its listing cap; then the law raises
+BudgetExceededError before checking anything.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice, product, repeat
+from math import inf
 from operator import add, mul, xor
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -546,8 +549,8 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
 
     A nonempty universe also checks every rank-one tensor, the arrays of
-    :func:`search_table`.  A shape over the search cap, or a search that
-    ends in an interval, raises BudgetExceededError.
+    :func:`search_table`.  A shape over its listing cap, or a partition rank
+    that :func:`rank_exact` gives as an interval, raises BudgetExceededError.
     """
     if order < 2:
         raise ValueError("arank-le-prank needs order >= 2")
@@ -788,8 +791,9 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
                identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
     """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
 
-    The identity family changes dimension from row to row.  Over the
-    search cap a row reports its certified interval.
+    The identity family changes dimension from row to row.  A row whose
+    partition rank :func:`rank_exact` gives as an interval reports it,
+    and a row of infinite analytic rank (bias 0) has no ratio.
     """
     if identity_max:
         universe = f"identity tensors n=1..{identity_max} p={field.p} d={order}"
@@ -812,7 +816,7 @@ def survey_gap(field: PrimeField, dim: int, order: int, *,
         ar = analytic_rank(bias_fiber(t, budget)).value
         report = rank_exact(t, "prank", budget)
         ratio = None
-        if report.exact and ar > 0:
+        if report.exact and 0 < ar < inf:
             ratio = report.value / ar
             if max_ratio is None or ratio > max_ratio:
                 max_ratio = ratio

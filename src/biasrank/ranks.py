@@ -27,12 +27,13 @@ rank-one ones.  Only W = S + U with U spanned by the quotient images of
 rank-one tensors can qualify, so a depth-first walk over those images
 meets each such U once, by its greedy basis.  No candidates are listed.
 
-Partition rank at order >= 4 has no exact method past greedy, and needs
-none: under the cap such a shape has n <= 2, and greedy slices slot 0
-into at most n terms.
+Partition rank at order >= 4 has no exact method past greedy.  At n <= 2
+it needs none, since greedy slices slot 0 into at most n terms; past
+that, such a shape gets its interval.
 
 :func:`search_table` lists the slice or partition rank-one arrays of a
-shape as sorted coefficient arrays, for arank-le-prank's rank-one checks.
+shape as sorted coefficient arrays, for arank-le-prank's rank-one checks,
+up to min(budget // n^d, MAX_SEARCH_CANDIDATES) arrays.
 Every candidate is a projective head array on one side A times an array
 on the other slots B, read in full cell order by one itemgetter per head
 from the B-array's multiples; that itemgetter, the pivot split and the
@@ -44,16 +45,16 @@ term is in it except greedy `rank` terms past the probe, which the slice
 recursion and the matrix peel factor themselves.  Every returned
 decomposition is re-summed and verified before it leaves this module.
 
-The search space is tiny-instance only by design.  This module alone
-decides how large a search may be, and one cap holds for every kind: a
-shape whose rank-one candidates (counted by :func:`_candidate_count`, full
-products for `rank`) exceed min(budget // n^d, MAX_SEARCH_CANDIDATES) gets
-no exact method, although the duality and the slice span list none, and
-:func:`search_table` gives None for it.  Every method counts nodes (the
-slice span, point lookups) against max(1000, budget // n^d).  With no
-exact method, or once the node budget runs out, an interval
-[analytic-rank ceiling, greedy upper bound] is returned instead, exact
-only if the two meet.
+This module alone decides how large a search may be, and one rule holds
+for every kind: each exact method is admitted by its own worst case,
+charged against one node limit, budget // n^d.  The duality is admitted
+when it has at most that many leaves, (sum_k [n k]_p)^(d-1), so it always
+finishes; the slice span when it has at most that many buckets,
+((p^n - 1)/(p - 1))^(d-1), and it then charges its point lookups against
+the limit.  The interval [analytic-rank ceiling, greedy upper bound] is
+computed before either walks; its ceiling is the walk's floor, and it is
+the answer when no method is admitted or the lookups run out, exact only
+if the two bounds meet.
 """
 
 from __future__ import annotations
@@ -72,12 +73,9 @@ from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
 
-# Feasibility envelope for exact search: the candidate space must stay below
-# this many rank-one tensors, counted also for the kinds that the subspace
-# duality and the slice span rank without listing them.  Admits every kind
-# at (p=2, n=2, d<=4), (p<=5, n=2, d=3) and (p=2, n=3, d=3), but slice and
-# partition rank at (p=3, n=3, d=3) are over it; anything over it falls
-# back to certified bounds.
+# The memory cap of :func:`search_table`'s listing, in slice or partition
+# rank-one arrays: it admits (p=2, n=2, d<=4), (p<=5, n=2, d=3) and
+# (p=2, n=3, d=3), but not (p=3, n=3, d=3).  No exact rank method lists any.
 MAX_SEARCH_CANDIDATES = 50_000
 
 
@@ -184,18 +182,13 @@ def _partition_sides(order: int, slice_only: bool):
 
 
 def _candidate_count(p: int, dim: int, order: int, kind: str) -> int:
-    """How many arrays :func:`_candidates` yields, repeats included; for
-    `rank`, which lists none, the nonzero full products."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown rank kind {kind!r}")
-    if kind == "rank":
-        return (p ** dim - 1) * ((p ** dim - 1) // (p - 1)) ** (order - 1)
+    """How many arrays :func:`_candidates` yields, repeats included."""
     return sum(((p ** dim ** len(side) - 1) // (p - 1)) * (p ** dim ** (order - len(side)) - 1)
                for side in _partition_sides(order, slice_only=(kind == "srank")))
 
 
 def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
-    """True iff an exact method may rank this shape: order >= 2 and at
+    """True iff :func:`search_table` may list this shape: order >= 2 and at
     most min(budget // n^d, MAX_SEARCH_CANDIDATES) candidates."""
     cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
     return order >= 2 and _candidate_count(p, dim, order, kind) <= cap
@@ -423,7 +416,7 @@ def _echelon_cut(p: int, dim: int, rows) -> tuple:
     return tuple((form.index(1), form) for form, _ in splits)
 
 
-def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
+def _slice_duality(t: Tensor, bound: int, floor: int = 0):
     """The cuts of subspaces W_1..W_d with T|_{W_1 x ... x W_d} = 0 and the
     least total codimension below `bound`, or None if none is below it.
 
@@ -435,14 +428,13 @@ def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
     total so far is cut off, and the walk stops at a total of `floor`, a
     lower bound the caller knows.  `cuts[i]` lists the (j, form) pairs
     whose forms cut W_i out: the :func:`_cut` of its basis, and for W_d an
-    echelon basis of the last forms.  One node is counted per tuple
-    W_1..W_{d-1}; past `node_limit`, BudgetExceededError.
+    echelon basis of the last forms.  The walk ranks at most one leaf per
+    tuple W_1..W_{d-1}, so (sum_k [n k]_p)^(d-1) bounds its work.
     """
     p, n, d = t.field.p, t.dim, t.order
     kernel = _kernel(p, n)
     spaces = list(chain.from_iterable(_subspaces(p, n, k) for k in range(n, -1, -1)))
     best = [bound, None, None]
-    nodes = [0]
 
     def walk(slot, arrays, spent, bases):
         sliced = [kernel.slices(a, d - slot) for a in arrays]
@@ -454,9 +446,6 @@ def _slice_duality(t: Tensor, bound: int, node_limit: int, floor: int = 0):
             if slot < d - 2:
                 walk(slot + 1, contracted, total, bases + (basis,))
             else:
-                nodes[0] += 1
-                if nodes[0] > node_limit:
-                    raise BudgetExceededError("slice-rank duality exceeded its node budget")
                 total += kernel.rank(contracted)
                 if total < best[0]:
                     best[:] = total, bases + (basis,), contracted
@@ -507,12 +496,14 @@ def _reduced(p: int, cut, v):
     return v
 
 
-def _slice_span(t: Tensor, upper: int, node_limit: int) -> Optional[tuple[RankOneTerm, ...]]:
+def _slice_span(t: Tensor, upper: int, node_limit: int,
+                floor: int = 0) -> Optional[tuple[RankOneTerm, ...]]:
     """A least decomposition of t, of order d >= 3, into fewer than `upper`
-    full products, or None.  rank(T) is the least dim W over spaces W of
-    order-(d-1) tensors that hold S, the span of the slot-0 slices, and are
-    spanned by rank-one ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser,
-    Clausen and Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).
+    full products, or None; `floor` is a lower bound on rank(T) that the
+    caller knows.  rank(T) is the least dim W over spaces W of order-(d-1)
+    tensors that hold S, the span of the slot-0 slices, and are spanned by
+    rank-one ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser, Clausen and
+    Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).
 
     One rank-one member per projective class, the outer product of d - 1
     projective vectors, is bucketed by its normalized image in the quotient
@@ -524,10 +515,10 @@ def _slice_span(t: Tensor, upper: int, node_limit: int) -> Optional[tuple[RankOn
     adds to the span, and the branch is cut if one of them comes earlier
     than the pick, so that each such U is met once, by its greedy basis.
     W qualifies if bucket 0 and U's buckets have rank s + k, for s = dim S
-    and k = dim U; dim W rises from max(2, s).  Quotient vectors are ints
-    of one-byte cells, added by XOR at p = 2 and reduced through a byte
-    table at odd p.  Each pick is charged its lookups; past `node_limit`,
-    BudgetExceededError.
+    and k = dim U; dim W rises from max(2, s, floor).  Quotient vectors are
+    ints of one-byte cells, added by XOR at p = 2 and reduced through a
+    byte table at odd p.  Each pick is charged its lookups; past
+    `node_limit`, BudgetExceededError.
     """
     field, n, d, p = t.field, t.dim, t.order, t.field.p
     size, kernel = n ** (d - 1), _kernel(p, n)
@@ -568,7 +559,7 @@ def _slice_span(t: Tensor, upper: int, node_limit: int) -> Optional[tuple[RankOn
                 return found
         return None
 
-    for k in range(max(2, s) - s, upper - s):
+    for k in range(max(2, s, floor) - s, upper - s):
         members = walk(0, k, [0], inside, s + k)
         if members is not None:
             chosen: list = []
@@ -598,8 +589,7 @@ def search_table(field: PrimeField, dim: int, order: int, kind: str,
                  budget: int) -> list | None:
     """The sorted distinct slice or partition candidate arrays of this shape.
 
-    None below order 2 and when the candidates exceed
-    min(budget // n^d, MAX_SEARCH_CANDIDATES); ValueError for `rank`.
+    None when :func:`_fits` refuses the listing; ValueError for `rank`.
     """
     candidates = _candidates(field, dim, order, kind)
     return sorted(set(candidates)) if _fits(field.p, dim, order, kind, budget) else None
@@ -610,32 +600,36 @@ def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport
 
     A greedy decomposition of at most two terms is minimal, since its
     rank-one probe failed, and so is one of a matrix, the pivot peel.
-    Past that, tensor rank takes the slice span at every order; slice
-    rank, and partition rank at order <= 3, take the subspace duality.
-    Over the search cap, or once the node budget is spent, the interval
-    of :func:`rank_bounds` is returned, on the greedy decomposition in
-    hand; so it is for partition rank at order >= 4 past greedy, which no
-    shape under the cap reaches.
+    Past that, the :func:`rank_bounds` interval comes first, and its
+    analytic-rank ceiling is the exact method's floor (srank >= prank >=
+    arank).  Each method is admitted by its worst case against the node
+    limit budget // n^d: the slice span (tensor rank, every order) by its
+    ((p^n - 1)/(p - 1))^(d-1) buckets, and its lookups are then charged;
+    the duality (slice rank, and partition rank at order <= 3) by its
+    (sum_k [n k]_p)^(d-1) leaves, so it always finishes.  Otherwise, or
+    once the lookups run out, the interval is the answer.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rank kind {kind!r}")
-    if t.is_zero() or t.order == 1 or not _fits(t.field.p, t.dim, t.order, kind, budget):
+    if t.is_zero() or t.order == 1:
         return rank_bounds(t, kind, budget)
     greedy = greedy_decomposition(t, kind)
     cert = None
     if len(greedy) > 2 and t.order > 2:
-        node_limit = max(1000, budget // max(1, t.dim ** t.order))
-        try:
-            if kind == "rank":
-                cert = _slice_span(t, len(greedy), node_limit)
-            elif kind == "srank" or t.order <= 3:
-                cuts = _slice_duality(t, len(greedy), node_limit, floor=2)
-                if cuts is not None:
-                    cert = _slice_certificate(t, cuts, kind)
-            else:
-                return _interval(t, kind, budget, greedy)
-        except BudgetExceededError:
-            return _interval(t, kind, budget, greedy)
+        p, n, d = t.field.p, t.dim, t.order
+        bounds, node_limit = _interval(t, kind, budget, greedy), budget // n ** d
+        if kind == "rank" and ((p ** n - 1) // (p - 1)) ** (d - 1) <= node_limit:
+            try:
+                cert = _slice_span(t, len(greedy), node_limit, bounds.lower)
+            except BudgetExceededError:
+                return bounds
+        elif kind != "rank" and (kind == "srank" or d <= 3) and sum(
+                _subspace_count(p, n, k) for k in range(n + 1)) ** (d - 1) <= node_limit:
+            cuts = _slice_duality(t, len(greedy), floor=max(2, bounds.lower))
+            if cuts is not None:
+                cert = _slice_certificate(t, cuts, kind)
+        else:
+            return bounds
     if cert is None:
         return RankReport(kind, len(greedy), len(greedy), True, greedy, "search", "greedy")
     _verify_certificate(t, cert)

@@ -249,6 +249,20 @@ class TestSurvey:
         assert len(lines) == 5
         assert "2.409421" in lines[-1]
 
+    def test_identity_family_is_exact_to_five(self, capsys):
+        code, out, _ = run(capsys, "survey", "--p", "2", "--d", "3", "--identity-max", "5")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:-1]]
+        assert [row[2:5] for row in rows] == [[str(n), str(n), "1"] for n in range(1, 6)]
+
+    def test_infinite_analytic_rank_has_no_ratio(self, capsys):
+        # a nonzero linear form has bias 0, so prank / arank is undefined
+        code, out, _ = run(capsys, "survey", "--p", "2", "--d", "1", "--identity-max", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split("\t")[1:] for line in lines[1:-1]] == [["inf", "1", "1", "1", ""]] * 3
+        assert lines[-1].startswith("# max_ratio = n/a over 3 rows")
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.tsv"
         code, out, _ = run(capsys, "survey", "--p", "2", "--n", "1", "--d", "3",
@@ -434,7 +448,7 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
                  "4fc286a3bb668e47e0c88e441575d9ef108a9a86fa1fff5c966363b491fdb75b",
                  id="survey-seeded-233"),
     pytest.param("survey --p 3 --n 3 --d 3 --trials 2",
-                 "53ef2a5ddb8865ba19539f5f2d84f6ebc7a415509103c38e8ae80bd817ac2034",
+                 "58b7a58fde3af9fa5f2fd49ae10efe827db5af0557203c49983a1fd1e7fd3234",
                  id="survey-over-search-cap"),
     pytest.param("survey --p 2 --n 2 --d 4 --trials 40",
                  "eb6833ecd45df05d99cdf71ea88993bbcd94b51d4a4b388434b4374c47872c34",

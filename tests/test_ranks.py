@@ -11,6 +11,7 @@ from biasrank.bias import BudgetExceededError, analytic_rank, bias_fiber
 from biasrank.gf import PrimeField, matrix_rank, rank_mod_p
 from biasrank import ranks
 from biasrank.ranks import (
+    KINDS,
     RankReport,
     greedy_decomposition,
     is_independent_set,
@@ -118,24 +119,44 @@ class TestExactSearch:
                 assert rank_exact(t, kind).value == expected
 
     def test_budget_exhaustion_returns_interval(self):
+        # a greedy decomposition of at most two terms is minimal at any budget,
+        # even one too small for the bias, and lies inside the certified interval
         t = random_tensor(F3, 2, 3, 5)
-        report = rank_exact(t, "prank", budget=100)
-        # no search happened: bounds come from the analytic rank and greedy,
-        # and the value is exact only when they happen to coincide
-        assert report.lower_source == "analytic-rank"
-        assert report.upper_source == "greedy"
-        assert report.lower <= report.upper
-        assert report.exact == (report.lower == report.upper)
-        tiny = rank_exact(t, "prank", budget=10)
-        assert not tiny.exact and tiny.lower_source == "trivial"
+        for budget, source in [(100, "analytic-rank"), (10, "trivial")]:
+            bounds = rank_bounds(t, "prank", budget)
+            assert bounds.lower_source == source and bounds.upper_source == "greedy"
+            report = rank_exact(t, "prank", budget)
+            assert report == RankReport("prank", bounds.upper, bounds.upper, True,
+                                        bounds.certificate, "search", "greedy")
+            assert bounds.lower <= report.value <= bounds.upper
+            assert all(term == ranks._rank_one_term(term.tensor, "prank")
+                       for term in report.certificate)
         with pytest.raises(ValueError):
-            tiny.value
+            rank_bounds(t, "prank", 10).value
 
     def test_envelope_cap_refuses_oversized_search(self):
+        # (3,3,3) is over the listing cap, but the duality is admitted by its
+        # 28^2 leaves and answers inside the certified interval
         t = random_tensor(F3, 3, 3, 1)
-        report = rank_exact(t, "prank")
-        assert report.lower_source in ("analytic-rank", "trivial")
-        assert report.upper_source == "greedy"
+        report, bounds = rank_exact(t, "prank"), rank_bounds(t, "prank")
+        assert search_table(F3, 3, 3, "prank", 10 ** 8) is None
+        assert report.exact and report.lower_source == "search"
+        assert bounds.lower <= report.value <= bounds.upper
+        assert all(term == ranks._rank_one_term(term.tensor, "prank")
+                   for term in report.certificate)
+
+    # tensor rank at (2,4,3) runs out of lookups on seeds 0 and 1
+    @pytest.mark.parametrize("p,n,kind", [
+        (p, n, kind) for p, n in [(3, 3), (5, 3), (7, 3)] for kind in KINDS]
+        + [(2, 4, "srank"), (2, 4, "prank")])
+    def test_gen_seeds_are_exact_inside_the_bounds(self, p, n, kind):
+        for seed in range(3):
+            t = random_tensor(PrimeField(p), n, 3, seed)
+            report, bounds = rank_exact(t, kind), rank_bounds(t, kind)
+            assert report.exact and bounds.lower <= report.value <= bounds.upper
+            if report.upper_source == "search":
+                assert all(term == ranks._rank_one_term(term.tensor, kind)
+                           for term in report.certificate)
 
 
 class TestGreedy:
@@ -218,8 +239,11 @@ class TestSearchTable:
         for trial in range(3):
             t = random_tensor(field, n, d, substream(57, trial).next_u64())
             report = rank_exact(t, kind)
-            if arrays is None:
-                assert report == rank_bounds(t, kind)
+            if arrays is None:  # over the listing cap, the exact method still answers
+                bounds = rank_bounds(t, kind)
+                assert report.exact and bounds.lower <= report.value <= bounds.upper
+                assert all(term == ranks._rank_one_term(term.tensor, kind)
+                           for term in report.certificate)
             else:  # an exact answer, whose terms are all candidate arrays
                 assert report.exact
                 assert {term.tensor.coeffs for term in report.certificate} <= set(arrays)
@@ -264,11 +288,65 @@ class TestLazyTable:
                        for term in report.certificate)
 
     def test_one_candidate_over_the_cap_gives_the_interval(self):
+        # the listing cap binds search_table alone: greedy of at most two
+        # terms is exact on either side of it
+        assert search_table(F2, 2, 3, "prank", 8 * 134) is None
         for trial in range(4):
             t = random_tensor(F2, 2, 3, substream(64, trial).next_u64())
-            assert len(greedy_decomposition(t, "prank")) <= 2
-            assert rank_exact(t, "prank", 8 * 134) == rank_bounds(t, "prank", 8 * 134)
-            assert rank_exact(t, "prank", 8 * 135).lower_source == "search"
+            greedy = greedy_decomposition(t, "prank")
+            assert len(greedy) <= 2
+            bounds = rank_bounds(t, "prank", 8 * 134)
+            for budget in (8 * 134, 8 * 135):
+                report = rank_exact(t, "prank", budget)
+                assert report == RankReport("prank", len(greedy), len(greedy), True, greedy,
+                                            "search", "greedy")
+                assert bounds.lower <= report.value <= bounds.upper
+
+
+def _refuse_duality(*args, **kwargs):
+    raise AssertionError("the duality ran past its leaf bound")
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("p,n", [(2, 6), (2, 7), (2, 8), (3, 5)])
+    def test_duality_over_its_leaves_gives_the_bounds_at_once(self, p, n, monkeypatch):
+        # (sum_k [n k]_p)^2 leaves over the node limit: 2825^2 > 10^8 // 216
+        # at (2,6,3), and 2664^2 > 10^8 // 125 at (3,5,3)
+        assert sum(ranks._subspace_count(p, n, k) for k in range(n + 1)) ** 2 > 10 ** 8 // n ** 3
+        monkeypatch.setattr(ranks, "_slice_duality", _refuse_duality)
+        for seed in range(3):
+            t = random_tensor(PrimeField(p), n, 3, seed)
+            start = time.perf_counter()
+            report = rank_exact(t, "srank")
+            assert time.perf_counter() - start < 1.0
+            assert report == rank_bounds(t, "srank")
+
+    def test_slice_span_at_3_4_3_spends_its_lookups(self, monkeypatch):
+        # 40^2 buckets are admitted; the walk then runs out of lookups
+        t = random_tensor(F3, 4, 3, 0)
+        span, limits = ranks._slice_span, []
+
+        def recording(t, upper, node_limit, floor):
+            try:
+                return span(t, upper, node_limit, floor)
+            except BudgetExceededError:
+                limits.append(node_limit)
+                raise
+
+        monkeypatch.setattr(ranks, "_slice_span", recording)
+        report = rank_exact(t, "rank")
+        assert limits == [10 ** 8 // 64]
+        assert report == rank_bounds(t, "rank") and not report.exact
+
+    def test_small_budget_gives_the_bounds(self):
+        # the bias costs 2^6 fixings, and the duality 16^2 leaves at 27 cells each
+        t = random_tensor(F2, 3, 3, 11)  # slice rank 2, greedy 3
+        for budget, source in [(63, "trivial"), (64, "analytic-rank"),
+                               (27 * 256 - 1, "analytic-rank")]:
+            report = rank_exact(t, "srank", budget)
+            assert report == rank_bounds(t, "srank", budget) and not report.exact
+            assert report.lower_source == source
+        assert rank_exact(t, "srank", 27 * 256).value == 2
 
 
 def _refuse_exact_method(*args, **kwargs):
@@ -293,16 +371,18 @@ class TestOrderTwo:
                     assert all(term == ranks._rank_one_term(term.tensor, kind) for term in greedy)
 
     def test_bounds_are_exact_over_the_cap(self):
-        # (2,8,2) is over the cap for every kind; the analytic rank of a
-        # matrix is its rank, and the peel meets it
+        # (2,8,2) is over the listing cap, but a matrix takes the peel at any
+        # size; the analytic rank of a matrix is its rank, and the peel meets it
         for trial in range(3):
             t = random_tensor(F2, 8, 2, substream(76, trial).next_u64())
             rows = [t.coeffs[i * 8:(i + 1) * 8] for i in range(8)]
             for kind in ("rank", "srank", "prank"):
-                assert not ranks._fits(2, 8, 2, kind, 10 ** 8)
+                bounds = rank_bounds(t, kind)
+                assert bounds.exact and bounds.lower_source == "analytic-rank"
                 report = rank_exact(t, kind)
-                assert report.exact and report.value == matrix_rank(F2, rows)
-                assert (report.lower_source, report.upper_source) == ("analytic-rank", "greedy")
+                assert report.exact and report.value == matrix_rank(F2, rows) == bounds.value
+                assert (report.lower_source, report.upper_source) == ("search", "greedy")
+                assert len(report.certificate) == report.value
 
 
 class TestBoundsReport:
@@ -570,7 +650,7 @@ def _reference_value(t, kind):
 
 def _duality_srank(t):
     """The duality's minimum, with its certificate re-summed."""
-    cuts = ranks._slice_duality(t, t.dim + 1, 10 ** 9)  # n slices along slot 0 always do
+    cuts = ranks._slice_duality(t, t.dim + 1)  # n slices along slot 0 always do
     cert = ranks._slice_certificate(t, cuts, "srank")
     ranks._verify_certificate(t, cert)
     return len(cert)
@@ -604,7 +684,7 @@ class TestSliceDuality:
             t = random_tensor(field, n, d, substream(91, trial).next_u64())
             assert _duality_srank(t) == _reference_value(t, "srank")
 
-    @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4), (2, 5)])
     def test_diagonal_slice_rank_counts_its_nonzero_entries(self, p, n):
         for diagonal in product(range(p), repeat=n):
             t = diagonal_tensor(PrimeField(p), 3, diagonal)
@@ -617,12 +697,32 @@ class TestSliceDuality:
             value = _duality_srank(t)
             assert value <= terms and value == _reference_value(t, "srank")
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("terms", [2, 3])
+    def test_planted_slice_sums_past_the_listing_cap(self, p, terms):
+        # at n = 4 the reference cannot list the candidates; rank_exact admits
+        # the duality, and the value is at most the planted terms
+        field = PrimeField(p)
+        for trial in range(6):
+            t = _planted_slice_sum(field, 4, 3, terms, 100 * terms + trial)
+            for kind in ("srank", "prank"):
+                report, bounds = rank_exact(t, kind), rank_bounds(t, kind)
+                assert report.exact and len(report.certificate) == report.value
+                assert bounds.lower <= report.value <= min(terms, bounds.upper)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_identity_slice_and_partition_rank_is_the_dimension(self, n):
+        # Tao's diagonal lemma; the arank ceiling is below n at n = 4 and 5
+        t = identity_tensor(F2, n, 3)
+        assert rank_bounds(t, "srank").lower < n
+        for kind in ("srank", "prank"):
+            report = rank_exact(t, kind)
+            assert report.exact and report.value == n
+
     def test_floor_and_bound_cut_the_walk_short(self):
         t = random_tensor(F2, 3, 3, 11)  # slice rank 2, greedy 3
-        assert ranks._slice_duality(t, 2, 10 ** 9) is None
-        assert sum(map(len, ranks._slice_duality(t, 3, 10 ** 9, floor=2))) == 2
-        with pytest.raises(BudgetExceededError):
-            ranks._slice_duality(t, 3, 0)
+        assert ranks._slice_duality(t, 2) is None
+        assert sum(map(len, ranks._slice_duality(t, 3, floor=2))) == 2
 
     def test_cuts_and_certificates_are_pinned(self):
         assert _duality_digest() == (
@@ -637,7 +737,7 @@ def _duality_digest():
                     for trial in range(trials)]
     h = hashlib.sha256()
     for t in tensors:
-        cuts = ranks._slice_duality(t, t.dim + 1, 10 ** 9)
+        cuts = ranks._slice_duality(t, t.dim + 1)
         terms = ranks._slice_certificate(t, cuts, "srank")
         h.update(repr(([[(j, list(form)) for j, form in cut] for cut in cuts],
                        [(term.slots_a, [list(f.coeffs) for f in term.factors])
@@ -757,9 +857,9 @@ class TestSliceSpan:
 
     def test_small_budget_gives_the_bounds_quickly(self):
         # greedy 13 over an analytic floor of 3: the walk to depth 2 alone passes
-        # the 3,375 lookups of the least budget that fits
+        # the 3,375 lookups of this budget
         t = random_tensor(F2, 4, 3, 7)
-        budget = 64 * ranks._candidate_count(2, 4, 3, "rank")
+        budget = 64 * 3375
         start = time.perf_counter()
         report = rank_exact(t, "rank", budget)
         assert time.perf_counter() - start < 1.0
