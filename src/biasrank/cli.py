@@ -2,7 +2,8 @@
 
 Commands mirror the library: bias / arank / constant / rank / maxindep
 compute values for one tensor file, check runs the law harness, gen
-emits canonical tensor files, survey tabulates the rank gap.
+emits canonical tensor files, survey tabulates the rank gap.  check
+reads its law ids, shapes and universes from the table in :mod:`biasrank.laws`.
 
 Exit codes: 0 all good, 1 a law or engine-agreement check failed,
 2 usage or parse error, 3 enumeration budget exceeded.  All randomness
@@ -28,16 +29,8 @@ from .bias import (
     c_constant,
 )
 from .gf import PrimeField
-from .laws import (
-    law_arank_le_prank,
-    law_basis_invariance,
-    law_correlation,
-    law_independent_bound,
-    law_lemma_bias,
-    law_restriction_monotone,
-    law_subadditivity,
-    survey_gap,
-)
+from .laws import LAW_UNIVERSES, LAWS, survey_gap
+from .laws import law_subadditivity  # noqa: F401  (the benchmark tracer wraps cli.law_subadditivity)
 from .ranks import KINDS, max_independent_set, rank_bounds, rank_exact
 from .tensor import (
     TensorFormatError,
@@ -56,20 +49,6 @@ _ENGINES = {
     "histogram": lambda t, budget: bias_histogram(t, budget)[1],
 }
 
-_LAWS = {
-    "subadditivity": law_subadditivity,
-    "correlation": law_correlation,
-    "arank-le-prank": law_arank_le_prank,
-    "independent-bound": law_independent_bound,
-    "restriction-monotone": law_restriction_monotone,
-    "lemma-bias": law_lemma_bias,
-    "basis-invariance": law_basis_invariance,
-}
-
-# Smallest --n and --d a law's universe needs; the others take n >= 0, d >= 1.
-_MIN_SHAPE = {"arank-le-prank": (0, 2), "independent-bound": (0, 2),
-              "restriction-monotone": (1, 1)}
-
 
 class UsageError(Exception):
     """Usage error, from argparse or past it; mapped to exit code 2."""
@@ -80,41 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-# Default universes per law: the exhaustive 256-tensor cube plus seeded
-# ensembles sized to finish on a laptop.
-_LAW_DEFAULTS: dict[str, list[dict]] = {
-    "subadditivity": [
-        {"p": 2, "n": 2, "d": 3, "exhaustive": True},
-        {"p": 3, "n": 2, "d": 3, "trials": 10000, "disjoint_trials": 200},
-    ],
-    "correlation": [
-        {"p": 2, "n": 2, "d": 2, "trials": 1000},
-    ],
-    "arank-le-prank": [
-        {"p": 2, "n": 2, "d": 3, "exhaustive": True},
-        {"p": 3, "n": 2, "d": 3, "trials": 100},
-    ],
-    "independent-bound": [
-        {"p": 2, "n": 2, "d": 3, "exhaustive": True},
-        {"p": 2, "n": 3, "d": 3, "trials": 1000},
-    ],
-    "restriction-monotone": [
-        {"p": 2, "n": 3, "d": 3, "trials": 500},
-        {"p": 3, "n": 2, "d": 3, "trials": 500},
-    ],
-    "lemma-bias": [
-        {"p": 2, "n": 2, "d": 3, "trials": 500},
-        {"p": 3, "n": 2, "d": 2, "trials": 200},
-    ],
-    "basis-invariance": [
-        {"p": 3, "n": 2, "d": 3, "trials": 200},
-        {"p": 2, "n": 3, "d": 3, "trials": 200},
-    ],
-}
-
-_RANDOM_ONLY_LAWS = {law_id for law_id, shapes in _LAW_DEFAULTS.items()
-                     if not any(shape.get("exhaustive") for shape in shapes)}
 
 
 def _field(p: int) -> PrimeField:
@@ -278,8 +222,9 @@ def cmd_maxindep(args) -> int:
 
 def _universes_for(law_id: str, args) -> list[dict]:
     """The universes of one law as keywords of its function, plus p, n and d."""
+    smallest, defaults = LAW_UNIVERSES[law_id]
     explicit_shape = args.p is not None or args.n is not None or args.d is not None
-    if args.exhaustive and law_id in _RANDOM_ONLY_LAWS:
+    if args.exhaustive and not any(shape.get("exhaustive") for shape in defaults):
         if args.law != "all":
             raise UsageError(f"law {law_id} has no exhaustive universe")
         return []
@@ -287,7 +232,7 @@ def _universes_for(law_id: str, args) -> list[dict]:
         if args.p is None or args.n is None or args.d is None:
             raise UsageError("--p, --n and --d must be given together")
         _field(args.p)
-        _check_shape(args.n, args.d, *_MIN_SHAPE.get(law_id, (0, 1)))
+        _check_shape(args.n, args.d, *smallest)
         shape = {"p": args.p, "n": args.n, "d": args.d, "seed": args.seed}
         if args.exhaustive:
             _within_limit(universe_size, args.p, args.n, args.d)
@@ -295,7 +240,7 @@ def _universes_for(law_id: str, args) -> list[dict]:
         else:
             shape["trials"] = args.trials if args.trials is not None else 1000
         return [shape]
-    shapes = [dict(shape, seed=args.seed) for shape in _LAW_DEFAULTS[law_id]]
+    shapes = [dict(shape, seed=args.seed) for shape in defaults]
     if args.exhaustive:
         return [s for s in shapes if s.get("exhaustive")]
     if args.trials is not None:
@@ -308,15 +253,15 @@ def _universes_for(law_id: str, args) -> list[dict]:
 
 
 def cmd_check(args) -> int:
-    if args.law != "all" and args.law not in _LAWS:
-        raise UsageError(f"unknown law {args.law!r}; choose from {', '.join(_LAWS)}")
+    if args.law != "all" and args.law not in LAWS:
+        raise UsageError(f"unknown law {args.law!r}; choose from {', '.join(LAWS)}")
     _check_trials(args)
-    universes = [(law_id, universe) for law_id in (_LAWS if args.law == "all" else [args.law])
+    universes = [(law_id, universe) for law_id in (LAWS if args.law == "all" else [args.law])
                  for universe in _universes_for(law_id, args)]
     results = []
     for law_id, universe in universes:
         p, n, d = universe.pop("p"), universe.pop("n"), universe.pop("d")
-        results.append(_LAWS[law_id](PrimeField(p), n, d, budget=args.budget, **universe))
+        results.append(LAWS[law_id](PrimeField(p), n, d, budget=args.budget, **universe))
     failed = [r for r in results if not r.holds]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], sort_keys=True))

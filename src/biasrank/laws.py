@@ -6,6 +6,11 @@ rationals are decided by cross-multiplied integers, never floats (the
 one exception is the multi-component bound at p > 2, where the complex
 bias is a double and the comparison carries an explicit slack).
 
+Each law enters the law table at its definition, by :func:`_law`:
+:data:`LAWS` maps its id to the law function, in `check all` order, and
+:data:`LAW_UNIVERSES` to its smallest (n, d) and default universes.  A
+law with no exhaustive default universe is random-only.
+
 Every law draws its instances from :func:`_universe` and checks them
 through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
@@ -257,6 +262,24 @@ def _tensor_witness(**tensors) -> dict:
     return out
 
 
+# The law table.  LAWS holds the functions themselves, which the benchmark
+# tracer wraps here; a universe is the law's keywords plus p, n and d.  The
+# defaults are the exhaustive 256-tensor cube and seeded ensembles sized to
+# finish on a laptop.
+LAWS: dict[str, Callable[..., LawResult]] = {}
+LAW_UNIVERSES: dict[str, tuple[tuple[int, int], tuple[dict, ...]]] = {}
+
+
+def _law(law_id: str, *universes: dict, smallest: tuple[int, int] = (0, 1)):
+    """Enter the decorated law in the table under `law_id`; it is returned unchanged."""
+    def enter(law: Callable[..., LawResult]) -> Callable[..., LawResult]:
+        LAWS[law_id] = law
+        LAW_UNIVERSES[law_id] = smallest, universes
+        return law
+
+    return enter
+
+
 # ---------------------------------------------------------------------------
 # Subadditivity: bias(T + S) >= bias(T) * bias(S)
 # ---------------------------------------------------------------------------
@@ -280,6 +303,8 @@ def _index_sum(p: int) -> Callable[[int, int], int]:
     return digit_sum
 
 
+@_law("subadditivity", dict(p=2, n=2, d=3, exhaustive=True),
+      dict(p=3, n=2, d=3, trials=10000, disjoint_trials=200))
 def law_subadditivity(field: PrimeField, dim: int, order: int, *,
                       exhaustive: bool = False, trials: int = 0, seed: int = 0,
                       disjoint_trials: int = 0,
@@ -512,6 +537,7 @@ def _correlation_ok(inst: CorrelationInstance, budget: int,
     return ok and bridge_lhs and bridge_rhs, slack, details
 
 
+@_law("correlation", dict(p=2, n=2, d=2, trials=1000))
 def law_correlation(field: PrimeField, dim: int, order: int, *,
                     trials: int, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -543,6 +569,8 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
 # Analytic rank below partition rank
 # ---------------------------------------------------------------------------
 
+@_law("arank-le-prank", dict(p=2, n=2, d=3, exhaustive=True),
+      dict(p=3, n=2, d=3, trials=100), smallest=(0, 2))
 def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        exhaustive: bool = False, trials: int = 0, seed: int = 0,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -552,18 +580,18 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     :func:`search_table`.  A shape over its listing cap, or a partition rank
     that :func:`rank_exact` gives as an interval, raises BudgetExceededError.
     """
-    if order < 2:
-        raise ValueError("arank-le-prank needs order >= 2")
     q = field.p
     exponent = dim * (order - 1)
     mode = "exhaustive" if exhaustive else f"random trials={trials} seed={seed}"
     universe = f"{mode} p={q} n={dim} d={order}"
     tracker = _Tracker("arank-le-prank", universe)
+    if order < 2:
+        raise ValueError(f"{tracker.law} needs order >= 2")
     nonempty = exhaustive or trials > 0
     rank_one = search_table(field, dim, order, "prank", budget) if nonempty else None
     if nonempty and rank_one is None:
         raise BudgetExceededError(f"partition-rank candidates at p={q} n={dim} d={order} "
-                                  f"exceed the search cap at budget {budget}")
+                                  f"exceed the listing cap at budget {budget}")
 
     def check(t: Tensor, ks):
         report = rank_exact(t, "prank", budget)
@@ -606,6 +634,8 @@ def _indep_ok_stated(k: int, q: int, dim: int, order: int, size: int) -> bool:
     return k ** (2 ** order) <= q ** (2 ** order * exponent - size)
 
 
+@_law("independent-bound", dict(p=2, n=2, d=3, exhaustive=True),
+      dict(p=2, n=3, d=3, trials=1000), smallest=(0, 2))
 def law_independent_bound(field: PrimeField, dim: int, order: int, *,
                           exhaustive: bool = False, trials: int = 0, seed: int = 0,
                           budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -663,6 +693,8 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
 # Restriction monotonicity
 # ---------------------------------------------------------------------------
 
+@_law("restriction-monotone", dict(p=2, n=3, d=3, trials=500),
+      dict(p=3, n=2, d=3, trials=500), smallest=(1, 1))
 def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
                              trials: int, seed: int = 0,
                              budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -704,6 +736,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 # Multi-component bound: |bias(R)| <= bias of the full component
 # ---------------------------------------------------------------------------
 
+@_law("lemma-bias", dict(p=2, n=2, d=3, trials=500), dict(p=3, n=2, d=2, trials=200))
 def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
                    trials: int, seed: int = 0,
                    budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -735,6 +768,8 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
 # Basis invariance of bias
 # ---------------------------------------------------------------------------
 
+@_law("basis-invariance", dict(p=3, n=2, d=3, trials=200),
+      dict(p=2, n=3, d=3, trials=200))
 def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
                          trials: int, seed: int = 0,
                          budget: int = DEFAULT_BUDGET) -> LawResult:

@@ -35,10 +35,9 @@ that, such a shape gets its interval.
 shape as sorted coefficient arrays, for arank-le-prank's rank-one checks,
 up to min(budget // n^d, MAX_SEARCH_CANDIDATES) arrays.
 Every candidate is a projective head array on one side A times an array
-on the other slots B, read in full cell order by one itemgetter per head
-from the B-array's multiples; that itemgetter, the pivot split and the
-slice certificate take each cell's (A, B) position from one helper,
-:func:`_cell_positions`.
+on the other slots B, the plain product of their entries at each cell;
+the listing, the pivot split and the slice certificate take each cell's
+(A, B) position from one helper, :func:`_cell_positions`.
 
 :func:`_rank_one_term` writes the normal form of a rank-one tensor; every
 term is in it except greedy `rank` terms past the probe, which the slice
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import prod
-from operator import itemgetter, xor
+from operator import xor
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
@@ -197,14 +196,12 @@ def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
 def _candidates(field: PrimeField, dim: int, order: int, kind: str):
     """The coefficient array of every slice or partition rank-one candidate.
 
-    Each candidate is a projective head array on a side A of
-    :func:`_partition_sides` times a nonzero B-array on the other slots.
-    Each B-array b is laid out once with its multiples,
-    [0] + 1*b + ... + (p-1)*b, so one itemgetter per head reads every
-    candidate of that head: cell c sits at 1 + (a[fa]-1)*|b| + fb
-    (:func:`_cell_positions`), or at 0 where a[fa] = 0.  An array rank one
-    across several sides is yielded once per side.  Tensor rank lists no
-    candidates: it takes the slice span.
+    Each candidate is a projective head array a on a side A of
+    :func:`_partition_sides` times a nonzero B-array b on the other slots:
+    cell c is a[fa] * b[fb] mod p at its (A, B) position (fa, fb) of
+    :func:`_cell_positions`.  An array rank one across several sides is
+    yielded once per side.  Tensor rank lists no candidates: it takes the
+    slice span.
     """
     if kind == "rank":
         raise ValueError("tensor rank takes the slice span and lists no candidates")
@@ -213,16 +210,11 @@ def _candidates(field: PrimeField, dim: int, order: int, kind: str):
 
 
 def _side_candidates(field: PrimeField, dim: int, order: int, side: tuple[int, ...]):
-    p, len_b = field.p, dim ** (order - len(side))
-    multiples = [[0, *(k * x % p for k in range(1, p) for x in b)]
-                 for b in _nonzero_vectors(field, len_b)]
-    positions = _cell_positions(dim, order, side)
+    p, positions = field.p, _cell_positions(dim, order, side)
+    tails = list(_nonzero_vectors(field, dim ** (order - len(side))))
     for head in _projective_vectors(field, dim ** len(side)):
-        cells = [1 + (head[fa] - 1) * len_b + fb if head[fa] else 0 for fa, fb in positions]
-        if len(cells) < 2:  # itemgetter needs an index and returns a bare item for one
-            yield from ((m[cells[0]],) for m in multiples)
-        else:
-            yield from map(itemgetter(*cells), multiples)
+        for b in tails:
+            yield tuple([head[fa] * b[fb] % p for fa, fb in positions])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from biasrank import cli
+from biasrank import cli, laws
 from biasrank.cli import main
 from biasrank.gf import PrimeField
 from biasrank.rng import substream
@@ -221,6 +221,30 @@ class TestCheck:
         code, _, err = run(capsys, "check", "lemma-bias", "--exhaustive",
                            "--p", "2", "--n", "2", "--d", "3")
         assert code == 2
+
+    def test_arank_le_prank_refuses_over_the_listing_cap(self, capsys):
+        assert run(capsys, "check", "arank-le-prank", "--p", "3", "--n", "3", "--d", "3") == (
+            3, "", "error: partition-rank candidates at p=3 n=3 d=3 exceed the listing cap "
+                   "at budget 100000000\n")
+
+    def test_a_law_entered_in_the_table_runs_with_no_cli_edit(self, capsys, monkeypatch):
+        def law_demo(field, dim, order, *, trials, seed=0, budget=0):
+            return laws.LawResult("demo", f"demo p={field.p} n={dim} d={order} trials={trials} "
+                                  f"seed={seed}", True, trials)
+
+        monkeypatch.setitem(laws.LAWS, "demo", law_demo)
+        monkeypatch.setitem(laws.LAW_UNIVERSES, "demo",
+                            ((1, 2), ({"p": 3, "n": 1, "d": 2, "trials": 5},)))
+        line = "demo                   holds    checked={}  [demo p={} n={} d={} trials={} seed={}]\n"
+        assert run(capsys, "check", "demo") == (0, line.format(5, 3, 1, 2, 5, 0), "")
+        code, out, err = run(capsys, "check", "all", "--p", "2", "--n", "2", "--d", "2",
+                             "--trials", "2")
+        assert (code, err) == (0, "")
+        assert out.endswith(line.format(2, 2, 2, 2, 2, 0)) and out.count("demo") == 2
+        assert run(capsys, "check", "demo", "--exhaustive") == (
+            2, "", "error: law demo has no exhaustive universe\n")
+        assert run(capsys, "check", "demo", "--p", "2", "--n", "2", "--d", "1") == (
+            2, "", "error: --d must be at least 2, got 1\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "check", "basis-invariance", "--trials", "20",
@@ -545,4 +569,4 @@ def test_readme_lists_every_command_flag_and_law():
               for name, parser in subparsers.choices.items()}
     assert documented == actual
     law_line = readme.split("Law ids for `biasrank check`:", 1)[1].split(". ", 1)[0]
-    assert re.findall(r"`([a-z-]+)`", law_line) == list(cli._LAWS) + ["all"]
+    assert re.findall(r"`([a-z-]+)`", law_line) == list(laws.LAWS) + ["all"]

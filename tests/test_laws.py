@@ -289,6 +289,20 @@ class TestReproducibility:
         assert a.universe != b.universe
 
 
+class TestLawTable:
+    def test_table_holds_the_module_bindings(self):
+        # the benchmark tracer wraps laws.law_<id> and every dict value that is it
+        assert list(laws.LAWS) == list(laws.LAW_UNIVERSES)
+        for law_id, law in laws.LAWS.items():
+            assert law is getattr(laws, "law_" + law_id.replace("-", "_"))
+
+    def test_every_default_universe_has_a_shape_the_law_accepts(self):
+        for law_id, (smallest, universes) in laws.LAW_UNIVERSES.items():
+            assert universes, law_id
+            for universe in universes:
+                assert universe["n"] >= smallest[0] and universe["d"] >= smallest[1], law_id
+
+
 class TestEmptyUniverse:
     def test_vacuous_pass_is_flagged(self):
         result = law_subadditivity(F2, 2, 3, trials=0)
