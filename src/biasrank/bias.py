@@ -24,7 +24,8 @@ byte-table translate reduces every lane.
   stops at order 3 instead: :meth:`_Packed.slice_fibers` bit-slices the
   2^n matrices T(y, ., .) of every lane of a leaf and ranks them all in
   one Gauss-Jordan pass, with at most _CACHE_LIMIT (tensor, y) lanes.
-  :func:`bias_fiber` is the count of one row.
+  One row is one lane: :func:`bias_fiber` counts its tensor on a walk of
+  one lane, with the same code.
 * :func:`bias_recursive` factors the tensor once into disjoint coordinate
   blocks (bias is multiplicative across them) and counts each distinct
   block once by the fiber engine's count; the value is the same.
@@ -72,14 +73,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial, reduce, total_ordering
 from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift, mul, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, rank_mod_p
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps bias.matrix_rank)
-from .tensor import MultiComponentForm, Tensor
+from .tensor import MultiComponentForm, Tensor, block_cells
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -107,11 +108,13 @@ def _check_budget(count: int, budget: int, what: str):
 # Exact values
 # ---------------------------------------------------------------------------
 
+@total_ordering
 class BiasValue:
     """Exact rational numerator / base^exponent, kept unreduced.
 
     Comparisons cross-multiply arbitrary-precision integers, so equality
-    and order between values with different exponents are exact.
+    and order between values with different exponents are exact; the order
+    is derived from `<` and `==`.
     """
 
     __slots__ = ("numerator", "exponent", "base")
@@ -141,21 +144,9 @@ class BiasValue:
         a, b = self._cross(other)
         return a == b
 
-    def __le__(self, other) -> bool:
-        a, b = self._cross(other)
-        return a <= b
-
     def __lt__(self, other) -> bool:
         a, b = self._cross(other)
         return a < b
-
-    def __ge__(self, other) -> bool:
-        a, b = self._cross(other)
-        return a >= b
-
-    def __gt__(self, other) -> bool:
-        a, b = self._cross(other)
-        return a > b
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -295,6 +286,9 @@ class _Packed:
     :meth:`gray` on the first walk, `lane_table` by the first
     :meth:`lane_products`, `fiber_lanes` (the masks {y : y_k = 1} of one
     tensor's 2^n lanes) by the first :meth:`slice_fibers`.
+
+    A walk carries tensors of one shape as the lanes of one int (see
+    :meth:`descend`); a lone tensor is a walk of one lane, on the same code.
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
@@ -366,9 +360,7 @@ class _Packed:
         Without, the coset of the y whose last digit is 1: the last line.
         `rep` has bit 0 of every lane of x set (see :meth:`descend`).
         """
-        shift = self.bits * self.n ** (order - 1)
-        mask = ((1 << shift) - 1) * rep
-        slices = [(x >> (k * shift)) & mask for k in range(self.n)]
+        slices = self.slices(x, order, rep)
         line_steps = self.gray()
         walks = zip(slices, line_steps) if lines else [(slices[-1], line_steps[-1])]
         if self.p == 2:
@@ -400,7 +392,7 @@ class _Packed:
         if order == stop:
             return iter((x,))
         stride = self.n ** order
-        rep = int("1".rjust(self.bits * stride, "0") * lanes, 2) if lanes > 1 else 1
+        rep = int("1".rjust(self.bits * stride, "0") * lanes, 2)
         reach = (lanes - 1) * stride
 
         def nodes(x: int, order: int) -> Iterator[int]:
@@ -412,10 +404,11 @@ class _Packed:
 
         return nodes(x, order)
 
-    def slices(self, x: int, order: int) -> list[int]:
-        """The n slices of a packed order-`order` tensor along its leading slot."""
+    def slices(self, x: int, order: int, rep: int = 1) -> list[int]:
+        """The n slices of a packed order-`order` tensor along its leading slot,
+        of every lane of x where `rep` has bit 0 of each lane set."""
         shift = self.bits * self.n ** (order - 1)
-        mask = (1 << shift) - 1
+        mask = ((1 << shift) - 1) * rep
         return [(x >> (k * shift)) & mask for k in range(self.n)]
 
     def contract(self, slices: Sequence[int], ws: Iterable, order: int) -> list[int]:
@@ -445,31 +438,15 @@ class _Packed:
             return (tuple(c % self.p for c in self.cells(x, count)) for x in xs)
         return (x.to_bytes(count, "little").translate(reduce) for x in xs)
 
-    def matrix_fibers(self, x: int) -> int:
-        """p^(n - rank) zero fibers of a packed order-2 tensor, memoized if on."""
-        if not x:
-            return self.powers[0]
-        memo = self.memo
-        if memo is None:
-            return self._key_fibers(x if self.p == 2 else self.cells(x, self.n * self.n))
-        key = x if self.p == 2 else x.to_bytes(self.n * self.n, "little").translate(self.reduce)
-        fibers = memo.get(key)
-        if fibers is None:
-            fibers = memo[key] = self._key_fibers(key)
-        return fibers
-
     def matrix_counts(self, leaves: Iterable[int], lanes: int, stride: int) -> list[int]:
         """For each lane, the sum of p^(n - rank) over its matrices in the packed
         order-2 leaves, lane i's from cell i stride on, memoized if on.
 
-        A lone lane is counted leaf by leaf by :meth:`matrix_fibers`.
-        Otherwise every lane's key is read first (its cells as an int at
-        p = 2, as bytes or a list at odd p, reduced where they are memo
-        keys); the keys the memo lacks are ranked and filled in, and the rest
-        are looked up in one pass.
+        Every lane's key is read first (its cells as an int at p = 2, as
+        bytes or a list at odd p, reduced where they are memo keys); the keys
+        the memo lacks are ranked and filled in, and the rest are looked up in
+        one pass.  A lone matrix is one lane: `lanes` 1, any stride >= n^2.
         """
-        if lanes == 1:
-            return [sum(map(self.matrix_fibers, leaves))]
         area, memo, reach = self.n * self.n, self.memo, lanes * stride
         if self.p == 2:
             mask, starts = (1 << area) - 1, range(0, reach, stride)
@@ -589,7 +566,7 @@ def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequenc
     counts = []
     for start in range(0, len(rows), lanes):
         batch = rows[start:start + lanes]
-        x = kernel.pack(batch[0] if len(batch) == 1 else list(chain.from_iterable(batch)))
+        x = kernel.pack(list(chain.from_iterable(batch)))
         leaves = kernel.descend(x, order, stop, lines=True, lanes=len(batch))
         counts += [base + scale * s for s in leaf_counts(leaves, len(batch), stride)]
     return counts
@@ -621,7 +598,7 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 # Engine 2: block factoring over the fiber count
 # ---------------------------------------------------------------------------
 
-def _components(t: Tensor) -> list[list[int]]:
+def _components(t: Tensor) -> list[tuple[int, ...]]:
     """Connected coordinate blocks: indices co-occurring in some entry."""
     parent = list(range(t.dim))
 
@@ -640,16 +617,7 @@ def _components(t: Tensor) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for i in sorted(seen):
         groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _block_cells(cells, dim: int, order: int, block: list[int]) -> list[int]:
-    """Cells of the sub-tensor on the coordinates of one block."""
-    positions = [0]
-    for slot in range(order):
-        weight = dim ** slot
-        positions = [q + i * weight for i in block for q in positions]
-    return [cells[q] for q in positions]
+    return [tuple(group) for group in groups.values()]
 
 
 def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
@@ -666,7 +634,7 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
     p, n, order = t.field.p, t.dim, t.order
-    blocks = Counter((len(comp), tuple(_block_cells(t.coeffs, n, order, comp)))
+    blocks = Counter((len(comp), tuple(map(t.coeffs.__getitem__, block_cells(n, order, comp))))
                      for comp in _components(t))
     work = 0
     for m, _ in blocks:

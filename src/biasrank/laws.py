@@ -6,10 +6,12 @@ rationals are decided by cross-multiplied integers, never floats (the
 one exception is the multi-component bound at p > 2, where the complex
 bias is a double and the comparison carries an explicit slack).
 
-Each law enters the law table at its definition, by :func:`_law`:
-:data:`LAWS` maps its id to the law function, in `check all` order, and
-:data:`LAW_UNIVERSES` to its smallest (n, d) and default universes.  A
-law with no exhaustive default universe is random-only.
+Each law enters the law table at its definition, by :func:`_law`, under
+the id that its name `law_<id>` spells with dashes for underscores, the
+id its tracker reports: :data:`LAWS` maps the id to the law function, in
+`check all` order, and :data:`LAW_UNIVERSES` to its smallest (n, d) and
+default universes.  A law with no exhaustive default universe is
+random-only.
 
 Every law draws its instances from :func:`_universe` and checks them
 through :meth:`_Tracker.drive`, phase by phase.  Violations can only
@@ -73,6 +75,7 @@ from .tensor import (
     Tensor,
     _check_dims,
     all_tensors,
+    block_cells,
     coordinate_basis,
     diagonal_tensor,
     direct_sum,
@@ -127,12 +130,12 @@ class _Tracker:
 
     def drive(self, instances: Iterable,
               check: Callable[[object], tuple[bool, Optional[float], Callable[[], dict]]],
-              replay: Optional[Callable[[object], bool]] = None) -> int:
+              replay: Callable[[object], bool]) -> int:
         """Record `check(instance)` = (ok, slack, witness thunk) for every instance.
 
-        The first failure is replayed by `replay(instance)`, by default a
-        second `check`, before its witness is kept; a failure that does not
-        replay is a RuntimeError.  Returns how many instances held.
+        The first failure is replayed by `replay(instance)` before its
+        witness is kept; a failure that does not replay is a RuntimeError.
+        Returns how many instances held.
         """
         held = 0
         for inst in instances:
@@ -143,7 +146,7 @@ class _Tracker:
             if ok:
                 held += 1
             elif self.witness is None:
-                if replay(inst) if replay else check(inst)[0]:
+                if replay(inst):
                     raise RuntimeError(f"{self.law}: counterexample failed to replay")
                 self.witness = witness()
         return held
@@ -270,9 +273,11 @@ LAWS: dict[str, Callable[..., LawResult]] = {}
 LAW_UNIVERSES: dict[str, tuple[tuple[int, int], tuple[dict, ...]]] = {}
 
 
-def _law(law_id: str, *universes: dict, smallest: tuple[int, int] = (0, 1)):
-    """Enter the decorated law in the table under `law_id`; it is returned unchanged."""
+def _law(*universes: dict, smallest: tuple[int, int] = (0, 1)):
+    """Enter the decorated law `law_<id>` in the table under its id, with each
+    underscore of the name read as a dash; the law is returned unchanged."""
     def enter(law: Callable[..., LawResult]) -> Callable[..., LawResult]:
+        law_id = law.__name__.removeprefix("law_").replace("_", "-")
         LAWS[law_id] = law
         LAW_UNIVERSES[law_id] = smallest, universes
         return law
@@ -303,7 +308,7 @@ def _index_sum(p: int) -> Callable[[int, int], int]:
     return digit_sum
 
 
-@_law("subadditivity", dict(p=2, n=2, d=3, exhaustive=True),
+@_law(dict(p=2, n=2, d=3, exhaustive=True),
       dict(p=3, n=2, d=3, trials=10000, disjoint_trials=200))
 def law_subadditivity(field: PrimeField, dim: int, order: int, *,
                       exhaustive: bool = False, trials: int = 0, seed: int = 0,
@@ -491,7 +496,7 @@ class CorrelationInstance:
         """
         m, lift_dim = len(self.t_group), self.lift_dim
         block = lift_dim ** self.order
-        cells = _padded_cells(self.dim, lift_dim, self.order)
+        cells = block_cells(lift_dim, self.order, tuple(range(self.dim)))
 
         def lift(group: tuple[Tensor, ...], first: int) -> Tensor:
             coeffs = [0] * (lift_dim * block)
@@ -502,13 +507,6 @@ class CorrelationInstance:
             return Tensor._trusted(self.field, lift_dim, self.order + 1, tuple(coeffs))
 
         return lift(self.t_group, 0), lift(self.s_group, m)
-
-
-@lru_cache(maxsize=16)
-def _padded_cells(dim: int, lift_dim: int, order: int) -> tuple[int, ...]:
-    """Where each cell of an order-`order` tensor on F^dim sits in one on F^lift_dim."""
-    return tuple(sum(i * lift_dim ** (order - 1 - s) for s, i in enumerate(idx))
-                 for idx in product(range(dim), repeat=order))
 
 
 def _lifts(inst: CorrelationInstance) -> tuple[Tensor, Tensor, Tensor]:
@@ -537,7 +535,7 @@ def _correlation_ok(inst: CorrelationInstance, budget: int,
     return ok and bridge_lhs and bridge_rhs, slack, details
 
 
-@_law("correlation", dict(p=2, n=2, d=2, trials=1000))
+@_law(dict(p=2, n=2, d=2, trials=1000))
 def law_correlation(field: PrimeField, dim: int, order: int, *,
                     trials: int, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -569,7 +567,7 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
 # Analytic rank below partition rank
 # ---------------------------------------------------------------------------
 
-@_law("arank-le-prank", dict(p=2, n=2, d=3, exhaustive=True),
+@_law(dict(p=2, n=2, d=3, exhaustive=True),
       dict(p=3, n=2, d=3, trials=100), smallest=(0, 2))
 def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        exhaustive: bool = False, trials: int = 0, seed: int = 0,
@@ -634,7 +632,7 @@ def _indep_ok_stated(k: int, q: int, dim: int, order: int, size: int) -> bool:
     return k ** (2 ** order) <= q ** (2 ** order * exponent - size)
 
 
-@_law("independent-bound", dict(p=2, n=2, d=3, exhaustive=True),
+@_law(dict(p=2, n=2, d=3, exhaustive=True),
       dict(p=2, n=3, d=3, trials=1000), smallest=(0, 2))
 def law_independent_bound(field: PrimeField, dim: int, order: int, *,
                           exhaustive: bool = False, trials: int = 0, seed: int = 0,
@@ -693,7 +691,7 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
 # Restriction monotonicity
 # ---------------------------------------------------------------------------
 
-@_law("restriction-monotone", dict(p=2, n=3, d=3, trials=500),
+@_law(dict(p=2, n=3, d=3, trials=500),
       dict(p=3, n=2, d=3, trials=500), smallest=(1, 1))
 def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
                              trials: int, seed: int = 0,
@@ -720,7 +718,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         t, basis, where = inst
         b_t = BiasValue(ks[0], dim * (order - 1), q)
         b_sub = BiasValue(ks[1], len(basis) * (order - 1), q)
-        ok = b_sub.numerator * q ** b_t.exponent >= b_t.numerator * q ** b_sub.exponent
+        ok = b_sub >= b_t
         return ok, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(t=t, **where)
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw))
@@ -736,7 +734,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 # Multi-component bound: |bias(R)| <= bias of the full component
 # ---------------------------------------------------------------------------
 
-@_law("lemma-bias", dict(p=2, n=2, d=3, trials=500), dict(p=3, n=2, d=2, trials=200))
+@_law(dict(p=2, n=2, d=3, trials=500), dict(p=3, n=2, d=2, trials=200))
 def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
                    trials: int, seed: int = 0,
                    budget: int = DEFAULT_BUDGET) -> LawResult:
@@ -768,7 +766,7 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
 # Basis invariance of bias
 # ---------------------------------------------------------------------------
 
-@_law("basis-invariance", dict(p=3, n=2, d=3, trials=200),
+@_law(dict(p=3, n=2, d=3, trials=200),
       dict(p=2, n=3, d=3, trials=200))
 def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
                          trials: int, seed: int = 0,

@@ -20,6 +20,7 @@ made by the internal :meth:`Tensor._trusted`, which skips that check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -280,6 +281,17 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
         rest = len(coeffs) // max(n, 1)
         coeffs = [sum(map(mul, b, coeffs[r::rest])) % p for r in range(rest) for b in basis]
     return Tensor._trusted(t.field, k, t.order, tuple(coeffs))
+
+
+@lru_cache(maxsize=256)
+def block_cells(dim: int, order: int, block: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each cell of the sub-tensor on the sorted coordinates `block`
+    sits in an order-`order` tensor on F^dim, in the sub-tensor's cell order."""
+    positions = [0]
+    for slot in range(order):
+        weight = dim ** slot
+        positions = [q + i * weight for i in block for q in positions]
+    return tuple(positions)
 
 
 def coordinate_basis(n: int, indices: Sequence[int]) -> tuple[Vector, ...]:

@@ -397,7 +397,7 @@ class TestOrderTwoMemo:
         for cells in product(range(p), repeat=4):
             x = kernel.pack(cells)
             for _ in range(2):  # a miss, then a hit
-                assert kernel.matrix_fibers(x) == self.expected(p, cells)
+                assert kernel.matrix_counts([x], 1, 4)[0] == self.expected(p, cells)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_unreduced_cells_of_the_walk(self, p):
@@ -409,7 +409,7 @@ class TestOrderTwoMemo:
             for child in kernel.walk(x, 3, lines=False):
                 cells = list(kernel.cells(child, 4))
                 unreduced += max(cells) >= p
-                assert kernel.matrix_fibers(child) == self.expected(p, cells)
+                assert kernel.matrix_counts([child], 1, 4)[0] == self.expected(p, cells)
         assert unreduced > 0
 
     def test_size_stays_within_its_bound(self):
@@ -419,7 +419,7 @@ class TestOrderTwoMemo:
         inputs = [kernel.pack(cells) for cells in product(range(top + 1), repeat=4)]
         assert len(inputs) > p ** 4
         for x in inputs:
-            kernel.matrix_fibers(x)
+            kernel.matrix_counts([x], 1, 4)[0]
         assert 0 < len(kernel.memo) <= p ** 4 <= bias._MEMO_KEYS
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (11, 2)])

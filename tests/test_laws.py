@@ -296,6 +296,13 @@ class TestLawTable:
         for law_id, law in laws.LAWS.items():
             assert law is getattr(laws, "law_" + law_id.replace("-", "_"))
 
+    def test_every_law_reports_its_table_id(self):
+        # the id comes from the function name, the reported one from the law's tracker
+        for law_id, (_, universes) in laws.LAW_UNIVERSES.items():
+            u = min(universes, key=lambda u: u["n"] ** u["d"])
+            result = laws.LAWS[law_id](PrimeField(u["p"]), u["n"], u["d"], trials=0)
+            assert result.law == law_id and result.checked == 0
+
     def test_every_default_universe_has_a_shape_the_law_accepts(self):
         for law_id, (smallest, universes) in laws.LAW_UNIVERSES.items():
             assert universes, law_id

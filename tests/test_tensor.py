@@ -1,6 +1,6 @@
 """Tensor construction, evaluation, and structure, against naive oracles."""
 
-from itertools import product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from biasrank.tensor import (
     MultiComponentForm,
     Tensor,
     TensorFormatError,
+    block_cells,
     coordinate_basis,
     diagonal_tensor,
     direct_sum,
@@ -238,6 +239,14 @@ class TestRestrict:
                 acc = tuple((a + coef * x) % 5 for a, x in zip(acc, b))
             composed.append(acc)
         assert once == restrict(t, composed)
+
+    def test_block_cells_read_every_coordinate_restriction(self):
+        gen = SplitMix64(31)
+        for dim, order in product(range(5), range(4)):
+            t = random_tensor(F3, dim, order, gen.next_u64())
+            for block in chain.from_iterable(combinations(range(dim), k) for k in range(dim + 1)):
+                sub = restrict(t, coordinate_basis(dim, block))
+                assert tuple(t.coeffs[q] for q in block_cells(dim, order, block)) == sub.coeffs
 
     def test_rejects_dependent_basis(self):
         t = random_tensor(F2, 2, 2, 0)
