@@ -19,7 +19,7 @@ byte-table translate reduces every lane.
   where a matrix of rank r has q^(n-r) zero fibers; scalar multiples of a
   fixing leave the same zero fibers, so one fixing per line is walked.
   At an order-2 leaf every lane's memo key is read, the missing keys are
-  ranked, and the rest are looked up in one pass.  At q = 2 where the
+  counted, and the rest are looked up in one pass.  At q = 2 where the
   order-2 memo is off (n >= 4, and n <= 1) and 2^n <= _CACHE_LIMIT it
   stops at order 3 instead: :meth:`_Packed.slice_fibers` bit-slices the
   2^n matrices T(y, ., .) of every lane of a leaf and ranks them all in
@@ -48,7 +48,10 @@ for n >= 2 and q^(n^2) <= 2^12 (q = 2 with n <= 3, and n = 2 with q <= 7).
 The key is the reduced matrix (the packed int at q = 2, the cells reduced
 mod q at odd q), so a memo never holds more than q^(n^2) entries however
 many distinct inputs a process sees; nothing is built before the first
-walk.
+walk.  At odd q with one-byte cells and q^(2n) <= _CACHE_LIMIT (the
+histogram's lane bound) no leaf is ranked: q^(n-rank) counts the w with
+row . w = 0 for every row, the bit count of the AND of the rows' zero sets,
+q^n-bit masks kept by reduced row (at most q^n) and filled on first sight.
 
 The kernel is the only code that packs, slices, contracts and ranks
 packed tensors; the slice-rank duality of :mod:`biasrank.ranks` uses it.
@@ -73,9 +76,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce, total_ordering
+from functools import lru_cache, partial, reduce, total_ordering
 from itertools import accumulate, chain, compress, repeat
-from operator import add, lshift, mul, rshift, sub, xor
+from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, rank_mod_p
@@ -282,7 +285,10 @@ class _Packed:
     `memo` maps each reduced matrix seen to its fiber count, or is None where
     the memo is off: at n < 2, where p^(n^2) > _MEMO_KEYS, or at odd p with
     cells wider than a byte.  `reduce` is the byte table of c -> c mod p at
-    odd p with one-byte cells, and None otherwise.  `gray_table` is built by
+    odd p with one-byte cells, and None otherwise.  `zero_sets` (None at
+    p = 2, with wider cells, or where p^(2n) > _CACHE_LIMIT) maps each row r
+    of a leaf to the mask of the w in F_p^n with r . w = 0, filled by
+    :meth:`_key_fibers` on first sight.  `gray_table` is built by
     :meth:`gray` on the first walk, `lane_table` by the first
     :meth:`lane_products`, `fiber_lanes` (the masks {y : y_k = 1} of one
     tensor's 2^n lanes) by the first :meth:`slice_fibers`.
@@ -292,7 +298,7 @@ class _Packed:
     """
 
     __slots__ = ("p", "n", "width", "bits", "powers", "column_mask", "memo", "reduce",
-                 "gray_table", "lane_table", "fiber_lanes")
+                 "zero_sets", "gray_table", "lane_table", "fiber_lanes")
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -303,6 +309,7 @@ class _Packed:
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
         self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
+        self.zero_sets = {} if self.reduce and p ** (2 * n) <= _CACHE_LIMIT else None
         self.gray_table = self.lane_table = self.fiber_lanes = None
 
     def pack(self, cells: Sequence[int]) -> int:
@@ -444,8 +451,8 @@ class _Packed:
 
         Every lane's key is read first (its cells as an int at p = 2, as
         bytes or a list at odd p, reduced where they are memo keys); the keys
-        the memo lacks are ranked and filled in, and the rest are looked up in
-        one pass.  A lone matrix is one lane: `lanes` 1, any stride >= n^2.
+        the memo lacks are counted and filled in, and the rest are looked up
+        in one pass.  A lone matrix is one lane: `lanes` 1, any stride >= n^2.
         """
         area, memo, reach = self.n * self.n, self.memo, lanes * stride
         if self.p == 2:
@@ -459,25 +466,39 @@ class _Packed:
                 cells = raw.translate(self.reduce)
             keys = [cells[j:j + area] for j in range(0, len(cells), stride)]
         if memo is None:
-            fibers = list(map(self._key_fibers, keys))
+            fibers = self._key_fibers(keys)
         else:
             fibers = list(map(memo.get, keys))
             if None in fibers:
-                for key in set(keys).difference(memo):
-                    memo[key] = self._key_fibers(key)
+                missing = list(set(keys).difference(memo))
+                memo.update(zip(missing, self._key_fibers(missing)))
                 fibers = list(map(memo.__getitem__, keys))
         return [sum(fibers[i::lanes]) for i in range(lanes)]
 
-    def _key_fibers(self, key) -> int:
-        """p^(n - rank) for a matrix given by its key: its packed int at p = 2,
-        its n^2 cells (read mod p) at odd p."""
-        n = self.n
+    def _key_fibers(self, keys: list) -> list[int]:
+        """p^(n - rank) for each matrix given by its key: its packed int at
+        p = 2, its n^2 cells (read mod p) at odd p.  Where `zero_sets` is on
+        it takes no rank: p^(n - rank) is the bit count of the AND of the
+        rows' zero sets.  Byte w of digit k below is w_k, so a row's sum of
+        row_k digit k holds each row . w, unreduced, in byte w."""
+        n, span = self.n, range(0, self.n * self.n, self.n)
         if self.p == 2:
             mask = self.column_mask
-            rank = gf2_rank([(key >> (j * n)) & mask for j in range(n)])
-        else:
-            rank = rank_mod_p(self.p, [key[j * n:(j + 1) * n] for j in range(n)])
-        return self.powers[rank]
+            return [self.powers[gf2_rank([(key >> j) & mask for j in span])] for key in keys]
+        zeros, p = self.zero_sets, self.p
+        if zeros is None:
+            return [self.powers[rank_mod_p(p, [key[j:j + n] for j in span])] for key in keys]
+        rows = [key[j:j + n] for key in keys for j in span]
+        missing = set(rows).difference(zeros)
+        if missing:
+            zero = self.reduce.translate(b"1" + b"0" * 255)
+            digits = [int.from_bytes(b"".join(bytes([v]) * p ** k for v in range(p))
+                                     * p ** (n - 1 - k), "little") for k in range(n)]
+            for row in missing:
+                values = sum(map(mul, row, digits)).to_bytes(p ** n, "little")
+                zeros[row] = int(values.translate(zero), 2)
+        masks = list(map(zeros.__getitem__, rows))
+        return list(map(int.bit_count, reduce(partial(map, and_), [masks[k::n] for k in range(n)])))
 
     def slice_fibers(self, leaves: Iterable[int], lanes: int, stride: int) -> list[int]:
         """For each lane, the sum over its packed order-3 leaves T at p = 2
@@ -598,26 +619,33 @@ def bias_fiber(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 # Engine 2: block factoring over the fiber count
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _touching(n: int, d: int) -> tuple[int, ...]:
+    """For each coordinate i < n, the mask of the cells of an order-d tensor
+    on F^n with i in their index."""
+    return tuple(reduce(or_, masks, 0) for masks in zip(*digit_masks(n, d)))
+
+
 def _components(t: Tensor) -> list[tuple[int, ...]]:
-    """Connected coordinate blocks: indices co-occurring in some entry."""
-    parent = list(range(t.dim))
+    """Connected coordinate blocks: indices co-occurring in some entry, each
+    block sorted, in the order of their least index.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    seen = set()
-    for idx, _ in t.nonzero_entries():
-        seen.update(idx)
-        root = find(idx[0])
-        for i in idx[1:]:
-            parent[find(i)] = root
-    groups: dict[int, list[int]] = {}
-    for i in sorted(seen):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(group) for group in groups.values()]
+    The support is one bitset of cells.  A block grows from its least index
+    to every index whose cells meet the support cells the block touches, and
+    those cells then leave the support.
+    """
+    touching = _touching(t.dim, t.order)
+    support = int(bytes(map(bool, t.coeffs[::-1])).translate(_DIGITS) or b"0", 2)
+    blocks = []
+    for mask in touching:
+        block, cells = [], support & mask
+        while cells and len(block) < len(grown := [i for i, m in enumerate(touching) if cells & m]):
+            block = grown
+            cells = support & reduce(or_, map(touching.__getitem__, block))
+        if block:
+            support ^= cells
+            blocks.append(tuple(block))
+    return blocks
 
 
 def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:

@@ -540,6 +540,63 @@ class TestMultiform:
         assert abs(root - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
 
 
+def union_find_components(t):
+    """The coordinate blocks by union-find over the nonzero entries, each
+    sorted, in the order of their least index."""
+    parent = list(range(t.dim))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    seen = set()
+    for idx, _ in t.nonzero_entries():
+        seen.update(idx)
+        for i in idx[1:]:
+            parent[find(i)] = find(idx[0])
+    groups = {}
+    for i in sorted(seen):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(group) for group in groups.values()]
+
+
+def shuffled_block_sum(field, d, sizes, dense, seed):
+    """A direct sum of seeded blocks (dense, or one corner entry each) on
+    coordinates shuffled by a seeded permutation."""
+    gen = substream(seed, 0)
+    n = sum(sizes)
+    perm = sorted(range(n), key=lambda _: gen.next_u64())
+    entries, offset = [], 0
+    for size in sizes:
+        block = random_tensor(field, size, d, gen.next_u64())
+        local = block.nonzero_entries() if dense else [((0,) * d, 1 + gen.next_u64() % (field.p - 1))]
+        entries += [(tuple(perm[offset + i] for i in idx), c) for idx, c in local]
+        offset += size
+    return from_entries(field, n, d, entries)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("p,d,sizes,dense", [
+        (2, 3, (3, 3, 2), True), (3, 3, (2, 2, 1), True), (3, 3, (1,) * 5, False),
+        (2, 1, (2, 1, 3), True), (3, 1, (1,) * 4, False), (2, 4, (2, 1, 2), True),
+        (3, 4, (2, 1, 1), True), (2, 2, (3, 1, 2), True),
+    ])
+    def test_shuffled_block_sums_match_union_find(self, p, d, sizes, dense):
+        field = PrimeField(p)
+        for seed in range(4):
+            t = shuffled_block_sum(field, d, sizes, dense, 990 + seed)
+            assert bias._components(t) == union_find_components(t)
+            assert bias_recursive(t) == bias_fiber(t)
+
+    @pytest.mark.parametrize("t", [zero_tensor(F3, 4, 3), zero_tensor(F2, 0, 3), Tensor(F2, 0, 1, ()),
+                                   identity_tensor(F3, 4, 4), random_tensor(F5, 3, 1, 7)],
+                             ids=["zero", "n0-order3", "n0-order1", "identity-order4", "order1"])
+    def test_edge_tensors_match_union_find(self, t):
+        assert bias._components(t) == union_find_components(t)
+        assert bias_recursive(t) == bias_fiber(t)
+
+
 class TestDirectSumMultiplicativity:
     @pytest.mark.parametrize("p", [2, 3])
     def test_bias_multiplies(self, p):
