@@ -240,9 +240,9 @@ class ValueHistogram:
 # Packing kernels keyed by (p, n), built on first use and cached only for
 # p^n <= _CACHE_LIMIT.  A kernel builds its Gray tables on its first walk.
 _KERNEL_CACHE: dict[tuple[int, int], "_Packed"] = {}
-# Binary digits '0'/'1' to the bytes 0/1, and back.
+# Binary digits '0'/'1' to the bytes 0/1, and back: every nonzero byte to '1'.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS = b"0" + b"1" * 255
 
 
 def gray_steps(p: int, n: int) -> tuple[int, ...]:
@@ -635,7 +635,8 @@ def _components(t: Tensor) -> list[tuple[int, ...]]:
     those cells then leave the support.
     """
     touching = _touching(t.dim, t.order)
-    support = int(bytes(map(bool, t.coeffs[::-1])).translate(_DIGITS) or b"0", 2)
+    cells = t.coeffs if t.field.p <= 256 else map(bool, t.coeffs)
+    support = int(bytes(cells)[::-1].translate(_DIGITS) or b"0", 2)
     blocks = []
     for mask in touching:
         block, cells = [], support & mask

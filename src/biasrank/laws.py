@@ -17,10 +17,13 @@ Every law draws its instances from :func:`_universe` and checks them
 through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
 before it is reported, and seeded runs are bit-reproducible.  A seeded
-universe's default draw, trial i's tensor (or pair) seeded by the first
-word (or two) of substream(seed, i), is made by :func:`_seeded_rows` a
-chunk of trials at a time, with the batched words and residue rows of
-:mod:`biasrank.rng`; a law's own draw runs per trial.
+universe's draws are made _CHUNK trials at a time from the batched words
+and residue rows of :mod:`biasrank.rng`.  The default draw is trial i's
+tensor (or pair) seeded by the first word (or two) of substream(seed, i).
+A law's own draw reads a fixed count of words per trial, _CANDIDATES basis
+candidates' worth where it draws a basis; a trial whose words it cannot
+use, after a rejected word or with no candidate of full rank, is drawn
+again from its stream by the law's per-trial draw, which stays the reference.
 
 Laws read their bias numerators K a chunk of _CHUNK instances at a time
 (:meth:`_Tracker.drive_counted`): the chunk's tensors are grouped by shape
@@ -28,14 +31,15 @@ and each group is counted by one :func:`bias.fiber_counts` call, whose
 rows share a walk.  A failing instance is replayed with bias_fiber one
 tensor at a time, so a fault that only batched counts make cannot replay.
 
-Subadditivity keeps one K per distinct tensor of its universe.  Its
-exhaustive pairs are indices into the cube in `all_tensors` order: the
-index of t + s is i ^ j at p = 2 and the digitwise sum mod p otherwise.
-They are charged to the budget before the cube is built, and each
-distinct triple (K(t + s), K(t), K(s)) is decided once.  Its seeded
-pairs are coefficient rows: K is memoized by row, a chunk's new rows are
-counted together, and the row of t + s is the cellwise sum mod p.
-Either way tensors are built only for K, a witness and its replay.
+Subadditivity keeps one K per distinct tensor of its universe and decides
+each distinct triple (K(t + s), K(t), K(s)) once.  Its exhaustive pairs
+are indices into the cube in `all_tensors` order, charged to the budget
+before the cube is built: the index of t + s is i ^ j at p = 2 and the
+digitwise sum mod p otherwise.  Its seeded pairs are coefficient rows: K
+is memoized by row, a chunk's new rows are counted together, and the row
+of t + s is the cellwise sum mod p.  Either way the pairs are walked one
+by one only to find the first that fails, and tensors are built only for
+K, a witness and its replay.
 
 arank-le-prank and the survey take partition rank from
 :func:`ranks.rank_exact`, which admits each exact method by its own worst
@@ -50,10 +54,10 @@ BudgetExceededError before checking anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, islice, product, repeat
 from math import inf
-from operator import add, mul, xor
+from operator import add, and_, mul, xor
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bias import (
@@ -68,21 +72,21 @@ from .bias import (
     diagonal_bias_numerator,
     fiber_counts,
 )
-from .gf import PrimeField, combine_masks, digit_masks, random_full_rank_basis
+from .gf import PrimeField, combine_masks, digit_masks, matrix_rank, random_full_rank_basis
 from .ranks import max_independent_set, rank_exact, search_table
 from .rng import SplitMix64, residue_rows, substream, substream_seed, words
 from .tensor import (
+    MultiComponentForm,
     Tensor,
     _check_dims,
+    _contract,
     all_tensors,
     block_cells,
     coordinate_basis,
     diagonal_tensor,
     direct_sum,
     identity_tensor,
-    random_multiform,
     random_tensor,
-    restrict,
     universe_size,
 )
 
@@ -140,9 +144,7 @@ class _Tracker:
         held = 0
         for inst in instances:
             ok, slack, witness = check(inst)
-            self.checked += 1
-            if slack is not None and (self.min_slack is None or slack < self.min_slack):
-                self.min_slack = slack
+            self.record(1, slack)
             if ok:
                 held += 1
             elif self.witness is None:
@@ -164,7 +166,7 @@ class _Tracker:
                           lambda item: check(item[0], _Recount(parts(item[0]), budget))[0])
 
     def record(self, checked: int, slack: Optional[float]) -> None:
-        """Count `checked` instances that held, the least slack among them `slack`."""
+        """Count `checked` instances, the least slack among them `slack`."""
         self.checked += checked
         if slack is not None and (self.min_slack is None or slack < self.min_slack):
             self.min_slack = slack
@@ -217,42 +219,76 @@ def _itself(t: Tensor) -> tuple[Tensor]:
     return (t,)
 
 
-def _draw_tensor(field: PrimeField, dim: int, order: int, gen: SplitMix64) -> Tensor:
-    return random_tensor(field, dim, order, gen.next_u64())
-
-
 # Trials whose words and residues are drawn, and instances whose K's are
-# counted, in one batch.
-_CHUNK = 64
+# counted, in one batch; basis candidates whose words a batched draw reads.
+_CHUNK, _CANDIDATES = 64, 8
 
 
-def _seeded_rows(q: int, dim: int, order: int, trials: int, seed: int,
-                 per_trial: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Per trial i, the coefficients of the `per_trial` tensors that random_tensor
-    draws from the first words of substream(seed, i), _CHUNK trials at a time."""
+def _trial_words(dim: int, order: int, trials: int, seed: int, count: int) -> Iterator[list]:
+    """The first `count` words of substream(seed, i) for every trial i, trial
+    by trial, in one list per _CHUNK trials."""
     for start in range(0, trials, _CHUNK):
         _check_dims(dim, order)  # random_tensor's check, made wherever it would draw
-        streams = [substream_seed(seed, i) for i in range(start, min(start + _CHUNK, trials))]
-        rows = residue_rows(q, dim ** order, words(streams, per_trial))
-        yield from zip(*[iter(rows)] * per_trial)
+        yield words([substream_seed(seed, i) for i in range(start, min(start + _CHUNK, trials))],
+                    count)
+
+
+def _tensors(field: PrimeField, dim: int, order: int, seeds: list[int]) -> list[Tensor]:
+    """random_tensor(field, dim, order, s) for each seed s, from one batch of words."""
+    return list(map(partial(Tensor._trusted, field, dim, order),
+                    residue_rows(field.p, dim ** order, seeds)))
+
+
+def _limit(bound: int) -> int:
+    """The least word SplitMix64.below(bound) rejects; 0 where it refuses the bound."""
+    return (1 << 64) - (1 << 64) % bound if bound > 0 else 0
+
+
+def _bases(field: PrimeField, dim: int, order: int, chunk: list, picks: list) -> list:
+    """(tensor seeded by w[0], basis) per trial's words w and pick (k, ws), the
+    basis random_full_rank_basis draws from ws: the first of _CANDIDATES
+    candidates of k vectors of rank k; None if none is or a word is rejected."""
+    q, limit = field.p, _limit(field.p)
+
+    def basis(k: int, ws: list[int]) -> Optional[tuple]:
+        for c in range(_CANDIDATES):
+            cand = ws[c * k * dim:(c + 1) * k * dim]
+            if max(cand, default=0) >= limit:
+                return None
+            cand = tuple(zip(*[iter([w % q for w in cand])] * dim))
+            if matrix_rank(field, cand) == k:
+                return cand
+
+    tensors = _tensors(field, dim, order, [w[0] for w in chunk])
+    return [None if (b := pick and basis(*pick)) is None else (t, b)
+            for t, pick in zip(tensors, picks)]
 
 
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
               trials: int = 0, seed: int = 0, pairs: bool = False,
-              draw: Optional[Callable[[SplitMix64], object]] = None) -> Iterable:
+              draw: Optional[Callable[[SplitMix64], object]] = None,
+              batch: Optional[tuple[int, Callable[[list], list]]] = None) -> Iterable:
     """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
 
     A trial's instance is `draw(stream)`, by default the tensor seeded by
     the stream's first word, or with `pairs` the tensors seeded by its first
-    two words.  Default draws are batched by :func:`_seeded_rows`.
+    two words.  Default draws are batched; with `batch` (count, build), so
+    is `draw`: `build` makes each chunk's instances from the first `count`
+    words of each trial, None where `draw` must draw from the stream.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
+    if batch:
+        count, build = batch
+        built = chain.from_iterable(build([flat[j:j + count] for j in range(0, len(flat), count)])
+                                    for flat in _trial_words(dim, order, trials, seed, count))
+        return (draw(substream(seed, i)) if inst is None else inst for i, inst in enumerate(built))
     if draw:
         return (draw(substream(seed, i)) for i in range(trials))
-    rows = _seeded_rows(field.p, dim, order, trials, seed, 2 if pairs else 1)
-    tensor = partial(Tensor._trusted, field, dim, order)
-    return (tuple(map(tensor, row)) if pairs else tensor(row[0]) for row in rows)
+    per = 2 if pairs else 1
+    tensors = chain.from_iterable(_tensors(field, dim, order, flat)
+                                  for flat in _trial_words(dim, order, trials, seed, per))
+    return (tuple(ts) if pairs else ts[0] for ts in zip(*[tensors] * per))
 
 
 def _tensor_witness(**tensors) -> dict:
@@ -319,12 +355,12 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     K is computed once per distinct tensor of the universe: a list by cube
     index for exhaustive pairs, a dict by coefficients for seeded ones.
     Exhaustive pairs are cube indices (i, j), charged to the budget before
-    the cube is built; the verdict and slack of a pair depend only on its
-    triple (K(t + s), K(t), K(s)), so each distinct triple is decided once,
-    and the pairs are walked in order only to find the first failing one.
-    Seeded pairs are coefficient rows, summed cell by cell, and a chunk's
-    new rows are counted together.  Tensors are built only for K and a
-    witness, and a failing pair is replayed from scratch on tensors.
+    the cube is built; seeded pairs are coefficient rows, summed cell by
+    cell, and a chunk's new rows are counted together.  The verdict and
+    slack of a pair depend only on its triple (K(t + s), K(t), K(s)), so
+    each distinct triple is decided once, and the pairs are walked in order
+    only to find the first failing one.  Tensors are built only for K and
+    a witness, and a failing pair is replayed from scratch on tensors.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -366,38 +402,44 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
         cube = list(_universe(field, dim, order, exhaustive=True))
         ks = fiber_counts(field, dim, order, [t.coeffs for t in cube], budget)
         index_sum = _index_sum(q)
-        triples = set()
+        pairs, triples = size ** 2, set()
         for i, k_t in enumerate(ks):
             sums = map(ks.__getitem__, map(index_sum, repeat(i, size), range(size)))
             triples.update((k_sum, k_t, k_s) for k_sum, k_s in set(zip(sums, ks)))
-        if all(holds(*triple) for triple in triples):
-            tracker.record(size ** 2, min(slack(*triple) for triple in triples))
-        else:
-            def index_pair_ok(ij):
-                i, j = ij
-                return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
 
-            tracker.drive(product(range(size), repeat=2), index_pair_ok,
-                          lambda ij: replay(cube[ij[0]], cube[ij[1]]))
+        def index_pair_ok(ij):
+            i, j = ij
+            return verdict(ks[index_sum(i, j)], ks[i], ks[j], lambda: (cube[i], cube[j]))
+
+        walk = partial(tracker.drive, product(range(size), repeat=2), index_pair_ok,
+                       lambda ij: replay(cube[ij[0]], cube[ij[1]]))
     else:
         numerators: dict[tuple[int, ...], int] = {}
+        k = numerators.__getitem__
         tensor = partial(Tensor._trusted, field, dim, order)
 
-        def counted_pairs() -> Iterator[tuple]:
-            rows = _seeded_rows(q, dim, order, trials, seed, 2)
-            while chunk := list(islice(rows, _CHUNK)):
-                sums = [tuple([(a + b) % q for a, b in zip(c, d)]) for c, d in chunk]
-                fresh = list(set(chain(sums, *chunk)).difference(numerators))
-                numerators.update(zip(fresh, fiber_counts(field, dim, order, fresh, budget)))
-                yield from zip(chunk, sums)
+        def row_chunks() -> Iterator[tuple[list, list]]:
+            for flat in _trial_words(dim, order, trials, seed, 2):
+                chunk = list(zip(*[iter(residue_rows(q, dim ** order, flat))] * 2))
+                yield chunk, [tuple([(a + b) % q for a, b in zip(c, d)]) for c, d in chunk]
 
         def row_pair_ok(item):
             (c, d), row_sum = item
-            return verdict(numerators[row_sum], numerators[c], numerators[d],
-                           lambda: (tensor(c), tensor(d)))
+            return verdict(k(row_sum), k(c), k(d), lambda: (tensor(c), tensor(d)))
 
-        tracker.drive(counted_pairs(), row_pair_ok,
-                      lambda item: replay(tensor(item[0][0]), tensor(item[0][1])))
+        pairs, triples = trials, set()
+        for chunk, sums in row_chunks():
+            fresh = list(set(chain(sums, *chunk)).difference(numerators))
+            numerators.update(zip(fresh, fiber_counts(field, dim, order, fresh, budget)))
+            triples.update(zip(map(k, sums), *(map(k, rows) for rows in zip(*chunk))))
+        walk = partial(tracker.drive, (item for chunk, sums in row_chunks()
+                                       for item in zip(chunk, sums)), row_pair_ok,
+                       lambda item: replay(tensor(item[0][0]), tensor(item[0][1])))
+    if all(holds(*triple) for triple in triples):
+        tracker.record(pairs, min((slack(*triple) for triple in triples), default=None))
+    else:
+        walk()
+    if not exhaustive:
         numerators.clear()  # freed before the direct sums' chunks are counted
 
     notes = ()
@@ -418,9 +460,10 @@ _TABLE_BITS = 1 << 22
 
 
 @lru_cache(maxsize=1)
-def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int, list]:
-    """The block of assignments with high base-q digits `high`, as a bitmask, and
-    each monomial's value masks on it; coordinate i of slot s is digit sn + i."""
+def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int, list, dict]:
+    """The block of assignments with high base-q digits `high`, as a bitmask,
+    each monomial's value masks on it (coordinate i of slot s is digit sn + i),
+    and an empty memo of zero sets on the block by coefficient row."""
     low = n * d - len(high)
     full = (1 << q ** low) - 1
     digits = digit_masks(q, low) + [[full * (v == h) for v in range(q)] for h in high]
@@ -430,7 +473,7 @@ def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int,
         for s, i in enumerate(idx):
             term = combine_masks(term, digits[s * n + i], mul, q)
         table.append(term)
-    return full, table
+    return full, table, {}
 
 
 @dataclass(frozen=True)
@@ -452,6 +495,8 @@ class CorrelationInstance:
         """(#common zeros of T, of S, of both, domain size) by enumeration:
         a zero-set bitmask per member and block of assignments, each block as
         large as a monomial table of _TABLE_BITS bits allows, and popcounts.
+        Zero sets are memoized by row in the memo the block's table comes
+        with, cleared once its masks hold as many bits as the table.
         The value-mask helpers of :mod:`biasrank.gf` are shared with the
         histogram's lane walk, but nothing with bias_fiber, which the bridge
         check compares these counts against."""
@@ -463,21 +508,19 @@ class CorrelationInstance:
             low -= 1
         z_t = z_s = z_both = 0
         for high in product(range(q), repeat=n * d - low):
-            full, table = _monomial_table(q, n, d, high)
-
-            def zeros(group):
-                common = full
-                for t in group:
-                    values = [full] + [0] * (q - 1)
-                    for term, c in zip(table, t.coeffs):
-                        if c:  # c * term takes value v where term takes v / c
-                            inv = pow(c, -1, q)
-                            values = combine_masks(values, [term[v * inv % q] for v in range(q)],
-                                                   add, q)
-                    common &= values[0]
-                return common
-
-            t_zero, s_zero = zeros(self.t_group), zeros(self.s_group)
+            full, table, memo = _monomial_table(q, n, d, high)
+            if len(memo) * full.bit_length() >= _TABLE_BITS:  # its masks hold a table's bits
+                memo.clear()
+            for row in {t.coeffs for t in self.t_group + self.s_group}.difference(memo):
+                values = [full] + [0] * (q - 1)
+                for term, c in zip(table, row):
+                    if c:  # c * term takes value v where term takes v / c
+                        inv = pow(c, -1, q)
+                        values = combine_masks(values, [term[v * inv % q] for v in range(q)],
+                                               add, q)
+                memo[row] = values[0]
+            t_zero, s_zero = (reduce(and_, (memo[t.coeffs] for t in group), full)
+                              for group in (self.t_group, self.s_group))
             z_t += t_zero.bit_count()
             z_s += s_zero.bit_count()
             z_both += (t_zero & s_zero).bit_count()
@@ -511,8 +554,9 @@ class CorrelationInstance:
 
 def _lifts(inst: CorrelationInstance) -> tuple[Tensor, Tensor, Tensor]:
     """The lifted sum and the two lifted families, whose K's the bridge reads."""
-    lift_t, lift_s = inst.lifted()
-    return lift_t + lift_s, lift_t, lift_s
+    lift_t, lift_s = inst.lifted()  # disjoint supports: their sum needs no mod
+    return (Tensor._trusted(inst.field, lift_t.dim, lift_t.order,
+                            tuple(map(add, lift_t.coeffs, lift_s.coeffs))), lift_t, lift_s)
 
 
 def _correlation_ok(inst: CorrelationInstance, budget: int,
@@ -547,8 +591,8 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
     def draw(gen: SplitMix64) -> CorrelationInstance:
         m = 1 + gen.below(CORRELATION_MAX_EACH)
         k = 1 + gen.below(CORRELATION_MAX_EACH)
-        t_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(m))
-        s_group = tuple(_draw_tensor(field, dim, order, gen) for _ in range(k))
+        t_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(m))
+        s_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(k))
         return CorrelationInstance(field, dim, order, t_group, s_group)
 
     def check(inst: CorrelationInstance, ks):
@@ -558,7 +602,17 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
                             **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
             **details)
 
-    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw),
+    def build(chunk: list) -> list:  # draw's two below words, then its m + k tensor seeds
+        limit = _limit(CORRELATION_MAX_EACH)
+        sizes = [(1 + w[0] % CORRELATION_MAX_EACH, 1 + w[1] % CORRELATION_MAX_EACH)
+                 if max(w[:2]) < limit else None for w in chunk]
+        rows = iter(_tensors(field, dim, order, [s for w, mk in zip(chunk, sizes) if mk
+                                                 for s in w[2:2 + sum(mk)]]))
+        return [mk and CorrelationInstance(field, dim, order, tuple(islice(rows, mk[0])),
+                                           tuple(islice(rows, mk[1]))) for mk in sizes]
+
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
+                                    batch=(2 + 2 * CORRELATION_MAX_EACH, build)),
                           _lifts, check, budget)
     return tracker.result()
 
@@ -706,26 +760,29 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("restriction-monotone", universe)
 
     def draw(gen: SplitMix64):
-        t = _draw_tensor(field, dim, order, gen)
-        basis = random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
-        return t, basis, {"basis": [list(v) for v in basis]}
+        t = random_tensor(field, dim, order, gen.next_u64())
+        return t, random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
 
-    def parts(inst) -> tuple[Tensor, Tensor]:
-        t, basis, _ = inst
-        return t, restrict(t, basis)
+    def build(chunk: list) -> list:  # draw's tensor seed, below word and basis candidates
+        limit = _limit(dim)
+        return _bases(field, dim, order, chunk, [(1 + w[1] % dim, w[2:]) if w[1] < limit else None
+                                                 for w in chunk])
 
     def check(inst, ks):
-        t, basis, where = inst
+        t, basis, *subset = inst  # a coordinate subspace's instance names its subset
         b_t = BiasValue(ks[0], dim * (order - 1), q)
         b_sub = BiasValue(ks[1], len(basis) * (order - 1), q)
-        ok = b_sub >= b_t
-        return ok, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(t=t, **where)
+        where = {"subset": list(subset[0])} if subset else {"basis": [list(v) for v in basis]}
+        return b_sub >= b_t, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(
+            t=t, **where)
 
-    draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw))
+    draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
+                           batch=(2 + _CANDIDATES * dim * dim, build)))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
+    parts = lambda inst: (inst[0], _contract(*inst[:2]))  # noqa: E731
     tracker.drive_counted(draws, parts, check, budget)
-    tracker.drive_counted(((t, coordinate_basis(dim, subset), {"subset": list(subset)})
-                           for t, _, _ in draws[:max(1, trials // 10)] for subset in subsets),
+    tracker.drive_counted(((t, coordinate_basis(dim, subset), subset)
+                           for t, _ in draws[:max(1, trials // 10)] for subset in subsets),
                           parts, check, budget)
     return tracker.result()
 
@@ -755,9 +812,16 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             top=form.top(),
             components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
 
-    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed,
-                                    draw=lambda gen: random_multiform(field, dim, order,
-                                                                      gen.next_u64())),
+    def build(chunk: list) -> list:  # each form's seed, then random_multiform's sub-seeds
+        subsets = [frozenset(i for i in range(order) if bits >> i & 1)
+                   for bits in range(1 << order)]
+        seeds = words([w[0] for w in chunk], len(subsets))
+        columns = [_tensors(field, dim, len(subset), seeds[j::len(subsets)])
+                   for j, subset in enumerate(subsets)]
+        return [MultiComponentForm(field, dim, order, dict(zip(subsets, components)))
+                for components in zip(*columns)]
+
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, batch=(1, build)),
                           lambda form: (form.top(),), check, budget)
     return tracker.result()
 
@@ -776,15 +840,19 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("basis-invariance", universe)
 
     def draw(gen: SplitMix64):
-        t = _draw_tensor(field, dim, order, gen)
+        t = random_tensor(field, dim, order, gen.next_u64())
         return t, random_full_rank_basis(field, dim, dim, gen)
 
     def check(inst, ks):
         t, basis = inst
         return ks[0] == ks[1], None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
 
-    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw),
-                          lambda inst: (restrict(*inst), inst[0]), check, budget)
+    def build(chunk: list) -> list:  # draw's tensor seed, then its basis candidates
+        return _bases(field, dim, order, chunk, [(dim, w[1:]) for w in chunk])
+
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
+                                    batch=(1 + _CANDIDATES * dim * dim, build)),
+                          lambda inst: (_contract(*inst), inst[0]), check, budget)
     return tracker.result()
 
 

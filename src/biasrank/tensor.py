@@ -275,12 +275,17 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
             raise ValueError("basis vector length mismatch")
     if matrix_rank(t.field, basis) != k:
         raise ValueError("basis does not have full column rank")
-    p, n = t.field.p, t.dim
-    coeffs = t.coeffs
+    return _contract(t, basis)
+
+
+def _contract(t: Tensor, basis: tuple[Vector, ...]) -> Tensor:
+    """restrict(t, basis) after its checks, for a basis known to be independent."""
+    p, n, coeffs = t.field.p, t.dim, t.coeffs
     for _ in range(t.order):  # contract the leading slot with the basis, move it last
         rest = len(coeffs) // max(n, 1)
-        coeffs = [sum(map(mul, b, coeffs[r::rest])) % p for r in range(rest) for b in basis]
-    return Tensor._trusted(t.field, k, t.order, tuple(coeffs))
+        columns = zip(*zip(*[iter(coeffs)] * rest))  # column r is coeffs[r::rest]
+        coeffs = [sum(map(mul, b, column)) % p for column in columns for b in basis]
+    return Tensor._trusted(t.field, len(basis), t.order, tuple(coeffs))
 
 
 @lru_cache(maxsize=256)

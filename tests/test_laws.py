@@ -20,12 +20,14 @@ from biasrank.laws import (
     survey_gap,
 )
 from biasrank.ranks import rank_bounds
-from biasrank.rng import substream
+from biasrank.rng import substream, substream_seed
 from biasrank.tensor import (
+    MultiComponentForm,
     Tensor,
     all_tensors,
     from_entries,
     identity_tensor,
+    random_multiform,
     random_tensor,
     zero_tensor,
 )
@@ -109,6 +111,39 @@ class TestSubadditivityPairsByIndex:
                                   "s": dict(shape, coeffs=list(s.coeffs)),
                                   "k_sum": k(t + s), "k_t": k(t), "k_s": k(s)}
 
+    @staticmethod
+    def pair_by_pair(field, dim, order, trials, seed, universe):
+        """The seeded law's result from a drive over its pairs one by one."""
+        q_e = field.p ** (dim * (order - 1))
+        tracker = laws._Tracker("subadditivity", universe)
+
+        def check(pair):
+            k_sum, k_t, k_s = (laws.bias_fiber(x).numerator for x in (pair[0] + pair[1],) + pair)
+            return (k_sum * q_e >= k_t * k_s, k_sum / q_e - k_t * k_s / q_e ** 2,
+                    lambda: laws._tensor_witness(t=pair[0], s=pair[1], k_sum=k_sum, k_t=k_t,
+                                                 k_s=k_s))
+
+        gens = [substream(seed, i) for i in range(trials)]
+        tracker.drive([(random_tensor(field, dim, order, gen.next_u64()),
+                        random_tensor(field, dim, order, gen.next_u64())) for gen in gens],
+                      check, lambda pair: check(pair)[0])
+        return tracker.result()
+
+    @pytest.mark.parametrize("field,dim,order,broken_trial", [
+        (F2, 2, 3, None), (F2, 2, 3, 70), (F3, 2, 2, 3), (F3, 2, 3, 140)])
+    def test_triples_give_the_pair_by_pair_result(self, monkeypatch, field, dim, order,
+                                                  broken_trial):
+        # one K triple fails where K of one trial's sum is broken; then the pairs
+        # are walked, and checked, min_slack and the witness are the drive's
+        seed, trials = 8, 150
+        if broken_trial is not None:
+            gen = substream(seed, broken_trial)
+            t, s = (random_tensor(field, dim, order, gen.next_u64()) for _ in range(2))
+            break_fiber_counts(monkeypatch, (t + s).coeffs)
+        result = law_subadditivity(field, dim, order, trials=trials, seed=seed)
+        assert result == self.pair_by_pair(field, dim, order, trials, seed, result.universe)
+        assert result.holds == (broken_trial is None)
+
     @pytest.mark.parametrize("field,dim,order", [(F2, 2, 3), (F3, 2, 2)])
     def test_seeded_witness_is_the_first_failing_pair(self, monkeypatch, field, dim, order):
         seed, trials = 4, 150
@@ -168,8 +203,9 @@ class TestCorrelation:
             groups[gen.below(2)] += (zero_tensor(field, n, d),)
             inst = CorrelationInstance(field, n, d, *groups)
             zeros = [[all(t.evaluate(x) == 0 for t in group) for x in inputs] for group in groups]
-            assert inst.zero_counts() == (sum(zeros[0]), sum(zeros[1]),
-                                          sum(map(min, *zeros)), len(inputs))
+            expected = (sum(zeros[0]), sum(zeros[1]), sum(map(min, *zeros)), len(inputs))
+            assert inst.zero_counts() == expected
+            assert inst.zero_counts() == expected  # every row's zero set now memoized
 
     def test_lifted_tensors_use_disjoint_lead_coordinates(self):
         gen = substream(7, 0)
@@ -198,6 +234,86 @@ class TestCorrelation:
     def test_law_holds(self):
         result = law_correlation(F2, 2, 2, trials=150, seed=7)
         assert result.holds and result.checked == 150
+
+
+class TestBatchedDraws:
+    """Custom draws are made a chunk of trials at a time; each trial is the
+    law's per-trial draw from its stream, which makes any trial the chunk's
+    words cannot."""
+
+    @staticmethod
+    def draws(monkeypatch, law, field, dim, order, trials, seed=5):
+        """Per batched universe of the law: its instances, the per-trial draw
+        of each of its trials, and the trials that the per-trial draw made."""
+        real, seen = laws._universe, []
+
+        def universe(*args, **kwargs):
+            if kwargs.get("batch"):
+                seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(laws, "_universe", universe)
+        law(field, dim, order, trials=trials, seed=seed)
+        fallback = []
+        monkeypatch.setattr(laws, "substream", lambda s, i: fallback.append(i) or substream(s, i))
+        out = []
+        for kwargs in seen:
+            draw = kwargs.get("draw") or (  # lemma-bias: the forms random_multiform draws
+                lambda gen: random_multiform(field, dim, order, gen.next_u64()))
+            fallback.clear()
+            batched = list(real(field, dim, order, **kwargs))
+            out.append((batched, [draw(substream(kwargs["seed"], i))
+                                  for i in range(kwargs["trials"])], list(fallback)))
+        return out
+
+    @staticmethod
+    def same(a, b) -> bool:
+        if isinstance(a, MultiComponentForm):
+            a, b = ({k: v.coeffs for k, v in form.components.items()} for form in (a, b))
+        return a == b
+
+    @pytest.mark.parametrize("law,field,dim,order", [
+        (law_correlation, F2, 2, 2), (law_correlation, F3, 2, 2),
+        (law_restriction_monotone, F2, 4, 3), (law_restriction_monotone, F3, 3, 2),
+        (law_basis_invariance, F2, 4, 3), (law_basis_invariance, F3, 2, 3),
+        (law_lemma_bias, F2, 2, 3), (law_lemma_bias, PrimeField(5), 2, 2)])
+    def test_batched_draws_are_the_per_trial_draws(self, monkeypatch, law, field, dim, order):
+        trials = 130  # chunks of 64, 64 and 2 trials
+        [(batched, reference, fallback)] = self.draws(monkeypatch, law, field, dim, order, trials)
+        assert len(batched) == len(reference) == trials
+        for i in (0, 63, 64, 65, trials - 1):
+            assert self.same(batched[i], reference[i]), i
+        assert all(map(self.same, batched, reference))
+        if law is law_basis_invariance and field is F2:
+            # a 4x4 candidate over F_2 has full rank about 31% of the time, so
+            # some trials have none among their candidates
+            assert fallback
+
+    @pytest.mark.parametrize("law,field,dim,order,word", [
+        (law_correlation, F2, 2, 2, 1),  # its second below(3) word
+        (law_restriction_monotone, F2, 3, 3, 1),  # its below(3) word
+        (law_restriction_monotone, F3, 2, 3, 2),  # a residue of its first candidate
+        (law_basis_invariance, F3, 2, 3, 1)])  # a residue of its first candidate
+    def test_a_rejected_word_leaves_its_trial_to_the_per_trial_draw(
+            self, monkeypatch, law, field, dim, order, word):
+        seed, real = 5, laws.words
+
+        def words(seeds, count):  # trial 65's word `word` is one that below rejects
+            out = real(seeds, count)
+            if seeds[0] == substream_seed(seed, 64):
+                out[count + word] = (1 << 64) - 1
+            return out
+
+        [(_, _, natural)] = self.draws(monkeypatch, law, field, dim, order, 100, seed)
+        monkeypatch.setattr(laws, "words", words)
+        [(batched, reference, fallback)] = self.draws(monkeypatch, law, field, dim, order, 100,
+                                                      seed)
+        assert 65 not in natural and fallback == sorted(natural + [65])
+        assert batched == reference
+
+    def test_a_bound_the_draw_refuses_is_refused_as_the_draw_refuses_it(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            law_restriction_monotone(F2, 0, 3, trials=1)
 
 
 class TestArankLePrank:
