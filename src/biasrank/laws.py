@@ -45,10 +45,10 @@ arank-le-prank and the survey take partition rank from
 :func:`ranks.rank_exact`, which admits each exact method by its own worst
 case.  Where it gives an interval, arank-le-prank, which needs exact
 ranks, raises BudgetExceededError, and the survey reports the interval.
-arank-le-prank also takes the rank-one tensors it checks from
-:func:`ranks.search_table`, which lists the partition-rank candidates of
-its shape or gives None over its listing cap; then the law raises
-BudgetExceededError before checking anything.
+arank-le-prank also checks rank-one tensors: on an exhaustive universe,
+the cube's tensors of exact partition rank 1, which are every rank-one
+array of the shape; on a seeded one, as many seeded rank-one tensors as
+trials, drawn from a substream of their own.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .bias import (
     fiber_counts,
 )
 from .gf import PrimeField, combine_masks, digit_masks, matrix_rank, random_full_rank_basis
-from .ranks import max_independent_set, rank_exact, search_table
+from .ranks import _cell_positions, _partition_sides, max_independent_set, rank_exact
 from .rng import SplitMix64, residue_rows, substream, substream_seed, words
 from .tensor import (
     MultiComponentForm,
@@ -628,9 +628,12 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                        budget: int = DEFAULT_BUDGET) -> LawResult:
     """Exact partition rank dominates the analytic rank; rank-one bias >= 1/q.
 
-    A nonempty universe also checks every rank-one tensor, the arrays of
-    :func:`search_table`.  A shape over its listing cap, or a partition rank
-    that :func:`rank_exact` gives as an interval, raises BudgetExceededError.
+    A nonempty universe also checks rank-one tensors: the cube's tensors of
+    exact prank 1, in cube order, or `trials` draws from substream(seed ^
+    0x1E51, i) (none at n = 0), each a side A of `_partition_sides`, a
+    nonzero A-array a and a nonzero array b on the other slots, with
+    a[fa] * b[fb] mod q at each cell's (A, B) position.  A partition rank
+    that :func:`rank_exact` gives as an interval raises BudgetExceededError.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -639,11 +642,8 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("arank-le-prank", universe)
     if order < 2:
         raise ValueError(f"{tracker.law} needs order >= 2")
-    nonempty = exhaustive or trials > 0
-    rank_one = search_table(field, dim, order, "prank", budget) if nonempty else None
-    if nonempty and rank_one is None:
-        raise BudgetExceededError(f"partition-rank candidates at p={q} n={dim} d={order} "
-                                  f"exceed the listing cap at budget {budget}")
+    rank_one: dict[tuple[int, ...], Tensor] = {}  # by row, so a replay adds none
+    sides = _partition_sides(order, False)
 
     def check(t: Tensor, ks):
         report = rank_exact(t, "prank", budget)
@@ -651,6 +651,8 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
             raise BudgetExceededError(f"exact partition rank search exceeded budget {budget}")
         k = ks[0]
         prank = report.value
+        if exhaustive and prank == 1:
+            rank_one[t.coeffs] = t
         ok = k * q ** prank >= q ** exponent  # bias >= q^-prank, cross-multiplied
         slack = prank - analytic_rank(BiasValue(k, exponent, q)).value
         return ok, slack, lambda: _tensor_witness(t=t, prank=prank, k=k)
@@ -659,13 +661,21 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         ok = ks[0] * q >= q ** exponent
         return ok, None, lambda: _tensor_witness(t=t, note="rank-one bias below 1/q")
 
+    def draw(gen: SplitMix64) -> Tensor:
+        side = sides[gen.below(len(sides))]
+        a, b = (next(filter(any, map(gen.residues, repeat(q), repeat(dim ** k))))  # first nonzero
+                for k in (len(side), order - len(side)))
+        return Tensor._trusted(field, dim, order, tuple(
+            [a[fa] * b[fb] % q for fa, fb in _cell_positions(dim, order, side)]))
+
     tracker.drive_counted(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
                                     seed=seed), _itself, check, budget)
-    if not nonempty:
+    if not (exhaustive or trials):
         return tracker.result()
-    held = tracker.drive_counted((Tensor._trusted(field, dim, order, c) for c in rank_one),
-                                 _itself, rank_one_ok, budget)
-    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(rank_one)}",))
+    tensors = rank_one.values() if exhaustive else list(_universe(
+        field, dim, order, trials=trials if dim else 0, seed=seed ^ 0x1E51, draw=draw))
+    held = tracker.drive_counted(tensors, _itself, rank_one_ok, budget)
+    return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(tensors)}",))
 
 
 # ---------------------------------------------------------------------------

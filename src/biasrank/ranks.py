@@ -31,13 +31,11 @@ Partition rank at order >= 4 has no exact method past greedy.  At n <= 2
 it needs none, since greedy slices slot 0 into at most n terms; past
 that, such a shape gets its interval.
 
-:func:`search_table` lists the slice or partition rank-one arrays of a
-shape as sorted coefficient arrays, for arank-le-prank's rank-one checks,
-up to min(budget // n^d, MAX_SEARCH_CANDIDATES) arrays.
-Every candidate is a projective head array on one side A times an array
-on the other slots B, the plain product of their entries at each cell;
-the listing, the pivot split and the slice certificate take each cell's
-(A, B) position from one helper, :func:`_cell_positions`.
+A slice or partition rank-one array is a head array on one side A times
+an array on the other slots B, the plain product of their entries at each
+cell; the pivot split, the slice certificate and arank-le-prank's seeded
+rank-one draws take each cell's (A, B) position from one helper,
+:func:`_cell_positions`.
 
 :func:`_rank_one_term` writes the normal form of a rank-one tensor; every
 term is in it except greedy `rank` terms past the probe, which the slice
@@ -71,11 +69,6 @@ from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.mat
 from .tensor import Tensor, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
-
-# The memory cap of :func:`search_table`'s listing, in slice or partition
-# rank-one arrays: it admits (p=2, n=2, d<=4), (p<=5, n=2, d=3) and
-# (p=2, n=3, d=3), but not (p=3, n=3, d=3).  No exact rank method lists any.
-MAX_SEARCH_CANDIDATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def _verify_certificate(t: Tensor, terms: Sequence[RankOneTerm]):
 
 
 # ---------------------------------------------------------------------------
-# Candidate generation
+# Rank-one arrays
 # ---------------------------------------------------------------------------
 
 def _nonzero_vectors(field: PrimeField, length: int):
@@ -178,43 +171,6 @@ def _partition_sides(order: int, slice_only: bool):
                 continue
             sides.append(side)
     return sides
-
-
-def _candidate_count(p: int, dim: int, order: int, kind: str) -> int:
-    """How many arrays :func:`_candidates` yields, repeats included."""
-    return sum(((p ** dim ** len(side) - 1) // (p - 1)) * (p ** dim ** (order - len(side)) - 1)
-               for side in _partition_sides(order, slice_only=(kind == "srank")))
-
-
-def _fits(p: int, dim: int, order: int, kind: str, budget: int) -> bool:
-    """True iff :func:`search_table` may list this shape: order >= 2 and at
-    most min(budget // n^d, MAX_SEARCH_CANDIDATES) candidates."""
-    cap = min(budget // max(1, dim ** order), MAX_SEARCH_CANDIDATES)
-    return order >= 2 and _candidate_count(p, dim, order, kind) <= cap
-
-
-def _candidates(field: PrimeField, dim: int, order: int, kind: str):
-    """The coefficient array of every slice or partition rank-one candidate.
-
-    Each candidate is a projective head array a on a side A of
-    :func:`_partition_sides` times a nonzero B-array b on the other slots:
-    cell c is a[fa] * b[fb] mod p at its (A, B) position (fa, fb) of
-    :func:`_cell_positions`.  An array rank one across several sides is
-    yielded once per side.  Tensor rank lists no candidates: it takes the
-    slice span.
-    """
-    if kind == "rank":
-        raise ValueError("tensor rank takes the slice span and lists no candidates")
-    sides = _partition_sides(order, slice_only=(kind == "srank"))
-    return chain.from_iterable(_side_candidates(field, dim, order, side) for side in sides)
-
-
-def _side_candidates(field: PrimeField, dim: int, order: int, side: tuple[int, ...]):
-    p, positions = field.p, _cell_positions(dim, order, side)
-    tails = list(_nonzero_vectors(field, dim ** (order - len(side))))
-    for head in _projective_vectors(field, dim ** len(side)):
-        for b in tails:
-            yield tuple([head[fa] * b[fb] % p for fa, fb in positions])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +260,7 @@ def _rank_one_term(t: Tensor, kind: str) -> Optional[RankOneTerm]:
     A full product has projective tails and a head that absorbs the
     scalars.  A slice or partition term splits across the first side, in
     :func:`_partition_sides` order, across which t has rank one, with a
-    projective A-side array; that is the candidate :func:`_candidates`
-    yields first for t.
+    projective A-side array.
     """
     field, n, d = t.field, t.dim, t.order
     if kind == "rank":
@@ -575,16 +530,6 @@ def _span_terms(t: Tensor, basis) -> tuple[RankOneTerm, ...]:
             for i in range(n)]
     return tuple(_rank_one_term(Tensor._trusted(field, n, d, _outer_product(
         field, ([-c % p for c in column], m))), "rank") for m, column in zip(basis, zip(*left)))
-
-
-def search_table(field: PrimeField, dim: int, order: int, kind: str,
-                 budget: int) -> list | None:
-    """The sorted distinct slice or partition candidate arrays of this shape.
-
-    None when :func:`_fits` refuses the listing; ValueError for `rank`.
-    """
-    candidates = _candidates(field, dim, order, kind)
-    return sorted(set(candidates)) if _fits(field.p, dim, order, kind, budget) else None
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:

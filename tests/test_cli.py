@@ -223,9 +223,12 @@ class TestCheck:
         assert code == 2
 
     def test_arank_le_prank_refuses_over_the_listing_cap(self, capsys):
-        assert run(capsys, "check", "arank-le-prank", "--p", "3", "--n", "3", "--d", "3") == (
-            3, "", "error: partition-rank candidates at p=3 n=3 d=3 exceed the listing cap "
-                   "at budget 100000000\n")
+        # no listing caps the rank-one checks, and every prank at (3,3,3) is exact
+        assert run(capsys, "check", "arank-le-prank", "--p", "3", "--n", "3", "--d", "3",
+                   "--trials", "20") == (
+            0, "arank-le-prank         holds    checked=40 min_slack=0.741878647  "
+               "[random trials=20 seed=0 p=3 n=3 d=3]\n"
+               "                       note: rank-one tensors with bias >= 1/q: 20/20\n", "")
 
     def test_a_law_entered_in_the_table_runs_with_no_cli_edit(self, capsys, monkeypatch):
         def law_demo(field, dim, order, *, trials, seed=0, budget=0):
@@ -403,14 +406,18 @@ def test_invalid_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param("check arank-le-prank --p 3 --n 3 --d 3 --trials 2", id="over-search-cap"),
-    pytest.param("check arank-le-prank --p 2 --n 2 --d 3 --trials 3 --budget 0", id="budget-0"),
+@pytest.mark.parametrize("argv,code", [
+    # no listing caps the rank-one checks any more: (3,3,3) holds
+    pytest.param("check arank-le-prank --p 3 --n 3 --d 3 --trials 2", 0, id="over-search-cap"),
+    pytest.param("check arank-le-prank --p 2 --n 2 --d 3 --trials 3 --budget 0", 3, id="budget-0"),
 ])
-def test_exact_search_refusals_exit_three(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+def test_exact_search_refusals_exit_three(capsys, argv, code):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == "" and out.split()[:2] == ["arank-le-prank", "holds"]
 
 
 def test_maxindep_budget_is_charged(capsys, tmp_path):
@@ -445,13 +452,13 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,digest", [
     pytest.param("check all --seed 0",
-                 "b857cfe4b930ec7de4348a1005c2f5d5de2d4aa4d1c002614af94238cfa69879",
+                 "d31a236965b2937b49762a870588ef98ea8c25a68c0b44523d8c2c4cb7cd7b9c",
                  id="check-all-seed-0"),
     pytest.param("check all --seed 1",
-                 "4670c7350c380f72c2a6ea5f91025eacbcfa3307ce42f9d9522fbe42c4498857",
+                 "422f72ae4ea97bf0785a6124097236db8f6ae29152218b0442fcaff213006b08",
                  id="check-all-seed-1"),
     pytest.param("check all --seed 2",
-                 "b90f6c3a315ef61ea44e5559ca7ea3ac644d94b935934a7071f35ebeb97fb245",
+                 "10c480bd02a09bc56f3f3ec33d83c0f69838fabefc6536258362785122200fea",
                  id="check-all-seed-2"),
     pytest.param("check all --trials 0",
                  "05c0899d88b42405b371302ea6383564362b05ee2c0081ae9902b3f50d595bad",
@@ -463,7 +470,7 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
                  "1dcbd597cea49c2dffdc149567235486585bfddae8fe2e9d9838926a4223f24b",
                  id="check-all-exhaustive-explicit-shape"),
     pytest.param("check all --trials 20 --seed 3 --format json",
-                 "ebe05bb6ce86ef4d07712a04d383112bfcd7fce446b29abbde88329c1b658e40",
+                 "37b8220dd6113eec0bdd6db7f5053e6447ba5b657d1a40980f89d760b94f88d3",
                  id="check-all-json"),
     pytest.param("survey --p 2 --n 2 --d 3 --exhaustive",
                  "70e2ae634505b0ececd3610c848b4d8e3b8383e3e80f899d1397b25ec3131139",
@@ -478,10 +485,10 @@ def test_rank_bounds_of_an_order_one_file_is_the_exact_report(capsys, tmp_path):
                  "eb6833ecd45df05d99cdf71ea88993bbcd94b51d4a4b388434b4374c47872c34",
                  id="survey-seeded-order-4"),
     pytest.param("check arank-le-prank --p 2 --n 2 --d 4 --trials 30",
-                 "0e9e81fa54f64fab9b74ab490e51a9b9c652818f6e8541c20a488080a4c8ad00",
+                 "0595b1576189e63f167d9585f1004c0d0d8897bdde38f6bbbbc002f288c5ec19",
                  id="arank-le-prank-order-4"),
     pytest.param("check arank-le-prank --p 3 --n 2 --d 3 --trials 20 --seed 5",
-                 "f5541260446591476b8c1ccce004ed279a497177a6b1285164010a24c6ff9f16",
+                 "c31aa13902fec6d6b68673e8febd773250443124bcca72b74654baed49cc222b",
                  id="arank-le-prank-p3"),
     pytest.param("check subadditivity --p 3 --n 2 --d 2 --exhaustive",
                  "a463d139c55b36230f55d20fb7c19a7c39ae1f4c7430fe4547ead9f069fa6558",

@@ -1,5 +1,6 @@
 """The law harness: every law holds on its universe, runs reproduce bit-for-bit."""
 
+import time
 from itertools import islice, product
 
 import pytest
@@ -19,7 +20,7 @@ from biasrank.laws import (
     law_subadditivity,
     survey_gap,
 )
-from biasrank.ranks import rank_bounds
+from biasrank.ranks import greedy_decomposition, rank_bounds
 from biasrank.rng import substream, substream_seed
 from biasrank.tensor import (
     MultiComponentForm,
@@ -31,6 +32,7 @@ from biasrank.tensor import (
     random_tensor,
     zero_tensor,
 )
+from test_ranks import _reference_candidates
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -335,11 +337,58 @@ class TestArankLePrank:
         with pytest.raises(BudgetExceededError):
             law_arank_le_prank(F2, 2, 3, exhaustive=True)
 
-    def test_over_the_search_cap_refuses_before_checking(self, monkeypatch):
-        monkeypatch.setattr(laws, "rank_exact", None)  # never reached
-        with pytest.raises(BudgetExceededError):
-            law_arank_le_prank(F3, 3, 3, trials=1)
+    def test_over_the_search_cap_refuses_before_checking(self):
+        # no listing caps the rank-one checks, and every prank at (3,3,3) is exact
+        result = law_arank_le_prank(F3, 3, 3, trials=2)
+        assert result.holds and result.checked == 4
+        assert result.notes == ("rank-one tensors with bias >= 1/q: 2/2",)
         assert law_arank_le_prank(F3, 3, 3, trials=0).checked == 0
+
+    @staticmethod
+    def rank_one_phase(monkeypatch, *args, **universe):
+        """The law's result and the tensors of its rank-one phase, the
+        instances of its second drive_counted call."""
+        real, phases = laws._Tracker.drive_counted, []
+
+        def recording(self, instances, *rest):
+            phases.append(list(instances))
+            return real(self, phases[-1], *rest)
+
+        monkeypatch.setattr(laws._Tracker, "drive_counted", recording)
+        result = law_arank_le_prank(*args, **universe)
+        return result, phases[1]
+
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2), (2, 1, 3)])
+    def test_exhaustive_rank_one_phase_is_every_rank_one_array(self, monkeypatch, p, n, d):
+        # the cube's tensors of exact prank 1, in cube order, are the sorted
+        # arrays that the reference lists
+        field = PrimeField(p)
+        result, tensors = self.rank_one_phase(monkeypatch, field, n, d, exhaustive=True)
+        arrays = sorted(_reference_candidates(field, n, d, "prank"))
+        assert [t.coeffs for t in tensors] == arrays
+        assert result.holds and result.checked == p ** n ** d + len(arrays)
+        assert result.notes == (f"rank-one tensors with bias >= 1/q: {len(arrays)}/{len(arrays)}",)
+
+    @pytest.mark.parametrize("p,n,d", [(3, 2, 3), (2, 2, 4), (2, 3, 3), (3, 1, 3)])
+    def test_seeded_rank_one_draws_have_prank_one(self, monkeypatch, p, n, d):
+        _, tensors = self.rank_one_phase(monkeypatch, PrimeField(p), n, d, trials=40, seed=2)
+        terms = [greedy_decomposition(t, "prank") for t in tensors]
+        assert len(tensors) == 40 and all(len(term) == 1 for term in terms)
+        if n > 1:  # the draws span the sides
+            assert len({term[0].slots_a for term in terms}) == len(ranks._partition_sides(d, False))
+
+    def test_seeded_rank_one_draws_repeat_for_a_seed(self, monkeypatch):
+        draws = [[t.coeffs for t in self.rank_one_phase(monkeypatch, F3, 2, 3, trials=30,
+                                                         seed=seed)[1]] for seed in (4, 4, 5)]
+        assert draws[0] == draws[1] != draws[2]
+
+    @pytest.mark.parametrize("n,drawn", [(0, 0), (1, 200)])
+    def test_dimensions_zero_and_one_return_at_once(self, n, drawn):
+        start = time.perf_counter()
+        result = law_arank_le_prank(F2, n, 3, trials=200, seed=3)
+        assert time.perf_counter() - start < 1.0
+        assert result.holds and result.checked == 200 + drawn
+        assert result.notes == (f"rank-one tensors with bias >= 1/q: {drawn}/{drawn}",)
 
 
 class TestIndependentBound:
@@ -461,12 +510,8 @@ class TestSurvey:
         assert len(report.rows) == 255  # zero tensor dropped
         assert report.max_ratio is not None
 
-    def test_survey_builds_no_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the survey built a table that no search reads")
-
-        monkeypatch.setattr(laws, "search_table", refuse)
-        monkeypatch.setattr(ranks, "search_table", refuse)
+    def test_survey_builds_no_table(self):
+        assert not hasattr(laws, "search_table") and not hasattr(ranks, "search_table")
         for report in (survey_gap(F2, 3, 3, trials=3), survey_gap(F2, 2, 3, exhaustive=True),
                        survey_gap(F2, 2, 4, trials=20)):
             assert report.rows and all(row.exact for row in report.rows)

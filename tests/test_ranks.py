@@ -18,7 +18,6 @@ from biasrank.ranks import (
     max_independent_set,
     rank_bounds,
     rank_exact,
-    search_table,
 )
 from biasrank.rng import substream
 from biasrank.tensor import (
@@ -135,11 +134,10 @@ class TestExactSearch:
             rank_bounds(t, "prank", 10).value
 
     def test_envelope_cap_refuses_oversized_search(self):
-        # (3,3,3) is over the listing cap, but the duality is admitted by its
-        # 28^2 leaves and answers inside the certified interval
+        # the duality is admitted at (3,3,3) by its 28^2 leaves and answers
+        # inside the certified interval
         t = random_tensor(F3, 3, 3, 1)
         report, bounds = rank_exact(t, "prank"), rank_bounds(t, "prank")
-        assert search_table(F3, 3, 3, "prank", 10 ** 8) is None
         assert report.exact and report.lower_source == "search"
         assert bounds.lower <= report.value <= bounds.upper
         assert all(term == ranks._rank_one_term(term.tensor, "prank")
@@ -211,21 +209,17 @@ class TestGreedy:
 
 class TestSearchTable:
     def test_none_below_order_two_and_over_the_cap(self):
-        assert search_table(F2, 3, 1, "prank", 10 ** 8) is None
-        assert search_table(F3, 3, 3, "prank", 10 ** 8) is None  # over MAX_SEARCH_CANDIDATES
-        assert search_table(F2, 2, 3, "prank", 8 * 134) is None  # 135 candidates
-        assert len(search_table(F2, 2, 3, "prank", 8 * 135)) > 0
+        # no method lists rank-one arrays, so no listing has a cap
+        assert not any(hasattr(ranks, name) for name in (
+            "search_table", "_candidates", "_side_candidates", "_candidate_count", "_fits",
+            "MAX_SEARCH_CANDIDATES"))
 
     @pytest.mark.parametrize("kind", ["rank", "srank", "prank"])
     def test_dimension_zero_table_is_empty(self, kind):
-        if kind == "rank":  # tensor rank lists no table at any dimension
-            for n, d in [(0, 3), (2, 3), (2, 4), (3, 9)]:
-                with pytest.raises(ValueError):
-                    search_table(F2, n, d, kind, 10 ** 8)
-            with pytest.raises(ValueError):
-                list(ranks._candidates(F2, 2, 3, kind))
-        else:
-            assert search_table(F2, 0, 3, kind, 10 ** 8) == []
+        # no array of dimension 0 is nonzero, so none is rank one
+        assert _reference_candidates(F2, 0, 3, kind) == {}
+        report = rank_exact(zero_tensor(F2, 0, 3), kind)
+        assert report.exact and report.value == 0 and report.certificate == ()
 
     @pytest.mark.parametrize("p,n,d,kind", [
         (p, n, d, kind) for p, n, d in [(2, 2, 3), (3, 2, 3), (2, 2, 4)]
@@ -234,12 +228,12 @@ class TestSearchTable:
     def test_rank_exact_gives_the_same_report_with_the_table(self, p, n, d, kind):
         # tensor rank's terms are read against the reference's full products
         field = PrimeField(p)
-        arrays = (_reference_candidates(field, n, d, kind) if kind == "rank"
-                  else search_table(field, n, d, kind, 10 ** 8))
+        # (3,3,3) has 767,598 slice terms, too many for the reference to list
+        arrays = None if (p, n) == (3, 3) else _reference_arrays(p, n, d, kind)
         for trial in range(3):
             t = random_tensor(field, n, d, substream(57, trial).next_u64())
             report = rank_exact(t, kind)
-            if arrays is None:  # over the listing cap, the exact method still answers
+            if arrays is None:  # unlisted, the exact method still answers
                 bounds = rank_bounds(t, kind)
                 assert report.exact and bounds.lower <= report.value <= bounds.upper
                 assert all(term == ranks._rank_one_term(term.tensor, kind)
@@ -249,25 +243,24 @@ class TestSearchTable:
                 assert {term.tensor.coeffs for term in report.certificate} <= set(arrays)
 
     def test_order_four_partition_rank_fits_only_at_n_at_most_two(self):
-        # so greedy, one slice term per nonzero slot-0 slice, decides every
-        # order >= 4 partition rank that an exact method could take
-        fitting = [(p, n, d) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 9)
-                   for d in range(4, 7) if ranks._fits(p, n, d, "prank", 10 ** 18)]
-        assert (2, 2, 4) in fitting and all(n <= 2 for _, n, _ in fitting)
-
-
-def _refuse_table(*args):
-    raise AssertionError("the search built a table it does not read")
+        # greedy, one slice term per nonzero slot-0 slice, decides every
+        # order >= 4 partition rank at n <= 2; past that some get the interval
+        for p, n, d in [(2, 1, 4), (2, 2, 4), (3, 2, 4), (5, 2, 4), (2, 2, 5)]:
+            for trial in range(4):
+                t = random_tensor(PrimeField(p), n, d, substream(65, trial).next_u64())
+                report = rank_exact(t, "prank")
+                assert report.exact and report.value <= n
+        assert not rank_exact(random_tensor(F2, 3, 4, 0), "prank").exact
 
 
 class TestLazyTable:
     @pytest.mark.parametrize("p,d,kind", [(5, 3, "prank"), (2, 4, "srank"), (2, 4, "prank")])
-    def test_greedy_of_two_builds_no_table(self, p, d, kind, monkeypatch):
+    def test_greedy_of_two_builds_no_table(self, p, d, kind):
         field = PrimeField(p)
-        arrays = set(search_table(field, 2, d, kind, 10 ** 8))
+        arrays = set(_reference_arrays(p, 2, d, kind))
         tensors = [random_tensor(field, 2, d, substream(63, trial).next_u64())
                    for trial in range(4)]
-        monkeypatch.setattr(ranks, "search_table", _refuse_table)
+        assert not hasattr(ranks, "search_table")
         for t in tensors:
             greedy = greedy_decomposition(t, kind)
             # the probe and the table agree on rank one, so depths 0 and 1 fail past one term
@@ -277,9 +270,9 @@ class TestLazyTable:
                                         "search", "greedy")
 
     @pytest.mark.parametrize("kind", ["srank", "prank"])
-    def test_slice_duality_builds_no_table(self, kind, monkeypatch):
+    def test_slice_duality_builds_no_table(self, kind):
         tensors = [random_tensor(F2, 3, 3, seed) for seed in (0, 11, 95)]  # values 3, 2, 2
-        monkeypatch.setattr(ranks, "search_table", _refuse_table)
+        assert not hasattr(ranks, "search_table")
         for t in tensors:
             assert len(greedy_decomposition(t, kind)) == 3
             report = rank_exact(t, kind)
@@ -288,9 +281,9 @@ class TestLazyTable:
                        for term in report.certificate)
 
     def test_one_candidate_over_the_cap_gives_the_interval(self):
-        # the listing cap binds search_table alone: greedy of at most two
-        # terms is exact on either side of it
-        assert search_table(F2, 2, 3, "prank", 8 * 134) is None
+        # greedy of at most two terms is exact on either side of the budget
+        # that once capped a listing of the 135 rank-one arrays
+        assert not hasattr(ranks, "search_table")
         for trial in range(4):
             t = random_tensor(F2, 2, 3, substream(64, trial).next_u64())
             greedy = greedy_decomposition(t, "prank")
@@ -358,7 +351,7 @@ class TestOrderTwo:
         # every rank of a matrix is its matrix rank, which the peel reaches
         tensors = [identity_tensor(F2, 6, 2)] + [
             random_tensor(F3, 4, 2, substream(75, trial).next_u64()) for trial in range(4)]
-        monkeypatch.setattr(ranks, "search_table", _refuse_exact_method)
+        assert not hasattr(ranks, "search_table")
         monkeypatch.setattr(ranks, "_slice_duality", _refuse_exact_method)
         for t in tensors:
             rows = [t.coeffs[i * t.dim:(i + 1) * t.dim] for i in range(t.dim)]
@@ -467,11 +460,9 @@ class TestIndependentSets:
 
 
 def _table_terms(field, n, d, kind):
-    """The term of each candidate array, as certificates write it: the
-    table's arrays for slice and partition rank, the reference's full
-    products for tensor rank, which lists no table."""
-    arrays = (sorted(_reference_candidates(field, n, d, kind)) if kind == "rank"
-              else search_table(field, n, d, kind, 10 ** 8))
+    """The term of each of the reference's sorted rank-one arrays, as
+    certificates write it."""
+    arrays = _reference_arrays(field.p, n, d, kind)
     return [ranks._rank_one_term(Tensor(field, n, d, coeffs), kind) for coeffs in arrays]
 
 
@@ -482,8 +473,8 @@ class TestCandidates:
         assert arrays == sorted(arrays)
 
     def test_slice_candidates_subset_of_partition(self):
-        slice_arrays = set(search_table(F3, 2, 3, "srank", 10 ** 8))
-        partition_arrays = set(search_table(F3, 2, 3, "prank", 10 ** 8))
+        slice_arrays = set(_reference_arrays(3, 2, 3, "srank"))
+        partition_arrays = set(_reference_arrays(3, 2, 3, "prank"))
         assert slice_arrays <= partition_arrays
 
     @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 3), (2, 2, 4)])
@@ -594,7 +585,8 @@ class TestCandidateTable:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        assert len(search_table(F5, 2, 3, "prank", 10 ** 8)) == 9504
+        assert not hasattr(ranks, "search_table")
+        assert len(_reference_candidates(F5, 2, 3, "prank")) == 9504
         assert not made
 
     def test_certificates_are_pinned(self):
@@ -800,10 +792,6 @@ def _flattening_rank(t):
                for slot in range(3))
 
 
-def _refuse_search(*args, **kwargs):
-    raise AssertionError("tensor rank went to the candidate search")
-
-
 def _assert_matches_the_reference(tensors):
     for t in tensors:
         report = rank_exact(t, "rank")
@@ -844,12 +832,12 @@ class TestSliceSpan:
             assert report.exact and len(report.certificate) == report.value
             assert _flattening_rank(t) <= report.value <= terms
 
-    def test_order_three_goes_to_no_search(self, monkeypatch):
+    def test_order_three_goes_to_no_search(self):
         # and neither does order 4: tensor rank takes the slice span at every order
         tensors = [random_tensor(PrimeField(p), n, d, seed) for p, n, d, seed in [
             (2, 2, 3, 7), (3, 2, 3, 1), (5, 2, 3, 2), (2, 3, 3, 0), (3, 3, 3, 1),
             (2, 2, 4, 0), (3, 2, 4, 0), (5, 2, 4, 0), (7, 2, 4, 0), (2, 2, 5, 0)]]
-        monkeypatch.setattr(ranks, "search_table", _refuse_search)
+        assert not hasattr(ranks, "search_table")
         for t in tensors:
             assert len(greedy_decomposition(t, "rank")) > 2
             report = rank_exact(t, "rank")
