@@ -28,19 +28,21 @@ byte-table translate reduces every lane.
   one lane, with the same code.
 * :func:`bias_recursive` factors the tensor once into disjoint coordinate
   blocks (bias is multiplicative across them) and counts each distinct
-  block once by the fiber engine's count; the value is the same.
+  block's sub-tensor once by the fiber engine's count; the value is the same.
 * :func:`bias_histogram` takes no rank: it counts the values of T on all
   q^(nd) inputs by the value walk below and extracts the same rational.
 
 The value walk serves the histogram and :func:`bias_multiform`.  It
 homogenizes a multi-component form R on (F_q^n)^d into one order-d tensor
 T on F_q^(n+1) whose last coordinate in a slot stands for "this slot is not
-in the component", so R(x) = T((x^1, 1), ..., (x^d, 1)); a plain tensor is
-the form with only its top component.  Where d >= 2, n >= 2 and q^(2n) <=
-_CACHE_LIMIT the q^(2n) arguments of the last two slots are the lanes of
-an int, and a Gray walk of the third adds one slice's values per step.
-Elsewhere it walks down to order 1 and evaluates each distinct affine
-form left in the last slot on every x once, weighted by its count.
+in the component", so R(x) = T((x^1, 1), ..., (x^d, 1)): R_I is the
+sub-tensor of T on coordinates 0..n-1 in the slots of I and on n elsewhere,
+and a plain tensor is the form with only its top component.  Where d >= 2,
+n >= 2 and q^(2n) <= _CACHE_LIMIT the q^(2n) arguments of the last two
+slots are the lanes of an int, and a Gray walk of the third adds one
+slice's values per step.  Elsewhere, the keyed walk, it walks down to
+order 1 and evaluates each distinct affine form left in the last slot on
+every x once, weighted by its count.
 
 The fiber count ends in :meth:`_Packed.matrix_counts`, which memoizes the
 order-2 count q^(n-rank) on its cached kernel when the key space is small:
@@ -662,8 +664,8 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
     """
     if t.order < 1:
         raise ValueError("bias is defined for order >= 1")
-    p, n, order = t.field.p, t.dim, t.order
-    blocks = Counter((len(comp), tuple(map(t.coeffs.__getitem__, block_cells(n, order, comp))))
+    p, n, order, coeff = t.field.p, t.dim, t.order, t.coeffs.__getitem__
+    blocks = Counter((len(comp), tuple(map(coeff, block_cells(n, (comp,) * order))))
                      for comp in _components(t))
     work = 0
     for m, _ in blocks:
@@ -688,15 +690,12 @@ def _value_counts(p: int, n: int, order: int, components) -> list[int]:
     :func:`_lane_counts` where its lanes fit and by :func:`_keyed_counts`
     elsewhere.
     """
-    size = n + 1
+    size, coords = n + 1, tuple(range(n))
     cells = [0] * size ** order
     for slots, tensor in components:
-        for idx, c in tensor.nonzero_entries():
-            digits = iter(idx)
-            flat = 0
-            for slot in range(order):
-                flat = flat * size + (next(digits) if slot in slots else n)
-            cells[flat] = c
+        blocks = tuple(coords if slot in slots else (n,) for slot in range(order))
+        for cell, c in zip(block_cells(size, blocks), tensor.coeffs):
+            cells[cell] = c
     kernel = _kernel(p, size)
     if order >= 2 and n >= 2 and p ** (2 * n) <= _CACHE_LIMIT:
         return _lane_counts(kernel, kernel.pack(cells), order)
@@ -775,13 +774,17 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
     return hist, BiasValue(numerator // denominator, n * (t.order - 1), p)
 
 
+# The engines by name, each (t, budget) -> BiasValue, in report order.
+ENGINES = {
+    "fiber": bias_fiber,
+    "recursive": bias_recursive,
+    "histogram": lambda t, budget=DEFAULT_BUDGET: bias_histogram(t, budget)[1],
+}
+
+
 def bias_all_engines(t: Tensor, budget: int = DEFAULT_BUDGET) -> dict[str, BiasValue]:
-    """All three engines keyed by name; raises if they disagree."""
-    values = {
-        "fiber": bias_fiber(t, budget),
-        "recursive": bias_recursive(t, budget),
-        "histogram": bias_histogram(t, budget)[1],
-    }
+    """Every engine of :data:`ENGINES` keyed by name; raises if they disagree."""
+    values = {name: engine(t, budget) for name, engine in ENGINES.items()}
     first = values["fiber"]
     for name, other in values.items():
         if other != first:

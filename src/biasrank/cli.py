@@ -20,12 +20,11 @@ import sys
 
 from .bias import (
     DEFAULT_BUDGET,
+    ENGINES as _ENGINES,
     BudgetExceededError,
     analytic_rank,
     bias_all_engines,
     bias_fiber,
-    bias_histogram,
-    bias_recursive,
     c_constant,
 )
 from .gf import PrimeField
@@ -42,12 +41,6 @@ from .tensor import (
     serialize_tensor,
     universe_size,
 )
-
-_ENGINES = {
-    "fiber": bias_fiber,
-    "recursive": bias_recursive,
-    "histogram": lambda t, budget: bias_histogram(t, budget)[1],
-}
 
 
 class UsageError(Exception):

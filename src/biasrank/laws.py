@@ -82,7 +82,6 @@ from .tensor import (
     _contract,
     all_tensors,
     block_cells,
-    coordinate_basis,
     diagonal_tensor,
     direct_sum,
     identity_tensor,
@@ -538,15 +537,13 @@ class CorrelationInstance:
         m..m+k-1; all slots are padded to a common dimension.
         """
         m, lift_dim = len(self.t_group), self.lift_dim
-        block = lift_dim ** self.order
-        cells = block_cells(lift_dim, self.order, tuple(range(self.dim)))
+        blocks = (tuple(range(self.dim)),) * self.order  # every slot after the lead
 
         def lift(group: tuple[Tensor, ...], first: int) -> Tensor:
-            coeffs = [0] * (lift_dim * block)
+            coeffs = [0] * lift_dim ** (self.order + 1)
             for lead, t in enumerate(group, first):
-                base = lead * block
-                for cell, c in zip(cells, t.coeffs):
-                    coeffs[base + cell] = c
+                for cell, c in zip(block_cells(lift_dim, ((lead,),) + blocks), t.coeffs):
+                    coeffs[cell] = c
             return Tensor._trusted(self.field, lift_dim, self.order + 1, tuple(coeffs))
 
         return lift(self.t_group, 0), lift(self.s_group, m)
@@ -763,7 +760,8 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
     """bias does not decrease under restriction to a subspace.
 
     Each trial restricts to a random subspace; the first tenth of the
-    trials (at least one) also restrict to every coordinate subspace.
+    trials (at least one) also restrict to every coordinate subspace, which
+    selects the sub-tensor's cells (:func:`block_cells`) and contracts nothing.
     """
     q = field.p
     universe = f"random restrictions p={q} n={dim} d={order} trials={trials} seed={seed}"
@@ -779,21 +777,24 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
                                                  for w in chunk])
 
     def check(inst, ks):
-        t, basis, *subset = inst  # a coordinate subspace's instance names its subset
+        t, span = inst  # a basis, or the sorted coordinates of a coordinate subspace
         b_t = BiasValue(ks[0], dim * (order - 1), q)
-        b_sub = BiasValue(ks[1], len(basis) * (order - 1), q)
-        where = {"subset": list(subset[0])} if subset else {"basis": [list(v) for v in basis]}
+        b_sub = BiasValue(ks[1], len(span) * (order - 1), q)
+        where = {"subset": list(span)} if type(span[0]) is int else {"basis": list(map(list, span))}
         return b_sub >= b_t, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(
             t=t, **where)
+
+    def select(inst):  # the restriction to a coordinate subspace selects its cells
+        t, subset = inst
+        cells = map(t.coeffs.__getitem__, block_cells(dim, (subset,) * order))
+        return t, Tensor._trusted(field, len(subset), order, tuple(cells))
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
                            batch=(2 + _CANDIDATES * dim * dim, build)))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
-    parts = lambda inst: (inst[0], _contract(*inst[:2]))  # noqa: E731
-    tracker.drive_counted(draws, parts, check, budget)
-    tracker.drive_counted(((t, coordinate_basis(dim, subset), subset)
-                           for t, _ in draws[:max(1, trials // 10)] for subset in subsets),
-                          parts, check, budget)
+    tracker.drive_counted(draws, lambda inst: (inst[0], _contract(*inst)), check, budget)
+    tracker.drive_counted(((t, subset) for t, _ in draws[:max(1, trials // 10)]
+                           for subset in subsets), select, check, budget)
     return tracker.result()
 
 

@@ -66,7 +66,7 @@ from typing import Optional, Sequence
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
 from .gf import PrimeField
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.matrix_rank)
-from .tensor import Tensor, zero_tensor
+from .tensor import Tensor, block_cells, zero_tensor
 
 KINDS = ("rank", "srank", "prank")
 
@@ -627,12 +627,9 @@ def _can_extend(t: Tensor, current: tuple[int, ...], new: int, charge) -> bool:
     `charge(count)` is told how many index tuples were examined.
     """
     pool = current + (new,)
-    for count, tup in enumerate(product(pool, repeat=t.order), 1):
-        if new not in tup:
-            continue
-        if all(i == tup[0] for i in tup):
-            continue
-        if t.entry(tup) != 0:
+    cells = block_cells(t.dim, (pool,) * t.order)  # the pool's sub-tensor, in product order
+    for count, (tup, cell) in enumerate(zip(product(pool, repeat=t.order), cells), 1):
+        if t.coeffs[cell] and new in tup and not all(i == tup[0] for i in tup):
             charge(count)
             return False
     charge(len(pool) ** t.order)

@@ -4,7 +4,9 @@ A :class:`Tensor` is identified with its coefficient array: a flat,
 row-major tuple of n^d residues indexed by (i_1, ..., i_d).  All slots
 share one dimension n.  Order 0 (scalars) is allowed as the constant
 component of a multi-component form; order 1 is an ordinary linear form.
-Tensors are immutable and all operations are pure.
+Tensors are immutable and all operations are pure.  A sub-tensor is a
+selection of cells, one sorted coordinate tuple per slot, and every code
+that places or reads one finds its cells by :func:`block_cells`.
 
 The module also defines :class:`MultiComponentForm` (a sum of tensors on
 slot subsets, one component per subset of [d]) and the canonical
@@ -255,10 +257,12 @@ def direct_sum(a: Tensor, b: Tensor) -> Tensor:
     """Place a and b on disjoint coordinate blocks of F_p^(n_a + n_b)."""
     if a.field.p != b.field.p or a.order != b.order:
         raise ValueError("direct sum needs matching field and order")
-    n = a.dim + b.dim
-    entries = [(idx, c) for idx, c in a.nonzero_entries()]
-    entries += [(tuple(i + a.dim for i in idx), c) for idx, c in b.nonzero_entries()]
-    return from_entries(a.field, n, a.order, entries)
+    p, n = a.field.p, a.dim + b.dim
+    coeffs = [0] * n ** a.order
+    for t, block in ((a, tuple(range(a.dim))), (b, tuple(range(a.dim, n)))):
+        for cell, c in zip(block_cells(n, (block,) * a.order), t.coeffs):
+            coeffs[cell] = (coeffs[cell] + c) % p  # at order 0 both scalars share the one cell
+    return Tensor._trusted(a.field, n, a.order, tuple(coeffs))
 
 
 def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
@@ -289,13 +293,12 @@ def _contract(t: Tensor, basis: tuple[Vector, ...]) -> Tensor:
 
 
 @lru_cache(maxsize=256)
-def block_cells(dim: int, order: int, block: tuple[int, ...]) -> tuple[int, ...]:
-    """Where each cell of the sub-tensor on the sorted coordinates `block`
-    sits in an order-`order` tensor on F^dim, in the sub-tensor's cell order."""
+def block_cells(dim: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Where each cell of the sub-tensor on the sorted coordinates blocks[s] in
+    slot s sits in an order-len(blocks) tensor on F^dim, in its row-major order."""
     positions = [0]
-    for slot in range(order):
-        weight = dim ** slot
-        positions = [q + i * weight for i in block for q in positions]
+    for block in blocks:
+        positions = [q * dim + i for q in positions for i in block]
     return tuple(positions)
 
 

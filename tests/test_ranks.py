@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import random
 import time
 from itertools import combinations, product
 
@@ -48,6 +49,49 @@ def oracle_max_independent_set(t):
             best = found
             break
     return best
+
+
+def _reference_independent_search(t):
+    """max_independent_set by a walk of index tuples read through Tensor.entry:
+    the set it returns and the index tuples it examines in all."""
+    spent = [t.dim]
+    candidates = [i for i in range(t.dim) if t.entry((i,) * t.order) != 0]
+    best = [()]
+
+    def can_extend(current, new):
+        pool = current + (new,)
+        for count, tup in enumerate(product(pool, repeat=t.order), 1):
+            if new not in tup:
+                continue
+            if all(i == tup[0] for i in tup):
+                continue
+            if t.entry(tup) != 0:
+                spent[0] += count
+                return False
+        spent[0] += len(pool) ** t.order
+        return True
+
+    def dfs(pos, current):
+        if len(current) + (len(candidates) - pos) <= len(best[0]):
+            return
+        if pos == len(candidates):
+            if len(current) > len(best[0]):
+                best[0] = current
+            return
+        v = candidates[pos]
+        if can_extend(current, v):
+            dfs(pos + 1, current + (v,))
+        dfs(pos + 1, current)
+
+    dfs(0, ())
+    return best[0], spent[0]
+
+
+def _sparse_tensor(field, n, d, rng):
+    """Diagonal cells mostly nonzero, the others rarely, so independent sets grow."""
+    coeffs = [rng.randrange(1, field.p) if rng.random() < (0.75 if len(set(idx)) == 1 else 0.125)
+              else 0 for idx in product(range(n), repeat=d)]
+    return Tensor(field, n, d, coeffs)
 
 
 def make_partition_rank_one(field, n, seed):
@@ -446,6 +490,18 @@ class TestIndependentSets:
             oracle = oracle_max_independent_set(t)
             assert len(found) == len(oracle)
             assert is_independent_set(t, found)
+
+    @pytest.mark.parametrize("p,n,d", [(2, 6, 3), (3, 4, 3), (2, 3, 3), (2, 5, 2),
+                                       (5, 3, 4), (2, 4, 1)])
+    def test_charges_the_tuple_walks_budget(self, p, n, d):
+        # the least budget that returns, and the set returned, are the tuple walk's
+        rng = random.Random(1000 * p + 10 * n + d)
+        for _ in range(15):
+            t = _sparse_tensor(PrimeField(p), n, d, rng)
+            found, spent = _reference_independent_search(t)
+            assert max_independent_set(t, budget=spent) == found
+            with pytest.raises(BudgetExceededError):
+                max_independent_set(t, budget=spent - 1)
 
     def test_larger_instance(self):
         t = identity_tensor(F2, 12, 3)

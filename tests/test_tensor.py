@@ -189,6 +189,10 @@ class TestDirectSum:
             merged = [x + y for x, y in zip(xs, ys)]
             assert both.evaluate(merged) == (t.evaluate(xs) + s.evaluate(ys)) % 3
 
+    def test_order_zero_scalars_add(self):
+        a, b = Tensor(F5, 2, 0, (3,)), Tensor(F5, 1, 0, (4,))
+        assert direct_sum(a, b) == Tensor(F5, 3, 0, (2,))
+
     def test_mixed_tuples_are_zero(self):
         t = identity_tensor(F2, 2, 2)
         both = direct_sum(t, t)
@@ -246,7 +250,18 @@ class TestRestrict:
             t = random_tensor(F3, dim, order, gen.next_u64())
             for block in chain.from_iterable(combinations(range(dim), k) for k in range(dim + 1)):
                 sub = restrict(t, coordinate_basis(dim, block))
-                assert tuple(t.coeffs[q] for q in block_cells(dim, order, block)) == sub.coeffs
+                assert tuple(t.coeffs[q] for q in block_cells(dim, (block,) * order)) == sub.coeffs
+            if not (dim and order):
+                continue
+            # mixed per-slot blocks: the homogenized layout of a multi-component form, where
+            # a slot off the component reads the last coordinate, and a lift under a lead one
+            last, coords = dim - 1, tuple(range(dim - 1))
+            layouts = [tuple(coords if bits >> s & 1 else (last,) for s in range(order))
+                       for bits in range(1 << order)]
+            layouts += [((lead,),) + (coords,) * (order - 1) for lead in range(dim)]
+            for blocks in layouts:
+                assert ([t.coeffs[q] for q in block_cells(dim, blocks)]
+                        == [t.entry(idx) for idx in product(*blocks)])
 
     def test_rejects_dependent_basis(self):
         t = random_tensor(F2, 2, 2, 0)
