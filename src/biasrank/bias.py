@@ -558,7 +558,7 @@ def _kernel(p: int, n: int) -> _Packed:
 def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequence[int]],
                  budget: Optional[int] = DEFAULT_BUDGET) -> list[int]:
     """K of each coefficient row: the fixings of the leading order-1 slots
-    that leave the zero form, for order-`order` tensors on F_p^dim.
+    that leave the zero form, for order-`order` tensors on F_p^dim; rows of bytes are joined.
 
     Up to _LANES rows at a time are the lanes of one packed int, row i from
     cell i n^order on, and walk together (:meth:`_Packed.descend`).  The walk
@@ -589,7 +589,7 @@ def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequenc
     counts = []
     for start in range(0, len(rows), lanes):
         batch = rows[start:start + lanes]
-        x = kernel.pack(list(chain.from_iterable(batch)))
+        x = kernel.pack(b"".join(batch) if type(batch[0]) is bytes else [*chain(*batch)])
         leaves = kernel.descend(x, order, stop, lines=True, lanes=len(batch))
         counts += [base + scale * s for s in leaf_counts(leaves, len(batch), stride)]
     return counts

@@ -20,10 +20,11 @@ before it is reported, and seeded runs are bit-reproducible.  A seeded
 universe's draws are made _CHUNK trials at a time from the batched words
 and residue rows of :mod:`biasrank.rng`.  The default draw is trial i's
 tensor (or pair) seeded by the first word (or two) of substream(seed, i).
-A law's own draw reads a fixed count of words per trial, _CANDIDATES basis
-candidates' worth where it draws a basis; a trial whose words it cannot
-use, after a rejected word or with no candidate of full rank, is drawn
-again from its stream by the law's per-trial draw, which stays the reference.
+A law's own draw reads a fixed count of words per trial, _FIRST basis
+candidates' worth where it draws a basis (up to _CANDIDATES if none of those
+has full rank); a trial whose words it cannot use, after a rejected word or
+with no candidate of full rank, is drawn again from its stream by the law's
+per-trial draw, which stays the reference.
 
 Laws read their bias numerators K a chunk of _CHUNK instances at a time
 (:meth:`_Tracker.drive_counted`): the chunk's tensors are grouped by shape
@@ -35,11 +36,12 @@ Subadditivity keeps one K per distinct tensor of its universe and decides
 each distinct triple (K(t + s), K(t), K(s)) once.  Its exhaustive pairs
 are indices into the cube in `all_tensors` order, charged to the budget
 before the cube is built: the index of t + s is i ^ j at p = 2 and the
-digitwise sum mod p otherwise.  Its seeded pairs are coefficient rows: K
-is memoized by row, a chunk's new rows are counted together, and the row
-of t + s is the cellwise sum mod p.  Either way the pairs are walked one
-by one only to find the first that fails, and tensors are built only for
-K, a witness and its replay.
+digitwise sum mod p otherwise.  Its seeded pairs are rows of residues cut from
+one buffer per chunk, bytes below p = 257: K is memoized by row, a chunk's new
+rows are counted together, and below p = 129 the rows of t + s are one big-int
+add of the t and s halves and a translate mod p.  Either way the pairs are walked
+one by one only to find the first that fails; tensors are built only for the
+cube, a witness and its replay.
 
 arank-le-prank and the survey take partition rank from
 :func:`ranks.rank_exact`, which admits each exact method by its own worst
@@ -74,7 +76,7 @@ from .bias import (
 )
 from .gf import PrimeField, combine_masks, digit_masks, matrix_rank, random_full_rank_basis
 from .ranks import _cell_positions, _partition_sides, max_independent_set, rank_exact
-from .rng import SplitMix64, residue_rows, substream, substream_seed, words
+from .rng import SplitMix64, residue_cells, residue_rows, skip, substream, substream_seed, words
 from .tensor import (
     MultiComponentForm,
     Tensor,
@@ -202,34 +204,34 @@ def _counted(instances: Iterable, parts: Callable[[object], tuple],
         tensors = [parts(inst) for inst in chunk]
         shapes: dict[tuple, dict] = {}
         for t in chain.from_iterable(tensors):
-            shapes.setdefault((t.field, t.dim, t.order), {})[t.coeffs] = None
+            shapes.setdefault((t.field.p, t.dim, t.order), {})[t.coeffs] = None
         try:
-            for (field, dim, order), known in shapes.items():
+            for (p, dim, order), known in shapes.items():
                 rows = list(known)
-                known.update(zip(rows, fiber_counts(field, dim, order, rows, budget)))
+                known.update(zip(rows, fiber_counts(PrimeField(p), dim, order, rows, budget)))
         except BudgetExceededError:
             yield from zip(chunk, (_Recount(ts, budget) for ts in tensors))
             continue
         for inst, ts in zip(chunk, tensors):
-            yield inst, [shapes[t.field, t.dim, t.order][t.coeffs] for t in ts]
+            yield inst, [shapes[t.field.p, t.dim, t.order][t.coeffs] for t in ts]
 
 
 def _itself(t: Tensor) -> tuple[Tensor]:
     return (t,)
 
 
-# Trials whose words and residues are drawn, and instances whose K's are
-# counted, in one batch; basis candidates whose words a batched draw reads.
-_CHUNK, _CANDIDATES = 64, 8
+# Trials whose words and residues are drawn, and instances whose K's are counted,
+# in one batch; basis candidates read first, and in all where none of those is.
+_CHUNK, _FIRST, _CANDIDATES = 64, 2, 8
 
 
-def _trial_words(dim: int, order: int, trials: int, seed: int, count: int) -> Iterator[list]:
-    """The first `count` words of substream(seed, i) for every trial i, trial
-    by trial, in one list per _CHUNK trials."""
+def _trial_words(dim: int, order: int, trials: int, seed: int, count: int) -> Iterator[tuple]:
+    """The seeds of substream(seed, i) for every trial i and their first
+    `count` words, trial by trial, _CHUNK trials at a time."""
     for start in range(0, trials, _CHUNK):
         _check_dims(dim, order)  # random_tensor's check, made wherever it would draw
-        yield words([substream_seed(seed, i) for i in range(start, min(start + _CHUNK, trials))],
-                    count)
+        seeds = [substream_seed(seed, i) for i in range(start, min(start + _CHUNK, trials))]
+        yield seeds, words(seeds, count)
 
 
 def _tensors(field: PrimeField, dim: int, order: int, seeds: list[int]) -> list[Tensor]:
@@ -243,24 +245,30 @@ def _limit(bound: int) -> int:
     return (1 << 64) - (1 << 64) % bound if bound > 0 else 0
 
 
-def _bases(field: PrimeField, dim: int, order: int, chunk: list, picks: list) -> list:
-    """(tensor seeded by w[0], basis) per trial's words w and pick (k, ws), the
-    basis random_full_rank_basis draws from ws: the first of _CANDIDATES
-    candidates of k vectors of rank k; None if none is or a word is rejected."""
-    q, limit = field.p, _limit(field.p)
+def _bases(field: PrimeField, dim: int, order: int, seeds: list, chunk: list, picks: list) -> list:
+    """(tensor seeded by w[0], basis) per trial's stream seed, words w and pick (k, start):
+    the first of _CANDIDATES candidates of k vectors of rank k that random_full_rank_basis
+    draws from word `start` on, _FIRST read from w and the rest, where none of those has
+    full rank, from the stream (:func:`skip`); None if none has, or after a rejected word."""
+    q, limit, more = field.p, _limit(field.p), (_CANDIDATES - _FIRST) * dim * dim
 
-    def basis(k: int, ws: list[int]) -> Optional[tuple]:
-        for c in range(_CANDIDATES):
-            cand = ws[c * k * dim:(c + 1) * k * dim]
-            if max(cand, default=0) >= limit:
+    def basis(k: int, ws: list[int], count: int):  # None after a rejected word, () if none
+        for c in range(0, count * k * dim, k * dim):
+            cand = ws[c:c + k * dim]
+            if max(cand) >= limit:
                 return None
             cand = tuple(zip(*[iter([w % q for w in cand])] * dim))
             if matrix_rank(field, cand) == k:
                 return cand
+        return ()
 
+    found = [pick and basis(pick[0], w[pick[1]:], _FIRST) for w, pick in zip(chunk, picks)]
+    later = [i for i, b in enumerate(found) if b == ()]
+    flat = words([skip(seeds[i], picks[i][1] + _FIRST * picks[i][0] * dim) for i in later], more)
+    for j, i in enumerate(later):
+        found[i] = basis(picks[i][0], flat[j * more:(j + 1) * more], _CANDIDATES - _FIRST) or None
     tensors = _tensors(field, dim, order, [w[0] for w in chunk])
-    return [None if (b := pick and basis(*pick)) is None else (t, b)
-            for t, pick in zip(tensors, picks)]
+    return [None if b is None else (t, b) for t, b in zip(tensors, found)]
 
 
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
@@ -271,22 +279,22 @@ def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = Fal
 
     A trial's instance is `draw(stream)`, by default the tensor seeded by
     the stream's first word, or with `pairs` the tensors seeded by its first
-    two words.  Default draws are batched; with `batch` (count, build), so
-    is `draw`: `build` makes each chunk's instances from the first `count`
-    words of each trial, None where `draw` must draw from the stream.
+    two words.  Default draws are batched; with `batch` (count, build), so is
+    `draw`: `build` makes each chunk's instances from its trials' stream seeds and
+    first `count` words, None where `draw` must draw from the stream.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
     if batch:
         count, build = batch
-        built = chain.from_iterable(build([flat[j:j + count] for j in range(0, len(flat), count)])
-                                    for flat in _trial_words(dim, order, trials, seed, count))
+        built = chain.from_iterable(build(s, [ws[j:j + count] for j in range(0, len(ws), count)])
+                                    for s, ws in _trial_words(dim, order, trials, seed, count))
         return (draw(substream(seed, i)) if inst is None else inst for i, inst in enumerate(built))
     if draw:
         return (draw(substream(seed, i)) for i in range(trials))
     per = 2 if pairs else 1
     tensors = chain.from_iterable(_tensors(field, dim, order, flat)
-                                  for flat in _trial_words(dim, order, trials, seed, per))
+                                  for _, flat in _trial_words(dim, order, trials, seed, per))
     return (tuple(ts) if pairs else ts[0] for ts in zip(*[tensors] * per))
 
 
@@ -352,14 +360,10 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     """bias(T+S) >= bias(T) bias(S) on pairs; exact equality on direct sums.
 
     K is computed once per distinct tensor of the universe: a list by cube
-    index for exhaustive pairs, a dict by coefficients for seeded ones.
-    Exhaustive pairs are cube indices (i, j), charged to the budget before
-    the cube is built; seeded pairs are coefficient rows, summed cell by
-    cell, and a chunk's new rows are counted together.  The verdict and
-    slack of a pair depend only on its triple (K(t + s), K(t), K(s)), so
-    each distinct triple is decided once, and the pairs are walked in order
-    only to find the first failing one.  Tensors are built only for K and
-    a witness, and a failing pair is replayed from scratch on tensors.
+    index for exhaustive pairs, a dict by row for seeded ones (see the module
+    docstring).  The verdict and slack of a pair depend only on its triple
+    (K(t + s), K(t), K(s)), so each distinct triple is decided once; a
+    failing pair is replayed from scratch on tensors.
     """
     q = field.p
     exponent = dim * (order - 1)
@@ -413,27 +417,32 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
         walk = partial(tracker.drive, product(range(size), repeat=2), index_pair_ok,
                        lambda ij: replay(cube[ij[0]], cube[ij[1]]))
     else:
-        numerators: dict[tuple[int, ...], int] = {}
-        k = numerators.__getitem__
+        numerators: dict = {}  # by row: bytes, or a tuple above p = 256
+        k, cells, modulo = numerators.__getitem__, dim ** order, bytes(c % q for c in range(256))
         tensor = partial(Tensor._trusted, field, dim, order)
 
-        def row_chunks() -> Iterator[tuple[list, list]]:
-            for flat in _trial_words(dim, order, trials, seed, 2):
-                chunk = list(zip(*[iter(residue_rows(q, dim ** order, flat))] * 2))
-                yield chunk, [tuple([(a + b) % q for a, b in zip(c, d)]) for c, d in chunk]
+        def row_chunks() -> Iterator[list]:  # each chunk's t, s and t + s rows
+            for _, flat in _trial_words(dim, order, trials, seed, 2):
+                buf, starts = residue_cells(q, cells, flat[::2] + flat[1::2]), range(len(flat) // 2)
+                ts, ss = buf[:len(buf) // 2], buf[len(buf) // 2:]
+                if type(buf) is bytes and q <= 128:  # one big-int add; each sum fits in a byte
+                    sums = (int.from_bytes(ts, "little") + int.from_bytes(ss, "little")).to_bytes(
+                        len(ts), "little").translate(modulo)
+                else:
+                    sums = type(ts)([(a + b) % q for a, b in zip(ts, ss)])
+                yield [[rows[i * cells:(i + 1) * cells] for i in starts] for rows in (ts, ss, sums)]
 
         def row_pair_ok(item):
-            (c, d), row_sum = item
-            return verdict(k(row_sum), k(c), k(d), lambda: (tensor(c), tensor(d)))
+            t, s, row_sum = item
+            return verdict(k(row_sum), k(t), k(s), lambda: (tensor(tuple(t)), tensor(tuple(s))))
 
         pairs, triples = trials, set()
-        for chunk, sums in row_chunks():
-            fresh = list(set(chain(sums, *chunk)).difference(numerators))
+        for ts, ss, row_sums in row_chunks():
+            fresh = list(set(chain(row_sums, ts, ss)).difference(numerators))
             numerators.update(zip(fresh, fiber_counts(field, dim, order, fresh, budget)))
-            triples.update(zip(map(k, sums), *(map(k, rows) for rows in zip(*chunk))))
-        walk = partial(tracker.drive, (item for chunk, sums in row_chunks()
-                                       for item in zip(chunk, sums)), row_pair_ok,
-                       lambda item: replay(tensor(item[0][0]), tensor(item[0][1])))
+            triples.update(zip(map(k, row_sums), map(k, ts), map(k, ss)))
+        walk = partial(tracker.drive, chain.from_iterable(zip(*chunk) for chunk in row_chunks()),
+                       row_pair_ok, lambda item: replay(*map(tensor, map(tuple, item[:2]))))
     if all(holds(*triple) for triple in triples):
         tracker.record(pairs, min((slack(*triple) for triple in triples), default=None))
     else:
@@ -599,7 +608,7 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
                             **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
             **details)
 
-    def build(chunk: list) -> list:  # draw's two below words, then its m + k tensor seeds
+    def build(_, chunk: list) -> list:  # draw's two below words, then its m + k tensor seeds
         limit = _limit(CORRELATION_MAX_EACH)
         sizes = [(1 + w[0] % CORRELATION_MAX_EACH, 1 + w[1] % CORRELATION_MAX_EACH)
                  if max(w[:2]) < limit else None for w in chunk]
@@ -771,10 +780,10 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         t = random_tensor(field, dim, order, gen.next_u64())
         return t, random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
 
-    def build(chunk: list) -> list:  # draw's tensor seed, below word and basis candidates
+    def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, below word, candidates
         limit = _limit(dim)
-        return _bases(field, dim, order, chunk, [(1 + w[1] % dim, w[2:]) if w[1] < limit else None
-                                                 for w in chunk])
+        return _bases(field, dim, order, seeds, chunk,
+                      [(1 + w[1] % dim, 2) if w[1] < limit else None for w in chunk])
 
     def check(inst, ks):
         t, span = inst  # a basis, or the sorted coordinates of a coordinate subspace
@@ -790,7 +799,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         return t, Tensor._trusted(field, len(subset), order, tuple(cells))
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
-                           batch=(2 + _CANDIDATES * dim * dim, build)))
+                           batch=(2 + _FIRST * dim * dim, build)))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
     tracker.drive_counted(draws, lambda inst: (inst[0], _contract(*inst)), check, budget)
     tracker.drive_counted(((t, subset) for t, _ in draws[:max(1, trials // 10)]
@@ -823,7 +832,7 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             top=form.top(),
             components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
 
-    def build(chunk: list) -> list:  # each form's seed, then random_multiform's sub-seeds
+    def build(_, chunk: list) -> list:  # each form's seed, then random_multiform's sub-seeds
         subsets = [frozenset(i for i in range(order) if bits >> i & 1)
                    for bits in range(1 << order)]
         seeds = words([w[0] for w in chunk], len(subsets))
@@ -858,11 +867,11 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
         t, basis = inst
         return ks[0] == ks[1], None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
 
-    def build(chunk: list) -> list:  # draw's tensor seed, then its basis candidates
-        return _bases(field, dim, order, chunk, [(dim, w[1:]) for w in chunk])
+    def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, then its candidates
+        return _bases(field, dim, order, seeds, chunk, [(dim, 1)] * len(chunk))
 
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
-                                    batch=(1 + _CANDIDATES * dim * dim, build)),
+                                    batch=(1 + _FIRST * dim * dim, build)),
                           lambda inst: (_contract(*inst), inst[0]), check, budget)
     return tracker.result()
 

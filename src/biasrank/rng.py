@@ -10,9 +10,9 @@ mix(s + (j + 1) gamma), so the words of many generators do not depend on
 each other.  :func:`words` computes a batch of them at once: each word is
 a 64-bit lane of one int, the lanes 128 bits apart and read in an explicit
 byte order, and each step of the mix is a few big-int operations on every
-lane.  :func:`residue_rows` turns such a batch into the rows that
-`SplitMix64.residues` gives, and falls back to `residues` if any word of
-the batch is rejected; `residues` stays the stream API and the reference.
+lane.  :func:`residue_cells` turns such a batch into the rows that
+`SplitMix64.residues` gives, a byte per residue below bound 257, and falls back
+to `residues` if any word is rejected; `residues` stays the stream API and the reference.
 """
 
 from __future__ import annotations
@@ -84,47 +84,67 @@ def substream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(substream_seed(seed, index))
 
 
-def words(seeds: Sequence[int], count: int) -> list[int]:
-    """The first `count` next_u64 words of SplitMix64(s) for each seed s, seed by seed.
+def skip(seed: int, start: int) -> int:
+    """The seed whose words are those of SplitMix64(seed) from word `start` on."""
+    return (seed + start * _GAMMA) & _MASK64
 
-    Every word is a 64-bit lane of one int, 128 bits apart.  The lane mask
-    clears each lane's high half before a multiply, so no product carries
-    into the next lane, and before a shift, so none shifts into this one.
-    """
+
+def words(seeds: Sequence[int], count: int) -> list[int]:
+    """The first `count` next_u64 words of SplitMix64(s) for each seed s, seed by seed."""
     if count <= 0 or not seeds:
         return []
-    mask, steps = _lanes(count, len(seeds))
-    z = int.from_bytes(b"".join([(s & _MASK64).to_bytes(16, "little") * count for s in seeds]),
-                       "little")
-    z = (z + steps) & mask
-    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-    z ^= z >> 31
-    out = array("Q", z.to_bytes(16 * count * len(seeds), "little"))
+    out = array("Q", _mixed(seeds, count).to_bytes(16 * count * len(seeds), "little"))
     if sys.byteorder == "big":
         out.byteswap()
     return out[::2].tolist()
 
 
+def _mixed(seeds: Sequence[int], count: int) -> int:
+    """The words of :func:`words` in the low halves of 128-bit lanes of one int; the lane
+    mask clears each lane's high half before a multiply or a shift, so none crosses lanes."""
+    steps, mask = _lanes(count, len(seeds))[:2]
+    z = int.from_bytes(b"".join([(s & _MASK64).to_bytes(16, "little") * count for s in seeds]),
+                       "little")
+    z = (z + steps) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
 @lru_cache(maxsize=4)
-def _lanes(count: int, streams: int) -> tuple[int, int]:
-    """The lane mask of count * streams lanes, and (j + 1) gamma in lane j mod count."""
+def _lanes(count: int, streams: int) -> tuple[int, ...]:
+    """(j + 1) gamma in lane j mod count of count * streams lanes; their low 64, 1, 32, 41 bits."""
     steps = b"".join([((j + 1) * _GAMMA & _MASK64).to_bytes(16, "little") for j in range(count)])
-    return (int.from_bytes((b"\xff" * 8 + bytes(8)) * (count * streams), "little"),
-            int.from_bytes(steps * streams, "little"))
+    ones = int.from_bytes((b"\x01" + bytes(15)) * (count * streams), "little")
+    return (int.from_bytes(steps * streams, "little"), ones * _MASK64, ones, ones * 0xFFFFFFFF,
+            ones * ((1 << 41) - 1))
+
+
+def residue_cells(bound: int, count: int, seeds: Sequence[int]) -> Sequence[int]:
+    """SplitMix64(s).residues(bound, count) for each seed s, joined, from one batch of
+    words: a tuple, or bytes below bound 257, where each lane w of the mixed int is divided
+    inside it as by an invariant integer (Granlund and Montgomery, PLDI 1994).  w is rejected
+    where w + 2^64 mod bound carries into bit 64; v = (2^32 mod bound) (w >> 32) + (w mod 2^32)
+    < 2^41 is w mod bound; with s = 41 + bound.bit_length() and m = ceil(2^s / bound), v // bound
+    is v m >> s, as m bound - 2^s < bound <= 2^(s - 41).  After a rejected word every row is
+    drawn by `residues`."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    cells, kind = None, bytes if bound <= 256 else tuple
+    if count > 0 and seeds and kind is bytes:
+        z, (ones, low, below) = _mixed(seeds, count), _lanes(count, len(seeds))[2:]
+        if not (z + (1 << 64) % bound * ones) >> 64 & ones:
+            v = (z >> 32 & low) * ((1 << 32) % bound) + (z & low)
+            shift = 41 + bound.bit_length()
+            v -= (v * -(-(1 << shift) // bound) >> shift & below) * bound
+            cells = v.to_bytes(16 * count * len(seeds), "little")[::16]
+    elif count > 0 and seeds and max(flat := words(seeds, count)) < (1 << 64) - (1 << 64) % bound:
+        cells = tuple([w % bound for w in flat])
+    return cells if cells is not None else kind(
+        [c for s in seeds for c in SplitMix64(s).residues(bound, count)])
 
 
 def residue_rows(bound: int, count: int, seeds: Sequence[int]) -> list[tuple[int, ...]]:
-    """SplitMix64(s).residues(bound, count) for each seed s, from one batch of words.
-
-    If any word of the batch is rejected, every row is drawn by `residues`.
-    """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    if count <= 0 or not seeds:
-        return [()] * len(seeds)
-    flat = words(seeds, count)
-    if max(flat) >= (1 << 64) - ((1 << 64) % bound):
-        return [SplitMix64(s).residues(bound, count) for s in seeds]
-    flat = [w % bound for w in flat]
-    return [tuple(flat[i:i + count]) for i in range(0, len(flat), count)]
+    """The rows of :func:`residue_cells`, one tuple per seed."""
+    cells = residue_cells(bound, count, seeds)
+    return [tuple(cells[i * count:(i + 1) * count]) for i in range(len(seeds))]

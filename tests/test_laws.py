@@ -168,6 +168,29 @@ class TestSubadditivityPairsByIndex:
                                   "s": dict(shape, coeffs=list(s.coeffs)),
                                   "k_sum": 0, "k_t": k(t), "k_s": k(s)}
 
+    @pytest.mark.parametrize("p,n,d", [(3, 2, 3), (5, 2, 3), (2, 3, 3), (7, 2, 2),
+                                       (131, 1, 2), (257, 1, 2)])
+    @pytest.mark.parametrize("broken_trial", [None, 5, 100, 129])
+    def test_byte_rows_give_the_pair_by_pair_result(self, monkeypatch, p, n, d, broken_trial):
+        # seeded pairs are rows of residues cut from one buffer per chunk (bytes below
+        # 257), their sums one big-int add below 129; with one K broken in the first,
+        # second or third chunk, the witness is the first failing pair
+        field, seed, trials = PrimeField(p), 12, 130
+        pairs = [tuple(random_tensor(field, n, d, gen.next_u64()) for _ in range(2))
+                 for gen in (substream(seed, i) for i in range(trials))]
+        if broken_trial is not None:
+            bias_fiber = break_fiber_counts(monkeypatch, sum(pairs[broken_trial][1:],
+                                                             pairs[broken_trial][0]).coeffs)
+        result = law_subadditivity(field, n, d, trials=trials, seed=seed)
+        assert result == self.pair_by_pair(field, n, d, trials, seed, result.universe)
+        assert result.holds == (broken_trial is None)
+        if broken_trial is not None:
+            q_e = p ** (n * (d - 1))
+            k = lambda t: bias_fiber(t).numerator  # noqa: E731
+            t, s = next((a, b) for a, b in pairs if k(a + b) * q_e < k(a) * k(b))
+            assert result.witness["t"]["coeffs"] == list(t.coeffs)
+            assert result.witness["s"]["coeffs"] == list(s.coeffs)
+
 
 class TestCorrelation:
     def test_single_shared_tensor(self):
@@ -312,6 +335,24 @@ class TestBatchedDraws:
                                                       seed)
         assert 65 not in natural and fallback == sorted(natural + [65])
         assert batched == reference
+
+    @pytest.mark.parametrize("law", [law_restriction_monotone, law_basis_invariance])
+    def test_later_candidates_are_read_only_where_the_first_fail(self, monkeypatch, law):
+        # a 4x4 candidate over F_2 has full rank about 31% of the time: about half the
+        # trials read the candidates past the first _FIRST, and a few have none of 8
+        trials, seed, real, later = 200, 5, laws.words, []
+        firsts = {substream_seed(seed, i) for i in range(trials)}
+
+        def words(seeds, count):
+            if not firsts.issuperset(seeds):  # a later stage, from a skipped-to seed
+                later.extend(seeds)
+            return real(seeds, count)
+
+        monkeypatch.setattr(laws, "words", words)
+        [(batched, reference, fallback)] = self.draws(monkeypatch, law, F2, 4, 3, trials, seed)
+        assert all(map(self.same, batched, reference))
+        stage_two = len(later) // 2  # the law's run and the universe drawn again read the same
+        assert 0 < len(fallback) < stage_two < trials
 
     def test_a_bound_the_draw_refuses_is_refused_as_the_draw_refuses_it(self):
         with pytest.raises(ValueError, match="bound must be positive"):

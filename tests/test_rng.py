@@ -2,9 +2,10 @@
 
 import pytest
 
-from biasrank import laws
+from biasrank import laws, rng
 from biasrank.gf import PrimeField
 from biasrank.rng import SplitMix64, residue_rows, substream, substream_seed, words
+from biasrank.rng import residue_cells, skip
 from biasrank.tensor import random_tensor
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -69,3 +70,64 @@ def test_seeded_universe_equals_the_per_trial_draw(p, n, d):
         assert singles[i] == random_tensor(field, n, d, substream(seed, i).next_u64())
         assert pairs[i] == (random_tensor(field, n, d, gen.next_u64()),
                             random_tensor(field, n, d, gen.next_u64()))
+
+
+def per_seed_cells(bound, count, seeds):
+    return bytes(c for s in seeds for c in SplitMix64(s).residues(bound, count))
+
+
+def lanes(ws):
+    """The words ws as the low halves of 128-bit lanes of one int, as rng mixes them."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in ws), "little")
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 7, 11, 127, 251, 255, 256])
+@pytest.mark.parametrize("count", [1, 8, 27, 64])
+def test_lane_residues_equal_per_seed_residues(monkeypatch, bound, count):
+    # every word of STATES is accepted at these bounds, so the byte path itself answers
+    expected = per_seed_cells(bound, count, STATES)
+    assert max(words(STATES, count)) < 2 ** 64 - 2 ** 64 % bound
+    monkeypatch.setattr(rng.SplitMix64, "residues", None)  # no per-seed fallback
+    assert residue_cells(bound, count, STATES) == expected
+    assert residue_rows(bound, count, STATES[3:9]) == [tuple(expected[i * count:(i + 1) * count])
+                                                       for i in range(3, 9)]
+
+
+def test_residue_cells_above_256_are_a_tuple_of_the_per_seed_residues():
+    for bound in (257, 2 ** 63 + 1):  # about half the words of 2^63 + 1 are rejected
+        expected = tuple(c for s in STATES for c in SplitMix64(s).residues(bound, 5))
+        assert residue_cells(bound, 5, STATES) == expected
+    assert residue_cells(3, 0, STATES) == b"" and residue_cells(257, 4, []) == ()
+
+
+@pytest.mark.parametrize("bound", [3, 255, 256])
+def test_a_rejected_lane_sends_the_batch_to_the_per_seed_draw(monkeypatch, bound):
+    # crafted words at limit - 1, limit and 2^64 - 1 in the first, a middle and the last lane
+    limit, seeds, count = 2 ** 64 - 2 ** 64 % bound, STATES[:6], 4
+    per_seed = per_seed_cells(bound, count, seeds)
+    for bad in sorted({limit - 1, limit, 2 ** 64 - 1} - {2 ** 64}):  # at 256 none is rejected
+        for at in (0, 7, len(seeds) * count - 1):
+            crafted = [substream_seed(5, i) for i in range(len(seeds) * count)]
+            crafted[at] = bad
+            monkeypatch.setattr(rng, "_mixed", lambda s, c: lanes(crafted))
+            batched = bytes(w % bound for w in crafted)
+            assert batched != per_seed
+            assert residue_cells(bound, count, seeds) == (per_seed if bad >= limit else batched)
+
+
+def test_lane_division_is_exact_at_the_largest_quotients(monkeypatch):
+    # v = (2^32 mod bound) (w >> 32) + (w mod 2^32) is largest at w >> 32 = 2^32 - 1; the top
+    # 2 bound low halves there give every remainder, bound - 1 among them, where a reciprocal
+    # that is too short rounds the quotient up
+    for bound in range(1, 257):
+        limit = 2 ** 64 - 2 ** 64 % bound
+        crafted = [w for w in range(2 ** 64 - 2 * bound, 2 ** 64) if w < limit]
+        monkeypatch.setattr(rng, "_mixed", lambda s, c: lanes(crafted))
+        assert residue_cells(bound, 1, list(range(len(crafted)))) == bytes(
+            w % bound for w in crafted), bound
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 17, 73])
+def test_skip_gives_the_words_from_word_start_on(start):
+    for s in STATES[:8]:
+        assert words([skip(s, start)], 5) == sequential(s, start + 5)[start:]
