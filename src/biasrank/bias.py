@@ -427,6 +427,15 @@ class _Packed:
             return [reduce(xor, compress(slices, w), 0) for w in ws]
         return list(self.reduced([sum(map(mul, w, slices)) for w in ws], self.n ** (order - 1)))
 
+    def restrict(self, cells: Sequence[int], order: int, basis: Sequence) -> bytes:
+        """At p = 2, the cells of T(B., ..., B.) for basis vectors B, each at T's cell of the same
+        index (the n stride): slot by slot, the earlier slots lanes, output j to slice j."""
+        n, x = self.n, self.pack(cells)
+        for m in range(order, 0, -1):  # each lane holds an order-m tensor, its leading slot next
+            slices = self.slices(x, m, ((1 << n ** order) - 1) // ((1 << n ** m) - 1))
+            x = sum(y << j * n ** (m - 1) for j, y in enumerate(self.contract(slices, basis, m)))
+        return self.cells(x, n ** order)
+
     def rank(self, forms: Iterable[int], order: int = 1) -> int:
         """The rank of packed order-`order` tensors as vectors, cells read mod p."""
         if self.p == 2:
@@ -558,7 +567,7 @@ def _kernel(p: int, n: int) -> _Packed:
 def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequence[int]],
                  budget: Optional[int] = DEFAULT_BUDGET) -> list[int]:
     """K of each coefficient row: the fixings of the leading order-1 slots
-    that leave the zero form, for order-`order` tensors on F_p^dim; rows of bytes are joined.
+    that leave the zero form, for order-`order` tensors on F_p^dim.
 
     Up to _LANES rows at a time are the lanes of one packed int, row i from
     cell i n^order on, and walk together (:meth:`_Packed.descend`).  The walk
@@ -589,7 +598,7 @@ def fiber_counts(field: PrimeField, dim: int, order: int, rows: Sequence[Sequenc
     counts = []
     for start in range(0, len(rows), lanes):
         batch = rows[start:start + lanes]
-        x = kernel.pack(b"".join(batch) if type(batch[0]) is bytes else [*chain(*batch)])
+        x = kernel.pack(list(chain.from_iterable(batch)))
         leaves = kernel.descend(x, order, stop, lines=True, lanes=len(batch))
         counts += [base + scale * s for s in leaf_counts(leaves, len(batch), stride)]
     return counts

@@ -20,11 +20,10 @@ before it is reported, and seeded runs are bit-reproducible.  A seeded
 universe's draws are made _CHUNK trials at a time from the batched words
 and residue rows of :mod:`biasrank.rng`.  The default draw is trial i's
 tensor (or pair) seeded by the first word (or two) of substream(seed, i).
-A law's own draw reads a fixed count of words per trial, _FIRST basis
-candidates' worth where it draws a basis (up to _CANDIDATES if none of those
-has full rank); a trial whose words it cannot use, after a rejected word or
-with no candidate of full rank, is drawn again from its stream by the law's
-per-trial draw, which stays the reference.
+A law's own draw reads a fixed count of words per trial, _FIRST basis candidates'
+worth where it draws a basis, and _CANDIDATES' where none of those has full rank;
+a trial whose words it cannot use, after a rejected word or with no candidate of
+full rank, is drawn again by the law's per-trial draw, which stays the reference.
 
 Laws read their bias numerators K a chunk of _CHUNK instances at a time
 (:meth:`_Tracker.drive_counted`): the chunk's tensors are grouped by shape
@@ -36,12 +35,11 @@ Subadditivity keeps one K per distinct tensor of its universe and decides
 each distinct triple (K(t + s), K(t), K(s)) once.  Its exhaustive pairs
 are indices into the cube in `all_tensors` order, charged to the budget
 before the cube is built: the index of t + s is i ^ j at p = 2 and the
-digitwise sum mod p otherwise.  Its seeded pairs are rows of residues cut from
-one buffer per chunk, bytes below p = 257: K is memoized by row, a chunk's new
-rows are counted together, and below p = 129 the rows of t + s are one big-int
-add of the t and s halves and a translate mod p.  Either way the pairs are walked
-one by one only to find the first that fails; tensors are built only for the
-cube, a witness and its replay.
+digitwise sum mod p otherwise.  Its seeded pairs are rows of residues cut from one
+buffer per chunk, bytes below p = 257: K is memoized by row, a chunk's new rows are
+counted together, and below p = 129 the rows of t + s are one big-int add of the t
+and s halves and a translate mod p.  Either way the pairs are walked one by one only
+to find the first that fails; tensors are built only for the cube, a witness and a replay.
 
 arank-le-prank and the survey take partition rank from
 :func:`ranks.rank_exact`, which admits each exact method by its own worst
@@ -252,18 +250,18 @@ def _bases(field: PrimeField, dim: int, order: int, seeds: list, chunk: list, pi
     full rank, from the stream (:func:`skip`); None if none has, or after a rejected word."""
     q, limit, more = field.p, _limit(field.p), (_CANDIDATES - _FIRST) * dim * dim
 
-    def basis(k: int, ws: list[int], count: int):  # None after a rejected word, () if none
-        for c in range(0, count * k * dim, k * dim):
-            cand = ws[c:c + k * dim]
-            if max(cand) >= limit:
+    def basis(k: int, ws: list[int], count: int):  # None after a rejected word, False if none
+        for c in range(count):
+            cand = ws[c * k * dim:(c + 1) * k * dim]
+            if max(cand, default=0) >= limit:
                 return None
             cand = tuple(zip(*[iter([w % q for w in cand])] * dim))
             if matrix_rank(field, cand) == k:
-                return cand
-        return ()
+                return cand  # () at n = 0: the empty basis has full rank
+        return False
 
     found = [pick and basis(pick[0], w[pick[1]:], _FIRST) for w, pick in zip(chunk, picks)]
-    later = [i for i, b in enumerate(found) if b == ()]
+    later = [i for i, b in enumerate(found) if b is False]
     flat = words([skip(seeds[i], picks[i][1] + _FIRST * picks[i][0] * dim) for i in later], more)
     for j, i in enumerate(later):
         found[i] = basis(picks[i][0], flat[j * more:(j + 1) * more], _CANDIDATES - _FIRST) or None

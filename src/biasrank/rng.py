@@ -121,13 +121,12 @@ def _lanes(count: int, streams: int) -> tuple[int, ...]:
 
 
 def residue_cells(bound: int, count: int, seeds: Sequence[int]) -> Sequence[int]:
-    """SplitMix64(s).residues(bound, count) for each seed s, joined, from one batch of
-    words: a tuple, or bytes below bound 257, where each lane w of the mixed int is divided
-    inside it as by an invariant integer (Granlund and Montgomery, PLDI 1994).  w is rejected
-    where w + 2^64 mod bound carries into bit 64; v = (2^32 mod bound) (w >> 32) + (w mod 2^32)
-    < 2^41 is w mod bound; with s = 41 + bound.bit_length() and m = ceil(2^s / bound), v // bound
-    is v m >> s, as m bound - 2^s < bound <= 2^(s - 41).  After a rejected word every row is
-    drawn by `residues`."""
+    """SplitMix64(s).residues(bound, count) for each seed s, joined, from one batch of words:
+    a tuple, or bytes below bound 257, where each lane w of the mixed int is reduced inside it
+    as by an invariant integer (Granlund and Montgomery, PLDI 1994): w mod bound is that of
+    v = (2^32 mod bound) (w >> 32) + (w mod 2^32) < 2^41, and v // bound = v m >> s for s = 41
+    + bound.bit_length() and m = ceil(2^s / bound), as m bound - 2^s < bound <= 2^(s - 41).  w is
+    rejected where w + 2^64 mod bound carries into bit 64, and then `residues` draws every row."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     cells, kind = None, bytes if bound <= 256 else tuple

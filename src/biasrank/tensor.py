@@ -284,17 +284,11 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
 
 
 def _contract(t: Tensor, basis: tuple[Vector, ...]) -> Tensor:
-    """restrict(t, basis) after its checks, for a basis known to be independent.  At p = 2
-    each slot in turn is contracted on the packed tensor (`bias._Packed`), the slots before
-    it lanes: output j, the XOR of the slices basis vector j selects, goes to slice j."""
+    """restrict(t, basis) after its checks, for an independent basis; packed at p = 2."""
     p, n, d, coeffs = t.field.p, t.dim, t.order, t.coeffs
-    if p == 2 and n:
-        x = (kernel := bias._kernel(2, n)).pack(coeffs)
-        for m in range(d, 0, -1):  # each lane holds an order-m tensor, its leading slot next
-            slices = kernel.slices(x, m, ((1 << n ** d) - 1) // ((1 << n ** m) - 1))
-            x = sum(y << j * n ** (m - 1) for j, y in enumerate(kernel.contract(slices, basis, m)))
-        coeffs = map(kernel.cells(x, n ** d).__getitem__,
-                     block_cells(n, (tuple(range(len(basis))),) * d))
+    if p == 2 and n:  # the XOR of the slices each basis vector selects, slot by slot
+        cells = bias._kernel(2, n).restrict(coeffs, d, basis)
+        coeffs = map(cells.__getitem__, block_cells(n, (tuple(range(len(basis))),) * d))
     else:
         for _ in range(d):  # contract the leading slot with the basis, move it last
             rest = len(coeffs) // max(n, 1)

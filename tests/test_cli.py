@@ -435,6 +435,7 @@ def test_maxindep_budget_is_charged(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     "check arank-le-prank --p 2 --n 0 --d 3 --trials 2",
     "check arank-le-prank --p 2 --n 0 --d 3 --exhaustive",
+    "check basis-invariance --p 2 --n 0 --d 3 --trials 3",
     "survey --p 2 --n 0 --d 3 --trials 3",
 ])
 def test_dimension_zero_universes_exit_zero(capsys, argv):
