@@ -83,9 +83,9 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, rank_mod_p
+from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, mod_table, rank_mod_p
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps bias.matrix_rank)
-from .tensor import MultiComponentForm, Tensor, block_cells
+from .tensor import MultiComponentForm, Tensor, block_cells, placed
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -310,7 +310,7 @@ class _Packed:
         self.column_mask = (1 << (self.bits * n)) - 1
         small = n >= 2 and p ** (n * n) <= _MEMO_KEYS and (p == 2 or self.width == 1)
         self.memo = {} if small else None
-        self.reduce = bytes(c % p for c in range(256)) if p != 2 and self.width == 1 else None
+        self.reduce = mod_table(p) if p != 2 and self.width == 1 else None
         self.zero_sets = {} if self.reduce and p ** (2 * n) <= _CACHE_LIMIT else None
         self.gray_table = self.lane_table = self.fiber_lanes = None
 
@@ -694,21 +694,26 @@ def bias_recursive(t: Tensor, budget: int = DEFAULT_BUDGET) -> BiasValue:
 def _value_counts(p: int, n: int, order: int, components) -> list[int]:
     """How often R(x) = sum of R_I(x^I) takes each value: the value walk.
 
-    `components` pairs each slot set I with its tensor R_I, whose slots are
-    those of I in increasing order.  Their homogenized tensor is counted by
-    :func:`_lane_counts` where its lanes fit and by :func:`_keyed_counts`
-    elsewhere.
+    `components` pairs each slot set I with the coefficients of R_I (a tuple or
+    bytes), whose slots are those of I in increasing order.  Their homogenized
+    tensor is counted by :func:`_lane_counts` where its lanes fit and by
+    :func:`_keyed_counts` elsewhere.
     """
-    size, coords = n + 1, tuple(range(n))
-    cells = [0] * size ** order
-    for slots, tensor in components:
-        blocks = tuple(coords if slot in slots else (n,) for slot in range(order))
-        for cell, c in zip(block_cells(size, blocks), tensor.coeffs):
-            cells[cell] = c
+    components = list(components) or [((), (0,))]  # no component: the zero constant
+    size, rows = n + 1, [coeffs for _, coeffs in components]
+    cells = placed(size, _homogenized(n, order, tuple(slots for slots, _ in components)), rows)
     kernel = _kernel(p, size)
     if order >= 2 and n >= 2 and p ** (2 * n) <= _CACHE_LIMIT:
         return _lane_counts(kernel, kernel.pack(cells), order)
     return _keyed_counts(kernel, kernel.pack(cells), order)
+
+
+@lru_cache(maxsize=64)
+def _homogenized(n: int, order: int, slot_sets: tuple) -> tuple:
+    """Where each R_I sits in the homogenized tensor: 0..n-1 in the slots of I, n elsewhere."""
+    coords = tuple(range(n))
+    return tuple(tuple(coords if slot in slots else (n,) for slot in range(order))
+                 for slots in slot_sets)
 
 
 def _keyed_counts(kernel: _Packed, x: int, order: int) -> list[int]:
@@ -774,7 +779,7 @@ def bias_histogram(t: Tensor, budget: int = DEFAULT_BUDGET) -> tuple[ValueHistog
     p, n = t.field.p, t.dim
     total = p ** (n * t.order)
     _check_budget(total, budget, "value histogram")
-    counts = _value_counts(p, n, t.order, [(range(t.order), t)])
+    counts = _value_counts(p, n, t.order, [(range(t.order), t.coeffs)])
     hist = ValueHistogram(p, tuple(counts), total)
     numerator = counts[0] * p - total
     denominator = (p ** n) * (p - 1)
@@ -831,18 +836,24 @@ class MultiformBias:
 
 def bias_multiform(form: MultiComponentForm, budget: int = DEFAULT_BUDGET) -> MultiformBias:
     """Histogram of R over all inputs, by the value walk, plus its (complex) bias."""
-    if form.order < 1:
+    return _multiform_bias(form.field, form.dim, form.order,
+                           [(slots, t.coeffs) for slots, t in form.components.items()], budget)
+
+
+def _multiform_bias(field: PrimeField, dim: int, order: int, components,
+                    budget: int) -> MultiformBias:
+    """:func:`bias_multiform` of the form whose components :func:`_value_counts` reads."""
+    if order < 1:
         raise ValueError("bias is defined for order >= 1")
-    p = form.field.p
-    total = p ** (form.dim * form.order)
+    p, total = field.p, field.p ** (dim * order)
     _check_budget(total, budget, "multi-component enumeration")
-    counts = _value_counts(p, form.dim, form.order, form.components.items())
+    counts = _value_counts(p, dim, order, components)
     hist = ValueHistogram(p, tuple(counts), total)
     if p == 2:
         exact = Fraction(counts[0] - counts[1], total)
         value = complex(exact)
         return MultiformBias(hist, value, abs(exact), 0.0, exact)
-    value = sum(counts[v] * chi(form.field, v) for v in range(p)) / total
+    value = sum(counts[v] * chi(field, v) for v in range(p)) / total
     return MultiformBias(hist, value, abs(value), p * 1e-15, None)
 
 

@@ -15,6 +15,7 @@ where it takes value v (:func:`digit_masks`, :func:`combine_masks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .rng import SplitMix64
@@ -140,6 +141,12 @@ def digit_masks(q: int, m: int) -> list[list[int]]:
     full = (1 << q ** m) - 1
     return [[(((1 << q ** k) - 1) << (v * q ** k)) * (full // ((1 << q ** (k + 1)) - 1))
              for v in range(q)] for k in range(m)]
+
+
+@lru_cache(maxsize=64)
+def mod_table(p: int) -> bytes:
+    """The byte table of c -> c mod p, which `bytes.translate` reads."""
+    return bytes(c % p for c in range(256))
 
 
 def combine_masks(f: Sequence[int], g: Sequence[int], op, q: int) -> list[int]:

@@ -18,45 +18,46 @@ through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
 before it is reported, and seeded runs are bit-reproducible.  A seeded
 universe's draws are made _CHUNK trials at a time from the batched words
-and residue rows of :mod:`biasrank.rng`.  The default draw is trial i's
-tensor (or pair) seeded by the first word (or two) of substream(seed, i).
-A law's own draw reads a fixed count of words per trial, _FIRST basis candidates'
-worth where it draws a basis, and _CANDIDATES' where none of those has full rank;
-a trial whose words it cannot use, after a rejected word or with no candidate of
-full rank, is drawn again by the law's per-trial draw, which stays the reference.
+of :mod:`biasrank.rng`, a tensor as its row of :func:`rng.residue_cells`
+(bytes below p = 257, a tuple above); the default draw is trial i's tensor
+seeded by the first word of substream(seed, i).  A law's own draw reads a
+fixed count of words per trial, _FIRST basis candidates' worth where it
+draws a basis, and _CANDIDATES' where none of those has full rank; a trial
+whose words it cannot use, after a rejected word or with no candidate of
+full rank, is drawn again by the law's per-trial draw, the reference.
 
-Laws read their bias numerators K a chunk of _CHUNK instances at a time
-(:meth:`_Tracker.drive_counted`): the chunk's tensors are grouped by shape
-and each group is counted by one :func:`bias.fiber_counts` call, whose
-rows share a walk.  A failing instance is replayed with bias_fiber one
-tensor at a time, so a fault that only batched counts make cannot replay.
+An instance stays rows from the draw to the verdict: correlation's families
+and lifts, lemma-bias's forms, the restrictions (contracted on cells, or
+cells selected) and the direct sums (placed by :func:`tensor.placed`).  A
+Tensor is built only where a Tensor API reads it (rank_exact,
+max_independent_set) or for a witness and its replay.  Laws read their bias
+numerators K a chunk of _CHUNK instances at a time
+(:meth:`_Tracker.drive_counted`): the chunk's rows are grouped by length
+and each group is counted by one :func:`bias.fiber_counts` call, whose rows
+share a walk.  A failing instance is replayed with bias_fiber one tensor at
+a time, so a fault that only batched counts make cannot replay.
 
 Subadditivity keeps one K per distinct tensor of its universe and decides
 each distinct triple (K(t + s), K(t), K(s)) once.  Its exhaustive pairs
 are indices into the cube in `all_tensors` order, charged to the budget
 before the cube is built: the index of t + s is i ^ j at p = 2 and the
-digitwise sum mod p otherwise.  Its seeded pairs are rows of residues cut from one
-buffer per chunk, bytes below p = 257: K is memoized by row, a chunk's new rows are
-counted together, and below p = 129 the rows of t + s are one big-int add of the t
-and s halves and a translate mod p.  Either way the pairs are walked one by one only
-to find the first that fails; tensors are built only for the cube, a witness and a replay.
+digitwise sum mod p otherwise.  Its seeded pairs are rows
+(:func:`_row_pairs`), K memoized by row.  Either way the pairs are walked
+one by one only to find the first that fails.
 
-arank-le-prank and the survey take partition rank from
-:func:`ranks.rank_exact`, which admits each exact method by its own worst
-case.  Where it gives an interval, arank-le-prank, which needs exact
-ranks, raises BudgetExceededError, and the survey reports the interval.
-arank-le-prank also checks rank-one tensors: on an exhaustive universe,
-the cube's tensors of exact partition rank 1, which are every rank-one
-array of the shape; on a seeded one, as many seeded rank-one tensors as
-trials, drawn from a substream of their own.
+arank-le-prank takes partition rank from :func:`ranks.rank_exact` and
+raises BudgetExceededError where that gives an interval.  It also checks
+rank-one tensors: on an exhaustive universe, the cube's tensors of exact
+partition rank 1, which are every rank-one array of the shape; on a seeded
+one, as many seeded rank-one tensors as trials, drawn from a substream of
+their own.  The survey, :mod:`biasrank.survey`, is re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
-from itertools import chain, combinations, islice, product, repeat
-from math import inf
+from itertools import chain, combinations, groupby, islice, product, repeat
 from operator import add, and_, mul, xor
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -65,27 +66,26 @@ from .bias import (
     BiasValue,
     BudgetExceededError,
     _check_budget,
+    _multiform_bias,
     analytic_rank,
     bias_fiber,
-    bias_multiform,
     c_constant,
     diagonal_bias_numerator,
     fiber_counts,
 )
-from .gf import PrimeField, combine_masks, digit_masks, matrix_rank, random_full_rank_basis
+from .gf import (PrimeField, combine_masks, digit_masks, matrix_rank, mod_table,
+                 random_full_rank_basis)
 from .ranks import _cell_positions, _partition_sides, max_independent_set, rank_exact
-from .rng import SplitMix64, residue_cells, residue_rows, skip, substream, substream_seed, words
+from .rng import SplitMix64, residue_cells, skip, substream, substream_seed, words
 from .tensor import (
-    MultiComponentForm,
     Tensor,
     _check_dims,
-    _contract,
     all_tensors,
     block_cells,
+    contracted,
     diagonal_tensor,
-    direct_sum,
     identity_tensor,
-    random_tensor,
+    placed,
     universe_size,
 )
 
@@ -110,24 +110,14 @@ class LawResult:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "universe": self.universe,
-            "holds": self.holds,
-            "checked": self.checked,
-            "witness": self.witness,
-            "min_slack": self.min_slack,
-            "notes": list(self.notes),
-        }
+        return dict(asdict(self), notes=list(self.notes))
 
 
 class _Tracker:
     """Accumulates check count, minimum slack, and a replayed witness."""
 
     def __init__(self, law: str, universe: str):
-        self.law = law
-        self.universe = universe
-        self.checked = 0
+        self.law, self.universe, self.checked = law, universe, 0
         self.min_slack: Optional[float] = None
         self.witness: Optional[dict] = None
 
@@ -153,16 +143,18 @@ class _Tracker:
         return held
 
     def drive_counted(self, instances: Iterable, parts: Callable[[object], tuple],
-                      check: Callable[[object, list], tuple], budget: int) -> int:
-        """:meth:`drive` where `check(instance, ks)` reads the K of each tensor
-        of `parts(instance)`, ks[i] for the i-th, counted by :func:`_counted`.
+                      check: Callable[[object, list], tuple], field: PrimeField, order: int,
+                      budget: int) -> int:
+        """:meth:`drive` where `check(instance, ks)` reads the K of each order-`order` row
+        of `parts(instance)` over `field`, ks[i] for the i-th, counted by :func:`_counted`.
 
         A failure is replayed by `check` with every K recounted by bias_fiber,
         one tensor at a time, so a count that goes wrong only in a batch
         does not replay.
         """
-        return self.drive(_counted(instances, parts, budget), lambda item: check(*item),
-                          lambda item: check(item[0], _Recount(parts(item[0]), budget))[0])
+        return self.drive(_counted(instances, parts, field, order, budget),
+                          lambda item: check(*item), lambda item: check(
+                              item[0], _Recount(parts(item[0]), field, order, budget))[0])
 
     def record(self, checked: int, slack: Optional[float]) -> None:
         """Count `checked` instances, the least slack among them `slack`."""
@@ -177,45 +169,47 @@ class _Tracker:
                          self.checked, self.witness, self.min_slack, notes)
 
 
-class _Recount:
-    """K of each tensor by bias_fiber, one tensor at a time, when read."""
+def _tensor(field: PrimeField, order: int, row) -> Tensor:
+    """The order-`order` tensor (order >= 1) whose coefficients are the row."""
+    return Tensor._trusted(field, round(len(row) ** (1 / order)), order, tuple(row))
 
-    def __init__(self, tensors: tuple, budget: int):
-        self.tensors, self.budget = tensors, budget
+
+class _Recount:
+    """K of each row by bias_fiber, one tensor at a time, when read."""
+
+    def __init__(self, rows: tuple, field: PrimeField, order: int, budget: int):
+        self.rows, self.field, self.order, self.budget = rows, field, order, budget
 
     def __getitem__(self, i: int) -> int:
-        return bias_fiber(self.tensors[i], self.budget).numerator
+        return bias_fiber(_tensor(self.field, self.order, self.rows[i]), self.budget).numerator
 
 
-def _counted(instances: Iterable, parts: Callable[[object], tuple],
-             budget: int) -> Iterator[tuple[object, object]]:
-    """(instance, K of each tensor of parts(instance)) for every instance.
+def _counted(instances: Iterable, parts: Callable[[object], tuple], field: PrimeField,
+             order: int, budget: int) -> Iterator[tuple[object, object]]:
+    """(instance, K of each row of parts(instance)) for every instance.
 
-    The K's of _CHUNK instances come from one fiber_counts call per shape,
-    which counts each distinct coefficient row once.  Where a shape's walk
-    is over the budget, the chunk's K's are read from bias_fiber one tensor
-    at a time (:class:`_Recount`), so the refusal comes where the law reads
-    that K, after any refusal the law makes first.
+    The rows of _CHUNK instances are counted by one fiber_counts call per length (a
+    dimension), each distinct row once.  Where a walk is over the budget, the chunk's
+    K's are read from bias_fiber one tensor at a time (:class:`_Recount`), so the
+    refusal comes where the law reads that K, after any refusal the law makes first.
     """
     instances = iter(instances)
     while chunk := list(islice(instances, _CHUNK)):
-        tensors = [parts(inst) for inst in chunk]
-        shapes: dict[tuple, dict] = {}
-        for t in chain.from_iterable(tensors):
-            shapes.setdefault((t.field.p, t.dim, t.order), {})[t.coeffs] = None
+        rows = [parts(inst) for inst in chunk]
+        known = dict.fromkeys(chain.from_iterable(rows))
         try:
-            for (p, dim, order), known in shapes.items():
-                rows = list(known)
-                known.update(zip(rows, fiber_counts(PrimeField(p), dim, order, rows, budget)))
+            for cells, group in groupby(sorted(known, key=len), len):
+                group = list(group)
+                dim = round(cells ** (1 / order))
+                known.update(zip(group, fiber_counts(field, dim, order, group, budget)))
         except BudgetExceededError:
-            yield from zip(chunk, (_Recount(ts, budget) for ts in tensors))
+            yield from zip(chunk, (_Recount(rs, field, order, budget) for rs in rows))
             continue
-        for inst, ts in zip(chunk, tensors):
-            yield inst, [shapes[t.field.p, t.dim, t.order][t.coeffs] for t in ts]
+        yield from zip(chunk, ([known[r] for r in rs] for rs in rows))
 
 
-def _itself(t: Tensor) -> tuple[Tensor]:
-    return (t,)
+def _coeffs(t: Tensor) -> tuple:
+    return (t.coeffs,)
 
 
 # Trials whose words and residues are drawn, and instances whose K's are counted,
@@ -232,10 +226,10 @@ def _trial_words(dim: int, order: int, trials: int, seed: int, count: int) -> It
         yield seeds, words(seeds, count)
 
 
-def _tensors(field: PrimeField, dim: int, order: int, seeds: list[int]) -> list[Tensor]:
-    """random_tensor(field, dim, order, s) for each seed s, from one batch of words."""
-    return list(map(partial(Tensor._trusted, field, dim, order),
-                    residue_rows(field.p, dim ** order, seeds)))
+def _rows(q: int, cells: int, seeds: list[int]) -> list:
+    """random_tensor's coefficients seeded by each seed, rows of one residue_cells buffer."""
+    flat = residue_cells(q, cells, seeds)
+    return [flat[i * cells:(i + 1) * cells] for i in range(len(seeds))]
 
 
 def _limit(bound: int) -> int:
@@ -244,8 +238,8 @@ def _limit(bound: int) -> int:
 
 
 def _bases(field: PrimeField, dim: int, order: int, seeds: list, chunk: list, picks: list) -> list:
-    """(tensor seeded by w[0], basis) per trial's stream seed, words w and pick (k, start):
-    the first of _CANDIDATES candidates of k vectors of rank k that random_full_rank_basis
+    """(row of the tensor seeded by w[0], basis) per trial's stream seed, words w and pick (k,
+    start): the first of _CANDIDATES candidates of k vectors of rank k that random_full_rank_basis
     draws from word `start` on, _FIRST read from w and the rest, where none of those has
     full rank, from the stream (:func:`skip`); None if none has, or after a rejected word."""
     q, limit, more = field.p, _limit(field.p), (_CANDIDATES - _FIRST) * dim * dim
@@ -265,21 +259,20 @@ def _bases(field: PrimeField, dim: int, order: int, seeds: list, chunk: list, pi
     flat = words([skip(seeds[i], picks[i][1] + _FIRST * picks[i][0] * dim) for i in later], more)
     for j, i in enumerate(later):
         found[i] = basis(picks[i][0], flat[j * more:(j + 1) * more], _CANDIDATES - _FIRST) or None
-    tensors = _tensors(field, dim, order, [w[0] for w in chunk])
-    return [None if b is None else (t, b) for t, b in zip(tensors, found)]
+    rows = _rows(q, dim ** order, [w[0] for w in chunk])
+    return [None if b is None else (t, b) for t, b in zip(rows, found)]
 
 
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
-              trials: int = 0, seed: int = 0, pairs: bool = False,
+              trials: int = 0, seed: int = 0,
               draw: Optional[Callable[[SplitMix64], object]] = None,
               batch: Optional[tuple[int, Callable[[list], list]]] = None) -> Iterable:
     """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
 
-    A trial's instance is `draw(stream)`, by default the tensor seeded by
-    the stream's first word, or with `pairs` the tensors seeded by its first
-    two words.  Default draws are batched; with `batch` (count, build), so is
-    `draw`: `build` makes each chunk's instances from its trials' stream seeds and
-    first `count` words, None where `draw` must draw from the stream.
+    A trial's instance is `draw(stream)`, by default the tensor seeded by the
+    stream's first word.  Default draws are batched; with `batch` (count, build),
+    so is `draw`: `build` makes each chunk's instances from its trials' stream
+    seeds and first `count` words, None where `draw` must draw from the stream.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
@@ -290,20 +283,30 @@ def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = Fal
         return (draw(substream(seed, i)) if inst is None else inst for i, inst in enumerate(built))
     if draw:
         return (draw(substream(seed, i)) for i in range(trials))
-    per = 2 if pairs else 1
-    tensors = chain.from_iterable(_tensors(field, dim, order, flat)
-                                  for _, flat in _trial_words(dim, order, trials, seed, per))
-    return (tuple(ts) if pairs else ts[0] for ts in zip(*[tensors] * per))
+    return (Tensor._trusted(field, dim, order, tuple(row))
+            for _, flat in _trial_words(dim, order, trials, seed, 1)
+            for row in _rows(field.p, dim ** order, flat))
 
 
-def _tensor_witness(**tensors) -> dict:
-    out = {}
-    for name, t in tensors.items():
-        if isinstance(t, Tensor):
-            out[name] = {"p": t.field.p, "n": t.dim, "d": t.order, "coeffs": list(t.coeffs)}
+def _row_pairs(q: int, dim: int, order: int, trials: int, seed: int) -> Iterator[list]:
+    """Each chunk's rows of t, s and t + s, trial i's t and s seeded by the first two words
+    of substream(seed, i): slices of one residue_cells buffer, t half then s half; below
+    p = 129 the t + s rows are one big-int add of the halves and a translate mod p."""
+    cells = dim ** order
+    for _, flat in _trial_words(dim, order, trials, seed, 2):
+        buf, starts = residue_cells(q, cells, flat[::2] + flat[1::2]), range(len(flat) // 2)
+        ts, ss = buf[:len(buf) // 2], buf[len(buf) // 2:]
+        if type(buf) is bytes and q <= 128:  # one big-int add; each sum fits in a byte
+            sums = (int.from_bytes(ts, "little") + int.from_bytes(ss, "little")).to_bytes(
+                len(ts), "little").translate(mod_table(q))
         else:
-            out[name] = t
-    return out
+            sums = type(ts)([(a + b) % q for a, b in zip(ts, ss)])
+        yield [[rows[i * cells:(i + 1) * cells] for i in starts] for rows in (ts, ss, sums)]
+
+
+def _tensor_witness(**values) -> dict:
+    return {name: {"p": t.field.p, "n": t.dim, "d": t.order, "coeffs": list(t.coeffs)}
+            if isinstance(t, Tensor) else t for name, t in values.items()}
 
 
 # The law table.  LAWS holds the functions themselves, which the benchmark
@@ -361,11 +364,13 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
     index for exhaustive pairs, a dict by row for seeded ones (see the module
     docstring).  The verdict and slack of a pair depend only on its triple
     (K(t + s), K(t), K(s)), so each distinct triple is decided once; a
-    failing pair is replayed from scratch on tensors.
+    failing pair is replayed from scratch on tensors.  The direct sums are
+    placed from seeded row pairs.
     """
     q = field.p
     exponent = dim * (order - 1)
     scale, scale_sq = q ** exponent, q ** (2 * exponent)
+    tensor = partial(_tensor, field, order)
     if exhaustive:
         universe = f"exhaustive pairs p={q} n={dim} d={order}"
     else:
@@ -392,9 +397,8 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
         return holds(fiber(t + s), fiber(t), fiber(s))
 
     def direct_sum_ok(pair, ks):
-        t, s = pair
         return ks[0] == ks[1] * ks[2], None, lambda: _tensor_witness(
-            t=t, s=s, note="direct sum not multiplicative")
+            t=tensor(pair[0]), s=tensor(pair[1]), note="direct sum not multiplicative")
 
     if exhaustive:
         _check_dims(dim, order)
@@ -416,31 +420,20 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
                        lambda ij: replay(cube[ij[0]], cube[ij[1]]))
     else:
         numerators: dict = {}  # by row: bytes, or a tuple above p = 256
-        k, cells, modulo = numerators.__getitem__, dim ** order, bytes(c % q for c in range(256))
-        tensor = partial(Tensor._trusted, field, dim, order)
-
-        def row_chunks() -> Iterator[list]:  # each chunk's t, s and t + s rows
-            for _, flat in _trial_words(dim, order, trials, seed, 2):
-                buf, starts = residue_cells(q, cells, flat[::2] + flat[1::2]), range(len(flat) // 2)
-                ts, ss = buf[:len(buf) // 2], buf[len(buf) // 2:]
-                if type(buf) is bytes and q <= 128:  # one big-int add; each sum fits in a byte
-                    sums = (int.from_bytes(ts, "little") + int.from_bytes(ss, "little")).to_bytes(
-                        len(ts), "little").translate(modulo)
-                else:
-                    sums = type(ts)([(a + b) % q for a, b in zip(ts, ss)])
-                yield [[rows[i * cells:(i + 1) * cells] for i in starts] for rows in (ts, ss, sums)]
+        k = numerators.__getitem__
 
         def row_pair_ok(item):
             t, s, row_sum = item
-            return verdict(k(row_sum), k(t), k(s), lambda: (tensor(tuple(t)), tensor(tuple(s))))
+            return verdict(k(row_sum), k(t), k(s), lambda: (tensor(t), tensor(s)))
 
         pairs, triples = trials, set()
-        for ts, ss, row_sums in row_chunks():
+        for ts, ss, row_sums in _row_pairs(q, dim, order, trials, seed):
             fresh = list(set(chain(row_sums, ts, ss)).difference(numerators))
             numerators.update(zip(fresh, fiber_counts(field, dim, order, fresh, budget)))
             triples.update(zip(map(k, row_sums), map(k, ts), map(k, ss)))
-        walk = partial(tracker.drive, chain.from_iterable(zip(*chunk) for chunk in row_chunks()),
-                       row_pair_ok, lambda item: replay(*map(tensor, map(tuple, item[:2]))))
+        walk = partial(tracker.drive, chain.from_iterable(
+            zip(*chunk) for chunk in _row_pairs(q, dim, order, trials, seed)),
+            row_pair_ok, lambda item: replay(tensor(item[0]), tensor(item[1])))
     if all(holds(*triple) for triple in triples):
         tracker.record(pairs, min((slack(*triple) for triple in triples), default=None))
     else:
@@ -450,9 +443,12 @@ def law_subadditivity(field: PrimeField, dim: int, order: int, *,
 
     notes = ()
     if disjoint_trials:
+        blocks = tuple((tuple(range(start, start + dim)),) * order for start in (0, dim))
         equal = tracker.drive_counted(
-            _universe(field, dim, order, trials=disjoint_trials, seed=seed ^ 0x5D15, pairs=True),
-            lambda pair: (direct_sum(*pair),) + pair, direct_sum_ok, budget)
+            chain.from_iterable(zip(ts, ss) for ts, ss, _ in _row_pairs(
+                q, dim, order, disjoint_trials, seed ^ 0x5D15)),
+            lambda pair: (placed(2 * dim, blocks, pair),) + pair, direct_sum_ok, field, order,
+            budget)
         notes = (f"direct-sum tightness: {equal}/{disjoint_trials} exact equalities",)
     return tracker.result(notes)
 
@@ -482,6 +478,50 @@ def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int,
     return full, table, {}
 
 
+def _zero_counts(q: int, n: int, d: int, groups: tuple, budget: int) -> tuple[int, int, int, int]:
+    """(#common zeros of the rows of groups[0], of groups[1], of both, domain size): a zero
+    set bitmask per row and block of assignments, as large as a monomial table of _TABLE_BITS
+    bits allows, and popcounts.  The budget is charged the assignments, then, where several
+    blocks each build their table again, the (d + rows) n^d q^2 mask products of all.  Zero
+    sets are memoized by row with the block's table, cleared once they hold a table's bits."""
+    total = q ** (n * d)
+    _check_budget(total, budget, "correlation counting")
+    low = n * d
+    while low and q ** (low + 1) * n ** d > _TABLE_BITS:
+        low -= 1
+    rows = set(chain(*groups))
+    blocks = q ** (n * d - low)
+    _check_budget((blocks > 1) * blocks * (d + len(rows)) * n ** d * q * q, budget,
+                  "correlation tables")
+    z_t = z_s = z_both = 0
+    for high in product(range(q), repeat=n * d - low):
+        full, table, memo = _monomial_table(q, n, d, high)
+        if len(memo) * full.bit_length() >= _TABLE_BITS:  # its masks hold a table's bits
+            memo.clear()
+        for row in rows.difference(memo):
+            values = [full] + [0] * (q - 1)
+            for term, c in zip(table, row):
+                if c:  # c * term takes value v where term takes v / c
+                    inv = pow(c, -1, q)
+                    values = combine_masks(values, [term[v * inv % q] for v in range(q)], add, q)
+            memo[row] = values[0]
+        t_zero, s_zero = (reduce(and_, map(memo.__getitem__, group), full) for group in groups)
+        z_t += t_zero.bit_count()
+        z_s += s_zero.bit_count()
+        z_both += (t_zero & s_zero).bit_count()
+    return z_t, z_s, z_both, total
+
+
+def _lifted(n: int, d: int, groups: tuple) -> tuple:
+    """The rows of :meth:`CorrelationInstance.lifted`'s sum and of its two tensors: each
+    row of the families in turn placed under its own lead coordinate."""
+    m, k = len(groups[0]), len(groups[1])
+    size = max(m + k, n)
+    lifted = placed(size, ((tuple(range(m + k)),) + (tuple(range(n)),) * d,), groups[0] + groups[1])
+    cut, zero = m * size ** d, type(lifted)((0,))
+    return lifted, lifted[:cut] + zero * (len(lifted) - cut), zero * cut + lifted[cut:]
+
+
 @dataclass(frozen=True)
 class CorrelationInstance:
     """Tensor families T_1..T_m and S_1..S_k on a shared input space."""
@@ -497,83 +537,34 @@ class CorrelationInstance:
             if t.field.p != self.field.p or t.dim != self.dim or t.order != self.order:
                 raise ValueError("family members must share shape and field")
 
-    def zero_counts(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int, int]:
-        """(#common zeros of T, of S, of both, domain size) by enumeration:
-        a zero-set bitmask per member and block of assignments, each block as
-        large as a monomial table of _TABLE_BITS bits allows, and popcounts.
-        Zero sets are memoized by row in the memo the block's table comes
-        with, cleared once its masks hold as many bits as the table.
-        The value-mask helpers of :mod:`biasrank.gf` are shared with the
-        histogram's lane walk, but nothing with bias_fiber, which the bridge
-        check compares these counts against."""
-        q, n, d = self.field.p, self.dim, self.order
-        total = q ** (n * d)
-        _check_budget(total, budget, "correlation counting")
-        low = n * d
-        while low and q ** (low + 1) * n ** d > _TABLE_BITS:
-            low -= 1
-        z_t = z_s = z_both = 0
-        for high in product(range(q), repeat=n * d - low):
-            full, table, memo = _monomial_table(q, n, d, high)
-            if len(memo) * full.bit_length() >= _TABLE_BITS:  # its masks hold a table's bits
-                memo.clear()
-            for row in {t.coeffs for t in self.t_group + self.s_group}.difference(memo):
-                values = [full] + [0] * (q - 1)
-                for term, c in zip(table, row):
-                    if c:  # c * term takes value v where term takes v / c
-                        inv = pow(c, -1, q)
-                        values = combine_masks(values, [term[v * inv % q] for v in range(q)],
-                                               add, q)
-                memo[row] = values[0]
-            t_zero, s_zero = (reduce(and_, (memo[t.coeffs] for t in group), full)
-                              for group in (self.t_group, self.s_group))
-            z_t += t_zero.bit_count()
-            z_s += s_zero.bit_count()
-            z_both += (t_zero & s_zero).bit_count()
-        return z_t, z_s, z_both, total
-
     @property
-    def lift_dim(self) -> int:
-        """The dimension of :meth:`lifted`: every slot padded to max(m + k, n)."""
-        return max(len(self.t_group) + len(self.s_group), self.dim)
+    def rows(self) -> tuple:
+        """The coefficients of each family, the instance as the law draws it."""
+        return tuple(tuple(t.coeffs for t in group) for group in (self.t_group, self.s_group))
+
+    def zero_counts(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int, int]:
+        """(#common zeros of T, of S, of both, domain size), by :func:`_zero_counts`."""
+        return _zero_counts(self.field.p, self.dim, self.order, self.rows, budget)
 
     def lifted(self) -> tuple[Tensor, Tensor]:
-        """Order-(d+1) tensors with a fresh leading slot selecting the family.
-
-        The T family occupies leading coordinates 0..m-1, the S family
-        m..m+k-1; all slots are padded to a common dimension.
-        """
-        m, lift_dim = len(self.t_group), self.lift_dim
-        blocks = (tuple(range(self.dim)),) * self.order  # every slot after the lead
-
-        def lift(group: tuple[Tensor, ...], first: int) -> Tensor:
-            coeffs = [0] * lift_dim ** (self.order + 1)
-            for lead, t in enumerate(group, first):
-                for cell, c in zip(block_cells(lift_dim, ((lead,),) + blocks), t.coeffs):
-                    coeffs[cell] = c
-            return Tensor._trusted(self.field, lift_dim, self.order + 1, tuple(coeffs))
-
-        return lift(self.t_group, 0), lift(self.s_group, m)
+        """Order-(d+1) tensors with a fresh leading slot selecting the family: the T family
+        on leading coordinates 0..m-1, the S family on m..m+k-1, every slot padded to
+        max(m + k, n)."""
+        lifts = _lifted(self.dim, self.order, self.rows)[1:]
+        return tuple(_tensor(self.field, self.order + 1, row) for row in lifts)
 
 
-def _lifts(inst: CorrelationInstance) -> tuple[Tensor, Tensor, Tensor]:
-    """The lifted sum and the two lifted families, whose K's the bridge reads."""
-    lift_t, lift_s = inst.lifted()  # disjoint supports: their sum needs no mod
-    return (Tensor._trusted(inst.field, lift_t.dim, lift_t.order,
-                            tuple(map(add, lift_t.coeffs, lift_s.coeffs))), lift_t, lift_s)
-
-
-def _correlation_ok(inst: CorrelationInstance, budget: int,
+def _correlation_ok(field: PrimeField, n: int, d: int, groups: tuple, budget: int,
                     ks=None) -> tuple[bool, float, dict]:
-    """The correlation verdict, its slack and details; `ks` are the K's of
-    :func:`_lifts`, by default counted by bias_fiber."""
-    q, n, d = inst.field.p, inst.dim, inst.order
-    z_t, z_s, z_both, total = inst.zero_counts(budget)
+    """The correlation verdict on the families' rows, its slack and details; `ks`
+    are the K's of :func:`_lifted`, by default counted by bias_fiber."""
+    q = field.p
+    z_t, z_s, z_both, total = _zero_counts(q, n, d, groups, budget)
     ok = z_both * total >= z_t * z_s
     slack = z_both / total - (z_t * z_s) / (total * total)
     if ks is None:
-        ks = _Recount(_lifts(inst), budget)
-    lift_dim = inst.lift_dim
+        ks = _Recount(_lifted(n, d, groups), field, d + 1, budget)
+    lift_dim = max(len(groups[0]) + len(groups[1]), n)
     # The counted LHS must equal the lifted-sum bias exactly, and the
     # counted RHS must equal the product of the lifted biases.
     bridge_lhs = ks[0] * q ** (n * d) == z_both * q ** (lift_dim * d)
@@ -587,37 +578,34 @@ def _correlation_ok(inst: CorrelationInstance, budget: int,
 def law_correlation(field: PrimeField, dim: int, order: int, *,
                     trials: int, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> LawResult:
-    """Common zeros of two tensor families are positively correlated."""
-    universe = (f"random families p={field.p} n={dim} d={order} "
+    """Common zeros of two tensor families, each a tuple of rows, are positively correlated."""
+    q, cells = field.p, dim ** order
+    universe = (f"random families p={q} n={dim} d={order} "
                 f"sizes<={CORRELATION_MAX_EACH} trials={trials} seed={seed}")
     tracker = _Tracker("correlation", universe)
 
-    def draw(gen: SplitMix64) -> CorrelationInstance:
-        m = 1 + gen.below(CORRELATION_MAX_EACH)
-        k = 1 + gen.below(CORRELATION_MAX_EACH)
-        t_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(m))
-        s_group = tuple(random_tensor(field, dim, order, gen.next_u64()) for _ in range(k))
-        return CorrelationInstance(field, dim, order, t_group, s_group)
+    def draw(gen: SplitMix64) -> tuple:
+        sizes = [1 + gen.below(CORRELATION_MAX_EACH) for _ in range(2)]
+        return tuple(tuple(_rows(q, cells, [gen.next_u64() for _ in range(size)]))
+                     for size in sizes)
 
-    def check(inst: CorrelationInstance, ks):
-        ok, slack, details = _correlation_ok(inst, budget, ks)
-        return ok, slack, lambda: dict(
-            _tensor_witness(**{f"t{j}": t for j, t in enumerate(inst.t_group)},
-                            **{f"s{j}": s for j, s in enumerate(inst.s_group)}),
-            **details)
+    def check(groups: tuple, ks):
+        ok, slack, details = _correlation_ok(field, dim, order, groups, budget, ks)
+        return ok, slack, lambda: dict(_tensor_witness(**{
+            f"{name}{j}": _tensor(field, order, row)
+            for name, group in zip("ts", groups) for j, row in enumerate(group)}), **details)
 
     def build(_, chunk: list) -> list:  # draw's two below words, then its m + k tensor seeds
         limit = _limit(CORRELATION_MAX_EACH)
         sizes = [(1 + w[0] % CORRELATION_MAX_EACH, 1 + w[1] % CORRELATION_MAX_EACH)
                  if max(w[:2]) < limit else None for w in chunk]
-        rows = iter(_tensors(field, dim, order, [s for w, mk in zip(chunk, sizes) if mk
-                                                 for s in w[2:2 + sum(mk)]]))
-        return [mk and CorrelationInstance(field, dim, order, tuple(islice(rows, mk[0])),
-                                           tuple(islice(rows, mk[1]))) for mk in sizes]
+        rows = iter(_rows(q, cells, [s for w, mk in zip(chunk, sizes) if mk
+                                     for s in w[2:2 + sum(mk)]]))
+        return [mk and tuple(tuple(islice(rows, size)) for size in mk) for mk in sizes]
 
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
                                     batch=(2 + 2 * CORRELATION_MAX_EACH, build)),
-                          _lifts, check, budget)
+                          partial(_lifted, dim, order), check, field, order + 1, budget)
     return tracker.result()
 
 
@@ -673,12 +661,12 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
             [a[fa] * b[fb] % q for fa, fb in _cell_positions(dim, order, side)]))
 
     tracker.drive_counted(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                                    seed=seed), _itself, check, budget)
+                                    seed=seed), _coeffs, check, field, order, budget)
     if not (exhaustive or trials):
         return tracker.result()
     tensors = rank_one.values() if exhaustive else list(_universe(
         field, dim, order, trials=trials if dim else 0, seed=seed ^ 0x1E51, draw=draw))
-    held = tracker.drive_counted(tensors, _itself, rank_one_ok, budget)
+    held = tracker.drive_counted(tensors, _coeffs, rank_one_ok, field, order, budget)
     return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(tensors)}",))
 
 
@@ -727,13 +715,13 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
         slack = analytic_rank(BiasValue(k, exponent, q)).value - constant * size
         return ok, slack, lambda: _tensor_witness(t=t, independent_set=list(indep), k=k)
 
-    def diagonal(diag: tuple[int, ...]) -> tuple[Tensor]:
-        return (diagonal_tensor(field, order, diag),)
+    def diagonal(diag: tuple[int, ...]) -> Tensor:
+        return diagonal_tensor(field, order, diag)
 
     def closed_form_ok(diag: tuple[int, ...], ks):
         expected = diagonal_bias_numerator(q, dim, order, sum(1 for c in diag if c))
         k = ks[0]
-        return k == expected, None, lambda: _tensor_witness(t=diagonal(diag)[0], k=k,
+        return k == expected, None, lambda: _tensor_witness(t=diagonal(diag), k=k,
                                                             expected=expected)
 
     def identity_ok(t: Tensor, ks):
@@ -743,14 +731,16 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
         return ok, None, lambda: _tensor_witness(t=t, k=k)
 
     tracker.drive_counted(_universe(field, dim, order, exhaustive=exhaustive, trials=trials,
-                                    seed=seed), _itself, check, budget)
+                                    seed=seed), _coeffs, check, field, order, budget)
     if not (exhaustive or trials > 0):
         return tracker.result()
     diag_ok = tracker.drive_counted(_universe(field, dim, order, trials=DIAGONAL_TRIALS,
                                               seed=seed ^ 0xD1A6,
                                               draw=lambda gen: gen.residues(q, dim)),
-                                    diagonal, closed_form_ok, budget)
-    tracker.drive_counted([identity_tensor(field, dim, order)], _itself, identity_ok, budget)
+                                    lambda diag: _coeffs(diagonal(diag)), closed_form_ok,
+                                    field, order, budget)
+    tracker.drive_counted([identity_tensor(field, dim, order)], _coeffs, identity_ok, field,
+                          order, budget)
     notes = (f"diagonal closed form exact on {diag_ok}/{DIAGONAL_TRIALS} draws plus identity",)
     return tracker.result(notes)
 
@@ -775,7 +765,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("restriction-monotone", universe)
 
     def draw(gen: SplitMix64):
-        t = random_tensor(field, dim, order, gen.next_u64())
+        t = _rows(q, dim ** order, [gen.next_u64()])[0]
         return t, random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
 
     def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, below word, candidates
@@ -783,25 +773,25 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         return _bases(field, dim, order, seeds, chunk,
                       [(1 + w[1] % dim, 2) if w[1] < limit else None for w in chunk])
 
-    def check(inst, ks):
+    def check(inst, ks):  # ks: the restriction's K, then t's
         t, span = inst  # a basis, or the sorted coordinates of a coordinate subspace
-        b_t = BiasValue(ks[0], dim * (order - 1), q)
-        b_sub = BiasValue(ks[1], len(span) * (order - 1), q)
+        b_t = BiasValue(ks[1], dim * (order - 1), q)
+        b_sub = BiasValue(ks[0], len(span) * (order - 1), q)
         where = {"subset": list(span)} if type(span[0]) is int else {"basis": list(map(list, span))}
         return b_sub >= b_t, b_sub.to_float() - b_t.to_float(), lambda: _tensor_witness(
-            t=t, **where)
+            t=_tensor(field, order, t), **where)
 
     def select(inst):  # the restriction to a coordinate subspace selects its cells
         t, subset = inst
-        cells = map(t.coeffs.__getitem__, block_cells(dim, (subset,) * order))
-        return t, Tensor._trusted(field, len(subset), order, tuple(cells))
+        return type(t)(map(t.__getitem__, block_cells(dim, (subset,) * order))), t
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
                            batch=(2 + _FIRST * dim * dim, build)))
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
-    tracker.drive_counted(draws, lambda inst: (inst[0], _contract(*inst)), check, budget)
+    tracker.drive_counted(draws, lambda inst: (contracted(q, dim, order, *inst), inst[0]), check,
+                          field, order, budget)
     tracker.drive_counted(((t, subset) for t, _ in draws[:max(1, trials // 10)]
-                           for subset in subsets), select, check, budget)
+                           for subset in subsets), select, check, field, order, budget)
     return tracker.result()
 
 
@@ -813,34 +803,32 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
 def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
                    trials: int, seed: int = 0,
                    budget: int = DEFAULT_BUDGET) -> LawResult:
-    """|bias(sum of subset components)| <= bias of the top component."""
+    """|bias(sum of subset components)| <= bias of the top component; a form is {slots: row}."""
     universe = f"random multiforms p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("lemma-bias", universe)
+    subsets = [frozenset(i for i in range(order) if bits >> i & 1) for bits in range(1 << order)]
 
     def check(form, ks):
-        result = bias_multiform(form, budget)
+        result = _multiform_bias(field, dim, order, form.items(), budget)
         top = BiasValue(ks[0], dim * (order - 1), field.p)
         if result.exact is not None:
-            ok = abs(result.exact) <= top.as_fraction()
-            slack = float(top.as_fraction() - abs(result.exact))
+            gap = top.as_fraction() - abs(result.exact)
+            ok, slack = gap >= 0, float(gap)
         else:
             ok = result.magnitude <= top.to_float() + LEMMA_BIAS_TOL
             slack = top.to_float() - result.magnitude
         return ok, slack, lambda: _tensor_witness(
-            top=form.top(),
-            components={str(sorted(k)): list(v.coeffs) for k, v in form.components.items()})
+            top=_tensor(field, order, form[subsets[-1]]),
+            components={str(sorted(k)): list(row) for k, row in form.items() if any(row)})
 
     def build(_, chunk: list) -> list:  # each form's seed, then random_multiform's sub-seeds
-        subsets = [frozenset(i for i in range(order) if bits >> i & 1)
-                   for bits in range(1 << order)]
         seeds = words([w[0] for w in chunk], len(subsets))
-        columns = [_tensors(field, dim, len(subset), seeds[j::len(subsets)])
+        columns = [_rows(field.p, dim ** len(subset), seeds[j::len(subsets)])
                    for j, subset in enumerate(subsets)]
-        return [MultiComponentForm(field, dim, order, dict(zip(subsets, components)))
-                for components in zip(*columns)]
+        return [dict(zip(subsets, rows)) for rows in zip(*columns)]
 
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, batch=(1, build)),
-                          lambda form: (form.top(),), check, budget)
+                          lambda form: (form[subsets[-1]],), check, field, order, budget)
     return tracker.result()
 
 
@@ -858,86 +846,23 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("basis-invariance", universe)
 
     def draw(gen: SplitMix64):
-        t = random_tensor(field, dim, order, gen.next_u64())
+        t = _rows(field.p, dim ** order, [gen.next_u64()])[0]
         return t, random_full_rank_basis(field, dim, dim, gen)
 
     def check(inst, ks):
         t, basis = inst
-        return ks[0] == ks[1], None, lambda: _tensor_witness(t=t, basis=[list(v) for v in basis])
+        return ks[0] == ks[1], None, lambda: _tensor_witness(t=_tensor(field, order, t),
+                                                             basis=[list(v) for v in basis])
 
     def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, then its candidates
         return _bases(field, dim, order, seeds, chunk, [(dim, 1)] * len(chunk))
 
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
                                     batch=(1 + _FIRST * dim * dim, build)),
-                          lambda inst: (_contract(*inst), inst[0]), check, budget)
+                          lambda inst: (contracted(field.p, dim, order, *inst), inst[0]), check,
+                          field, order, budget)
     return tracker.result()
 
 
-# ---------------------------------------------------------------------------
-# Empirical gap survey (no verdict)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurveyRow:
-    label: str
-    arank: float
-    prank_lower: int
-    prank_upper: int
-    exact: bool
-    ratio: Optional[float]
-
-
-@dataclass(frozen=True)
-class SurveyReport:
-    universe: str
-    rows: tuple[SurveyRow, ...]
-    max_ratio: Optional[float]
-
-    def to_tsv(self) -> str:
-        lines = ["label\tarank\tprank_lower\tprank_upper\texact\tratio"]
-        for row in self.rows:
-            ratio = f"{row.ratio:.6f}" if row.ratio is not None else ""
-            lines.append(f"{row.label}\t{row.arank:.12f}\t{row.prank_lower}"
-                         f"\t{row.prank_upper}\t{int(row.exact)}\t{ratio}")
-        max_ratio = f"{self.max_ratio:.6f}" if self.max_ratio is not None else "n/a"
-        lines.append(f"# max_ratio = {max_ratio} over {len(self.rows)} rows ({self.universe})")
-        return "\n".join(lines) + "\n"
-
-
-def survey_gap(field: PrimeField, dim: int, order: int, *,
-               exhaustive: bool = False, trials: int = 0, seed: int = 0,
-               identity_max: int = 0, budget: int = DEFAULT_BUDGET) -> SurveyReport:
-    """Tabulate (arank, partition rank or bounds, ratio); zero tensors skipped.
-
-    The identity family changes dimension from row to row.  A row whose
-    partition rank :func:`rank_exact` gives as an interval reports it,
-    and a row of infinite analytic rank (bias 0) has no ratio.
-    """
-    if identity_max:
-        universe = f"identity tensors n=1..{identity_max} p={field.p} d={order}"
-        labelled = ((f"identity-n{n}", identity_tensor(field, n, order))
-                    for n in range(1, identity_max + 1))
-    else:
-        if exhaustive:
-            universe = f"exhaustive p={field.p} n={dim} d={order}"
-            prefix = "tensor"
-        else:
-            universe = f"random p={field.p} n={dim} d={order} trials={trials} seed={seed}"
-            prefix = "seeded"
-        labelled = ((f"{prefix}-{i}", t) for i, t in enumerate(
-            _universe(field, dim, order, exhaustive=exhaustive, trials=trials, seed=seed)))
-    rows = []
-    max_ratio = None
-    for label, t in labelled:
-        if t.is_zero():
-            continue
-        ar = analytic_rank(bias_fiber(t, budget)).value
-        report = rank_exact(t, "prank", budget)
-        ratio = None
-        if report.exact and 0 < ar < inf:
-            ratio = report.value / ar
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
-        rows.append(SurveyRow(label, ar, report.lower, report.upper, report.exact, ratio))
-    return SurveyReport(universe, tuple(rows), max_ratio)
+# The survey draws its universes from _universe, defined above.
+from .survey import SurveyReport, SurveyRow, survey_gap  # noqa: E402,F401

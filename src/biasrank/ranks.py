@@ -64,7 +64,7 @@ from operator import xor
 from typing import Optional, Sequence
 
 from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
-from .gf import PrimeField
+from .gf import PrimeField, mod_table
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.matrix_rank)
 from .tensor import Tensor, block_cells, zero_tensor
 
@@ -476,7 +476,7 @@ def _slice_span(t: Tensor, upper: int, node_limit: int,
         image = [x for j, x in enumerate(_reduced(p, s_cut, member)) if j not in pivots]
         inv = pow(next((x for x in image if x), 1), p - 2, p)
         buckets.setdefault(tuple(x * inv % p for x in image), []).append(kernel.pack(member))
-    inside, mod = buckets.pop((0,) * (size - s), []), bytes(c % p for c in range(256))
+    inside, mod = buckets.pop((0,) * (size - s), []), mod_table(p)
     points = sorted(buckets)
     groups = [buckets[point] for point in points]
     multiples = [[int.from_bytes(bytes(c * x % p for x in point), "little") for c in range(p)]

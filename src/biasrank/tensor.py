@@ -6,7 +6,8 @@ share one dimension n.  Order 0 (scalars) is allowed as the constant
 component of a multi-component form; order 1 is an ordinary linear form.
 Tensors are immutable and all operations are pure.  A sub-tensor is a
 selection of cells, one sorted coordinate tuple per slot, and every code
-that places or reads one finds its cells by :func:`block_cells`.
+that places or reads one finds its cells by :func:`block_cells`; :func:`placed`
+builds a tensor's coefficients from rows on blocks.
 
 The module also defines :class:`MultiComponentForm` (a sum of tensors on
 slot subsets, one component per subset of [d]) and the canonical
@@ -22,9 +23,9 @@ made by the internal :meth:`Tensor._trusted`, which skips that check.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import chain, product
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import bias  # the package imports bias, which imports this module, first
@@ -255,15 +256,13 @@ def all_tensors(field: PrimeField, dim: int, order: int):
 # ---------------------------------------------------------------------------
 
 def direct_sum(a: Tensor, b: Tensor) -> Tensor:
-    """Place a and b on disjoint coordinate blocks of F_p^(n_a + n_b)."""
+    """Place a and b on disjoint coordinate blocks of F_p^(n_a + n_b); two scalars add."""
     if a.field.p != b.field.p or a.order != b.order:
         raise ValueError("direct sum needs matching field and order")
-    p, n = a.field.p, a.dim + b.dim
-    coeffs = [0] * n ** a.order
-    for t, block in ((a, tuple(range(a.dim))), (b, tuple(range(a.dim, n)))):
-        for cell, c in zip(block_cells(n, (block,) * a.order), t.coeffs):
-            coeffs[cell] = (coeffs[cell] + c) % p  # at order 0 both scalars share the one cell
-    return Tensor._trusted(a.field, n, a.order, tuple(coeffs))
+    n, d, p = a.dim + b.dim, a.order, a.field.p
+    blocks = ((tuple(range(a.dim)),) * d, (tuple(range(a.dim, n)),) * d)
+    coeffs = placed(n, blocks, (a.coeffs, b.coeffs)) if d else ((a.coeffs[0] + b.coeffs[0]) % p,)
+    return Tensor._trusted(a.field, n, d, coeffs)
 
 
 def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
@@ -280,21 +279,22 @@ def restrict(t: Tensor, basis: Sequence[Sequence[int]]) -> Tensor:
             raise ValueError("basis vector length mismatch")
     if matrix_rank(t.field, basis) != k:
         raise ValueError("basis does not have full column rank")
-    return _contract(t, basis)
+    return Tensor._trusted(t.field, k, t.order,
+                           contracted(t.field.p, t.dim, t.order, t.coeffs, basis))
 
 
-def _contract(t: Tensor, basis: tuple[Vector, ...]) -> Tensor:
-    """restrict(t, basis) after its checks, for an independent basis; packed at p = 2."""
-    p, n, d, coeffs = t.field.p, t.dim, t.order, t.coeffs
+def contracted(p: int, n: int, d: int, coeffs: Sequence[int], basis: tuple[Vector, ...]):
+    """The coefficients of :func:`restrict`'s tensor from t's, after its checks, in their kind
+    (a tuple, or bytes); packed at p = 2."""
+    kind = type(coeffs)
     if p == 2 and n:  # the XOR of the slices each basis vector selects, slot by slot
         cells = bias._kernel(2, n).restrict(coeffs, d, basis)
-        coeffs = map(cells.__getitem__, block_cells(n, (tuple(range(len(basis))),) * d))
-    else:
-        for _ in range(d):  # contract the leading slot with the basis, move it last
-            rest = len(coeffs) // max(n, 1)
-            columns = zip(*zip(*[iter(coeffs)] * rest))  # column r is coeffs[r::rest]
-            coeffs = [sum(map(mul, b, column)) % p for column in columns for b in basis]
-    return Tensor._trusted(t.field, len(basis), d, tuple(coeffs))
+        return kind(map(cells.__getitem__, block_cells(n, (tuple(range(len(basis))),) * d)))
+    for _ in range(d):  # contract the leading slot with the basis, move it last
+        rest = len(coeffs) // max(n, 1)
+        columns = zip(*zip(*[iter(coeffs)] * rest))  # column r is coeffs[r::rest]
+        coeffs = [sum(map(mul, b, column)) % p for column in columns for b in basis]
+    return kind(coeffs)
 
 
 @lru_cache(maxsize=256)
@@ -305,6 +305,23 @@ def block_cells(dim: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...
     for block in blocks:
         positions = [q * dim + i for q in positions for i in block]
     return tuple(positions)
+
+
+def placed(dim: int, blocks: tuple, rows: Sequence[Sequence[int]]):
+    """The coefficients, of the rows' kind, of the tensor on F^dim that is rows[i] on the
+    coordinates blocks[i] (as block_cells takes them; no two share a cell) and 0 elsewhere."""
+    kind = type(rows[0])
+    return kind(_gathered(dim, blocks)(reduce(add, rows) + kind((0,)))[:-2])
+
+
+@lru_cache(maxsize=256)
+def _gathered(dim: int, blocks: tuple) -> itemgetter:
+    """The getter of :func:`placed`'s cells from the joined rows and a 0 past them, and then
+    of two more, so that it always returns a tuple."""
+    cells = chain.from_iterable(block_cells(dim, block) for block in blocks)
+    where = {cell: i for i, cell in enumerate(cells)}
+    return itemgetter(*[where.get(cell, len(where)) for cell in range(dim ** len(blocks[0]))],
+                      len(where), len(where))
 
 
 def coordinate_basis(n: int, indices: Sequence[int]) -> tuple[Vector, ...]:

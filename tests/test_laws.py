@@ -1,5 +1,7 @@
 """The law harness: every law holds on its universe, runs reproduce bit-for-bit."""
 
+import hashlib
+import json
 import time
 from itertools import islice, product
 
@@ -7,7 +9,7 @@ import pytest
 
 from biasrank import laws, ranks
 from biasrank.bias import BiasValue, BudgetExceededError
-from biasrank.gf import PrimeField
+from biasrank.gf import PrimeField, random_full_rank_basis
 from biasrank.laws import (
     CorrelationInstance,
     _correlation_ok,
@@ -26,10 +28,12 @@ from biasrank.tensor import (
     MultiComponentForm,
     Tensor,
     all_tensors,
+    direct_sum,
     from_entries,
     identity_tensor,
     random_multiform,
     random_tensor,
+    restrict,
     zero_tensor,
 )
 from test_ranks import _reference_candidates
@@ -78,6 +82,43 @@ def break_fiber_counts(monkeypatch, broken):
     monkeypatch.setattr(laws, "bias_fiber", bias_fiber)
     monkeypatch.setattr(laws, "fiber_counts", fiber_counts)
     return bias_fiber
+
+
+def broken_row(law, field, n, d, seed, trial):
+    """The coefficients of the tensor whose K, broken, fails trial `trial` of the law's
+    first seeded phase, from the per-trial draw and the Tensor operations: correlation's
+    lifted sum, lemma-bias's top component, the restriction or change of basis, or the
+    direct sum of subadditivity's direct-sum phase."""
+    gen = substream(seed ^ 0x5D15 if law is law_subadditivity else seed, trial)
+    if law is law_correlation:
+        m, k = (1 + gen.below(laws.CORRELATION_MAX_EACH) for _ in range(2))
+        groups = [tuple(random_tensor(field, n, d, gen.next_u64()) for _ in range(size))
+                  for size in (m, k)]
+        lift_t, lift_s = CorrelationInstance(field, n, d, *groups).lifted()
+        return (lift_t + lift_s).coeffs
+    if law is law_lemma_bias:
+        return random_multiform(field, n, d, gen.next_u64()).top().coeffs
+    t = random_tensor(field, n, d, gen.next_u64())
+    if law is law_subadditivity:
+        return direct_sum(t, random_tensor(field, n, d, gen.next_u64())).coeffs
+    k = n if law is law_basis_invariance else 1 + gen.below(n)
+    return restrict(t, random_full_rank_basis(field, n, k, gen)).coeffs
+
+
+def broken_result(monkeypatch, law, p, n, d, trial, seed=6, trials=150):
+    """The law's result over `trials` seeded trials (direct sums only, for
+    subadditivity) with the K of broken_row's tensor broken."""
+    field = PrimeField(p)
+    break_fiber_counts(monkeypatch, broken_row(law, field, n, d, seed, trial))
+    if law is law_subadditivity:
+        return law(field, n, d, trials=0, seed=seed, disjoint_trials=trials)
+    return law(field, n, d, trials=trials, seed=seed)
+
+
+def result_digest(result) -> str:
+    """sha256 of the witness, checked and min_slack, as sorted JSON; its first 16 digits."""
+    fields = [result.witness, result.checked, result.min_slack]
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestSubadditivityPairsByIndex:
@@ -192,11 +233,53 @@ class TestSubadditivityPairsByIndex:
             assert result.witness["s"]["coeffs"] == list(s.coeffs)
 
 
+class TestWitnessParity:
+    """With one K broken in the first, second or third chunk of a law's seeded trials,
+    the law's witness, checked and min_slack are those the code gave when it built a
+    Tensor for every drawn instance (digests pinned on that code)."""
+
+    PINNED = {
+        ("correlation", 2, 2, 2, 5): "07aa5cd412618e8b",
+        ("correlation", 2, 2, 2, 70): "694e8927615a6e1a",
+        ("correlation", 2, 2, 2, 130): "4cb68ceeefd577d6",
+        ("correlation", 3, 2, 2, 5): "dc16696a97f14b4f",
+        ("correlation", 3, 2, 2, 70): "7a269e6f2d3f5297",
+        ("correlation", 3, 2, 2, 130): "259d9300ed7c2476",
+        ("lemma_bias", 2, 2, 3, 5): "0fa8f6959b3d7f8d",
+        ("lemma_bias", 2, 2, 3, 70): "aa9b5505e992d487",
+        ("lemma_bias", 2, 2, 3, 132): "98332105ee89b687",
+        ("restriction_monotone", 2, 3, 3, 5): "8ee06ee1c5134f35",
+        ("restriction_monotone", 2, 3, 3, 70): "d8220f8b48dfdd87",
+        ("restriction_monotone", 2, 3, 3, 130): "812a554a4bfa564a",
+        ("restriction_monotone", 3, 2, 3, 5): "6d5df339c6f102a3",
+        ("restriction_monotone", 3, 2, 3, 72): "290a1d2337553ae5",
+        ("restriction_monotone", 3, 2, 3, 130): "73244b1d55474436",
+        ("basis_invariance", 2, 3, 3, 5): "6b3e68ea7c899983",
+        ("basis_invariance", 2, 3, 3, 70): "688ff12e57680b7e",
+        ("basis_invariance", 2, 3, 3, 130): "b83c3fa96e59ce5f",
+        ("basis_invariance", 3, 2, 3, 5): "debfbaf30f539549",
+        ("basis_invariance", 3, 2, 3, 70): "784044b793bd0e52",
+        ("basis_invariance", 3, 2, 3, 130): "1536f1ea3fd794de",
+        ("subadditivity", 3, 2, 3, 5): "e7180b994509e8a0",
+        ("subadditivity", 3, 2, 3, 70): "9e06273d6201bbca",
+        ("subadditivity", 3, 2, 3, 130): "7871eba6b2834918",
+        ("subadditivity", 2, 2, 2, 8): "919d9bd282319f52",
+        ("subadditivity", 2, 2, 2, 65): "27fd86645c0eebee",
+        ("subadditivity", 2, 2, 2, 130): "5d04b846c37e258e",
+    }
+
+    @pytest.mark.parametrize("law_id,p,n,d,trial", list(PINNED))
+    def test_a_broken_k_gives_the_pinned_witness(self, monkeypatch, law_id, p, n, d, trial):
+        result = broken_result(monkeypatch, getattr(laws, "law_" + law_id), p, n, d, trial)
+        assert not result.holds
+        assert result_digest(result) == self.PINNED[law_id, p, n, d, trial]
+
+
 class TestCorrelation:
     def test_single_shared_tensor(self):
         t = random_tensor(F2, 2, 2, 42)
         inst = CorrelationInstance(F2, 2, 2, (t,), (t,))
-        ok, slack, details = _correlation_ok(inst, 10 ** 8)
+        ok, slack, details = _correlation_ok(F2, 2, 2, inst.rows, 10 ** 8)
         assert ok and details["bridge_lhs"] and details["bridge_rhs"]
         z = details["z_t"]
         assert details["z_both"] == z  # identical families share zeros
@@ -213,6 +296,14 @@ class TestCorrelation:
         assert inst.zero_counts(4)[3] == 4
         with pytest.raises(BudgetExceededError, match="needs 4 evaluations, budget is 3"):
             inst.zero_counts(3)
+
+    def test_tables_rebuilt_per_block_are_charged(self):
+        # at (257,1,3) the 257^3 assignments are 66,049 blocks, each of whose monomial
+        # tables costs 257^2 mask products per monomial and row: refused before any is built
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="^correlation tables needs"):
+            law_correlation(PrimeField(257), 1, 3, trials=3)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (5, 2, 2)])
     @pytest.mark.parametrize("table_bits", [laws._TABLE_BITS, 64])
@@ -292,10 +383,20 @@ class TestBatchedDraws:
         return out
 
     @staticmethod
-    def same(a, b) -> bool:
-        if isinstance(a, MultiComponentForm):
-            a, b = ({k: v.coeffs for k, v in form.components.items()} for form in (a, b))
-        return a == b
+    def rows(inst):
+        """An instance read as rows: each row a tuple of residues, and a form its
+        nonzero components' rows by slot subset."""
+        if isinstance(inst, MultiComponentForm):
+            inst = {k: v.coeffs for k, v in inst.components.items()}
+        if isinstance(inst, dict):
+            return {k: tuple(row) for k, row in inst.items() if any(row)}
+        if isinstance(inst, bytes):
+            return tuple(inst)
+        return tuple(map(TestBatchedDraws.rows, inst)) if isinstance(inst, tuple) else inst
+
+    @classmethod
+    def same(cls, a, b) -> bool:
+        return cls.rows(a) == cls.rows(b)
 
     @pytest.mark.parametrize("law,field,dim,order", [
         (law_correlation, F2, 2, 2), (law_correlation, F3, 2, 2),
@@ -599,11 +700,14 @@ class TestBatchedCounts:
         return calls
 
     @pytest.mark.parametrize("law,order", [(law_correlation, 2), (law_basis_invariance, 3),
-                                           (law_arank_le_prank, 3)])
+                                           (law_arank_le_prank, 3), (law_lemma_bias, 3),
+                                           (law_restriction_monotone, 3)])
     def test_a_lane_fault_does_not_replay(self, monkeypatch, law, order):
         calls = self.break_first_row(monkeypatch)
+        # at seed 1 lemma-bias's first form has bias 0, which a top K of 0 allows
+        seed = 2 if law is law_lemma_bias else 1
         with pytest.raises(RuntimeError, match="counterexample failed to replay"):
-            law(F2, 2, order, trials=5, seed=1)
+            law(F2, 2, order, trials=5, seed=seed)
         assert calls
 
     @pytest.mark.parametrize("universe", [{"exhaustive": True}, {"trials": 150, "seed": 4}])

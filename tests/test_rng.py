@@ -63,13 +63,14 @@ def test_empty_seed_lists_and_count_zero():
 def test_seeded_universe_equals_the_per_trial_draw(p, n, d):
     field, seed, trials = PrimeField(p), 17, 131
     singles = list(laws._universe(field, n, d, trials=trials, seed=seed))
-    pairs = list(laws._universe(field, n, d, trials=trials, seed=seed, pairs=True))
+    pairs = [tuple(map(tuple, rows)) for chunk in laws._row_pairs(p, n, d, trials, seed)
+             for rows in zip(*chunk)]
     assert len(singles) == len(pairs) == trials
     for i in (0, 1, 63, 64, 65, 130):
         gen = substream(seed, i)
         assert singles[i] == random_tensor(field, n, d, substream(seed, i).next_u64())
-        assert pairs[i] == (random_tensor(field, n, d, gen.next_u64()),
-                            random_tensor(field, n, d, gen.next_u64()))
+        t, s = (random_tensor(field, n, d, gen.next_u64()) for _ in range(2))
+        assert pairs[i] == (t.coeffs, s.coeffs, (t + s).coeffs)
 
 
 def per_seed_cells(bound, count, seeds):
