@@ -22,7 +22,6 @@ from .gf import PrimeField, matrix_rank
 from .laws import (
     CorrelationInstance,
     LawResult,
-    SurveyReport,
     law_arank_le_prank,
     law_basis_invariance,
     law_correlation,
@@ -30,7 +29,6 @@ from .laws import (
     law_lemma_bias,
     law_restriction_monotone,
     law_subadditivity,
-    survey_gap,
 )
 from .ranks import (
     RankOneTerm,
@@ -41,6 +39,7 @@ from .ranks import (
     rank_bounds,
     rank_exact,
 )
+from .survey import SurveyReport, survey_gap
 from .tensor import (
     MultiComponentForm,
     Tensor,

@@ -6,7 +6,8 @@ emits canonical tensor files, survey tabulates the rank gap.  check
 reads its law ids, shapes and universes from the table in :mod:`biasrank.laws`.
 
 Exit codes: 0 all good, 1 a law or engine-agreement check failed,
-2 usage or parse error, 3 enumeration budget exceeded.  All randomness
+2 usage or parse error, 3 enumeration budget exceeded, 141 (128 + SIGPIPE)
+stdout closed by its reader, with nothing on stderr.  All randomness
 derives from the --seed flag, so reports are byte-reproducible.
 """
 
@@ -16,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .bias import (
@@ -28,9 +30,10 @@ from .bias import (
     c_constant,
 )
 from .gf import PrimeField
-from .laws import LAW_UNIVERSES, LAWS, survey_gap
+from .laws import LAW_UNIVERSES, LAWS
 from .laws import law_subadditivity  # noqa: F401  (the benchmark tracer wraps cli.law_subadditivity)
 from .ranks import KINDS, max_independent_set, rank_bounds, rank_exact
+from .survey import survey_gap
 from .tensor import (
     TensorFormatError,
     dense_cells,
@@ -421,7 +424,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if getattr(args, "budget", 0) < 0:
             raise UsageError(f"--budget must be at least 0, got {args.budget}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in its buffer goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TensorFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

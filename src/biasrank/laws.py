@@ -16,15 +16,15 @@ random-only.
 Every law draws its instances from :func:`_universe` and checks them
 through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
-before it is reported, and seeded runs are bit-reproducible.  A seeded
-universe's draws are made _CHUNK trials at a time from the batched words
-of :mod:`biasrank.rng`, a tensor as its row of :func:`rng.residue_cells`
-(bytes below p = 257, a tuple above); the default draw is trial i's tensor
-seeded by the first word of substream(seed, i).  A law's own draw reads a
-fixed count of words per trial, _FIRST basis candidates' worth where it
-draws a basis, and _CANDIDATES' where none of those has full rank; a trial
-whose words it cannot use, after a rejected word or with no candidate of
-full rank, is drawn again by the law's per-trial draw, the reference.
+before it is reported, and seeded runs are bit-reproducible.  Each seeded
+law writes its draw once, over a chunk of _CHUNK trials: trial i reads
+substream(seed, i) as an :class:`rng.Prefetched`, whose first words the
+chunk reads in one :func:`rng.words` call and whose later ones, past a
+rejected word or a basis candidate of too low a rank, come from the stream
+itself.  The draw reads its tensor seeds from the chunk's streams and gets
+their rows from one :func:`rng.residue_cells` call (bytes below p = 257, a
+tuple above), and draws a basis with gf.random_full_rank_basis; the default
+draw is trial i's tensor seeded by the first word of substream(seed, i).
 
 An instance stays rows from the draw to the verdict: correlation's families
 and lifts, lemma-bias's forms, the restrictions (contracted on cells, or
@@ -50,7 +50,7 @@ raises BudgetExceededError where that gives an interval.  It also checks
 rank-one tensors: on an exhaustive universe, the cube's tensors of exact
 partition rank 1, which are every rank-one array of the shape; on a seeded
 one, as many seeded rank-one tensors as trials, drawn from a substream of
-their own.  The survey, :mod:`biasrank.survey`, is re-exported here.
+their own.
 """
 
 from __future__ import annotations
@@ -73,10 +73,9 @@ from .bias import (
     diagonal_bias_numerator,
     fiber_counts,
 )
-from .gf import (PrimeField, combine_masks, digit_masks, matrix_rank, mod_table,
-                 random_full_rank_basis)
+from .gf import PrimeField, combine_masks, digit_masks, mod_table, random_full_rank_basis
 from .ranks import _cell_positions, _partition_sides, max_independent_set, rank_exact
-from .rng import SplitMix64, residue_cells, skip, substream, substream_seed, words
+from .rng import Prefetched, SplitMix64, residue_cells, substream_seed, words
 from .tensor import (
     Tensor,
     _check_dims,
@@ -212,9 +211,8 @@ def _coeffs(t: Tensor) -> tuple:
     return (t.coeffs,)
 
 
-# Trials whose words and residues are drawn, and instances whose K's are counted,
-# in one batch; basis candidates read first, and in all where none of those is.
-_CHUNK, _FIRST, _CANDIDATES = 64, 2, 8
+# Trials whose words and residues are drawn, and instances whose K's are counted, in one batch.
+_CHUNK = 64
 
 
 def _trial_words(dim: int, order: int, trials: int, seed: int, count: int) -> Iterator[tuple]:
@@ -232,60 +230,27 @@ def _rows(q: int, cells: int, seeds: list[int]) -> list:
     return [flat[i * cells:(i + 1) * cells] for i in range(len(seeds))]
 
 
-def _limit(bound: int) -> int:
-    """The least word SplitMix64.below(bound) rejects; 0 where it refuses the bound."""
-    return (1 << 64) - (1 << 64) % bound if bound > 0 else 0
-
-
-def _bases(field: PrimeField, dim: int, order: int, seeds: list, chunk: list, picks: list) -> list:
-    """(row of the tensor seeded by w[0], basis) per trial's stream seed, words w and pick (k,
-    start): the first of _CANDIDATES candidates of k vectors of rank k that random_full_rank_basis
-    draws from word `start` on, _FIRST read from w and the rest, where none of those has
-    full rank, from the stream (:func:`skip`); None if none has, or after a rejected word."""
-    q, limit, more = field.p, _limit(field.p), (_CANDIDATES - _FIRST) * dim * dim
-
-    def basis(k: int, ws: list[int], count: int):  # None after a rejected word, False if none
-        for c in range(count):
-            cand = ws[c * k * dim:(c + 1) * k * dim]
-            if max(cand, default=0) >= limit:
-                return None
-            cand = tuple(zip(*[iter([w % q for w in cand])] * dim))
-            if matrix_rank(field, cand) == k:
-                return cand  # () at n = 0: the empty basis has full rank
-        return False
-
-    found = [pick and basis(pick[0], w[pick[1]:], _FIRST) for w, pick in zip(chunk, picks)]
-    later = [i for i, b in enumerate(found) if b is False]
-    flat = words([skip(seeds[i], picks[i][1] + _FIRST * picks[i][0] * dim) for i in later], more)
-    for j, i in enumerate(later):
-        found[i] = basis(picks[i][0], flat[j * more:(j + 1) * more], _CANDIDATES - _FIRST) or None
-    rows = _rows(q, dim ** order, [w[0] for w in chunk])
-    return [None if b is None else (t, b) for t, b in zip(rows, found)]
+def _tensors(field: PrimeField, dim: int, order: int, gens: list) -> list:
+    """The default draw: the tensor seeded by each generator's next word."""
+    return [Tensor._trusted(field, dim, order, tuple(row))
+            for row in _rows(field.p, dim ** order, [gen.next_u64() for gen in gens])]
 
 
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
-              trials: int = 0, seed: int = 0,
-              draw: Optional[Callable[[SplitMix64], object]] = None,
-              batch: Optional[tuple[int, Callable[[list], list]]] = None) -> Iterable:
+              trials: int = 0, seed: int = 0, draw: Optional[Callable[[list], Iterable]] = None,
+              ahead: int = 1) -> Iterable:
     """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
 
-    A trial's instance is `draw(stream)`, by default the tensor seeded by the
-    stream's first word.  Default draws are batched; with `batch` (count, build),
-    so is `draw`: `build` makes each chunk's instances from its trials' stream
-    seeds and first `count` words, None where `draw` must draw from the stream.
+    `draw(gens)` makes the instances of a chunk of _CHUNK trials, one per generator: trial
+    i's is substream(seed, i) as an rng.Prefetched, whose first `ahead` words the chunk
+    reads in one rng.words call.  The default draw is :func:`_tensors`.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
-    if batch:
-        count, build = batch
-        built = chain.from_iterable(build(s, [ws[j:j + count] for j in range(0, len(ws), count)])
-                                    for s, ws in _trial_words(dim, order, trials, seed, count))
-        return (draw(substream(seed, i)) if inst is None else inst for i, inst in enumerate(built))
-    if draw:
-        return (draw(substream(seed, i)) for i in range(trials))
-    return (Tensor._trusted(field, dim, order, tuple(row))
-            for _, flat in _trial_words(dim, order, trials, seed, 1)
-            for row in _rows(field.p, dim ** order, flat))
+    draw = draw or partial(_tensors, field, dim, order)
+    return chain.from_iterable(
+        draw([Prefetched(s, flat[j * ahead:(j + 1) * ahead]) for j, s in enumerate(seeds)])
+        for seeds, flat in _trial_words(dim, order, trials, seed, ahead))
 
 
 def _row_pairs(q: int, dim: int, order: int, trials: int, seed: int) -> Iterator[list]:
@@ -478,11 +443,13 @@ def _monomial_table(q: int, n: int, d: int, high: tuple[int, ...]) -> tuple[int,
     return full, table, {}
 
 
-def _zero_counts(q: int, n: int, d: int, groups: tuple, budget: int) -> tuple[int, int, int, int]:
+def _zero_counts(q: int, n: int, d: int, groups: tuple, budget: int,
+                 lifted: bool = False) -> tuple[int, int, int, int]:
     """(#common zeros of the rows of groups[0], of groups[1], of both, domain size): a zero
     set bitmask per row and block of assignments, as large as a monomial table of _TABLE_BITS
     bits allows, and popcounts.  The budget is charged the assignments, then, where several
-    blocks each build their table again, the (d + rows) n^d q^2 mask products of all.  Zero
+    blocks each build their table again, the (d + rows) n^d q^2 mask products of all, then,
+    where `lifted`, the fiber walk of the :func:`_lifted` K's, which their shape fixes.  Zero
     sets are memoized by row with the block's table, cleared once they hold a table's bits."""
     total = q ** (n * d)
     _check_budget(total, budget, "correlation counting")
@@ -493,6 +460,9 @@ def _zero_counts(q: int, n: int, d: int, groups: tuple, budget: int) -> tuple[in
     blocks = q ** (n * d - low)
     _check_budget((blocks > 1) * blocks * (d + len(rows)) * n ** d * q * q, budget,
                   "correlation tables")
+    if lifted:
+        _check_budget(q ** (max(len(groups[0]) + len(groups[1]), n) * d), budget,
+                      "zero-fiber enumeration")
     z_t = z_s = z_both = 0
     for high in product(range(q), repeat=n * d - low):
         full, table, memo = _monomial_table(q, n, d, high)
@@ -559,7 +529,7 @@ def _correlation_ok(field: PrimeField, n: int, d: int, groups: tuple, budget: in
     """The correlation verdict on the families' rows, its slack and details; `ks`
     are the K's of :func:`_lifted`, by default counted by bias_fiber."""
     q = field.p
-    z_t, z_s, z_both, total = _zero_counts(q, n, d, groups, budget)
+    z_t, z_s, z_both, total = _zero_counts(q, n, d, groups, budget, lifted=True)
     ok = z_both * total >= z_t * z_s
     slack = z_both / total - (z_t * z_s) / (total * total)
     if ks is None:
@@ -584,10 +554,11 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
                 f"sizes<={CORRELATION_MAX_EACH} trials={trials} seed={seed}")
     tracker = _Tracker("correlation", universe)
 
-    def draw(gen: SplitMix64) -> tuple:
-        sizes = [1 + gen.below(CORRELATION_MAX_EACH) for _ in range(2)]
-        return tuple(tuple(_rows(q, cells, [gen.next_u64() for _ in range(size)]))
-                     for size in sizes)
+    def draw(gens: list) -> list:  # each trial's two family sizes, then its m + k tensor seeds
+        sizes = [[1 + gen.below(CORRELATION_MAX_EACH) for _ in range(2)] for gen in gens]
+        rows = iter(_rows(q, cells, [gen.next_u64() for gen, mk in zip(gens, sizes)
+                                     for _ in range(sum(mk))]))
+        return [tuple(tuple(islice(rows, size)) for size in mk) for mk in sizes]
 
     def check(groups: tuple, ks):
         ok, slack, details = _correlation_ok(field, dim, order, groups, budget, ks)
@@ -595,16 +566,8 @@ def law_correlation(field: PrimeField, dim: int, order: int, *,
             f"{name}{j}": _tensor(field, order, row)
             for name, group in zip("ts", groups) for j, row in enumerate(group)}), **details)
 
-    def build(_, chunk: list) -> list:  # draw's two below words, then its m + k tensor seeds
-        limit = _limit(CORRELATION_MAX_EACH)
-        sizes = [(1 + w[0] % CORRELATION_MAX_EACH, 1 + w[1] % CORRELATION_MAX_EACH)
-                 if max(w[:2]) < limit else None for w in chunk]
-        rows = iter(_rows(q, cells, [s for w, mk in zip(chunk, sizes) if mk
-                                     for s in w[2:2 + sum(mk)]]))
-        return [mk and tuple(tuple(islice(rows, size)) for size in mk) for mk in sizes]
-
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
-                                    batch=(2 + 2 * CORRELATION_MAX_EACH, build)),
+                                    ahead=2 + 2 * CORRELATION_MAX_EACH),
                           partial(_lifted, dim, order), check, field, order + 1, budget)
     return tracker.result()
 
@@ -634,7 +597,7 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
     tracker = _Tracker("arank-le-prank", universe)
     if order < 2:
         raise ValueError(f"{tracker.law} needs order >= 2")
-    rank_one: dict[tuple[int, ...], Tensor] = {}  # by row, so a replay adds none
+    rank_ones: dict[tuple[int, ...], Tensor] = {}  # by row, so a replay adds none
     sides = _partition_sides(order, False)
 
     def check(t: Tensor, ks):
@@ -644,7 +607,7 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         k = ks[0]
         prank = report.value
         if exhaustive and prank == 1:
-            rank_one[t.coeffs] = t
+            rank_ones[t.coeffs] = t
         ok = k * q ** prank >= q ** exponent  # bias >= q^-prank, cross-multiplied
         slack = prank - analytic_rank(BiasValue(k, exponent, q)).value
         return ok, slack, lambda: _tensor_witness(t=t, prank=prank, k=k)
@@ -653,7 +616,7 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
         ok = ks[0] * q >= q ** exponent
         return ok, None, lambda: _tensor_witness(t=t, note="rank-one bias below 1/q")
 
-    def draw(gen: SplitMix64) -> Tensor:
+    def rank_one(gen: SplitMix64) -> Tensor:
         side = sides[gen.below(len(sides))]
         a, b = (next(filter(any, map(gen.residues, repeat(q), repeat(dim ** k))))  # first nonzero
                 for k in (len(side), order - len(side)))
@@ -664,8 +627,11 @@ def law_arank_le_prank(field: PrimeField, dim: int, order: int, *,
                                     seed=seed), _coeffs, check, field, order, budget)
     if not (exhaustive or trials):
         return tracker.result()
-    tensors = rank_one.values() if exhaustive else list(_universe(
-        field, dim, order, trials=trials if dim else 0, seed=seed ^ 0x1E51, draw=draw))
+    # a rank-one draw reads its side's word, then dim^|A| + dim^(d - |A|) <= dim + dim^(d - 1)
+    # residues for a and b where none is rejected and neither is zero
+    tensors = rank_ones.values() if exhaustive else list(_universe(
+        field, dim, order, trials=trials if dim else 0, seed=seed ^ 0x1E51,
+        draw=partial(map, rank_one), ahead=1 + dim + dim ** (order - 1)))
     held = tracker.drive_counted(tensors, _coeffs, rank_one_ok, field, order, budget)
     return tracker.result((f"rank-one tensors with bias >= 1/q: {held}/{len(tensors)}",))
 
@@ -736,7 +702,8 @@ def law_independent_bound(field: PrimeField, dim: int, order: int, *,
         return tracker.result()
     diag_ok = tracker.drive_counted(_universe(field, dim, order, trials=DIAGONAL_TRIALS,
                                               seed=seed ^ 0xD1A6,
-                                              draw=lambda gen: gen.residues(q, dim)),
+                                              draw=lambda gens: [gen.residues(q, dim)
+                                                                 for gen in gens], ahead=dim),
                                     lambda diag: _coeffs(diagonal(diag)), closed_form_ok,
                                     field, order, budget)
     tracker.drive_counted([identity_tensor(field, dim, order)], _coeffs, identity_ok, field,
@@ -764,14 +731,10 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
     universe = f"random restrictions p={q} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("restriction-monotone", universe)
 
-    def draw(gen: SplitMix64):
-        t = _rows(q, dim ** order, [gen.next_u64()])[0]
-        return t, random_full_rank_basis(field, dim, 1 + gen.below(dim), gen)
-
-    def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, below word, candidates
-        limit = _limit(dim)
-        return _bases(field, dim, order, seeds, chunk,
-                      [(1 + w[1] % dim, 2) if w[1] < limit else None for w in chunk])
+    def draw(gens: list) -> list:  # each trial's tensor seed, then the basis's dimension, then it
+        rows = _rows(q, dim ** order, [gen.next_u64() for gen in gens])
+        return [(t, random_full_rank_basis(field, dim, 1 + gen.below(dim), gen))
+                for t, gen in zip(rows, gens)]
 
     def check(inst, ks):  # ks: the restriction's K, then t's
         t, span = inst  # a basis, or the sorted coordinates of a coordinate subspace
@@ -786,7 +749,7 @@ def law_restriction_monotone(field: PrimeField, dim: int, order: int, *,
         return type(t)(map(t.__getitem__, block_cells(dim, (subset,) * order))), t
 
     draws = list(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
-                           batch=(2 + _FIRST * dim * dim, build)))
+                           ahead=2 + 2 * dim * dim))  # two candidates' words read ahead
     subsets = [subset for size in range(1, dim + 1) for subset in combinations(range(dim), size)]
     tracker.drive_counted(draws, lambda inst: (contracted(q, dim, order, *inst), inst[0]), check,
                           field, order, budget)
@@ -821,13 +784,13 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
             top=_tensor(field, order, form[subsets[-1]]),
             components={str(sorted(k)): list(row) for k, row in form.items() if any(row)})
 
-    def build(_, chunk: list) -> list:  # each form's seed, then random_multiform's sub-seeds
-        seeds = words([w[0] for w in chunk], len(subsets))
+    def draw(gens: list) -> list:  # each form's seed, then random_multiform's sub-seeds
+        seeds = words([gen.next_u64() for gen in gens], len(subsets))
         columns = [_rows(field.p, dim ** len(subset), seeds[j::len(subsets)])
                    for j, subset in enumerate(subsets)]
         return [dict(zip(subsets, rows)) for rows in zip(*columns)]
 
-    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, batch=(1, build)),
+    tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw),
                           lambda form: (form[subsets[-1]],), check, field, order, budget)
     return tracker.result()
 
@@ -845,24 +808,17 @@ def law_basis_invariance(field: PrimeField, dim: int, order: int, *,
     universe = f"random changes of basis p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("basis-invariance", universe)
 
-    def draw(gen: SplitMix64):
-        t = _rows(field.p, dim ** order, [gen.next_u64()])[0]
-        return t, random_full_rank_basis(field, dim, dim, gen)
+    def draw(gens: list) -> list:  # each trial's tensor seed, then its basis
+        rows = _rows(field.p, dim ** order, [gen.next_u64() for gen in gens])
+        return [(t, random_full_rank_basis(field, dim, dim, gen)) for t, gen in zip(rows, gens)]
 
     def check(inst, ks):
         t, basis = inst
         return ks[0] == ks[1], None, lambda: _tensor_witness(t=_tensor(field, order, t),
                                                              basis=[list(v) for v in basis])
 
-    def build(seeds: list, chunk: list) -> list:  # draw's tensor seed, then its candidates
-        return _bases(field, dim, order, seeds, chunk, [(dim, 1)] * len(chunk))
-
     tracker.drive_counted(_universe(field, dim, order, trials=trials, seed=seed, draw=draw,
-                                    batch=(1 + _FIRST * dim * dim, build)),
+                                    ahead=1 + 2 * dim * dim),  # two candidates' words read ahead
                           lambda inst: (contracted(field.p, dim, order, *inst), inst[0]), check,
                           field, order, budget)
     return tracker.result()
-
-
-# The survey draws its universes from _universe, defined above.
-from .survey import SurveyReport, SurveyRow, survey_gap  # noqa: E402,F401

@@ -13,6 +13,7 @@ byte order, and each step of the mix is a few big-int operations on every
 lane.  :func:`residue_cells` turns such a batch into the rows that
 `SplitMix64.residues` gives, a byte per residue below bound 257, and falls back
 to `residues` if any word is rejected; `residues` stays the stream API and the reference.
+:class:`Prefetched` is a stream that reads its first words from such a batch.
 """
 
 from __future__ import annotations
@@ -68,6 +69,34 @@ class SplitMix64:
                 count -= 1
         self._state = state
         return tuple(out)
+
+
+class Prefetched(SplitMix64):
+    """SplitMix64(seed) whose first words are `ahead`, the words :func:`words` gives it, read
+    without mixing; past them it goes on from word len(ahead) (:func:`skip`).  So every read
+    is SplitMix64(seed)'s, a rejected word included."""
+
+    __slots__ = ("_ahead",)
+
+    def __init__(self, seed: int, ahead: Sequence[int]):
+        self._state = skip(seed, len(ahead))
+        self._ahead = iter(ahead)
+
+    def next_u64(self) -> int:
+        word = next(self._ahead, None)
+        return SplitMix64.next_u64(self) if word is None else word
+
+    def residues(self, bound: int, count: int) -> tuple[int, ...]:
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        limit, out = (1 << 64) - ((1 << 64) % bound), []
+        if count > 0:
+            for word in self._ahead:
+                if word < limit:
+                    out.append(word % bound)
+                    if len(out) == count:
+                        return tuple(out)
+        return tuple(out) + SplitMix64.residues(self, bound, count - len(out))
 
 
 def substream_seed(seed: int, index: int) -> int:

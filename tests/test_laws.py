@@ -7,9 +7,9 @@ from itertools import islice, product
 
 import pytest
 
-from biasrank import laws, ranks
+from biasrank import gf, laws, ranks
 from biasrank.bias import BiasValue, BudgetExceededError
-from biasrank.gf import PrimeField, random_full_rank_basis
+from biasrank.gf import PrimeField, matrix_rank, random_full_rank_basis
 from biasrank.laws import (
     CorrelationInstance,
     _correlation_ok,
@@ -20,10 +20,10 @@ from biasrank.laws import (
     law_lemma_bias,
     law_restriction_monotone,
     law_subadditivity,
-    survey_gap,
 )
 from biasrank.ranks import greedy_decomposition, rank_bounds
-from biasrank.rng import substream, substream_seed
+from biasrank.rng import substream
+from biasrank.survey import survey_gap
 from biasrank.tensor import (
     MultiComponentForm,
     Tensor,
@@ -305,6 +305,15 @@ class TestCorrelation:
             law_correlation(PrimeField(257), 1, 3, trials=3)
         assert time.perf_counter() - start < 1.0
 
+    def test_the_lifted_walk_is_refused_before_the_zero_counts(self):
+        # at (257,1,2) the zero counts are admitted, but the first instance's lifted K walks
+        # 257^(3 * 2) fixings, which its family sizes fix: refused before any zero set
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="^zero-fiber enumeration needs "
+                                                      "288136807515649 evaluations"):
+            law_correlation(PrimeField(257), 1, 2, trials=3)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (5, 2, 2)])
     @pytest.mark.parametrize("table_bits", [laws._TABLE_BITS, 64])
     def test_zero_counts_match_evaluation(self, monkeypatch, p, n, d, table_bits):
@@ -353,34 +362,36 @@ class TestCorrelation:
 
 
 class TestBatchedDraws:
-    """Custom draws are made a chunk of trials at a time; each trial is the
-    law's per-trial draw from its stream, which makes any trial the chunk's
-    words cannot."""
+    """Custom draws are made a chunk of trials at a time; each trial's instance is the
+    one the public API draws from its stream, as broken_row draws it."""
 
     @staticmethod
     def draws(monkeypatch, law, field, dim, order, trials, seed=5):
-        """Per batched universe of the law: its instances, the per-trial draw
-        of each of its trials, and the trials that the per-trial draw made."""
+        """The instances of each custom-drawn universe of the law's run, drawn again."""
         real, seen = laws._universe, []
 
         def universe(*args, **kwargs):
-            if kwargs.get("batch"):
+            if kwargs.get("draw"):
                 seen.append(kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(laws, "_universe", universe)
         law(field, dim, order, trials=trials, seed=seed)
-        fallback = []
-        monkeypatch.setattr(laws, "substream", lambda s, i: fallback.append(i) or substream(s, i))
-        out = []
-        for kwargs in seen:
-            draw = kwargs.get("draw") or (  # lemma-bias: the forms random_multiform draws
-                lambda gen: random_multiform(field, dim, order, gen.next_u64()))
-            fallback.clear()
-            batched = list(real(field, dim, order, **kwargs))
-            out.append((batched, [draw(substream(kwargs["seed"], i))
-                                  for i in range(kwargs["trials"])], list(fallback)))
-        return out
+        return [list(real(field, dim, order, **kwargs)) for kwargs in seen]
+
+    @staticmethod
+    def reference(law, field, n, d, gen):
+        """The instance that the law's trial with stream `gen` draws, by the public API."""
+        if law is law_correlation:
+            m, k = (1 + gen.below(laws.CORRELATION_MAX_EACH) for _ in range(2))
+            groups = [tuple(random_tensor(field, n, d, gen.next_u64()) for _ in range(size))
+                      for size in (m, k)]
+            return CorrelationInstance(field, n, d, *groups).rows
+        if law is law_lemma_bias:
+            return random_multiform(field, n, d, gen.next_u64())
+        t = random_tensor(field, n, d, gen.next_u64())
+        k = n if law is law_basis_invariance else 1 + gen.below(n)
+        return t.coeffs, random_full_rank_basis(field, n, k, gen)
 
     @staticmethod
     def rows(inst):
@@ -404,56 +415,31 @@ class TestBatchedDraws:
         (law_basis_invariance, F2, 4, 3), (law_basis_invariance, F3, 2, 3),
         (law_lemma_bias, F2, 2, 3), (law_lemma_bias, PrimeField(5), 2, 2)])
     def test_batched_draws_are_the_per_trial_draws(self, monkeypatch, law, field, dim, order):
-        trials = 130  # chunks of 64, 64 and 2 trials
-        [(batched, reference, fallback)] = self.draws(monkeypatch, law, field, dim, order, trials)
-        assert len(batched) == len(reference) == trials
+        trials, seed = 130, 5  # chunks of 64, 64 and 2 trials
+        [drawn] = self.draws(monkeypatch, law, field, dim, order, trials, seed)
+        reference = [self.reference(law, field, dim, order, substream(seed, i))
+                     for i in range(trials)]
+        assert len(drawn) == len(reference) == trials
         for i in (0, 63, 64, 65, trials - 1):
-            assert self.same(batched[i], reference[i]), i
-        assert all(map(self.same, batched, reference))
-        if law is law_basis_invariance and field is F2:
-            # a 4x4 candidate over F_2 has full rank about 31% of the time, so
-            # some trials have none among their candidates
-            assert fallback
+            assert self.same(drawn[i], reference[i]), i
+        assert all(map(self.same, drawn, reference))
 
-    @pytest.mark.parametrize("law,field,dim,order,word", [
-        (law_correlation, F2, 2, 2, 1),  # its second below(3) word
-        (law_restriction_monotone, F2, 3, 3, 1),  # its below(3) word
-        (law_restriction_monotone, F3, 2, 3, 2),  # a residue of its first candidate
-        (law_basis_invariance, F3, 2, 3, 1)])  # a residue of its first candidate
-    def test_a_rejected_word_leaves_its_trial_to_the_per_trial_draw(
-            self, monkeypatch, law, field, dim, order, word):
-        seed, real = 5, laws.words
-
-        def words(seeds, count):  # trial 65's word `word` is one that below rejects
-            out = real(seeds, count)
-            if seeds[0] == substream_seed(seed, 64):
-                out[count + word] = (1 << 64) - 1
-            return out
-
-        [(_, _, natural)] = self.draws(monkeypatch, law, field, dim, order, 100, seed)
-        monkeypatch.setattr(laws, "words", words)
-        [(batched, reference, fallback)] = self.draws(monkeypatch, law, field, dim, order, 100,
-                                                      seed)
-        assert 65 not in natural and fallback == sorted(natural + [65])
-        assert batched == reference
-
-    @pytest.mark.parametrize("law", [law_restriction_monotone, law_basis_invariance])
-    def test_later_candidates_are_read_only_where_the_first_fail(self, monkeypatch, law):
-        # a 4x4 candidate over F_2 has full rank about 31% of the time: about half the
-        # trials read the candidates past the first _FIRST, and a few have none of 8
-        trials, seed, real, later = 200, 5, laws.words, []
-        firsts = {substream_seed(seed, i) for i in range(trials)}
-
-        def words(seeds, count):
-            if not firsts.issuperset(seeds):  # a later stage, from a skipped-to seed
-                later.extend(seeds)
-            return real(seeds, count)
-
-        monkeypatch.setattr(laws, "words", words)
-        [(batched, reference, fallback)] = self.draws(monkeypatch, law, F2, 4, 3, trials, seed)
-        assert all(map(self.same, batched, reference))
-        stage_two = len(later) // 2  # the law's run and the universe drawn again read the same
-        assert 0 < len(fallback) < stage_two < trials
+    def test_each_basis_candidate_is_ranked_once(self, monkeypatch):
+        # a 4x4 candidate over F_2 has full rank about 31% of the time, so many trials
+        # read candidates past the words their chunk read ahead
+        trials, seed, candidates = 200, 5, 0
+        for i in range(trials):
+            gen = substream(seed, i)
+            gen.next_u64()  # the trial's tensor seed
+            while True:
+                candidates += 1
+                if matrix_rank(F2, [gen.residues(2, 4) for _ in range(4)]) == 4:
+                    break
+        ranked = []
+        monkeypatch.setattr(gf, "matrix_rank", lambda *args: ranked.append(args) or
+                            matrix_rank(*args))
+        assert law_basis_invariance(F2, 4, 3, trials=trials, seed=seed).holds
+        assert len(ranked) == candidates > 2 * trials
 
     def test_a_bound_the_draw_refuses_is_refused_as_the_draw_refuses_it(self):
         with pytest.raises(ValueError, match="bound must be positive"):
