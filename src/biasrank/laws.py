@@ -18,13 +18,14 @@ through :meth:`_Tracker.drive`, phase by phase.  Violations can only
 come from implementation bugs; any counterexample witness is replayed
 before it is reported, and seeded runs are bit-reproducible.  Each seeded
 law writes its draw once, over a chunk of _CHUNK trials: trial i reads
-substream(seed, i) as an :class:`rng.Prefetched`, whose first words the
-chunk reads in one :func:`rng.words` call and whose later ones, past a
-rejected word or a basis candidate of too low a rank, come from the stream
-itself.  The draw reads its tensor seeds from the chunk's streams and gets
-their rows from one :func:`rng.residue_cells` call (bytes below p = 257, a
-tuple above), and draws a basis with gf.random_full_rank_basis; the default
-draw is trial i's tensor seeded by the first word of substream(seed, i).
+substream(seed, i) as a SplitMix64 stream whose first words the chunk
+reads in one :func:`rng.words` call and hands it as `ahead`; the stream
+mixes its later ones, past a rejected word or a basis candidate of too
+low a rank, itself.  The draw reads its tensor seeds from the chunk's
+streams and gets their rows from one :func:`rng.residue_cells` call
+(bytes below p = 257, a tuple above), and draws a basis with
+gf.random_full_rank_basis; the default draw is trial i's tensor seeded
+by the first word of substream(seed, i).
 
 An instance stays rows from the draw to the verdict: correlation's families
 and lifts, lemma-bias's forms, the restrictions (contracted on cells, or
@@ -75,10 +76,11 @@ from .bias import (
 )
 from .gf import PrimeField, combine_masks, digit_masks, mod_table, random_full_rank_basis
 from .ranks import _cell_positions, _partition_sides, max_independent_set, rank_exact
-from .rng import Prefetched, SplitMix64, residue_cells, substream_seed, words
+from .rng import SplitMix64, residue_cells, substream_seed, words
 from .tensor import (
     Tensor,
     _check_dims,
+    _slot_subsets,
     all_tensors,
     block_cells,
     contracted,
@@ -242,14 +244,15 @@ def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = Fal
     """The exhaustive cube, or one instance per trial i drawn from substream(seed, i).
 
     `draw(gens)` makes the instances of a chunk of _CHUNK trials, one per generator: trial
-    i's is substream(seed, i) as an rng.Prefetched, whose first `ahead` words the chunk
-    reads in one rng.words call.  The default draw is :func:`_tensors`.
+    i's is SplitMix64(substream_seed(seed, i), ahead), the stream of substream(seed, i), its
+    first `ahead` words read in the chunk's one rng.words call.  The default draw is
+    :func:`_tensors`.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
     draw = draw or partial(_tensors, field, dim, order)
     return chain.from_iterable(
-        draw([Prefetched(s, flat[j * ahead:(j + 1) * ahead]) for j, s in enumerate(seeds)])
+        draw([SplitMix64(s, flat[j * ahead:(j + 1) * ahead]) for j, s in enumerate(seeds)])
         for seeds, flat in _trial_words(dim, order, trials, seed, ahead))
 
 
@@ -769,7 +772,7 @@ def law_lemma_bias(field: PrimeField, dim: int, order: int, *,
     """|bias(sum of subset components)| <= bias of the top component; a form is {slots: row}."""
     universe = f"random multiforms p={field.p} n={dim} d={order} trials={trials} seed={seed}"
     tracker = _Tracker("lemma-bias", universe)
-    subsets = [frozenset(i for i in range(order) if bits >> i & 1) for bits in range(1 << order)]
+    subsets = _slot_subsets(order)
 
     def check(form, ks):
         result = _multiform_bias(field, dim, order, form.items(), budget)

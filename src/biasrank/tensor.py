@@ -127,20 +127,8 @@ class Tensor:
         """((index tuple, coefficient), ...) in lexicographic index order."""
         cached = self._nonzero
         if cached is None:
-            n, d = self.dim, self.order
-            out = []
-            if n == 0 and d > 0:
-                cached = ()
-            else:
-                for flat, c in enumerate(self.coeffs):
-                    if c:
-                        idx = []
-                        f = flat
-                        for _ in range(d):
-                            idx.append(f % n if n else 0)
-                            f //= n if n else 1
-                        out.append((tuple(reversed(idx)), c))
-                cached = tuple(out)
+            cached = tuple((idx, c) for idx, c in zip(product(range(self.dim), repeat=self.order),
+                                                      self.coeffs) if c)
             object.__setattr__(self, "_nonzero", cached)
         return cached
 
@@ -334,6 +322,13 @@ def coordinate_basis(n: int, indices: Sequence[int]) -> tuple[Vector, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _slot_subsets(order: int) -> tuple[frozenset[int], ...]:
+    """The 2^order subsets of the slots, subset I at index sum of 2^i over i in I: the order in
+    which random_multiform reads its sub-seeds."""
+    return tuple(frozenset(i for i in range(order) if bits >> i & 1) for bits in range(1 << order))
+
+
 def shift_terms(t: Tensor, xs: Sequence[Sequence[int]],
                 ys: Sequence[Sequence[int]]) -> dict[frozenset[int], int]:
     """The 2^d summands of T(x + y), keyed by the slot subset fed from x.
@@ -345,8 +340,7 @@ def shift_terms(t: Tensor, xs: Sequence[Sequence[int]],
     if len(xs) != d or len(ys) != d:
         raise ValueError(f"expected {d} vectors on each side")
     out = {}
-    for bits in range(1 << d):
-        subset = frozenset(i for i in range(d) if bits >> i & 1)
+    for subset in _slot_subsets(d):
         mixed = [xs[i] if i in subset else ys[i] for i in range(d)]
         out[subset] = t.evaluate(mixed)
     return out
@@ -402,11 +396,8 @@ class MultiComponentForm:
 def random_multiform(field: PrimeField, dim: int, order: int, seed: int) -> MultiComponentForm:
     """One uniformly random tensor per slot subset, derived from one seed."""
     gen = SplitMix64(seed)
-    comps = {}
-    for bits in range(1 << order):
-        subset = frozenset(i for i in range(order) if bits >> i & 1)
-        sub_seed = gen.next_u64()
-        comps[subset] = random_tensor(field, dim, len(subset), sub_seed)
+    comps = {subset: random_tensor(field, dim, len(subset), gen.next_u64())
+             for subset in _slot_subsets(order)}
     return MultiComponentForm(field, dim, order, comps)
 
 

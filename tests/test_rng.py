@@ -4,8 +4,7 @@ import pytest
 
 from biasrank import laws, rng
 from biasrank.gf import PrimeField
-from biasrank.rng import SplitMix64, residue_rows, substream, substream_seed, words
-from biasrank.rng import residue_cells, skip
+from biasrank.rng import SplitMix64, residue_cells, substream, substream_seed, words
 from biasrank.tensor import random_tensor
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -15,6 +14,12 @@ STATES = [0, 1, 2 ** 64 - 1, 2 ** 64 - GAMMA] + [substream_seed(9, i) for i in r
 def sequential(seed, count):
     gen = SplitMix64(seed)
     return [gen.next_u64() for _ in range(count)]
+
+
+def residue_rows(bound, count, seeds):
+    """residue_cells cut into one tuple per seed."""
+    cells = residue_cells(bound, count, seeds)
+    return [tuple(cells[i * count:(i + 1) * count]) for i in range(len(seeds))]
 
 
 def test_splitmix64_reference_words():
@@ -130,5 +135,7 @@ def test_lane_division_is_exact_at_the_largest_quotients(monkeypatch):
 
 @pytest.mark.parametrize("start", [0, 1, 2, 17, 73])
 def test_skip_gives_the_words_from_word_start_on(start):
+    # a stream handed its first `start` words goes on mixing from word `start`
     for s in STATES[:8]:
-        assert words([skip(s, start)], 5) == sequential(s, start + 5)[start:]
+        gen = SplitMix64(s, words([s], start))
+        assert [gen.next_u64() for _ in range(start + 5)] == sequential(s, start + 5)

@@ -41,7 +41,31 @@ def oracle_evaluate(t, vectors):
     return total % t.field.p
 
 
+def digit_entries(t):
+    """The nonzero cells, each index read off its flat position digit by digit in base n."""
+    out = []
+    for flat, c in enumerate(t.coeffs):
+        if c:
+            idx = []
+            for _ in range(t.order):
+                flat, i = divmod(flat, t.dim)
+                idx.append(i)
+            out.append((tuple(reversed(idx)), c))
+    return tuple(out)
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("d", range(4))
+    def test_nonzero_entries_match_the_digits_of_the_flat_index(self, n, d):
+        cells = n ** d
+        tensors = [random_tensor(F3, n, d, seed) for seed in range(5)]
+        tensors += [Tensor(F3, n, d, (c,) * cells) for c in (0, 2)]
+        for t in tensors:
+            assert t.nonzero_entries() == digit_entries(t)
+        assert tensors[-1].nonzero_entries() == tuple(
+            (idx, 2) for idx in product(range(n), repeat=d))
+
     def test_from_entries_monomial(self):
         t = from_entries(F2, 1, 3, [((0, 0, 0), 1)])
         assert t.coeffs == (1,)
