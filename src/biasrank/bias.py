@@ -436,11 +436,11 @@ class _Packed:
             x = sum(y << j * n ** (m - 1) for j, y in enumerate(self.contract(slices, basis, m)))
         return self.cells(x, n ** order)
 
-    def rank(self, forms: Iterable[int], order: int = 1) -> int:
-        """The rank of packed order-`order` tensors as vectors, cells read mod p."""
+    def rank(self, forms: Iterable[int]) -> int:
+        """The rank of packed vectors of F_p^n, cells read mod p."""
         if self.p == 2:
             return gf2_rank(forms)
-        return rank_mod_p(self.p, [self.cells(f, self.n ** order) for f in forms])
+        return rank_mod_p(self.p, [self.cells(f, self.n) for f in forms])
 
     def reduced(self, xs: Iterable[int], count: int) -> Iterable[int]:
         """Each x with its first `count` cells reduced mod p, packed again."""

@@ -232,12 +232,6 @@ def _rows(q: int, cells: int, seeds: list[int]) -> list:
     return [flat[i * cells:(i + 1) * cells] for i in range(len(seeds))]
 
 
-def _tensors(field: PrimeField, dim: int, order: int, gens: list) -> list:
-    """The default draw: the tensor seeded by each generator's next word."""
-    return [Tensor._trusted(field, dim, order, tuple(row))
-            for row in _rows(field.p, dim ** order, [gen.next_u64() for gen in gens])]
-
-
 def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = False,
               trials: int = 0, seed: int = 0, draw: Optional[Callable[[list], Iterable]] = None,
               ahead: int = 1) -> Iterable:
@@ -245,15 +239,18 @@ def _universe(field: PrimeField, dim: int, order: int, *, exhaustive: bool = Fal
 
     `draw(gens)` makes the instances of a chunk of _CHUNK trials, one per generator: trial
     i's is SplitMix64(substream_seed(seed, i), ahead), the stream of substream(seed, i), its
-    first `ahead` words read in the chunk's one rng.words call.  The default draw is
-    :func:`_tensors`.
+    first `ahead` words read in the chunk's one rng.words call.  The default draw makes
+    no stream: trial i's tensor is seeded by its first word, read from the chunk.
     """
     if exhaustive:
         return all_tensors(field, dim, order)
-    draw = draw or partial(_tensors, field, dim, order)
+    chunks = _trial_words(dim, order, trials, seed, ahead)
+    if draw is None:
+        return (Tensor._trusted(field, dim, order, tuple(row))
+                for _, flat in chunks for row in _rows(field.p, dim ** order, flat[::ahead]))
     return chain.from_iterable(
         draw([SplitMix64(s, flat[j * ahead:(j + 1) * ahead]) for j, s in enumerate(seeds)])
-        for seeds, flat in _trial_words(dim, order, trials, seed, ahead))
+        for seeds, flat in chunks)
 
 
 def _row_pairs(q: int, dim: int, order: int, trials: int, seed: int) -> Iterator[list]:

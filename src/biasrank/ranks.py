@@ -25,7 +25,7 @@ Tensor rank at every order d >= 3 comes from the slice span,
 tensors that hold the span S of the slot-0 slices and are spanned by
 rank-one ones.  Only W = S + U with U spanned by the quotient images of
 rank-one tensors can qualify, so a depth-first walk over those images
-meets each such U once, by its greedy basis.  No candidates are listed.
+meets each such U once, by its greedy basis, on one table per shape.
 
 Partition rank at order >= 4 has no exact method past greedy.  At n <= 2
 it needs none, since greedy slices slot 0 into at most n terms; past
@@ -58,15 +58,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 from math import prod
-from operator import xor
+from operator import lshift, xor
 from typing import Optional, Sequence
 
-from .bias import DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
-from .gf import PrimeField, mod_table
+from .bias import _CACHE_LIMIT, DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
+from .gf import PrimeField, gf2_rank, rank_mod_p
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.matrix_rank)
-from .tensor import Tensor, block_cells, zero_tensor
+from .tensor import Tensor, block_cells
 
 KINDS = ("rank", "srank", "prank")
 
@@ -104,10 +104,10 @@ class RankReport:
 
 
 def _verify_certificate(t: Tensor, terms: Sequence[RankOneTerm]):
-    total = zero_tensor(t.field, t.dim, t.order)
-    for term in terms:
-        total = total + term.tensor
-    if total != t:
+    shape, coeffs = (t.field, t.dim, t.order), [u.tensor.coeffs for u in terms]
+    if any((u.tensor.field, u.tensor.dim, u.tensor.order) != shape for u in terms):
+        raise ValueError("tensor shape or field mismatch")
+    if any((c - sum(rest)) % t.field.p for c, *rest in zip(t.coeffs, *coeffs)):
         raise AssertionError("decomposition does not re-sum to the tensor")
 
 
@@ -115,18 +115,9 @@ def _verify_certificate(t: Tensor, terms: Sequence[RankOneTerm]):
 # Rank-one arrays
 # ---------------------------------------------------------------------------
 
-def _nonzero_vectors(field: PrimeField, length: int):
-    for v in product(field.elements(), repeat=length):
-        if any(v):
-            yield v
-
-
 def _projective_vectors(field: PrimeField, length: int):
     """Nonzero coefficient arrays whose first nonzero entry is 1."""
-    for v in _nonzero_vectors(field, length):
-        first = next(x for x in v if x)
-        if first == 1:
-            yield v
+    return [v for v in product(field.elements(), repeat=length) if next(filter(None, v), 0) == 1]
 
 
 def _outer_product(field: PrimeField, vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -164,13 +155,8 @@ def _partition_sides(order: int, slice_only: bool):
     """
     if slice_only or order == 1:
         return [(s,) for s in range(order)]
-    sides = []
-    for size in range(1, order // 2 + 1):
-        for side in combinations(range(order), size):
-            if 2 * size == order and 0 not in side:
-                continue
-            sides.append(side)
-    return sides
+    return [side for size in range(1, order // 2 + 1) for side in combinations(range(order), size)
+            if 2 * size < order or 0 in side]
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +286,8 @@ def _greedy(t: Tensor, kind: str) -> list[RankOneTerm]:
 def _nonzero_slices(t: Tensor):
     """(index, order-(d-1) slice) for each nonzero slice along slot 0."""
     n, d = t.dim, t.order
-    block = n ** (d - 1)
-    out = []
-    for i in range(n):
-        chunk = t.coeffs[i * block: (i + 1) * block]
-        if any(chunk):
-            out.append((i, Tensor._trusted(t.field, n, d - 1, chunk)))
-    return out
+    chunks = [t.coeffs[i * n ** (d - 1):(i + 1) * n ** (d - 1)] for i in range(n)]
+    return [(i, Tensor._trusted(t.field, n, d - 1, c)) for i, c in enumerate(chunks) if any(c)]
 
 
 def _peel_matrix(t: Tensor, kind: str) -> list[RankOneTerm]:
@@ -435,6 +416,53 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
 # Tensor rank by slice span
 # ---------------------------------------------------------------------------
 
+class _Cells:
+    """Vectors of `count` residues mod p packed in one int, cell 0 highest, so
+    packed ints sort as the tuples of their cells.  A cell is a bit at p = 2,
+    added by XOR; at odd p it holds 2(p - 1), so a sum has no carry, and each
+    of its cells sheds p where adding 2^(w-1) - p sets the cell's top bit."""
+
+    def __init__(self, p: int, count: int):
+        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        ones = ((1 << w * count) - 1) // ((1 << w) - 1)
+        lift, high = ones * ((1 << w - 1) - p), ones << w - 1
+        self.p, self.w, self.mask, self.shifts = p, w, (1 << w) - 1, range(w * count - w, -1, -w)
+        self.add = xor if p == 2 else lambda a, b: (x := a + b) - ((x + lift & high) >> w - 1) * p
+
+    def pack(self, cells: Sequence[int]) -> int:
+        return sum(map(lshift, cells, self.shifts))
+
+    def cells(self, x: int) -> list[int]:
+        return [x >> shift & self.mask for shift in self.shifts]
+
+    def scale(self, x: int, c: int) -> int:
+        """c x for c >= 1: doubled at each bit of c below its top, x added at each 1."""
+        out = x
+        for bit in bin(c)[3:]:
+            out = self.add(self.add(out, out), x) if bit == "1" else self.add(out, out)
+        return out
+
+    def multiples(self, x: int) -> list[int]:
+        """c x for c = 0, ..., p - 1."""
+        return list(accumulate(repeat(x, self.p - 1), self.add, initial=0))
+
+
+_RANK_ONES: dict[tuple[int, int, int], tuple] = {}
+
+
+def _rank_ones(field: PrimeField, n: int, order: int) -> tuple:
+    """The shape's :class:`_Cells`, and the projective vectors and packed row of each
+    outer product in product order; built on first use, kept up to _CACHE_LIMIT members."""
+    table = _RANK_ONES.get((field.p, n, order))
+    if table is None:
+        cells = _Cells(field.p, n ** order)
+        factors = tuple(product(_projective_vectors(field, n), repeat=order))
+        table = cells, factors, tuple(cells.pack(_outer_product(field, v)) for v in factors)
+        if len(factors) <= _CACHE_LIMIT:
+            _RANK_ONES[field.p, n, order] = table
+    return table
+
+
 def _reduced(p: int, cut, v):
     """v less the multiples of an echelon cut's forms that clear each pivot."""
     for q, form in cut:
@@ -452,44 +480,42 @@ def _slice_span(t: Tensor, upper: int, node_limit: int,
     rank-one ones (Ja'Ja', SIAM J. Comput. 8, 1979; Buergisser, Clausen and
     Shokrollahi, Algebraic Complexity Theory, 1997, ch. 14).
 
-    One rank-one member per projective class, the outer product of d - 1
-    projective vectors, is bucketed by its normalized image in the quotient
-    by S, read off the pivots of S's echelon cut.  Bucket 0 is S; the
-    others are the points, sorted.  W = S + U is only worth trying for U
-    spanned by points, since the rank-one members of W are bucket 0 and the
-    buckets of U's points.  So a depth-first walk picks points by
-    increasing index; the j-th pick looks up the p^(j-1) points that it
-    adds to the span, and the branch is cut if one of them comes earlier
-    than the pick, so that each such U is met once, by its greedy basis.
-    W qualifies if bucket 0 and U's buckets have rank s + k, for s = dim S
-    and k = dim U; dim W rises from max(2, s, floor).  Quotient vectors are
-    ints of one-byte cells, added by XOR at p = 2 and reduced through a
-    byte table at odd p.  Each pick is charged its lookups; past
-    `node_limit`, BudgetExceededError.
+    Each member of the shape's rank-one table, one per projective class,
+    is bucketed by its normalized image in the quotient by S: its packed
+    row less the multiples of S's echelon cut that clear each pivot.
+    Bucket 0 is S; the others are the points, sorted.  W = S + U is only
+    worth trying for U spanned by points, since the rank-one members of W
+    are bucket 0 and the buckets of U's points.  So a depth-first walk
+    picks points by increasing index; the j-th pick looks up the p^(j-1)
+    points that it adds to the span, and the branch is cut if one of them
+    comes earlier than the pick, so that each such U is met once, by its
+    greedy basis.  W qualifies if bucket 0 and U's buckets have rank
+    s + k, for s = dim S and k = dim U; dim W rises from max(2, s, floor).
+    Rows, points and spans are :class:`_Cells` ints.  Each pick is charged
+    its lookups; past `node_limit`, BudgetExceededError.
     """
     field, n, d, p = t.field, t.dim, t.order, t.field.p
-    size, kernel = n ** (d - 1), _kernel(p, n)
+    size, (cells, factors, rows) = n ** (d - 1), _rank_ones(field, n, d - 1)
     s_cut = _echelon_cut(p, size, [t.coeffs[i * size:(i + 1) * size] for i in range(n)])
-    s, pivots, buckets = len(s_cut), {q for q, _ in s_cut}, {}
-    for vectors in product(_projective_vectors(field, n), repeat=d - 1):
-        member = _outer_product(field, vectors)
-        image = [x for j, x in enumerate(_reduced(p, s_cut, member)) if j not in pivots]
-        inv = pow(next((x for x in image if x), 1), p - 2, p)
-        buckets.setdefault(tuple(x * inv % p for x in image), []).append(kernel.pack(member))
-    inside, mod = buckets.pop((0,) * (size - s), []), mod_table(p)
-    points = sorted(buckets)
+    clear = [(cells.shifts[q], cells.multiples(cells.pack([-x % p for x in form])))
+             for q, form in s_cut]
+    s, buckets, add, w, nodes = len(s_cut), {}, cells.add, cells.w, 0
+    for row in rows:
+        v = row
+        for shift, negated in clear:
+            v = add(v, negated[v >> shift & cells.mask])
+        lead = v >> (v.bit_length() - 1) // w * w if v else 1
+        buckets.setdefault(cells.scale(v, pow(lead, -1, p)), []).append(row)
+    inside, points = buckets.pop(0, []), sorted(buckets)
     groups = [buckets[point] for point in points]
-    multiples = [[int.from_bytes(bytes(c * x % p for x in point), "little") for c in range(p)]
-                 for point in points]
+    multiples = [cells.multiples(point) for point in points]
     index = {v: i for i, vs in enumerate(multiples) for v in vs[1:]}
-    add = xor if p == 2 else (lambda a, b: int.from_bytes(
-        (a + b).to_bytes(size - s, "little").translate(mod), "little"))
-    nodes = 0
+    rank = gf2_rank if p == 2 else (lambda members: rank_mod_p(p, map(cells.cells, members)))
 
     def walk(start, left, span, members, need):
         nonlocal nodes
         if not left:
-            return members if len(members) >= need and kernel.rank(members, d - 1) == need else None
+            return members if len(members) >= need and rank(members) == need else None
         for i in range(start, len(points) - left + 1):
             nodes += len(span)
             if nodes > node_limit:
@@ -511,25 +537,26 @@ def _slice_span(t: Tensor, upper: int, node_limit: int,
         if members is not None:
             chosen: list = []
             for m in members:
-                if len(chosen) < s + k and kernel.rank(chosen + [m], d - 1) > len(chosen):
+                if len(chosen) < s + k and rank(chosen + [m]) > len(chosen):
                     chosen.append(m)
-            return _span_terms(t, [tuple(kernel.cells(m, size)) for m in chosen])
+            return _span_terms(t, [factors[rows.index(m)] for m in chosen])
     return None
 
 
 def _span_terms(t: Tensor, basis) -> tuple[RankOneTerm, ...]:
     """The terms c_.j x M_j of the slot-0 slices T_i = sum_j c_ij M_j in a
-    least rank-one basis of a span that holds them, so no c_.j is 0.  Each
-    M_j carries e_j on extra coordinates through an :func:`_echelon_cut`,
-    so a slice reduced by the cut keeps minus its c_ij there."""
-    field, n, d, r, p = t.field, t.dim, t.order, len(basis), t.field.p
-    size = n ** (d - 1)
-    cut = _echelon_cut(p, size + r, [m + tuple(int(i == j) for i in range(r))
-                                     for j, m in enumerate(basis)])
+    least basis of products M_j = v_1 x ... x v_(d-1) of projective vectors
+    whose span holds them, so no c_.j is 0.  Each M_j carries e_j on extra
+    coordinates through an :func:`_echelon_cut`, so a slice reduced by the
+    cut keeps minus its c_ij there; (-c_.j, v_1, ...) is the normal form."""
+    field, n, d, r, p, size = t.field, t.dim, t.order, len(basis), t.field.p, t.dim ** (t.order - 1)
+    cut = _echelon_cut(p, size + r, [_outer_product(field, v) + tuple(int(i == j) for i in range(r))
+                                     for j, v in enumerate(basis)])
     left = [_reduced(p, cut, t.coeffs[i * size:(i + 1) * size] + (0,) * r)[size:]
             for i in range(n)]
-    return tuple(_rank_one_term(Tensor._trusted(field, n, d, _outer_product(
-        field, ([-c % p for c in column], m))), "rank") for m, column in zip(basis, zip(*left)))
+    products = [(tuple(-c % p for c in column), *v) for column, v in zip(zip(*left), basis)]
+    return tuple(RankOneTerm("rank", None, f, Tensor._trusted(
+        field, n, d, _outer_product(field, f))) for f in products)
 
 
 def rank_exact(t: Tensor, kind: str, budget: int = DEFAULT_BUDGET) -> RankReport:
@@ -611,14 +638,8 @@ def is_independent_set(t: Tensor, indices: Sequence[int]) -> bool:
     for i in idx_set:
         if not 0 <= i < t.dim:
             raise ValueError(f"index {i} out of range for dimension {t.dim}")
-    for tup in product(idx_set, repeat=t.order):
-        value = t.entry(tup)
-        if all(i == tup[0] for i in tup):
-            if value == 0:
-                return False
-        elif value != 0:
-            return False
-    return True
+    return all((t.entry(tup) != 0) == (len(set(tup)) <= 1)
+               for tup in product(idx_set, repeat=t.order))
 
 
 def _can_extend(t: Tensor, current: tuple[int, ...], new: int, charge) -> bool:

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -541,6 +542,19 @@ def test_tensor_rank_bytes_at_n_two(capsys, tmp_path, p, seed, value, upper_sour
 def test_tensor_rank_at_n_three_is_exact(capsys, tmp_path, p):
     # the candidate search ran out of nodes on both; the slice span needs few
     _rank_bytes(capsys, tmp_path, p, 3, 0, 5, "search")
+
+
+def test_tensor_rank_past_one_byte_cells(capsys, monkeypatch):
+    # quotient cells hold 2(p - 1), so p = 257 is exact with no traceback; the pencil
+    # discriminants of these four tensors are 2 squares and 2 non-squares mod 257
+    values = []
+    for seed in range(4):
+        _, text, _ = run(capsys, "gen", "--p", "257", "--n", "2", "--d", "3", "--seed", str(seed))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "rank", "-", "--kind", "rank")
+        assert (code, err) == (0, "")
+        values.append(out.splitlines()[0])
+    assert values == [f"rank = {value} (exact)" for value in (2, 2, 3, 3)]
 
 
 def test_matrix_rank_bytes_come_from_the_peel(capsys, tmp_path):

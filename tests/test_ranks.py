@@ -474,6 +474,12 @@ class TestIndependentSets:
         assert is_independent_set(t, (1,))
         assert not is_independent_set(t, (0,))
 
+    def test_order_zero_scalar_is_its_own_diagonal(self):
+        # the one entry of an order-0 tensor sits at the empty index, which is diagonal
+        for c in (0, 1):
+            t = Tensor(F3, 2, 0, (c,))
+            assert [is_independent_set(t, s) for s in ((), (0,), (0, 1))] == [c == 1] * 3
+
     def test_off_diagonal_conflict(self):
         entries = [((0, 0, 0), 1), ((1, 1, 1), 1), ((0, 1, 1), 1)]
         t = from_entries(F2, 2, 3, entries)
@@ -910,6 +916,91 @@ class TestSliceSpan:
         assert report == rank_bounds(t, "rank", budget) and not report.exact
         with pytest.raises(BudgetExceededError):
             ranks._slice_span(t, 8, 1000)
+
+
+def _pencil_discriminant(t):
+    """The discriminant of det(x A + y B) mod p, for the slot-0 slices A, B of
+    an order-3 tensor on F_p^2."""
+    p, (a00, a01, a10, a11, b00, b01, b10, b11) = t.field.p, t.coeffs
+    middle = a00 * b11 + a11 * b00 - a01 * b10 - a10 * b01
+    return (middle * middle - 4 * (a00 * a11 - a01 * a10) * (b00 * b11 - b01 * b10)) % p
+
+
+class TestLargePrimes:
+    # at (p, 2, 3), p odd, a tensor whose pencil has a nonzero discriminant has rank 2
+    # if that discriminant is a square mod p and 3 otherwise, which needs no search
+    # reference; past p = 127 a quotient cell, which holds 2(p - 1), is wider than a byte
+    @pytest.mark.parametrize("p,trials", [
+        (11, 8), (13, 8), (17, 8), (127, 3), (131, 3), (251, 2), (257, 2)])
+    def test_rank_at_n_two_is_read_off_the_pencil_discriminant(self, p, trials):
+        field, seen = PrimeField(p), set()
+        for trial in range(trials):
+            t = random_tensor(field, 2, 3, substream(95, trial).next_u64())
+            if discriminant := _pencil_discriminant(t):
+                report = rank_exact(t, "rank")
+                assert report.exact and len(report.certificate) == report.value
+                assert report.value == (2 if pow(discriminant, (p - 1) // 2, p) == 1 else 3)
+                seen.add(report.value)
+        # the small fields meet both values in their trials, the large ones at least one
+        assert seen == {2, 3} or (p > 17 and seen)
+
+    @pytest.mark.parametrize("p", [127, 131, 251, 257])
+    def test_cells_arithmetic_is_tuple_arithmetic_mod_p(self, p):
+        gen, count = substream(96, p), 5
+        cells = ranks._Cells(p, count)
+        for _ in range(40):
+            a, b = gen.residues(p, count), gen.residues(p, count)
+            c = 1 + gen.below(p - 1)
+            assert cells.cells(cells.pack(a)) == list(a)
+            assert cells.cells(cells.add(cells.pack(a), cells.pack(b))) == [
+                (x + y) % p for x, y in zip(a, b)]
+            assert cells.cells(cells.scale(cells.pack(a), c)) == [c * x % p for x in a]
+            assert [cells.cells(m) for m in cells.multiples(cells.pack(a))] == [
+                [c * x % p for x in a] for c in range(p)]
+        # every cell at p - 1 is the worst carry
+        top = cells.pack([p - 1] * count)
+        assert cells.cells(cells.add(top, top)) == [p - 2] * count
+        assert cells.cells(cells.scale(top, p - 1)) == [1] * count
+
+    def test_packed_cells_sort_as_tuples(self):
+        gen = substream(98, 0)
+        for p in (2, 3, 131, 257):
+            cells = ranks._Cells(p, 4)
+            rows = sorted({gen.residues(p, 4) for _ in range(60)})
+            assert sorted(map(cells.pack, rows)) == list(map(cells.pack, rows))
+
+
+class TestRankOneTable:
+    @pytest.mark.parametrize("p,n,order", [(2, 2, 2), (5, 2, 2), (3, 3, 2), (2, 2, 3)])
+    def test_the_table_keeps_the_product_order(self, p, n, order):
+        field = PrimeField(p)
+        listing = list(product(ranks._projective_vectors(field, n), repeat=order))
+        cells, factors, rows = ranks._rank_ones(field, n, order)
+        assert list(factors) == listing
+        assert [cells.cells(row) for row in rows] == [
+            list(ranks._outer_product(field, vectors)) for vectors in listing]
+        assert ranks._rank_ones(field, n, order) is ranks._rank_ones(field, n, order)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 257])
+    def test_span_terms_are_in_the_normal_form(self, p):
+        field, found = PrimeField(p), 0
+        for trial in range(6 if p < 257 else 1):
+            t = random_tensor(field, 2, 3, substream(92, trial).next_u64())
+            report = rank_exact(t, "rank")
+            if report.upper_source == "search":  # the slice span wrote these terms
+                found += 1
+                assert all(term == ranks._rank_one_term(term.tensor, "rank")
+                           for term in report.certificate)
+        assert found
+
+    def test_verify_certificate_checks_shape_and_sum(self):
+        t = random_tensor(F3, 2, 3, 5)
+        report = rank_exact(t, "rank")
+        ranks._verify_certificate(t, report.certificate)
+        with pytest.raises(AssertionError):
+            ranks._verify_certificate(t, report.certificate[1:])
+        with pytest.raises(ValueError):
+            ranks._verify_certificate(random_tensor(F3, 2, 2, 5), report.certificate)
 
 
 def _reference_split(t, side):
