@@ -55,8 +55,8 @@ histogram's lane bound) no leaf is ranked: q^(n-rank) counts the w with
 row . w = 0 for every row, the bit count of the AND of the rows' zero sets,
 q^n-bit masks kept by reduced row (at most q^n) and filled on first sight.
 
-The kernel is the only code that packs, slices, contracts and ranks
-packed tensors; the slice-rank duality of :mod:`biasrank.ranks` uses it.
+The kernel serves the bias walk only; :class:`biasrank.gf.Cells` packs
+the reduced vectors of the rank code and of the p = 2 restriction.
 
 Since every engine shares the walk, their agreement cannot catch a fault
 in it.  The naive oracles of the tests and the reference engine of the
@@ -83,7 +83,8 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf import PrimeField, combine_masks, digit_masks, gf2_rank, mod_table, rank_mod_p
+from .gf import (_BITS, _DIGITS, PrimeField, combine_masks, digit_masks, gf2_rank, mod_table,
+                 rank_mod_p)
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps bias.matrix_rank)
 from .tensor import MultiComponentForm, Tensor, block_cells, placed
 
@@ -242,9 +243,6 @@ class ValueHistogram:
 # Packing kernels keyed by (p, n), built on first use and cached only for
 # p^n <= _CACHE_LIMIT.  A kernel builds its Gray tables on its first walk.
 _KERNEL_CACHE: dict[tuple[int, int], "_Packed"] = {}
-# Binary digits '0'/'1' to the bytes 0/1, and back: every nonzero byte to '1'.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS = b"0" + b"1" * 255
 
 
 def gray_steps(p: int, n: int) -> tuple[int, ...]:
@@ -419,28 +417,6 @@ class _Packed:
         shift = self.bits * self.n ** (order - 1)
         mask = ((1 << shift) - 1) * rep
         return [(x >> (k * shift)) & mask for k in range(self.n)]
-
-    def contract(self, slices: Sequence[int], ws: Iterable, order: int) -> list[int]:
-        """T(w, ...) = sum_k w_k slice_k, reduced, for each w in ws, from the
-        :meth:`slices` of an order-`order` T with reduced cells."""
-        if self.p == 2:
-            return [reduce(xor, compress(slices, w), 0) for w in ws]
-        return list(self.reduced([sum(map(mul, w, slices)) for w in ws], self.n ** (order - 1)))
-
-    def restrict(self, cells: Sequence[int], order: int, basis: Sequence) -> bytes:
-        """At p = 2, the cells of T(B., ..., B.) for basis vectors B, each at T's cell of the same
-        index (the n stride): slot by slot, the earlier slots lanes, output j to slice j."""
-        n, x = self.n, self.pack(cells)
-        for m in range(order, 0, -1):  # each lane holds an order-m tensor, its leading slot next
-            slices = self.slices(x, m, ((1 << n ** order) - 1) // ((1 << n ** m) - 1))
-            x = sum(y << j * n ** (m - 1) for j, y in enumerate(self.contract(slices, basis, m)))
-        return self.cells(x, n ** order)
-
-    def rank(self, forms: Iterable[int]) -> int:
-        """The rank of packed vectors of F_p^n, cells read mod p."""
-        if self.p == 2:
-            return gf2_rank(forms)
-        return rank_mod_p(self.p, [self.cells(f, self.n) for f in forms])
 
     def reduced(self, xs: Iterable[int], count: int) -> Iterable[int]:
         """Each x with its first `count` cells reduced mod p, packed again."""

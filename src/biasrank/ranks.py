@@ -4,19 +4,17 @@ A greedy decomposition of at most 2 terms, or of a matrix, is minimal:
 its rank-one probe failed, or its pivot peel is exact; past that, each
 kind has one exact method.
 
-One step does all the elimination: :func:`_pivot_split` splits a matrix
-at its first nonzero cell into (column over the pivot, row).  The rank-one
-probe checks one split cell by cell; :func:`_peel` takes splits off the
-residual, which is greedy's matrix peel and, on rows read column-major,
-the duality's echelon cut.
+A matricization is split by :func:`_pivot_split` at its first nonzero cell
+into (column over the pivot, row): the rank-one probe checks one split cell
+by cell, and :func:`_peel`, greedy's matrix peel, takes splits off the
+residual.  Vectors are reduced on :class:`~biasrank.gf.Cells` ints.
 
 Slice rank, and partition rank at order <= 3 (where every bipartition has
 a singleton side, so the two agree), come from subspace duality:
 srank(T) = min sum_i codim W_i over subspaces W_1..W_d of F_p^n with
 T|_{W_1 x ... x W_d} = 0.  :func:`_slice_duality` walks W_1..W_{d-1} as
 RREF bases; the largest admissible W_d is the common kernel of the
-contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank;
-the bias kernel packs, contracts and ranks them.
+contracted forms T(w_1, ..., w_{d-1}, .), so codim W_d is their rank.
 :func:`_slice_certificate` expands T slot by slot along forms that cut
 each W_i out, one slice term per form.
 
@@ -57,14 +55,14 @@ if the two bounds meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, combinations, product, repeat
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product
 from math import prod
-from operator import lshift, xor
+from operator import getitem
 from typing import Optional, Sequence
 
-from .bias import _CACHE_LIMIT, DEFAULT_BUDGET, BudgetExceededError, _kernel, arank_ceil, bias_fiber
-from .gf import PrimeField, gf2_rank, rank_mod_p
+from .bias import _CACHE_LIMIT, DEFAULT_BUDGET, BudgetExceededError, arank_ceil, bias_fiber
+from .gf import Cells, PrimeField
 from .gf import matrix_rank  # noqa: F401  (the benchmark tracer wraps ranks.matrix_rank)
 from .tensor import Tensor, block_cells
 
@@ -334,16 +332,6 @@ def _cut(p: int, dim: int, basis) -> list:
                       for i in range(dim))) for j in range(dim) if j not in pivots]
 
 
-def _echelon_cut(p: int, dim: int, rows) -> tuple:
-    """An echelon basis of the span of `rows` over F_p, as (pivot, form):
-    the :func:`_peel` of the rows read column-major, so each pivot is the
-    first nonzero entry of its form, form[pivot] = 1, and every later form
-    is 0 at that pivot."""
-    positions = [(j, i) for i in range(len(rows)) for j in range(dim)]
-    splits = _peel(p, [x for row in rows for x in row], positions)
-    return tuple((form.index(1), form) for form, _ in splits)
-
-
 def _slice_duality(t: Tensor, bound: int, floor: int = 0):
     """The cuts of subspaces W_1..W_d with T|_{W_1 x ... x W_d} = 0 and the
     least total codimension below `bound`, or None if none is below it.
@@ -351,41 +339,44 @@ def _slice_duality(t: Tensor, bound: int, floor: int = 0):
     W_1..W_{d-1} run over :func:`_subspaces` by increasing codimension; T
     is contracted along each slot by the chosen basis, so the largest
     admissible W_d is the common kernel of the forms left at the last
-    slot, and codim W_d is their rank.  The bias kernel of (p, n) packs,
-    contracts and ranks the tensors.  A partial sum that reaches the best
-    total so far is cut off, and the walk stops at a total of `floor`, a
-    lower bound the caller knows.  `cuts[i]` lists the (j, form) pairs
-    whose forms cut W_i out: the :func:`_cut` of its basis, and for W_d an
-    echelon basis of the last forms.  The walk ranks at most one leaf per
-    tuple W_1..W_{d-1}, so (sum_k [n k]_p)^(d-1) bounds its work.
+    slot, and codim W_d is their rank.  The tensors are `Cells` ints, each
+    contracted as a sum of its slices' multiples.  A partial sum that reaches
+    the best total so far is cut off, and the walk stops at a total of
+    `floor`, a lower bound the caller knows.  `cuts[i]` lists the (j, form)
+    pairs whose forms cut W_i out: the :func:`_cut` of its basis, and for
+    W_d the echelon cut of the last forms.  The walk ranks at most one leaf
+    per tuple W_1..W_{d-1}, so (sum_k [n k]_p)^(d-1) bounds its work.
     """
     p, n, d = t.field.p, t.dim, t.order
-    kernel = _kernel(p, n)
+    levels = [Cells(p, n ** m) for m in range(d + 1)]  # packed order-m tensors
     spaces = list(chain.from_iterable(_subspaces(p, n, k) for k in range(n, -1, -1)))
     best = [bound, None, None]
 
     def walk(slot, arrays, spent, bases):
-        sliced = [kernel.slices(a, d - slot) for a in arrays]
+        cells = levels[d - slot - 1]  # the layout of the arrays' slices
+        width = cells.w * cells.count
+        sliced = [[cells.multiples(a >> width * k & (1 << width) - 1) for k in range(n - 1, -1, -1)]
+                  for a in arrays]
         for basis in spaces:
             total = spent + n - len(basis)
             if total >= best[0]:
                 return
-            contracted = [f for s in sliced for f in kernel.contract(s, basis, d - slot)]
+            contracted = [reduce(cells.add, map(getitem, s, w)) for s in sliced for w in basis]
             if slot < d - 2:
                 walk(slot + 1, contracted, total, bases + (basis,))
             else:
-                total += kernel.rank(contracted)
+                total += cells.rank(contracted)
                 if total < best[0]:
                     best[:] = total, bases + (basis,), contracted
             if best[0] <= floor:
                 return
 
-    walk(0, [kernel.pack(t.coeffs)], 0, ())
+    walk(0, [levels[d].pack(t.coeffs)], 0, ())
     _, bases, forms = best
     if bases is None:
         return None
     return (*(_cut(p, n, basis) for basis in bases),
-            _echelon_cut(p, n, [kernel.cells(f, n) for f in forms]))
+            [(q, levels[1].cells(form)) for q, form, _ in levels[1].echelon(forms)])
 
 
 def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
@@ -416,59 +407,20 @@ def _slice_certificate(t: Tensor, cuts, kind: str) -> tuple[RankOneTerm, ...]:
 # Tensor rank by slice span
 # ---------------------------------------------------------------------------
 
-class _Cells:
-    """Vectors of `count` residues mod p packed in one int, cell 0 highest, so
-    packed ints sort as the tuples of their cells.  A cell is a bit at p = 2,
-    added by XOR; at odd p it holds 2(p - 1), so a sum has no carry, and each
-    of its cells sheds p where adding 2^(w-1) - p sets the cell's top bit."""
-
-    def __init__(self, p: int, count: int):
-        w = 1 if p == 2 else (2 * p - 2).bit_length()
-        ones = ((1 << w * count) - 1) // ((1 << w) - 1)
-        lift, high = ones * ((1 << w - 1) - p), ones << w - 1
-        self.p, self.w, self.mask, self.shifts = p, w, (1 << w) - 1, range(w * count - w, -1, -w)
-        self.add = xor if p == 2 else lambda a, b: (x := a + b) - ((x + lift & high) >> w - 1) * p
-
-    def pack(self, cells: Sequence[int]) -> int:
-        return sum(map(lshift, cells, self.shifts))
-
-    def cells(self, x: int) -> list[int]:
-        return [x >> shift & self.mask for shift in self.shifts]
-
-    def scale(self, x: int, c: int) -> int:
-        """c x for c >= 1: doubled at each bit of c below its top, x added at each 1."""
-        out = x
-        for bit in bin(c)[3:]:
-            out = self.add(self.add(out, out), x) if bit == "1" else self.add(out, out)
-        return out
-
-    def multiples(self, x: int) -> list[int]:
-        """c x for c = 0, ..., p - 1."""
-        return list(accumulate(repeat(x, self.p - 1), self.add, initial=0))
-
-
 _RANK_ONES: dict[tuple[int, int, int], tuple] = {}
 
 
 def _rank_ones(field: PrimeField, n: int, order: int) -> tuple:
-    """The shape's :class:`_Cells`, and the projective vectors and packed row of each
-    outer product in product order; built on first use, kept up to _CACHE_LIMIT members."""
+    """The shape's `Cells`, and the projective vectors and packed row of each outer
+    product in product order; built on first use, kept up to _CACHE_LIMIT members."""
     table = _RANK_ONES.get((field.p, n, order))
     if table is None:
-        cells = _Cells(field.p, n ** order)
+        cells = Cells(field.p, n ** order)
         factors = tuple(product(_projective_vectors(field, n), repeat=order))
         table = cells, factors, tuple(cells.pack(_outer_product(field, v)) for v in factors)
         if len(factors) <= _CACHE_LIMIT:
             _RANK_ONES[field.p, n, order] = table
     return table
-
-
-def _reduced(p: int, cut, v):
-    """v less the multiples of an echelon cut's forms that clear each pivot."""
-    for q, form in cut:
-        if c := v[q]:
-            v = [(a - c * b) % p for a, b in zip(v, form)]
-    return v
 
 
 def _slice_span(t: Tensor, upper: int, node_limit: int,
@@ -491,31 +443,26 @@ def _slice_span(t: Tensor, upper: int, node_limit: int,
     comes earlier than the pick, so that each such U is met once, by its
     greedy basis.  W qualifies if bucket 0 and U's buckets have rank
     s + k, for s = dim S and k = dim U; dim W rises from max(2, s, floor).
-    Rows, points and spans are :class:`_Cells` ints.  Each pick is charged
-    its lookups; past `node_limit`, BudgetExceededError.
+    Rows, points and spans are `Cells` ints.  Each pick is charged its
+    lookups; past `node_limit`, BudgetExceededError.
     """
     field, n, d, p = t.field, t.dim, t.order, t.field.p
     size, (cells, factors, rows) = n ** (d - 1), _rank_ones(field, n, d - 1)
-    s_cut = _echelon_cut(p, size, [t.coeffs[i * size:(i + 1) * size] for i in range(n)])
-    clear = [(cells.shifts[q], cells.multiples(cells.pack([-x % p for x in form])))
-             for q, form in s_cut]
+    s_cut = cells.echelon(cells.pack(t.coeffs[i * size:(i + 1) * size]) for i in range(n))
     s, buckets, add, w, nodes = len(s_cut), {}, cells.add, cells.w, 0
     for row in rows:
-        v = row
-        for shift, negated in clear:
-            v = add(v, negated[v >> shift & cells.mask])
+        v = cells.reduce(row, s_cut)
         lead = v >> (v.bit_length() - 1) // w * w if v else 1
         buckets.setdefault(cells.scale(v, pow(lead, -1, p)), []).append(row)
     inside, points = buckets.pop(0, []), sorted(buckets)
     groups = [buckets[point] for point in points]
     multiples = [cells.multiples(point) for point in points]
     index = {v: i for i, vs in enumerate(multiples) for v in vs[1:]}
-    rank = gf2_rank if p == 2 else (lambda members: rank_mod_p(p, map(cells.cells, members)))
 
     def walk(start, left, span, members, need):
         nonlocal nodes
         if not left:
-            return members if len(members) >= need and rank(members) == need else None
+            return members if len(members) >= need and cells.rank(members) == need else None
         for i in range(start, len(points) - left + 1):
             nodes += len(span)
             if nodes > node_limit:
@@ -537,7 +484,7 @@ def _slice_span(t: Tensor, upper: int, node_limit: int,
         if members is not None:
             chosen: list = []
             for m in members:
-                if len(chosen) < s + k and rank(chosen + [m]) > len(chosen):
+                if len(chosen) < s + k and cells.rank(chosen + [m]) > len(chosen):
                     chosen.append(m)
             return _span_terms(t, [factors[rows.index(m)] for m in chosen])
     return None
@@ -547,13 +494,14 @@ def _span_terms(t: Tensor, basis) -> tuple[RankOneTerm, ...]:
     """The terms c_.j x M_j of the slot-0 slices T_i = sum_j c_ij M_j in a
     least basis of products M_j = v_1 x ... x v_(d-1) of projective vectors
     whose span holds them, so no c_.j is 0.  Each M_j carries e_j on extra
-    coordinates through an :func:`_echelon_cut`, so a slice reduced by the
-    cut keeps minus its c_ij there; (-c_.j, v_1, ...) is the normal form."""
+    coordinates through an echelon cut, so a slice reduced by the cut keeps
+    minus its c_ij there; (-c_.j, v_1, ...) is the normal form."""
     field, n, d, r, p, size = t.field, t.dim, t.order, len(basis), t.field.p, t.dim ** (t.order - 1)
-    cut = _echelon_cut(p, size + r, [_outer_product(field, v) + tuple(int(i == j) for i in range(r))
-                                     for j, v in enumerate(basis)])
-    left = [_reduced(p, cut, t.coeffs[i * size:(i + 1) * size] + (0,) * r)[size:]
-            for i in range(n)]
+    cells = Cells(p, size + r)
+    cut = cells.echelon(cells.pack(_outer_product(field, v) + tuple(int(i == j) for i in range(r)))
+                        for j, v in enumerate(basis))
+    left = [cells.cells(cells.reduce(cells.pack(t.coeffs[i * size:(i + 1) * size] + (0,) * r),
+                                     cut))[size:] for i in range(n)]
     products = [(tuple(-c % p for c in column), *v) for column, v in zip(zip(*left), basis)]
     return tuple(RankOneTerm("rank", None, f, Tensor._trusted(
         field, n, d, _outer_product(field, f))) for f in products)

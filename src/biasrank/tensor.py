@@ -19,17 +19,18 @@ reject a non-residue, a non-int and a wrong length.  Results computed from
 residues (``+``, :func:`restrict`, :func:`random_tensor`,
 :func:`all_tensors`, and the slices and terms the rank code builds) are
 made by the internal :meth:`Tensor._trusted`, which skips that check.
+:func:`contracted` restricts slot by slot: at p = 2 it XORs the slices of
+one :class:`~biasrank.gf.Cells` int, at odd p it sums tuples cell by cell.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, product
-from operator import add, itemgetter, mul
+from itertools import chain, compress, product
+from operator import add, itemgetter, mul, xor
 from typing import Iterable, Mapping, Sequence
 
-from . import bias  # the package imports bias, which imports this module, first
-from .gf import PrimeField, Vector, matrix_rank
+from .gf import Cells, PrimeField, Vector, matrix_rank
 from .rng import SplitMix64
 
 
@@ -275,9 +276,16 @@ def contracted(p: int, n: int, d: int, coeffs: Sequence[int], basis: tuple[Vecto
     """The coefficients of :func:`restrict`'s tensor from t's, after its checks, in their kind
     (a tuple, or bytes); packed at p = 2."""
     kind = type(coeffs)
-    if p == 2 and n:  # the XOR of the slices each basis vector selects, slot by slot
-        cells = bias._kernel(2, n).restrict(coeffs, d, basis)
-        return kind(map(cells.__getitem__, block_cells(n, (tuple(range(len(basis))),) * d)))
+    if p == 2 and n:  # slot by slot, the earlier slots lanes: output j, the XOR of the
+        cells, k = Cells(2, n ** d), len(basis)  # slices basis vector j selects, to slice j
+        x = cells.pack(coeffs)
+        for m in range(d - 1, -1, -1):  # each lane holds an order-(m + 1) tensor
+            size = n ** m
+            mask = ((1 << size) - 1) * ((1 << n ** d) - 1) // ((1 << n * size) - 1)
+            slices = [x >> size * i & mask for i in range(n - 1, -1, -1)]
+            x = sum(reduce(xor, compress(slices, b), 0) << size * (n - 1 - j)
+                    for j, b in enumerate(basis))
+        return kind(map(cells.cells(x).__getitem__, block_cells(n, (tuple(range(k)),) * d)))
     for _ in range(d):  # contract the leading slot with the basis, move it last
         rest = len(coeffs) // max(n, 1)
         columns = zip(*zip(*[iter(coeffs)] * rest))  # column r is coeffs[r::rest]

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from biasrank.bias import BudgetExceededError, analytic_rank, bias_fiber
-from biasrank.gf import PrimeField, matrix_rank, rank_mod_p
+from biasrank.gf import Cells, PrimeField, matrix_rank, rank_mod_p
 from biasrank import ranks
 from biasrank.ranks import (
     KINDS,
@@ -621,6 +621,32 @@ def _certificate_digest():
     return h.hexdigest()
 
 
+def _report_digest():
+    """sha256 over the certificates, exact or greedy, of tensors summed from d - 1 seeded
+    slice terms, one per slot past 0, so that the duality and the slice span beat greedy's
+    slot-0 slices; and the (p, d, kind) at which an exact method won."""
+    h, wins = hashlib.sha256(), set()
+    for p, n, d in ((2, 3, 3), (3, 3, 3), (5, 3, 3), (2, 4, 3), (3, 3, 4)):
+        field = PrimeField(p)
+        for trial in range(3):
+            gen, coeffs = substream(44, trial), [0] * n ** d
+            for slot in range(1, d):
+                a, b = gen.residues(p, n), gen.residues(p, n ** (d - 1))
+                for k, (fa, fb) in enumerate(ranks._cell_positions(n, d, (slot,))):
+                    coeffs[k] = (coeffs[k] + a[fa] * b[fb]) % p
+            t = Tensor(field, n, d, coeffs)
+            for kind in ("srank", "prank") + (("rank",) if n == d == 3 else ()):
+                report = rank_exact(t, kind)
+                if report.upper_source == "search":
+                    wins.add((p, d, kind))
+                for term in report.certificate:
+                    factors = [list(getattr(f, "coeffs", f)) for f in term.factors]
+                    h.update(repr((list(term.tensor.coeffs), term.slots_a,
+                                   factors)).encode())
+                h.update(b"|")
+    return h.hexdigest(), wins
+
+
 class TestCandidateTable:
     @pytest.mark.parametrize("kind,p,n,d", [
         (kind, p, n, d) for kind in ("rank", "srank", "prank")
@@ -654,6 +680,13 @@ class TestCandidateTable:
     def test_certificates_are_pinned(self):
         assert _certificate_digest() == (
             "aac061a91f223bfdf9c75adf9a4add5fbd05617bd1f81abbd4f8e827ef84e078")
+
+    def test_duality_certificates_are_pinned(self):
+        digest, wins = _report_digest()
+        # the duality wins at p = 2, 3 and 5 and at order 4; the slice span at n = d = 3
+        assert {(2, 3, "srank"), (3, 3, "srank"), (5, 3, "srank"), (3, 4, "srank"),
+                (2, 3, "rank"), (3, 3, "rank"), (5, 3, "rank")} <= wins
+        assert digest == "35390387b9a158e1ddf0e05c27673b0448301069c4d21213814aaff43fc9fd4d"
 
 
 def _reference_search(target, arrays, p, depths):
@@ -944,10 +977,10 @@ class TestLargePrimes:
         # the small fields meet both values in their trials, the large ones at least one
         assert seen == {2, 3} or (p > 17 and seen)
 
-    @pytest.mark.parametrize("p", [127, 131, 251, 257])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 131, 251, 257])
     def test_cells_arithmetic_is_tuple_arithmetic_mod_p(self, p):
         gen, count = substream(96, p), 5
-        cells = ranks._Cells(p, count)
+        cells = Cells(p, count)
         for _ in range(40):
             a, b = gen.residues(p, count), gen.residues(p, count)
             c = 1 + gen.below(p - 1)
@@ -965,7 +998,7 @@ class TestLargePrimes:
     def test_packed_cells_sort_as_tuples(self):
         gen = substream(98, 0)
         for p in (2, 3, 131, 257):
-            cells = ranks._Cells(p, 4)
+            cells = Cells(p, 4)
             rows = sorted({gen.residues(p, 4) for _ in range(60)})
             assert sorted(map(cells.pack, rows)) == list(map(cells.pack, rows))
 
@@ -1001,6 +1034,14 @@ class TestRankOneTable:
             ranks._verify_certificate(t, report.certificate[1:])
         with pytest.raises(ValueError):
             ranks._verify_certificate(random_tensor(F3, 2, 2, 5), report.certificate)
+
+
+def _reference_echelon_cut(p, dim, rows):
+    """(pivot, form) of an echelon basis of the span of `rows`, as the tuple code that the
+    packed one replaced built it: the pivot splits peeled off the rows read column-major."""
+    positions = [(j, i) for i in range(len(rows)) for j in range(dim)]
+    splits = ranks._peel(p, [x for row in rows for x in row], positions)
+    return [(form.index(1), form) for form, _ in splits]
 
 
 def _reference_split(t, side):
@@ -1046,7 +1087,7 @@ class TestPivotSplit:
             for side in sides:
                 assert ranks._rank_one_split(t, side) == _reference_split(t, side)
 
-    @pytest.mark.parametrize("p", [2, 3, 13])
+    @pytest.mark.parametrize("p", [2, 3, 13, 131, 257])
     def test_echelon_cut_is_an_echelon_basis_of_the_span(self, p):
         gen = substream(73, p)
         cases = [[], [[0, 0, 0]], [[0] * 4, [0] * 4]]
@@ -1060,7 +1101,15 @@ class TestPivotSplit:
             cases.append(rows)
         for rows in cases:
             dim = len(rows[0]) if rows else 3
-            cut = ranks._echelon_cut(p, dim, rows)
+            cells = Cells(p, dim)
+            packed = cells.echelon(map(cells.pack, rows))
+            cut = [(pivot, tuple(cells.cells(form))) for pivot, form, _ in packed]
+            assert cut == _reference_echelon_cut(p, dim, rows)
+            for _, form, negated in packed:
+                assert [cells.cells(m) for m in negated] == [
+                    [-c * x % p for x in cells.cells(form)] for c in range(p)]
+            assert not any(cells.reduce(cells.pack(row), packed) for row in rows)
+            assert cells.rank(map(cells.pack, rows)) == rank_mod_p(p, rows)
             pivots = [pivot for pivot, _ in cut]
             assert pivots == sorted(set(pivots))
             for k, (pivot, form) in enumerate(cut):

@@ -4,13 +4,14 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from biasrank.gf import PrimeField, random_vector
+from biasrank.gf import PrimeField, random_full_rank_basis, random_vector
 from biasrank.rng import SplitMix64, substream
 from biasrank.tensor import (
     MultiComponentForm,
     Tensor,
     TensorFormatError,
     block_cells,
+    contracted,
     coordinate_basis,
     diagonal_tensor,
     direct_sum,
@@ -253,6 +254,18 @@ class TestRestrict:
                     acc = tuple((a + coef * x) % 3 for a, x in zip(acc, b))
                 lifted.append(acc)
             assert sub.evaluate(ys) == t.evaluate(lifted)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_restriction_at_p_two_is_evaluation_through_the_basis(self, n):
+        # every cell S[j_1..j_d] = T(b_j1, ..., b_jd), so S(y^1..y^d) = T(By^1, ..., By^d)
+        for d, k in product(range(5), range(n + 1)):
+            gen = substream(45, 100 * n + 10 * d + k)
+            t = random_tensor(F2, n, d, gen.next_u64())
+            basis = random_full_rank_basis(F2, n, k, gen)
+            sub = restrict(t, basis)
+            assert contracted(2, n, d, bytes(t.coeffs), basis) == bytes(sub.coeffs)
+            for js in product(range(k), repeat=d):
+                assert sub.entry(js) == oracle_evaluate(t, [basis[j] for j in js])
 
     def test_composition(self):
         gen = SplitMix64(29)
